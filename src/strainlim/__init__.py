@@ -32,6 +32,7 @@ from .errors import (
     FitUnderdetermined,
     InadmissibleDelta,
     InvalidAxis,
+    InvalidParameter,
     NoConvergence,
     NonpositiveModulus,
     NotPositiveDefinite,

@@ -5,7 +5,9 @@ ladder, rebuilds the finite deformation, and records how fast the
 linearized-strain residuals shrink; orders are least-squares slopes in
 log-log coordinates, with pairwise Richardson ratios available as a
 diagnostic. Certification samples the family's certified ball and reports
-sampled suprema for the defining constants (lower bounds on the true ones).
+sampled suprema for the defining constants (lower bounds on the true ones);
+each delta rung is drawn with one `ball_points` call and evaluated with one
+batched (N, 6) call per family function.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .errors import (
     AllZeroResiduals,
     FitUnderdetermined,
     InadmissibleDelta,
+    InvalidParameter,
     OutOfDomain,
     StrainLimError,
 )
@@ -46,6 +49,10 @@ from .symtensor import SymTensor, frobenius
 # difference-quotient probes sit at this fraction of the domain radius;
 # base draws shrink by twice that so probe partners stay inside the ball
 PROBE_SCALE = 1e-3
+
+# component weights mapping the Euclidean unit ball onto the Frobenius one
+_SYM_WEIGHTS = np.array([1.0, 1.0, 1.0] + [1.0 / math.sqrt(2.0)] * 3)
+_XX = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
 
 
 @dataclass(frozen=True)
@@ -233,21 +240,19 @@ def _assemble(records, failures) -> ConvergenceReport:
     )
 
 
-def _ball_point(g, u, radius) -> SymTensor:
-    # uniform in component volume over the Frobenius ball of the given
-    # radius: Euclidean unit ball mapped by halving off-diagonal weight
-    n = math.sqrt(float(g @ g))
-    if n == 0.0:
-        g = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
-        n = 1.0
-    rho = radius * u ** (1.0 / 6.0)
-    v = g * (rho / n)
-    s = 1.0 / math.sqrt(2.0)
-    return SymTensor(v[0], v[1], v[2], v[3] * s, v[4] * s, v[5] * s)
+def ball_points(gauss, u, radius) -> np.ndarray:
+    """Points uniform in component volume over the Frobenius ball of `radius`.
 
-
-def _unit_direction(g) -> SymTensor:
-    return _ball_point(g, 1.0, 1.0)
+    Normal draws `gauss` of shape (N, 6) or (6,) give (xx, yy, zz, xy, xz, yz)
+    rows of that shape; `u` is one uniform draw per point (1 gives the sphere).
+    """
+    g = np.asarray(gauss, dtype=float)
+    n = np.sqrt((g * g).sum(axis=-1, keepdims=True))
+    zero = n == 0.0
+    if zero.any():
+        g, n = np.where(zero, _XX, g), np.where(zero, 1.0, n)
+    rho = radius * np.asarray(u, dtype=float)[..., None] ** (1.0 / 6.0)
+    return g * (rho / n) * _SYM_WEIGHTS
 
 
 def certify_constants(
@@ -261,7 +266,9 @@ def certify_constants(
     reports on repeat runs).
     """
     if samples < 100:
-        raise ValueError("samples must be at least 100")
+        raise InvalidParameter("samples must be at least 100")
+    if len(deltas) == 0:
+        raise InvalidParameter("certification needs at least one delta")
     for d in deltas:
         if not is_admissible(spec, d):
             raise InadmissibleDelta(f"delta {d!r} is not admissible for kind {spec.kind}")
@@ -278,21 +285,18 @@ def certify_constants(
         u_s = rng.random(samples)
         d_e = rng.standard_normal((samples, 6))
         d_s = rng.standard_normal((samples, 6))
-        c0 = c1 = d0 = c3 = 0.0
-        for i in range(samples):
-            e1 = _ball_point(g_e[i], u_e[i], r_e * shrink)
-            s1 = _ball_point(g_s[i], u_s[i], r_s * shrink)
-            e2 = e1 + _unit_direction(d_e[i]) * (r_e * PROBE_SCALE)
-            s2 = s1 + _unit_direction(d_s[i]) * (r_s * PROBE_SCALE)
-            f00 = family_eval(spec, delta, e1, s1)
-            f10 = family_eval(spec, delta, e2, s1)
-            f01 = family_eval(spec, delta, e1, s2)
-            c0 = max(c0, frobenius(f00) / delta, frobenius(f10) / delta,
-                     frobenius(f01) / delta)
-            c1 = max(c1, frobenius(f10 - f00) / frobenius(e2 - e1))
-            d0 = max(d0, frobenius(f01 - f00) / (delta * frobenius(s2 - s1)))
-            c3 = max(c3, leading_gap(spec, delta, e1, s1) / (delta * delta))
-        rows.append(CertificateRow(delta, c0, c1, d0, c3))
+        e1 = ball_points(g_e, u_e, r_e * shrink)
+        s1 = ball_points(g_s, u_s, r_s * shrink)
+        e2 = e1 + ball_points(d_e, 1.0, 1.0) * (r_e * PROBE_SCALE)
+        s2 = s1 + ball_points(d_s, 1.0, 1.0) * (r_s * PROBE_SCALE)
+        f00 = family_eval(spec, delta, e1, s1)
+        f10 = family_eval(spec, delta, e2, s1)
+        f01 = family_eval(spec, delta, e1, s2)
+        c0 = max(frobenius(f).max() for f in (f00, f10, f01)) / delta
+        c1 = (frobenius(f10 - f00) / frobenius(e2 - e1)).max()
+        d0 = (frobenius(f01 - f00) / (delta * frobenius(s2 - s1))).max()
+        c3 = (leading_gap(spec, delta, e1, s1) / (delta * delta)).max()
+        rows.append(CertificateRow(delta, float(c0), float(c1), float(d0), float(c3)))
     return CertificateReport(
         C0_hat=max(r.C0_hat for r in rows),
         C1_hat=max(r.C1_hat for r in rows),

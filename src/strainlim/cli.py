@@ -20,7 +20,8 @@ import tempfile
 
 import numpy as np
 
-from .analysis import certify_constants, fit_order, run_convergence, run_convergence_hencky
+from .analysis import (ball_points, certify_constants, fit_order, run_convergence,
+                       run_convergence_hencky)
 from .energy import (
     EnergyProfile,
     complementary_energy,
@@ -30,7 +31,7 @@ from .energy import (
     legendre_transform,
 )
 from .errors import ConfigInvalid, StrainLimError, StudyFailed
-from .families import FamilySpec, family_leading, working_domain
+from .families import FamilySpec, _density_guaranteed_coeff, family_leading, working_domain
 from .kinematics import RotationSpec
 from .scalar1d import Scalar1DParams, oned_delta0_study
 from .solver import solve_implicit
@@ -47,6 +48,11 @@ _ROTATION_KEYS = ("axis", "coefficient", "mode")
 _ORDER_FULL = (1.9, 2.1)
 _ORDER_STRESS = (0.9, 1.1)
 _SLOPE_1D = (0.9, 1.1)
+
+_THRESHOLD_KEYS = {"solve": ("residual",), "certify": ("C0", "C1", "D0", "C3"),
+                   "oned": ("slope",), "energy": ("grad_tol", "fenchel_tol", "roundtrip_tol")}
+_THRESHOLD_KEYS["converge"] = _THRESHOLD_KEYS["converge-hencky"] = (
+    "order_full", "order_leading", "order_stress", "stress_row_factor")
 
 
 @dataclasses.dataclass
@@ -184,6 +190,8 @@ def parse_config(raw: dict, command: str) -> ExperimentConfig:
 
     if "thresholds" in raw:
         _require(isinstance(raw["thresholds"], dict), "thresholds must be an object")
+        unknown = set(raw["thresholds"]) - set(_THRESHOLD_KEYS.get(command, ()))
+        _require(not unknown, "unknown %s thresholds: %s" % (command, sorted(unknown)))
         cfg.thresholds = dict(raw["thresholds"])
     if "samples" in raw:
         _require(isinstance(raw["samples"], int) and not isinstance(raw["samples"], bool)
@@ -335,9 +343,8 @@ def _certify_caps(spec: FamilySpec, thresholds: dict) -> dict:
     elif spec.kind == "scaled_base":
         caps = {"C0": 1.0 + _CERT_EPS, "C1": None, "D0": None}
     else:
-        bound = (1.0 + 4.0 * spec.nu) * spec.c / (spec.E0 * (1.0 - 2.0 * spec.a * spec.b))
-        caps = {"C0": bound, "C1": None, "D0": None}
-    for key in ("C0", "C1", "D0", "C3"):
+        caps = {"C0": _density_guaranteed_coeff(spec), "C1": None, "D0": None}
+    for key in _THRESHOLD_KEYS["certify"]:
         if key in thresholds:
             caps[key] = _as_float(thresholds[key], key)
     return caps
@@ -417,7 +424,7 @@ def _run_energy(cfg: ExperimentConfig):
     for i in range(n):
         g = rng.standard_normal(6)
         u = rng.random(3)
-        S = _cli_ball_point(g, u[0], stress_r)
+        S = SymTensor(*ball_points(g, u[0], stress_r).tolist())
         grad_err = frobenius(complementary_gradient(profile, S)
                              - family_leading(spec, zero, S))
 
@@ -425,12 +432,12 @@ def _run_energy(cfg: ExperimentConfig):
         rt_err = float("nan")
         if power:
             g2 = rng.standard_normal(6)
-            Et = _cli_ball_point(g2, u[1], strain_r)
+            Et = SymTensor(*ball_points(g2, u[1], strain_r).tolist())
             star = conjugate_stress(profile, Et)
             fy_err = abs(legendre_transform(profile, Et)
                          + complementary_energy(profile, star) - inner(Et, star))
             g3 = rng.standard_normal(6)
-            eps = _cli_ball_point(g3, u[2], strain_r * cfg.delta)
+            eps = SymTensor(*ball_points(g3, u[2], strain_r * cfg.delta).tolist())
             sig = green_stress(profile, cfg.delta, eps)
             back = family_leading(spec, zero, sig) * cfg.delta
             rt_err = frobenius(back - eps)
@@ -448,18 +455,6 @@ def _run_energy(cfg: ExperimentConfig):
         checks.append(("roundtrip", worst["roundtrip"] <= rt_tol,
                        "max=%r cap=%r" % (worst["roundtrip"], rt_tol)))
     return checks, header, rows, {"worst": dict(worst), "probes": n}
-
-
-def _cli_ball_point(gauss, u, radius) -> SymTensor:
-    norm = float(np.sqrt(np.sum(gauss * gauss)))
-    if norm < 1e-300:
-        gauss = np.ones(6)
-        norm = float(np.sqrt(6.0))
-    rho = radius * float(u) ** (1.0 / 6.0)
-    v = gauss * (rho / norm)
-    s = 1.0 / math.sqrt(2.0)
-    return SymTensor(float(v[0]), float(v[1]), float(v[2]),
-                     float(v[3]) * s, float(v[4]) * s, float(v[5]) * s)
 
 
 _RUNNERS = {
@@ -483,6 +478,9 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         checks, header, rows, extra = _RUNNERS[cfg.command](cfg)
     except ConfigInvalid:
         raise
+    except ValueError as exc:
+        # parameters the library refuses (samples, delta ranges) are config errors
+        raise ConfigInvalid("bad parameters: %s" % exc)
     except StrainLimError as exc:
         raise StudyFailed("%s: %s" % (type(exc).__name__, exc))
 

@@ -131,19 +131,7 @@ def complementary_gradient(profile: EnergyProfile, Sbar: SymTensor) -> SymTensor
     needs a little headroom below c.
     """
     h = _GRAD_STEP * max(1.0, frobenius(Sbar))
-    comps = list(Sbar.components())
-    grad = []
-    for j in range(6):
-        up = comps.copy()
-        dn = comps.copy()
-        up[j] += h
-        dn[j] -= h
-        quotient = (
-            complementary_energy(profile, SymTensor(*up))
-            - complementary_energy(profile, SymTensor(*dn))
-        ) / (2.0 * h)
-        grad.append(quotient if j < 3 else 0.5 * quotient)
-    return SymTensor(*grad)
+    return _central_gradient(lambda S: complementary_energy(profile, S), Sbar, h)
 
 
 def green_stress(profile: EnergyProfile, delta: float, eps: SymTensor) -> SymTensor:
@@ -159,16 +147,18 @@ def green_stress(profile: EnergyProfile, delta: float, eps: SymTensor) -> SymTen
     if e >= 1.0 - _SATURATION_GUARD:
         raise Saturation(f"|eps/delta| = {e!r} too close to the strain limit")
     h = _GRAD_STEP * max(1.0, e)
-    comps = list(et.components())
+    return _central_gradient(lambda E: legendre_transform(profile, E), et, h)
+
+
+def _central_gradient(fn, point: SymTensor, h: float) -> SymTensor:
+    # central differences in the six stored components, off-diagonal
+    # quotients halved (those components count twice in the inner product)
+    comps = list(point.components())
     grad = []
     for j in range(6):
-        up = comps.copy()
-        dn = comps.copy()
+        up, dn = comps.copy(), comps.copy()
         up[j] += h
         dn[j] -= h
-        quotient = (
-            legendre_transform(profile, SymTensor(*up))
-            - legendre_transform(profile, SymTensor(*dn))
-        ) / (2.0 * h)
+        quotient = (fn(SymTensor(*up)) - fn(SymTensor(*dn))) / (2.0 * h)
         grad.append(quotient if j < 3 else 0.5 * quotient)
     return SymTensor(*grad)

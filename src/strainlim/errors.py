@@ -60,6 +60,10 @@ class AllZeroResiduals(StrainLimError):
     """
 
 
+class InvalidParameter(StrainLimError, ValueError):
+    """A library call got a parameter outside its documented range."""
+
+
 class ConfigInvalid(StrainLimError):
     """Experiment configuration failed validation."""
 

@@ -18,6 +18,12 @@ evaluation and solving is wider for the density kinds: the fixed points of
 E = f_delta(E, S) land outside B(0, b*delta) for moderate stresses, so the
 working radius covers the full guaranteed range of f_delta with 5%
 headroom while staying inside the modulus-positivity region.
+
+`family_eval`, `family_leading` and `leading_gap` also take (N, 6) arrays of
+components (xx, yy, zz, xy, xz, yz) and return (N, 6) arrays ((N,) norms for
+`leading_gap`), raising the scalar call's error for the first failing row.
+A batch runs the same formulas as a SymTensor whose components are numpy
+columns. Domain checks read `not (norm <= radius)`: NaN and inf raise.
 """
 
 from __future__ import annotations
@@ -25,6 +31,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
+
+import numpy as np
 
 from .errors import (
     InadmissibleDelta,
@@ -93,6 +101,9 @@ class FamilySpec:
                 raise ValueError("scaled_base requires a base profile")
             if isinstance(self.base, str) and self.base != "power_law":
                 raise ValueError(f"unknown named base {self.base!r}")
+        # (working_domain, delta_ceiling), computed once per spec; a plain
+        # attribute keeps attribute reads on the spec on CPython's fast path
+        object.__setattr__(self, "_working", (working_domain(self), delta_ceiling(self)))
 
 
 @dataclass(frozen=True)
@@ -143,7 +154,37 @@ def delta_ceiling(spec: FamilySpec) -> float:
 
 
 def is_admissible(spec: FamilySpec, delta: float) -> bool:
-    return 0.0 < delta < delta_ceiling(spec)
+    return 0.0 < delta < spec._working[1]
+
+
+def _check(ok, value, error, template, *context):
+    """Raise `error` unless `ok` holds on every row; name the first failing value."""
+    if ok is not True:
+        bad = np.flatnonzero(np.logical_not(ok))
+        if bad.size:
+            raise error(template.format(float(np.ravel(value)[bad[0]]), *context))
+
+
+def _check_ball(name, A, radius):
+    n = frobenius(A)
+    ok = n <= radius
+    if ok is not True:  # scalar fast path skips the call
+        _check(ok, n, OutOfDomain, "|{1}| = {0!r} exceeds {2!r}", name, radius)
+
+
+def _columns(*tensors):
+    """SymTensors of (N,) columns from SymTensor or (N, 6) array arguments."""
+    arrays = np.broadcast_arrays(*[
+        np.asarray(t.components() if isinstance(t, SymTensor) else t, dtype=float)
+        for t in tensors
+    ])
+    if arrays[0].ndim != 2 or arrays[0].shape[1] != 6:
+        raise ValueError("batched tensors must be (N, 6) component arrays")
+    return [SymTensor(*np.ascontiguousarray(a.T)) for a in arrays]
+
+
+def _rows(A: SymTensor) -> np.ndarray:
+    return np.column_stack(A.components())
 
 
 def _power_leading(a: float, p: float, Sbar: SymTensor) -> SymTensor:
@@ -187,47 +228,47 @@ def _modulus_brackets(spec: FamilySpec, delta: float, E: SymTensor):
     the public `generalized_modulus`.
     """
     dm1 = _det_i2e_minus_one(E)
-    if dm1 <= -1.0:
-        raise NotPositiveDefinite("I + 2E is not positive definite")
-    if spec.kind == "density_modulus_reciprocal":
-        # (det)^{-1/2} - 1, full relative precision near zero
-        g = math.expm1(-0.5 * math.log1p(dm1))
-    else:
-        g = math.expm1(0.5 * math.log1p(dm1))
-    bracket = 1.0 + spec.a * g / delta
-    if bracket <= 0.0:
-        raise NonpositiveModulus(f"modulus bracket {bracket!r} is nonpositive")
+    _check(dm1 > -1.0, dm1, NotPositiveDefinite, "I + 2E is not positive definite")
+    lib = np if isinstance(dm1, np.ndarray) else math
+    # (det)^{-1/2} - 1 or (det)^{1/2} - 1, full relative precision near zero
+    half = -0.5 if spec.kind == "density_modulus_reciprocal" else 0.5
+    bracket = 1.0 + spec.a * lib.expm1(half * lib.log1p(dm1)) / delta
+    _check(bracket > 0.0, bracket, NonpositiveModulus, "modulus bracket {!r} is nonpositive")
     return bracket
 
 
-def _resolve_base(spec: FamilySpec) -> Callable:
-    if callable(spec.base):
-        return spec.base
-    # built-in: the power-law profile scaled to the |f| <= delta1 convention
-    a, p, d1 = spec.a, spec.p, spec.delta1
-    return lambda Et, S: _power_leading(a, p, S) * d1
-
-
 def _scaled_leading(spec: FamilySpec, Etilde: SymTensor, Sbar: SymTensor) -> SymTensor:
-    f = _resolve_base(spec)
-    return f(Etilde * spec.delta1, Sbar) * (1.0 / spec.delta1)
+    d1 = spec.delta1
+    if not callable(spec.base):
+        # built-in: the power-law profile scaled to the |f| <= delta1 convention
+        return _power_leading(spec.a, spec.p, Sbar) * d1 * (1.0 / d1)
+    if not isinstance(Sbar.xx, np.ndarray):
+        return spec.base(Etilde * d1, Sbar) * (1.0 / d1)
+    # a user base sees a batch one row at a time
+    rows = [spec.base(SymTensor(*e), SymTensor(*s)).components()
+            for e, s in zip(_rows(Etilde * d1).tolist(), _rows(Sbar).tolist())]
+    return SymTensor(*np.array(rows, dtype=float).reshape(-1, 6).T) * (1.0 / d1)
 
 
-def family_eval(spec: FamilySpec, delta: float, E: SymTensor, Sbar: SymTensor) -> SymTensor:
+def family_eval(spec: FamilySpec, delta: float, E, Sbar):
     """Evaluate f_delta(E, Sbar) on the working domain.
 
     Raises InadmissibleDelta outside (0, delta_ceiling) and OutOfDomain
-    outside U_delta x V.
+    outside U_delta x V. (N, 6) arrays give an (N, 6) array.
     """
-    if not is_admissible(spec, delta):
+    dom, ceiling = spec._working
+    if not 0.0 < delta < ceiling:
         raise InadmissibleDelta(
-            f"delta {delta!r} outside (0, {delta_ceiling(spec)!r}) for kind {spec.kind}"
+            f"delta {delta!r} outside (0, {ceiling!r}) for kind {spec.kind}"
         )
-    dom = working_domain(spec)
-    if frobenius(E) > dom.strain_radius(delta):
-        raise OutOfDomain(f"|E| = {frobenius(E)!r} exceeds {dom.strain_radius(delta)!r}")
-    if frobenius(Sbar) > dom.stress_radius:
-        raise OutOfDomain(f"|Sbar| = {frobenius(Sbar)!r} exceeds {dom.stress_radius!r}")
+    if isinstance(E, SymTensor) and isinstance(Sbar, SymTensor):
+        return _eval(spec, dom, delta, E, Sbar)
+    return _rows(_eval(spec, dom, delta, *_columns(E, Sbar)))
+
+
+def _eval(spec, dom: DomainSpec, delta: float, E: SymTensor, Sbar: SymTensor) -> SymTensor:
+    _check_ball("E", E, dom.strain_radius(delta))
+    _check_ball("Sbar", Sbar, dom.stress_radius)
     if spec.kind == "power_law":
         # identical float path as delta * family_leading(...): the leading
         # residual of this kind is bit-equal to the full residual
@@ -255,7 +296,7 @@ def generalized_modulus(spec: FamilySpec, delta: float, E: SymTensor) -> float:
         raise InadmissibleDelta(
             f"delta {delta!r} outside (0, {delta_ceiling(spec)!r}) for kind {spec.kind}"
         )
-    if frobenius(E) > spec.b * delta:
+    if not frobenius(E) <= spec.b * delta:
         raise OutOfDomain(
             f"|E| = {frobenius(E)!r} exceeds the certified radius {spec.b * delta!r}"
         )
@@ -274,13 +315,20 @@ def generalized_modulus(spec: FamilySpec, delta: float, E: SymTensor) -> float:
     return spec.E0 / (delta * bracket)
 
 
-def family_leading(spec: FamilySpec, Etilde: SymTensor, Sbar: SymTensor) -> SymTensor:
-    """Leading-order profile f_1(Etilde, Sbar) on the rescaled domain."""
-    dom = working_domain(spec)
-    if frobenius(Etilde) > dom.strain_coeff:
-        raise OutOfDomain(f"|Etilde| = {frobenius(Etilde)!r} exceeds {dom.strain_coeff!r}")
-    if frobenius(Sbar) > dom.stress_radius:
-        raise OutOfDomain(f"|Sbar| = {frobenius(Sbar)!r} exceeds {dom.stress_radius!r}")
+def family_leading(spec: FamilySpec, Etilde, Sbar):
+    """Leading-order profile f_1(Etilde, Sbar) on the rescaled domain.
+
+    (N, 6) arrays give an (N, 6) array.
+    """
+    if isinstance(Etilde, SymTensor) and isinstance(Sbar, SymTensor):
+        return _leading(spec, Etilde, Sbar)
+    return _rows(_leading(spec, *_columns(Etilde, Sbar)))
+
+
+def _leading(spec: FamilySpec, Etilde: SymTensor, Sbar: SymTensor) -> SymTensor:
+    dom = spec._working[0]
+    _check_ball("Etilde", Etilde, dom.strain_coeff)
+    _check_ball("Sbar", Sbar, dom.stress_radius)
     if spec.kind == "power_law":
         return _power_leading(spec.a, spec.p, Sbar)
     if spec.kind == "scaled_base":
@@ -288,17 +336,17 @@ def family_leading(spec: FamilySpec, Etilde: SymTensor, Sbar: SymTensor) -> SymT
     m = _iso_numerator(spec.nu, Sbar)
     if spec.kind == "density_modulus_reciprocal":
         den = 1.0 - spec.a * trace(Etilde)
-        if den <= 0.0:
-            raise SingularLeading(f"1 - a tr(Etilde) = {den!r} is nonpositive")
+        _check(den > 0.0, den, SingularLeading, "1 - a tr(Etilde) = {!r} is nonpositive")
         return m * (1.0 / (spec.E0 * den))
     return m * ((1.0 + spec.a * trace(Etilde)) / spec.E0)
 
 
-def leading_gap(spec: FamilySpec, delta: float, E: SymTensor, Sbar: SymTensor) -> float:
+def leading_gap(spec: FamilySpec, delta: float, E, Sbar):
     """|f_delta(E, S) - delta f_1(E/delta, S)|.
 
     Exactly zero for power_law and scaled_base (definitional identity,
-    same float path); O(delta^2) for the density kinds.
+    same float path); O(delta^2) for the density kinds. (N, 6) arrays
+    give the (N,) row norms.
     """
     full = family_eval(spec, delta, E, Sbar)
     lead = family_leading(spec, E * (1.0 / delta), Sbar) * delta

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidAxis, Singular
-from .symtensor import SymTensor, Tensor3, frobenius, det, inverse, spd_sqrt, sym_exp, sym_log, trace
+from .symtensor import (SymTensor, Tensor3, frobenius, det, inverse, is_rotation, spd_sqrt,
+                        sym_exp, sym_log, trace)
 
 
 @dataclass(frozen=True)
@@ -81,12 +82,6 @@ class DeformationState:
         return frobenius(self.F - Tensor3.identity())
 
 
-def _check_rotation(R: Tensor3):
-    m = R.as_matrix()
-    if np.linalg.norm(m.T @ m - np.eye(3)) > 1e-12 or np.linalg.det(m) <= 0.0:
-        raise ValueError("R does not satisfy the rotation invariants")
-
-
 def _state_from_f(fm: np.ndarray) -> DeformationState:
     F = Tensor3.from_matrix(fm)
     cm = fm.T @ fm
@@ -118,7 +113,8 @@ def _state_from_f(fm: np.ndarray) -> DeformationState:
 
 def deformation_from_green(E: SymTensor, R: Tensor3) -> DeformationState:
     """F = R (I + 2E)^{1/2}; requires I + 2E positive definite."""
-    _check_rotation(R)
+    if not is_rotation(R):
+        raise ValueError("R does not satisfy the rotation invariants")
     c0 = SymTensor(
         1.0 + 2.0 * E.xx,
         1.0 + 2.0 * E.yy,
@@ -133,7 +129,8 @@ def deformation_from_green(E: SymTensor, R: Tensor3) -> DeformationState:
 
 def deformation_from_hencky(H: SymTensor, R: Tensor3) -> DeformationState:
     """F = e^H R."""
-    _check_rotation(R)
+    if not is_rotation(R):
+        raise ValueError("R does not satisfy the rotation invariants")
     return _state_from_f(sym_exp(H).as_matrix() @ R.as_matrix())
 
 

@@ -2,9 +2,11 @@
 
 Symmetric tensors are stored as six plain floats so the hot operations
 (norm, trace, determinant) stay allocation-free; full 3x3 values only
-appear on the spectral paths. The eigensolver is a cyclic Jacobi sweep,
-which is unconditionally robust for 3x3 symmetric input and, unlike the
-closed-form cubic, does not lose accuracy near repeated eigenvalues.
+appear on the spectral paths. Components may also be numpy columns, which
+`frobenius`, `trace`, `det` and the arithmetic then treat row by row. The
+eigensolver is a cyclic Jacobi sweep, which is unconditionally robust for
+3x3 symmetric input and, unlike the closed-form cubic, does not lose
+accuracy near repeated eigenvalues.
 """
 
 from __future__ import annotations
@@ -132,15 +134,18 @@ class Spectrum:
     frame: Tensor3
 
 
-def frobenius(A) -> float:
-    """Frobenius norm sqrt(tr(A A^T)); zero iff A is zero."""
+def frobenius(A):
+    """Frobenius norm sqrt(tr(A A^T)); (N,) row norms for columns or (N, 6) arrays."""
     if isinstance(A, SymTensor):
-        return math.sqrt(
+        s = (
             A.xx * A.xx
             + A.yy * A.yy
             + A.zz * A.zz
             + 2.0 * (A.xy * A.xy + A.xz * A.xz + A.yz * A.yz)
         )
+        return math.sqrt(s) if isinstance(s, float) else np.sqrt(s)
+    if isinstance(A, np.ndarray):
+        return frobenius(SymTensor(*A.T))
     return math.sqrt(sum(x * x for x in A.data))
 
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from strainlim.analysis import (
-    _ball_point,
+    PROBE_SCALE,
+    ball_points,
     certify_constants,
     fit_order,
     richardson_orders,
@@ -15,9 +16,10 @@ from strainlim.errors import (
     AllZeroResiduals,
     FitUnderdetermined,
     InadmissibleDelta,
+    InvalidParameter,
     OutOfDomain,
 )
-from strainlim.families import FamilySpec
+from strainlim.families import FamilySpec, certified_domain, family_eval, leading_gap
 from strainlim.kinematics import RotationSpec
 from strainlim.symtensor import SymTensor, frobenius
 
@@ -148,13 +150,12 @@ def test_deformation_stays_first_order_in_delta():
 def test_ball_point_moments_and_radius():
     rng = np.random.default_rng(101)
     radius = 0.7
-    ratios = []
-    for _ in range(20000):
-        pt = _ball_point(rng.standard_normal(6), rng.random(), radius)
-        r = frobenius(pt)
-        assert r <= radius * (1.0 + 1e-12)
-        ratios.append(r / radius)
-    ratios = np.array(ratios)
+    draws = [(rng.standard_normal(6), rng.random()) for _ in range(20000)]
+    pts = ball_points(np.array([g for g, _ in draws]), np.array([u for _, u in draws]), radius)
+    assert pts.shape == (20000, 6)
+    r = frobenius(pts)
+    assert np.all(r <= radius * (1.0 + 1e-12))
+    ratios = r / radius
     assert abs(ratios.mean() - 6.0 / 7.0) < 0.005
     assert abs((ratios ** 2).mean() - 0.75) < 0.005
 
@@ -192,3 +193,51 @@ def test_certify_is_reproducible():
 def test_certify_rejects_thin_sampling():
     with pytest.raises(ValueError):
         certify_constants(POWER, LADDER[:4], 99, 0)
+
+
+def test_certify_rejects_empty_ladder():
+    with pytest.raises(InvalidParameter):
+        certify_constants(POWER, [], 100, 0)
+
+
+def _point(gauss, u, radius):
+    return SymTensor(*ball_points(gauss, u, radius).tolist())
+
+
+def _certify_row_by_row(spec, deltas, samples, seed):
+    # the per-sample definition of the constants, one scalar call per point,
+    # drawing from the generator in the same order as certify_constants
+    rng = np.random.default_rng(seed)
+    dom = certified_domain(spec)
+    shrink = 1.0 - 2.0 * PROBE_SCALE
+    out = []
+    for delta in deltas:
+        r_e, r_s = dom.strain_radius(delta), dom.stress_radius
+        g_e, u_e = rng.standard_normal((samples, 6)), rng.random(samples)
+        g_s, u_s = rng.standard_normal((samples, 6)), rng.random(samples)
+        d_e, d_s = rng.standard_normal((samples, 6)), rng.standard_normal((samples, 6))
+        c0 = c1 = d0 = c3 = 0.0
+        for i in range(samples):
+            e1 = _point(g_e[i], u_e[i], r_e * shrink)
+            s1 = _point(g_s[i], u_s[i], r_s * shrink)
+            e2 = e1 + _point(d_e[i], 1.0, 1.0) * (r_e * PROBE_SCALE)
+            s2 = s1 + _point(d_s[i], 1.0, 1.0) * (r_s * PROBE_SCALE)
+            f00 = family_eval(spec, delta, e1, s1)
+            f10 = family_eval(spec, delta, e2, s1)
+            f01 = family_eval(spec, delta, e1, s2)
+            c0 = max(c0, frobenius(f00) / delta, frobenius(f10) / delta, frobenius(f01) / delta)
+            c1 = max(c1, frobenius(f10 - f00) / frobenius(e2 - e1))
+            d0 = max(d0, frobenius(f01 - f00) / (delta * frobenius(s2 - s1)))
+            c3 = max(c3, leading_gap(spec, delta, e1, s1) / (delta * delta))
+        out.append((delta, c0, c1, d0, c3))
+    return out
+
+
+@pytest.mark.parametrize("spec", [POWER, RECIP])
+def test_certify_matches_row_by_row_definition(spec):
+    cert = certify_constants(spec, LADDER[:3], 200, 4)
+    want = _certify_row_by_row(spec, LADDER[:3], 200, 4)
+    for row, ref in zip(cert.rows, want):
+        got = (row.delta, row.C0_hat, row.C1_hat, row.D0_hat, row.C3_hat)
+        assert all(type(v) is float for v in got)
+        assert got == pytest.approx(ref, rel=1e-12, abs=0.0)

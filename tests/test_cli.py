@@ -227,3 +227,52 @@ def test_study_errors_exit_two(tmp_path, capsys):
                  "--out", str(tmp_path)])
     assert code == 2
     assert "InadmissibleDelta" in capsys.readouterr().out
+
+
+# --- parameter and threshold validation -----------------------------------------
+
+
+def _run_expect_config_error(tmp_path, capsys, command, payload):
+    code = main([command, "--config", _write(tmp_path, "x.json", payload),
+                 "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("FAIL config")
+    return lines[0]
+
+
+def test_thin_certify_sampling_is_config_error(tmp_path, capsys):
+    line = _run_expect_config_error(tmp_path, capsys, "certify", dict(CERTIFY, samples=50))
+    assert "samples" in line
+
+
+def test_oned_delta_out_of_range_is_config_error(tmp_path, capsys):
+    payload = {"family": {"kind": "power_law"}, "delta": 0.5, "stresses": [0.1, 0.2]}
+    line = _run_expect_config_error(tmp_path, capsys, "oned", payload)
+    assert "delta" in line
+
+
+@pytest.mark.parametrize("command, payload, key", [
+    ("certify", CERTIFY, "C9"),
+    ("certify", CERTIFY, "order_full"),
+    ("converge", CONVERGE, "C0"),
+    ("oned", {"family": {"kind": "power_law"}, "delta": 0.001, "stress": 0.25}, "slop"),
+])
+def test_unknown_threshold_keys_are_rejected(tmp_path, capsys, command, payload, key):
+    bad = dict(payload, thresholds={key: 1})
+    line = _run_expect_config_error(tmp_path, capsys, command, bad)
+    assert key in line
+    with pytest.raises(ConfigInvalid):
+        parse_config(bad, command)
+
+
+def test_known_certify_thresholds_apply(tmp_path, capsys):
+    ok = dict(CERTIFY, thresholds={"C0": 1.0, "C1": 1e-12, "D0": 2.0, "C3": 0.0})
+    assert main(["certify", "--config", _write(tmp_path, "c.json", ok),
+                 "--out", str(tmp_path)]) == 0
+    tight = dict(CERTIFY, thresholds={"C0": 0.01})
+    assert main(["certify", "--config", _write(tmp_path, "t.json", tight),
+                 "--out", str(tmp_path)]) == 2
+    assert "check C0" in capsys.readouterr().out

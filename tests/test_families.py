@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from strainlim.analysis import ball_points
 from strainlim.errors import (
     InadmissibleDelta,
     NonpositiveModulus,
@@ -316,3 +319,158 @@ def test_scaled_base_ceiling_tracks_delta1():
     assert delta_ceiling(spec) == pytest.approx(0.01)
     spec = FamilySpec(kind="scaled_base", base="power_law", delta1=0.4, b=0.5)
     assert delta_ceiling(spec) == pytest.approx(0.1)
+
+
+# --- finiteness guards --------------------------------------------------------
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("bad", [NAN, INF, -INF])
+def test_scalar_path_rejects_nonfinite(bad):
+    S = SymTensor(0.1, 0.0, 0.0)
+    for spec in (POWER, RECIP, DIRECT):
+        with pytest.raises(OutOfDomain):
+            family_eval(spec, 0.01, ZERO, SymTensor(0.1, bad, 0.0))
+        with pytest.raises(OutOfDomain):
+            family_eval(spec, 0.01, SymTensor(0.0, 0.0, 0.0, bad, 0.0, 0.0), S)
+        with pytest.raises(OutOfDomain):
+            family_leading(spec, SymTensor(bad), S)
+        with pytest.raises(OutOfDomain):
+            leading_gap(spec, 0.01, ZERO, SymTensor(0.0, 0.0, bad))
+    with pytest.raises(OutOfDomain):
+        generalized_modulus(RECIP, 0.01, SymTensor(bad))
+
+
+@pytest.mark.parametrize("bad", [NAN, INF, -INF])
+def test_array_path_rejects_nonfinite(bad):
+    E = np.zeros((4, 6))
+    S = np.full((4, 6), 0.05)
+    for spec in (POWER, RECIP, DIRECT):
+        for arg in (0, 1):
+            args = [E.copy(), S.copy()]
+            args[arg][2, 4] = bad
+            with pytest.raises(OutOfDomain):
+                family_eval(spec, 0.01, *args)
+            with pytest.raises(OutOfDomain):
+                family_leading(spec, *args)
+            with pytest.raises(OutOfDomain):
+                leading_gap(spec, 0.01, *args)
+
+
+# --- batched (N, 6) path against the scalar path ------------------------------
+
+
+def _base(Et, S):
+    # bounded by delta1 = 0.05 and dependent on both arguments
+    return (S + Et * 0.1) * (0.05 / math.sqrt(1.0 + frobenius(S) ** 2 + frobenius(Et) ** 2))
+
+
+BATCH_SPECS = {
+    "power_law": POWER,
+    "reciprocal": RECIP,
+    "direct": DIRECT,
+    "scaled_named": FamilySpec(kind="scaled_base", a=1.0, p=2.0, base="power_law"),
+    "scaled_callable": FamilySpec(kind="scaled_base", base=_base),
+}
+
+
+def _scalar_rows(fn, *arrays):
+    return [fn(*[SymTensor(*row) for row in rows]) for rows in zip(*(a.tolist() for a in arrays))]
+
+
+def _in_ball(rng, n, radius):
+    return ball_points(rng.standard_normal((n, 6)), rng.random(n), radius)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(sorted(BATCH_SPECS)),
+    seed=st.integers(0, 2 ** 32 - 1),
+    n=st.integers(1, 40),
+    frac=st.floats(0.01, 0.99),
+)
+def test_batch_matches_scalar_rows(name, seed, n, frac):
+    spec = BATCH_SPECS[name]
+    delta = frac * delta_ceiling(spec)
+    dom = certified_domain(spec)
+    rng = np.random.default_rng(seed)
+    E = _in_ball(rng, n, dom.strain_radius(delta))
+    S = _in_ball(rng, n, dom.stress_radius)
+    Et = E * (1.0 / delta)
+
+    full = family_eval(spec, delta, E, S)
+    want = np.array([t.components() for t in _scalar_rows(
+        lambda e, s: family_eval(spec, delta, e, s), E, S)])
+    assert full.shape == (n, 6)
+    assert np.all(np.abs(full - want) <= 1e-14 * np.abs(want))
+
+    lead = family_leading(spec, Et, S)
+    want_lead = np.array([t.components() for t in _scalar_rows(
+        lambda e, s: family_leading(spec, e, s), Et, S)])
+    assert np.all(np.abs(lead - want_lead) <= 1e-14 * np.abs(want_lead))
+
+    # the gap is a cancelling difference of two O(delta) profiles, so its
+    # rounding is relative to the size of f_delta, not to the gap itself
+    gap = leading_gap(spec, delta, E, S)
+    want_gap = np.array(_scalar_rows(lambda e, s: leading_gap(spec, delta, e, s), E, S))
+    assert gap.shape == (n,)
+    assert np.all(np.abs(gap - want_gap) <= 1e-14 * frobenius(want))
+    if spec.kind in ("power_law", "scaled_base"):
+        assert np.all(gap == 0.0)
+
+
+def _raised(fn):
+    try:
+        fn()
+    except Exception as exc:  # the exact class is what the tests compare
+        return type(exc)
+    return None
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(sorted(BATCH_SPECS)),
+    seed=st.integers(0, 2 ** 32 - 1),
+    n=st.integers(1, 12),
+    which=st.sampled_from(("strain", "stress")),
+)
+def test_batch_with_one_bad_row_raises_the_scalar_error(name, seed, n, which):
+    spec = BATCH_SPECS[name]
+    delta = 0.5 * delta_ceiling(spec)
+    dom = working_domain(spec)
+    rng = np.random.default_rng(seed)
+    E = _in_ball(rng, n, certified_domain(spec).strain_radius(delta))
+    S = _in_ball(rng, n, dom.stress_radius)
+    row = int(rng.integers(n))
+    if which == "strain":
+        E[row] = ball_points(rng.standard_normal(6), 1.0, 1.01 * dom.strain_radius(delta))
+    else:
+        S[row] = ball_points(rng.standard_normal(6), 1.0, 1.01 * dom.stress_radius)
+    e, s = SymTensor(*E[row].tolist()), SymTensor(*S[row].tolist())
+    error = _raised(lambda: family_eval(spec, delta, e, s))
+    assert error is OutOfDomain
+    assert _raised(lambda: family_eval(spec, delta, E, S)) is error
+    assert _raised(lambda: leading_gap(spec, delta, E, S)) is error
+
+
+def test_batch_nonpositive_modulus_row_raises_like_scalar():
+    d = 0.019
+    e = 1.9 * d
+    E = np.zeros((5, 6))
+    E[3, :3] = e
+    S = np.tile([0.1, 0.0, 0.0, 0.0, 0.0, 0.0], (5, 1))
+    scalar = _raised(lambda: family_eval(RECIP, d, SymTensor(e, e, e), SymTensor(0.1)))
+    assert scalar is NonpositiveModulus
+    assert _raised(lambda: family_eval(RECIP, d, E, S)) is scalar
+    assert _raised(lambda: leading_gap(RECIP, d, E, S)) is scalar
+
+
+def test_batch_shapes_and_broadcast():
+    S = np.array([[0.1, 0.0, 0.0, 0.0, 0.0, 0.0], [0.0, 0.2, 0.0, 0.05, 0.0, 0.0]])
+    out = family_eval(RECIP, 0.01, ZERO, S)
+    assert out.shape == (2, 6)
+    assert out[1].tolist() == list(family_eval(RECIP, 0.01, ZERO, SymTensor(*S[1])).components())
+    assert family_eval(RECIP, 0.01, np.zeros((0, 6)), np.zeros((0, 6))).shape == (0, 6)
+    with pytest.raises(ValueError):
+        family_eval(RECIP, 0.01, np.zeros((3, 5)), S[:1])
