@@ -167,29 +167,7 @@ def run_convergence(
     symmetrized Piola stress, stress_gap = |sigma - Sbar|, strain_gap =
     |E - eps|. Failed rows are recorded and skipped by the fits.
     """
-    _validate_ladder(spec, deltas)
-    if frobenius(Sbar) > working_domain(spec).stress_radius:
-        raise OutOfDomain("Sbar lies outside the stress ball")
-    records, failures = [], []
-    for delta in deltas:
-        try:
-            rep = solve_implicit(spec, delta, Sbar)
-            state = deformation_from_green(rep.solution, make_rotation(rot, delta))
-            sigma = sigma_from_piola(state.F, Sbar)
-            eps = state.eps
-            records.append(
-                ConvergenceRecord(
-                    delta=delta,
-                    delta0=state.delta0,
-                    residual_full=frobenius(eps - family_eval(spec, delta, eps, sigma)),
-                    residual_leading=_leading_residual(spec, delta, eps, sigma),
-                    stress_gap=frobenius(sigma - Sbar),
-                    strain_gap=frobenius(rep.solution - eps),
-                )
-            )
-        except StrainLimError as exc:
-            failures.append((delta, f"{type(exc).__name__}: {exc}"))
-    return _assemble(records, failures)
+    return _run_ladder(spec, Sbar, rot, deltas, hencky=False)
 
 
 def run_convergence_hencky(
@@ -200,15 +178,23 @@ def run_convergence_hencky(
     Same record layout as run_convergence with the Cauchy-derived stress
     sigma = det(F) (T F^{-T} + F^{-1} T)/2 and strain_gap = |H - eps|.
     """
+    return _run_ladder(spec, T, rot, deltas, hencky=True)
+
+
+def _run_ladder(spec, stress, rot, deltas, hencky) -> ConvergenceReport:
     _validate_ladder(spec, deltas)
-    if frobenius(T) > working_domain(spec).stress_radius:
-        raise OutOfDomain("T lies outside the stress ball")
+    if frobenius(stress) > working_domain(spec).stress_radius:
+        raise OutOfDomain("%s lies outside the stress ball" % ("T" if hencky else "Sbar"))
+    # looked up per call, not at import, so rebinding the module globals takes effect
+    solve, deform, pushforward = (
+        (solve_implicit_hencky, deformation_from_hencky, sigma_from_cauchy) if hencky
+        else (solve_implicit, deformation_from_green, sigma_from_piola))
     records, failures = [], []
     for delta in deltas:
         try:
-            rep = solve_implicit_hencky(spec, delta, T)
-            state = deformation_from_hencky(rep.solution, make_rotation(rot, delta))
-            sigma = sigma_from_cauchy(state.F, T)
+            rep = solve(spec, delta, stress)
+            state = deform(rep.solution, make_rotation(rot, delta))
+            sigma = pushforward(state.F, stress)
             eps = state.eps
             records.append(
                 ConvergenceRecord(
@@ -216,7 +202,7 @@ def run_convergence_hencky(
                     delta0=state.delta0,
                     residual_full=frobenius(eps - family_eval(spec, delta, eps, sigma)),
                     residual_leading=_leading_residual(spec, delta, eps, sigma),
-                    stress_gap=frobenius(sigma - T),
+                    stress_gap=frobenius(sigma - stress),
                     strain_gap=frobenius(rep.solution - eps),
                 )
             )

@@ -12,6 +12,7 @@ byte-identical files.
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -303,8 +304,8 @@ def _window(thresholds, key, default):
     return (_as_float(raw[0], key), _as_float(raw[1], key))
 
 
-def _run_converge(cfg: ExperimentConfig, hencky: bool):
-    runner = run_convergence_hencky if hencky else run_convergence
+def _run_converge(cfg: ExperimentConfig):
+    runner = run_convergence_hencky if cfg.command == "converge-hencky" else run_convergence
     report = runner(cfg.family, cfg.stress, cfg.rotation, cfg.deltas)
     rows = [(r.delta, r.delta0, r.residual_full, r.residual_leading,
              r.stress_gap, r.strain_gap) for r in report.records]
@@ -458,12 +459,12 @@ def _run_energy(cfg: ExperimentConfig):
 
 
 _RUNNERS = {
-    "solve": lambda cfg: _run_solve(cfg),
-    "converge": lambda cfg: _run_converge(cfg, hencky=False),
-    "converge-hencky": lambda cfg: _run_converge(cfg, hencky=True),
-    "certify": lambda cfg: _run_certify(cfg),
-    "oned": lambda cfg: _run_oned(cfg),
-    "energy": lambda cfg: _run_energy(cfg),
+    "solve": _run_solve,
+    "converge": _run_converge,
+    "converge-hencky": _run_converge,
+    "certify": _run_certify,
+    "oned": _run_oned,
+    "energy": _run_energy,
 }
 
 
@@ -506,7 +507,9 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     return payload
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    # built on first use and kept: parse_args leaves the parser unchanged
     parser = argparse.ArgumentParser(
         prog="strainlim",
         description="Strain-limited constitutive model studies.")

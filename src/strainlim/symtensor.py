@@ -4,9 +4,9 @@ Symmetric tensors are stored as six plain floats so the hot operations
 (norm, trace, determinant) stay allocation-free; full 3x3 values only
 appear on the spectral paths. Components may also be numpy columns, which
 `frobenius`, `trace`, `det` and the arithmetic then treat row by row. The
-eigensolver is a cyclic Jacobi sweep, which is unconditionally robust for
-3x3 symmetric input and, unlike the closed-form cubic, does not lose
-accuracy near repeated eigenvalues.
+eigensolver is LAPACK's symmetric solver `dsyevd` (the one `np.linalg.eigh`
+calls), which, unlike the closed-form cubic, does not lose accuracy near
+repeated eigenvalues.
 """
 
 from __future__ import annotations
@@ -15,14 +15,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dsyevd
 
-from .errors import NotPositiveDefinite, Singular
+from .errors import InvalidParameter, NoConvergence, NotPositiveDefinite, Singular
 
 # eigenvalues at or below this are treated as nonpositive
 EIG_POSITIVITY_TOL = 1e-14
-
-_JACOBI_TOL = 1e-14
-_JACOBI_MAX_SWEEPS = 50
 
 
 @dataclass(frozen=True)
@@ -216,58 +214,35 @@ def is_rotation(R: Tensor3, tol: float = 1e-12) -> bool:
 
 
 def eig_sym(A: SymTensor) -> Spectrum:
-    """Spectral decomposition by cyclic Jacobi sweeps.
+    """Spectral decomposition by LAPACK's symmetric divide-and-conquer solver.
 
-    Convergence: off-diagonal Frobenius norm <= 1e-14 * |A|, at most 50
-    sweeps. Eigenvalues sorted descending (ties keep their pre-sort order);
-    each eigenvector's largest-magnitude component is made positive so the
-    output is deterministic.
+    Eigenvalues sorted descending (ties keep LAPACK's order); each
+    eigenvector's largest-magnitude component is made positive so the
+    output is deterministic. Raises InvalidParameter for NaN or inf input
+    and NoConvergence if LAPACK reports a failure.
     """
-    norm_a = frobenius(A)
-    m = A.as_matrix()
-    v = np.eye(3)
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        off = math.sqrt(2.0 * (m[0, 1] ** 2 + m[0, 2] ** 2 + m[1, 2] ** 2))
-        if off <= _JACOBI_TOL * norm_a:
-            break
-        for p, q in ((0, 1), (0, 2), (1, 2)):
-            apq = m[p, q]
-            if apq == 0.0:
-                continue
-            theta = (m[q, q] - m[p, p]) / (2.0 * apq)
-            if theta >= 0.0:
-                t = 1.0 / (theta + math.sqrt(theta * theta + 1.0))
-            else:
-                t = 1.0 / (theta - math.sqrt(theta * theta + 1.0))
-            c = 1.0 / math.sqrt(t * t + 1.0)
-            s = t * c
-            g = np.eye(3)
-            g[p, p] = c
-            g[q, q] = c
-            g[p, q] = s
-            g[q, p] = -s
-            m = g.T @ m @ g
-            v = v @ g
-    evals = np.diag(m).copy()
-    order = np.argsort(-evals, kind="stable")
-    evals = evals[order]
-    v = v[:, order]
-    for j in range(3):
-        k = int(np.argmax(np.abs(v[:, j])))
-        if v[k, j] < 0.0:
-            v[:, j] = -v[:, j]
-    return Spectrum(tuple(float(x) for x in evals), Tensor3.from_matrix(v))
+    if not all(map(math.isfinite, A.components())):
+        raise InvalidParameter(f"eig_sym needs finite components, got {A.components()!r}")
+    # dsyevd is the LAPACK driver behind np.linalg.eigh, whose Python wrapper
+    # costs more than the 3x3 solve; it sorts ascending, so solving for -A
+    # yields the descending order
+    neg_evals, v, info = dsyevd(-A.as_matrix())
+    if info:
+        raise NoConvergence(f"LAPACK dsyevd failed with info={info}")
+    # sign convention: each column's largest-magnitude component is nonnegative
+    cols = [c if max(c, key=abs) >= 0.0 else [-x for x in c] for c in v.T.tolist()]
+    frame = Tensor3(tuple(x for row in zip(*cols) for x in row))
+    return Spectrum(tuple((-neg_evals).tolist()), frame)
 
 
 def _spectral_map(A: SymTensor, fn, require_pd: bool) -> SymTensor:
     spec = eig_sym(A)
-    if require_pd and min(spec.eigenvalues) <= EIG_POSITIVITY_TOL:
-        raise NotPositiveDefinite(
-            f"eigenvalue {min(spec.eigenvalues)!r} at or below {EIG_POSITIVITY_TOL}"
-        )
+    lam_min = min(spec.eigenvalues)
+    if require_pd and not (lam_min > EIG_POSITIVITY_TOL):
+        raise NotPositiveDefinite(f"eigenvalue {lam_min!r} at or below {EIG_POSITIVITY_TOL}")
     v = spec.frame.as_matrix()
-    out = v @ np.diag([fn(x) for x in spec.eigenvalues]) @ v.T
-    return SymTensor.from_matrix(out)
+    out = (v * [fn(x) for x in spec.eigenvalues]) @ v.T
+    return SymTensor.from_matrix(out.tolist())
 
 
 def spd_sqrt(C: SymTensor) -> SymTensor:

@@ -1,10 +1,13 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
-from strainlim.cli import ExperimentConfig, main, parse_config
+import strainlim
+from strainlim.cli import ExperimentConfig, _build_parser, main, parse_config
 from strainlim.errors import ConfigInvalid
 
 AXIS = [1.0 / math.sqrt(3.0)] * 3
@@ -218,6 +221,35 @@ def test_usage_errors_map_to_one(capsys):
     assert main(["bogus"]) == 1
     assert main([]) == 1
     assert main(["--help"]) == 0
+
+
+def _fresh_processes(*argvs):
+    """(exit code, stdout, stderr) of `python -m strainlim argv`, one new process each."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(strainlim.__file__)))
+    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    procs = [subprocess.Popen([sys.executable, "-m", "strainlim", *argv], env=env, text=True,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+             for argv in argvs]
+    outputs = [proc.communicate() for proc in procs]
+    return [(proc.returncode, out, err) for proc, (out, err) in zip(procs, outputs)]
+
+
+def test_one_parser_serves_every_call_in_a_process(tmp_path, capsys):
+    ok = ["converge", "--config", _write(tmp_path, "c.json", CONVERGE), "--out", str(tmp_path)]
+    usage = ["converge", "--out", str(tmp_path)]
+    bad = ["converge", "--config", _write(tmp_path, "bad.json", dict(CONVERGE, typo=1))]
+    in_process = []
+    for argv in (ok, usage, bad, ok):
+        code = main(argv)
+        captured = capsys.readouterr()
+        in_process.append((code, captured.out, captured.err))
+    assert [r[0] for r in in_process] == [0, 1, 1, 0]
+    fresh_ok, fresh_usage, fresh_bad = _fresh_processes(ok, usage, bad)
+    assert in_process == [fresh_ok, fresh_usage, fresh_bad, fresh_ok]
+    assert in_process[0][1].startswith("PASS converge")
+    assert in_process[2][2].startswith("FAIL config: unknown config keys")
+    assert _build_parser() is _build_parser()
 
 
 def test_study_errors_exit_two(tmp_path, capsys):

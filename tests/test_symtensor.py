@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strainlim.errors import NotPositiveDefinite, Singular
+from strainlim import symtensor
+from strainlim.errors import InvalidParameter, NoConvergence, NotPositiveDefinite, Singular
 from strainlim.symtensor import (
+    Spectrum,
     SymTensor,
     Tensor3,
     det,
@@ -212,3 +214,134 @@ def test_tensor3_transpose_and_sub():
     assert t.as_matrix()[0][1] == 4.0
     z = m - m
     assert frobenius(z) == 0.0
+
+
+# --- non-finite input ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("slot", [0, 4])
+@pytest.mark.parametrize("fn", [eig_sym, spd_sqrt, sym_log, sym_exp])
+def test_spectral_functions_reject_non_finite(fn, slot, bad):
+    comps = [1.0, 2.0, 3.0, 0.1, 0.2, 0.3]
+    comps[slot] = bad
+    with pytest.raises(InvalidParameter):
+        fn(SymTensor(*comps))
+
+
+def test_positivity_check_rejects_nan_spectrum(monkeypatch):
+    nan_spectrum = Spectrum((math.nan,) * 3, Tensor3.identity())
+    monkeypatch.setattr(symtensor, "eig_sym", lambda A: nan_spectrum)
+    for fn in (spd_sqrt, sym_log):
+        with pytest.raises(NotPositiveDefinite):
+            fn(SymTensor.identity())
+
+
+def test_eig_sym_reports_lapack_failure(monkeypatch):
+    monkeypatch.setattr(symtensor, "dsyevd", lambda m: (np.zeros(3), np.eye(3), 2))
+    with pytest.raises(NoConvergence):
+        eig_sym(SymTensor.identity())
+
+
+# --- differential test against the cyclic Jacobi solver eig_sym replaced --------
+
+
+def _jacobi_eig(A):
+    """The former eig_sym: cyclic Jacobi sweeps to off-diagonal norm <= 1e-14 |A|."""
+    norm_a = frobenius(A)
+    m = A.as_matrix()
+    v = np.eye(3)
+    for _ in range(50):
+        off = math.sqrt(2.0 * (m[0, 1] ** 2 + m[0, 2] ** 2 + m[1, 2] ** 2))
+        if off <= 1e-14 * norm_a:
+            break
+        for p, q in ((0, 1), (0, 2), (1, 2)):
+            apq = m[p, q]
+            if apq == 0.0:
+                continue
+            theta = (m[q, q] - m[p, p]) / (2.0 * apq)
+            if theta >= 0.0:
+                t = 1.0 / (theta + math.sqrt(theta * theta + 1.0))
+            else:
+                t = 1.0 / (theta - math.sqrt(theta * theta + 1.0))
+            c = 1.0 / math.sqrt(t * t + 1.0)
+            s = t * c
+            g = np.eye(3)
+            g[p, p] = c
+            g[q, q] = c
+            g[p, q] = s
+            g[q, p] = -s
+            m = g.T @ m @ g
+            v = v @ g
+    evals = np.diag(m).copy()
+    order = np.argsort(-evals, kind="stable")
+    evals = evals[order]
+    v = v[:, order]
+    for j in range(3):
+        k = int(np.argmax(np.abs(v[:, j])))
+        if v[k, j] < 0.0:
+            v[:, j] = -v[:, j]
+    return evals, v
+
+
+def _from_spectrum(rng, lam):
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    return SymTensor.from_matrix((q @ np.diag(lam) @ q.T).tolist())
+
+
+def _assert_matches_jacobi(A):
+    spec = eig_sym(A)
+    w, v = _jacobi_eig(A)
+    e = np.array(spec.eigenvalues)
+    scale = np.max(np.abs(w))
+    assert np.max(np.abs(e - w)) <= 1e-13 * scale
+    # each eigenvector is determined to about eps |A| / (its eigenvalue gap)
+    frame = np.array(spec.frame.as_matrix())
+    signs = np.where((frame * v).sum(axis=0) < 0.0, -1.0, 1.0)
+    for j in range(3):
+        gap = min(abs(w[j] - w[k]) for k in range(3) if k != j)
+        assert np.max(np.abs(frame[:, j] - signs[j] * v[:, j])) <= 1e-13 * scale / max(gap, 1e-300)
+
+
+def _assert_maps_match_jacobi(A, maps):
+    w, v = _jacobi_eig(A)
+    for fn, scalar in maps:
+        ref = SymTensor.from_matrix(((v * [scalar(x) for x in w]) @ v.T).tolist())
+        assert frobenius(fn(A) - ref) <= 1e-13 * frobenius(ref)
+
+
+_ALL_MAPS = ((spd_sqrt, math.sqrt), (sym_log, math.log), (sym_exp, math.exp))
+
+
+def test_eig_sym_matches_jacobi_on_random_matrices():
+    rng = np.random.default_rng(101)
+    for _ in range(300):
+        A = _sym(rng)
+        _assert_matches_jacobi(A)
+        _assert_maps_match_jacobi(A * 0.5, _ALL_MAPS[2:])
+    for _ in range(300):
+        A = _from_spectrum(rng, 10.0 ** rng.uniform(-1, 1, size=3))
+        _assert_matches_jacobi(A)
+        _assert_maps_match_jacobi(A, _ALL_MAPS)
+
+
+def test_eig_sym_matches_jacobi_on_nearly_repeated_spectra():
+    rng = np.random.default_rng(103)
+    for _ in range(300):
+        # a pair split by 1e-12..1e-4 relative, and a third eigenvalue apart
+        # from it so that no map result is close to zero
+        b = 10.0 ** rng.uniform(-1.0, -0.3)
+        lam = [b, b * (1.0 + 10.0 ** rng.uniform(-12, -4)), 10.0 ** rng.uniform(0.3, 1.0)]
+        A = _from_spectrum(rng, rng.permutation(lam))
+        _assert_matches_jacobi(A)
+        _assert_maps_match_jacobi(A, _ALL_MAPS)
+
+
+@pytest.mark.parametrize("A", [SymTensor(3.0, 1.0, 2.0), SymTensor(2.0, 2.0, 2.0)])
+def test_eig_sym_matches_jacobi_exactly_on_diagonal_input(A):
+    spec = eig_sym(A)
+    w, v = _jacobi_eig(A)
+    assert spec.eigenvalues == tuple(w.tolist())
+    assert np.array_equal(np.array(spec.frame.as_matrix()), v)
+    for fn, scalar in _ALL_MAPS:
+        assert fn(A) == SymTensor.from_matrix(((v * [scalar(x) for x in w]) @ v.T).tolist())
