@@ -507,10 +507,18 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     return payload
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # one stderr line in place of argparse's usage and error lines;
+        # the subcommand parsers inherit this class
+        print("FAIL usage: %s: %s" % (self.prog, message), file=sys.stderr)
+        raise SystemExit(2)
+
+
 @functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     # built on first use and kept: parse_args leaves the parser unchanged
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="strainlim",
         description="Strain-limited constitutive model studies.")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -2,7 +2,10 @@
 
 The leading profile of the power-law family is the gradient of a radial
 complementary energy W*(S) = G(|S|) with G the antiderivative of
-a t (1 + a^p t^p)^{-1/p}; W*(0) = 0 fixes the free additive constant. W is
+a t (1 + a^p t^p)^{-1/p} (a `quad` integral for p != 2); W*(0) = 0 fixes the
+free additive constant. A scaled_base W* is the line integral of the leading
+profile along t S, t in [0, 1]: one `cubature` call integrates it for a whole
+(N, 6) array of stresses, e.g. the twelve probes of a gradient. W is
 the convex conjugate of W*, evaluated at the closed-form maximizer (the
 tensor analogue of the one-dimensional inversion). The stress map of the
 associated Green elastic solid is a finite-difference gradient of W.
@@ -13,9 +16,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.integrate import quad
+import numpy as np
+from scipy.integrate import cubature, quad
 
-from .errors import OutOfDomain, Saturation
+from .errors import NoConvergence, OutOfDomain, Saturation
 from .families import FamilySpec, family_leading
 from .scalar1d import one_minus_abs_pow
 from .symtensor import SymTensor, frobenius, inner
@@ -45,7 +49,7 @@ class EnergyProfile:
 
 
 def _check_stress_domain(profile: EnergyProfile, Sbar: SymTensor):
-    if frobenius(Sbar) > profile.family.c:
+    if not frobenius(Sbar) <= profile.family.c:  # NaN and inf fail too
         raise OutOfDomain(f"|Sbar| = {frobenius(Sbar)!r} exceeds {profile.family.c!r}")
 
 
@@ -57,21 +61,39 @@ def _radial_closed_form(a: float, s: float) -> float:
 
 def complementary_energy_quadrature(profile: EnergyProfile, Sbar: SymTensor) -> float:
     """Adaptive-quadrature path for W*(Sbar); cross-checks the closed form."""
-    _check_stress_domain(profile, Sbar)
     fam = profile.family
-    if fam.kind == "power_law":
-        s = frobenius(Sbar)
-        if s == 0.0:
-            return 0.0
-        integrand = lambda t: fam.a * t * (1.0 + (fam.a * t) ** fam.p) ** (-1.0 / fam.p)
-        value, _ = quad(integrand, 0.0, s, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL,
-                        limit=200)
-        return value
-    # line integral along the ray t -> t*Sbar; exact for any gradient base
-    zero = SymTensor()
-    integrand = lambda t: inner(family_leading(fam, zero, Sbar * t), Sbar)
-    value, _ = quad(integrand, 0.0, 1.0, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, limit=200)
+    if fam.kind == "scaled_base":
+        return float(_line_integrals(profile, np.array([Sbar.components()]))[0])
+    _check_stress_domain(profile, Sbar)
+    return _radial_quad(fam.a, fam.p, frobenius(Sbar))
+
+
+def _radial_quad(a: float, p: float, s: float) -> float:
+    # int_0^s a t (1 + (a t)^p)^{-1/p} dt
+    if s == 0.0:
+        return 0.0
+    integrand = lambda t: a * t * (1.0 + (a * t) ** p) ** (-1.0 / p)
+    value, _ = quad(integrand, 0.0, s, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, limit=200)
     return value
+
+
+def _line_integrals(profile: EnergyProfile, rows: np.ndarray) -> np.ndarray:
+    # W*(S) = int_0^1 <f_1(0, t S), S> dt for each row S, exact for any
+    # gradient base; one family_leading call takes every ray at every node
+    fam = profile.family
+    norms = frobenius(rows)
+    if not np.all(norms <= fam.c):  # NaN and inf fail too
+        raise OutOfDomain(f"|Sbar| = {float(np.max(norms))!r} exceeds {fam.c!r}")
+    weighted = rows * [1.0, 1.0, 1.0, 2.0, 2.0, 2.0]
+
+    def integrand(t):  # (m, 1) nodes -> (m, N) values
+        lead = family_leading(fam, SymTensor(), (t[:, :, None] * rows).reshape(-1, 6))
+        return (lead.reshape(len(t), *rows.shape) * weighted).sum(axis=-1)
+
+    res = cubature(integrand, [0.0], [1.0], rule="gk21", rtol=_QUAD_TOL, atol=_QUAD_TOL)
+    if res.status != "converged":
+        raise NoConvergence(f"W* line integral {res.status}", float(np.max(res.error)))
+    return res.estimate
 
 
 def complementary_energy(profile: EnergyProfile, Sbar: SymTensor) -> float:
@@ -106,21 +128,9 @@ def legendre_transform(profile: EnergyProfile, Etilde: SymTensor) -> float:
         # closed form a^{-1}(1 - sqrt(1 - e^2)); keeps W exactly conjugate
         e = frobenius(Etilde)
         return e * e / (fam.a * (1.0 + math.sqrt(one_minus_abs_pow(e, 2.0))))
-    return inner(Etilde, star) - _complementary_unbounded(profile, star)
-
-
-def _complementary_unbounded(profile: EnergyProfile, Sbar: SymTensor) -> float:
     # the conjugate stress may leave the configured stress ball; the radial
     # integral itself is defined for all stresses
-    fam = profile.family
-    s = frobenius(Sbar)
-    if fam.p == 2.0:
-        return _radial_closed_form(fam.a, s)
-    if s == 0.0:
-        return 0.0
-    integrand = lambda t: fam.a * t * (1.0 + (fam.a * t) ** fam.p) ** (-1.0 / fam.p)
-    value, _ = quad(integrand, 0.0, s, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, limit=200)
-    return value
+    return inner(Etilde, star) - _radial_quad(fam.a, fam.p, frobenius(star))
 
 
 def complementary_gradient(profile: EnergyProfile, Sbar: SymTensor) -> SymTensor:
@@ -130,8 +140,12 @@ def complementary_gradient(profile: EnergyProfile, Sbar: SymTensor) -> SymTensor
     are halved. Probe points must stay inside the stress ball, so |Sbar|
     needs a little headroom below c.
     """
+    _check_stress_domain(profile, Sbar)
     h = _GRAD_STEP * max(1.0, frobenius(Sbar))
-    return _central_gradient(lambda S: complementary_energy(profile, S), Sbar, h)
+    if profile.family.kind == "scaled_base":
+        return _central_gradient(lambda P: _line_integrals(profile, np.array(P)).tolist(), Sbar, h)
+    return _central_gradient(
+        lambda P: [complementary_energy(profile, SymTensor(*S)) for S in P], Sbar, h)
 
 
 def green_stress(profile: EnergyProfile, delta: float, eps: SymTensor) -> SymTensor:
@@ -147,18 +161,18 @@ def green_stress(profile: EnergyProfile, delta: float, eps: SymTensor) -> SymTen
     if e >= 1.0 - _SATURATION_GUARD:
         raise Saturation(f"|eps/delta| = {e!r} too close to the strain limit")
     h = _GRAD_STEP * max(1.0, e)
-    return _central_gradient(lambda E: legendre_transform(profile, E), et, h)
+    return _central_gradient(
+        lambda P: [legendre_transform(profile, SymTensor(*E)) for E in P], et, h)
 
 
 def _central_gradient(fn, point: SymTensor, h: float) -> SymTensor:
     # central differences in the six stored components, off-diagonal
-    # quotients halved (those components count twice in the inner product)
-    comps = list(point.components())
-    grad = []
+    # quotients halved (those components count twice in the inner product);
+    # fn maps the twelve probes, six steps up then six down, to 12 values
+    probes = [list(point.components()) for _ in range(12)]
     for j in range(6):
-        up, dn = comps.copy(), comps.copy()
-        up[j] += h
-        dn[j] -= h
-        quotient = (fn(SymTensor(*up)) - fn(SymTensor(*dn))) / (2.0 * h)
-        grad.append(quotient if j < 3 else 0.5 * quotient)
-    return SymTensor(*grad)
+        probes[j][j] += h
+        probes[j + 6][j] -= h
+    values = fn(probes)
+    grad = [(values[j] - values[j + 6]) / (2.0 * h) for j in range(6)]
+    return SymTensor(*grad[:3], *[0.5 * q for q in grad[3:]])

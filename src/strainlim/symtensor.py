@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dsyevd
 
-from .errors import InvalidParameter, NoConvergence, NotPositiveDefinite, Singular
+from .errors import InvalidParameter, NoConvergence, NotPositiveDefinite, OutOfDomain, Singular
 
 # eigenvalues at or below this are treated as nonpositive
 EIG_POSITIVITY_TOL = 1e-14
@@ -256,5 +256,8 @@ def sym_log(B: SymTensor) -> SymTensor:
 
 
 def sym_exp(H: SymTensor) -> SymTensor:
-    """Matrix exponential of a symmetric tensor."""
-    return _spectral_map(H, math.exp, require_pd=False)
+    """Matrix exponential of a symmetric tensor; OutOfDomain if exp overflows."""
+    try:
+        return _spectral_map(H, math.exp, require_pd=False)
+    except OverflowError:
+        raise OutOfDomain(f"eigenvalue {max(eig_sym(H).eigenvalues)!r} overflows exp") from None

@@ -248,8 +248,20 @@ def test_one_parser_serves_every_call_in_a_process(tmp_path, capsys):
     fresh_ok, fresh_usage, fresh_bad = _fresh_processes(ok, usage, bad)
     assert in_process == [fresh_ok, fresh_usage, fresh_bad, fresh_ok]
     assert in_process[0][1].startswith("PASS converge")
+    assert in_process[1][2] == ("FAIL usage: strainlim converge: the following arguments "
+                                "are required: --config\n")
     assert in_process[2][2].startswith("FAIL config: unknown config keys")
     assert _build_parser() is _build_parser()
+
+
+@pytest.mark.parametrize("argv", [["converge"], ["bogus", "--config", "x.json"], [],
+                                  ["solve", "--config", "x.json", "--seed", "z"]])
+def test_usage_errors_print_one_line(argv, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("FAIL usage: strainlim")
 
 
 def test_study_errors_exit_two(tmp_path, capsys):

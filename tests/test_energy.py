@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
+from strainlim import energy
 from strainlim.energy import (
     EnergyProfile,
     complementary_energy,
@@ -12,7 +14,7 @@ from strainlim.energy import (
     green_stress,
     legendre_transform,
 )
-from strainlim.errors import OutOfDomain, Saturation
+from strainlim.errors import NoConvergence, OutOfDomain, Saturation
 from strainlim.families import FamilySpec, family_leading
 from strainlim.symtensor import SymTensor, frobenius, inner
 
@@ -20,7 +22,16 @@ from strainlim.symtensor import SymTensor, frobenius, inner
 # energy tests widen the stress ball
 POWER = FamilySpec(kind="power_law", a=1.0, p=2.0, c=3.0)
 QUARTIC = FamilySpec(kind="power_law", a=0.7, p=4.0, c=3.0)
+SCALED = FamilySpec(kind="scaled_base", a=1.0, p=2.0, base="power_law", delta1=0.05, c=3.0)
 ZERO = SymTensor()
+
+
+def _log_base(Et, S):
+    # delta1 * S / (1 + |S|^2): the gradient of (delta1/2) log(1 + |S|^2)
+    return S * (0.05 / (1.0 + frobenius(S) ** 2))
+
+
+SCALED_CALLABLE = FamilySpec(kind="scaled_base", base=_log_base, delta1=0.05, c=3.0)
 
 
 def _ball(rng, radius):
@@ -66,8 +77,10 @@ def test_energy_is_isotropic():
 
 def test_gradient_recovers_leading_profile():
     rng = np.random.default_rng(67)
-    for prof in (EnergyProfile(POWER), EnergyProfile(QUARTIC)):
-        for _ in range(100):
+    # a callable base is evaluated row by row, so it gets fewer draws
+    for family, draws in ((POWER, 100), (QUARTIC, 100), (SCALED, 100), (SCALED_CALLABLE, 20)):
+        prof = EnergyProfile(family)
+        for _ in range(draws):
             S = _ball(rng, 0.9 * prof.family.c)
             g = complementary_gradient(prof, S)
             f1 = family_leading(prof.family, ZERO, S)
@@ -177,3 +190,55 @@ def test_scaled_base_energy_matches_power_law():
         assert complementary_energy_quadrature(prof_s, S) == pytest.approx(
             complementary_energy(prof_p, S), rel=1e-9, abs=1e-14
         )
+
+
+def _scalar_line_integral(family, S):
+    # the former per-stress path: one scalar quad along the ray t -> t S
+    value, _ = quad(lambda t: inner(family_leading(family, ZERO, S * t), S), 0.0, 1.0,
+                    epsabs=1e-12, epsrel=1e-12, limit=200)
+    return value
+
+
+@pytest.mark.parametrize("family", [SCALED, SCALED_CALLABLE])
+def test_batched_line_integral_matches_scalar_quad(family):
+    prof = EnergyProfile(family)
+    rng = np.random.default_rng(101)
+    stresses = [_ball(rng, family.c) for _ in range(40)]
+    # a few on the ball's edge, where the integrand is flattest
+    for _ in range(8):
+        S = _ball(rng, family.c)
+        stresses.append(S * ((1.0 - 1e-15 * rng.random()) * family.c / frobenius(S)))
+    stresses.append(ZERO)
+    batch = energy._line_integrals(prof, np.array([S.components() for S in stresses]))
+    for S, value in zip(stresses, batch):
+        reference = _scalar_line_integral(family, S)
+        assert abs(value - reference) <= 1e-14
+        assert abs(complementary_energy_quadrature(prof, S) - reference) <= 1e-14
+
+
+def test_line_integral_reports_nonconvergence(monkeypatch):
+    real = energy.cubature
+
+    def stalled(*args, **kwargs):
+        result = real(*args, **kwargs)
+        result.status = "not_converged"
+        return result
+
+    monkeypatch.setattr(energy, "cubature", stalled)
+    prof = EnergyProfile(SCALED)
+    S = SymTensor(0.5, -0.2, 0.1, 0.3, 0.0, 0.1)
+    with pytest.raises(NoConvergence):
+        complementary_energy_quadrature(prof, S)
+    with pytest.raises(NoConvergence):
+        complementary_gradient(prof, S)
+
+
+@pytest.mark.parametrize("family", [POWER, QUARTIC, SCALED])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_stress_is_out_of_domain(family, bad):
+    prof = EnergyProfile(family)
+    S = SymTensor(0.5, bad, 0.0, 0.1, 0.0, 0.0)
+    with pytest.raises(OutOfDomain):
+        complementary_energy(prof, S)
+    with pytest.raises(OutOfDomain):
+        complementary_gradient(prof, S)

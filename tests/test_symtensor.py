@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strainlim import symtensor
-from strainlim.errors import InvalidParameter, NoConvergence, NotPositiveDefinite, Singular
+from strainlim.errors import (
+    InvalidParameter,
+    NoConvergence,
+    NotPositiveDefinite,
+    OutOfDomain,
+    Singular,
+)
 from strainlim.symtensor import (
     Spectrum,
     SymTensor,
@@ -227,6 +233,12 @@ def test_spectral_functions_reject_non_finite(fn, slot, bad):
     comps[slot] = bad
     with pytest.raises(InvalidParameter):
         fn(SymTensor(*comps))
+
+
+def test_sym_exp_overflow_names_the_eigenvalue():
+    assert math.isfinite(sym_exp(SymTensor(700.0, 0.0, 0.0)).xx)
+    with pytest.raises(OutOfDomain, match="1000.0"):
+        sym_exp(SymTensor(1000.0, 0.0, 0.0))
 
 
 def test_positivity_check_rejects_nan_spectrum(monkeypatch):
