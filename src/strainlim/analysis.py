@@ -103,13 +103,13 @@ def fit_order(deltas, residuals) -> float:
 
     Rows with residual exactly zero are excluded; if every row is zero the
     identity holds exactly and AllZeroResiduals is raised (success, there
-    is no order to fit). Fewer than four usable rows raises
-    FitUnderdetermined.
+    is no order to fit). Fewer than four usable rows raise FitUnderdetermined;
+    a negative, NaN or inf residual raises InvalidParameter.
     """
     if len(deltas) != len(residuals):
         raise ValueError("deltas and residuals must have equal length")
-    if any(r < 0.0 for r in residuals):
-        raise ValueError("residuals must be nonnegative")
+    if not all(0.0 <= r < math.inf for r in residuals):  # NaN fails too
+        raise InvalidParameter(f"residuals must be finite and nonnegative, got {residuals!r}")
     if len(deltas) < 4:
         raise FitUnderdetermined(f"need at least 4 rows, got {len(deltas)}")
     pairs = [(d, r) for d, r in zip(deltas, residuals) if r > 0.0]

@@ -9,6 +9,8 @@ profile along t S, t in [0, 1]: one `cubature` call integrates it for a whole
 the convex conjugate of W*, evaluated at the closed-form maximizer (the
 tensor analogue of the one-dimensional inversion). The stress map of the
 associated Green elastic solid is a finite-difference gradient of W.
+`quad` and `cubature` import `scipy.integrate` on their first call, so only
+studies that integrate (p != 2 or scaled_base) load scipy.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cubature, quad
 
 from .errors import NoConvergence, OutOfDomain, Saturation
 from .families import FamilySpec, family_leading
@@ -28,6 +29,16 @@ _QUAD_TOL = 1e-12
 _GRAD_STEP = 1e-5
 # wider than the FD step so gradient probes stay strictly inside the limit
 _SATURATION_GUARD = 1e-4
+
+
+def quad(*args, **kwargs):
+    import scipy.integrate
+    return scipy.integrate.quad(*args, **kwargs)
+
+
+def cubature(*args, **kwargs):
+    import scipy.integrate
+    return scipy.integrate.cubature(*args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -48,9 +59,11 @@ class EnergyProfile:
             raise ValueError("quadrature_points must be at least 64")
 
 
-def _check_stress_domain(profile: EnergyProfile, Sbar: SymTensor):
-    if not frobenius(Sbar) <= profile.family.c:  # NaN and inf fail too
-        raise OutOfDomain(f"|Sbar| = {frobenius(Sbar)!r} exceeds {profile.family.c!r}")
+def _checked_norm(profile: EnergyProfile, Sbar: SymTensor) -> float:
+    s = frobenius(Sbar)
+    if not s <= profile.family.c:  # NaN and inf fail too
+        raise OutOfDomain(f"|Sbar| = {s!r} exceeds {profile.family.c!r}")
+    return s
 
 
 def _radial_closed_form(a: float, s: float) -> float:
@@ -64,15 +77,15 @@ def complementary_energy_quadrature(profile: EnergyProfile, Sbar: SymTensor) -> 
     fam = profile.family
     if fam.kind == "scaled_base":
         return float(_line_integrals(profile, np.array([Sbar.components()]))[0])
-    _check_stress_domain(profile, Sbar)
-    return _radial_quad(fam.a, fam.p, frobenius(Sbar))
+    return _radial_quad(fam.a, fam.p, _checked_norm(profile, Sbar))
 
 
 def _radial_quad(a: float, p: float, s: float) -> float:
     # int_0^s a t (1 + (a t)^p)^{-1/p} dt
     if s == 0.0:
         return 0.0
-    integrand = lambda t: a * t * (1.0 + (a * t) ** p) ** (-1.0 / p)
+    expo = -1.0 / p
+    integrand = lambda t: a * t * (1.0 + (a * t) ** p) ** expo
     value, _ = quad(integrand, 0.0, s, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, limit=200)
     return value
 
@@ -100,22 +113,22 @@ def complementary_energy(profile: EnergyProfile, Sbar: SymTensor) -> float:
     """W*(Sbar), normalized so W*(0) = 0; convex on the stress ball."""
     fam = profile.family
     if fam.kind == "power_law" and fam.p == 2.0:
-        _check_stress_domain(profile, Sbar)
-        return _radial_closed_form(fam.a, frobenius(Sbar))
+        return _radial_closed_form(fam.a, _checked_norm(profile, Sbar))
     return complementary_energy_quadrature(profile, Sbar)
 
 
 def conjugate_stress(profile: EnergyProfile, Etilde: SymTensor) -> SymTensor:
     """Closed-form maximizer of <Etilde, S> - W*(S): inverts the leading profile.
 
-    a S = (1 - |Etilde|^p)^{-1/p} Etilde. Raises Saturation at |Etilde| >= 1.
+    a S = (1 - |Etilde|^p)^{-1/p} Etilde. Raises Saturation at |Etilde| >= 1
+    and OutOfDomain when |Etilde| is NaN or inf.
     """
     fam = profile.family
     if fam.kind != "power_law":
         raise ValueError("closed-form conjugate requires the power_law profile")
     e = frobenius(Etilde)
-    if e >= 1.0:
-        raise Saturation(f"|Etilde| = {e!r} is at or beyond the strain limit")
+    if not e < 1.0:  # a NaN or inf strain is out of the domain, not saturated
+        raise (Saturation if math.isfinite(e) else OutOfDomain)(f"|Etilde| = {e!r} is not below 1")
     q = one_minus_abs_pow(e, fam.p)
     return Etilde * (q ** (-1.0 / fam.p) / fam.a)
 
@@ -140,8 +153,7 @@ def complementary_gradient(profile: EnergyProfile, Sbar: SymTensor) -> SymTensor
     are halved. Probe points must stay inside the stress ball, so |Sbar|
     needs a little headroom below c.
     """
-    _check_stress_domain(profile, Sbar)
-    h = _GRAD_STEP * max(1.0, frobenius(Sbar))
+    h = _GRAD_STEP * max(1.0, _checked_norm(profile, Sbar))
     if profile.family.kind == "scaled_base":
         return _central_gradient(lambda P: _line_integrals(profile, np.array(P)).tolist(), Sbar, h)
     return _central_gradient(
@@ -154,12 +166,14 @@ def green_stress(profile: EnergyProfile, delta: float, eps: SymTensor) -> SymTen
     Central finite differences on W in the six stored components; the
     off-diagonal quotients are halved because those components carry double
     weight in the matrix inner product. Raises Saturation when |eps/delta|
-    reaches 1 - 1e-4 (probe points must stay strictly inside the limit).
+    reaches 1 - 1e-4 (probe points must stay strictly inside the limit) and
+    OutOfDomain when it is NaN or inf.
     """
     et = eps * (1.0 / delta)
     e = frobenius(et)
-    if e >= 1.0 - _SATURATION_GUARD:
-        raise Saturation(f"|eps/delta| = {e!r} too close to the strain limit")
+    if not e < 1.0 - _SATURATION_GUARD:  # as in conjugate_stress
+        raise (Saturation if math.isfinite(e) else OutOfDomain)(
+            f"|eps/delta| = {e!r} is not below the strain limit minus 1e-4")
     h = _GRAD_STEP * max(1.0, e)
     return _central_gradient(
         lambda P: [legendre_transform(profile, SymTensor(*E)) for E in P], et, h)

@@ -42,13 +42,13 @@ def make_rotation(spec: RotationSpec, delta: float) -> Tensor3:
     """
     if spec.mode != "exact_exponential":
         raise ValueError(f"unsupported rotation mode {spec.mode!r}")
-    if delta <= 0.0:
+    if not delta > 0.0:  # each check fails for NaN too
         raise ValueError("delta must be positive")
-    if spec.magnitude_coefficient < 0.0:
+    if not spec.magnitude_coefficient >= 0.0:
         raise ValueError("magnitude_coefficient must be nonnegative")
     ax = np.asarray(spec.axis, dtype=float)
     n = float(np.linalg.norm(ax))
-    if abs(n - 1.0) > 1e-8:
+    if not abs(n - 1.0) <= 1e-8:
         raise InvalidAxis(f"|axis| = {n!r} is not 1 within 1e-8")
     ax = ax / n
     # unit-Frobenius generator: angle = delta * coefficient / sqrt(2)

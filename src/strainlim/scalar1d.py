@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .analysis import fit_order
-from .errors import AllZeroResiduals, DomainError, Saturation
+from .errors import AllZeroResiduals, DomainError, InvalidParameter, Saturation
 
 
 @dataclass(frozen=True)
@@ -97,6 +97,8 @@ def oned_delta0_study(params: Scalar1DParams, Sbar_list) -> Delta0Study:
     ratio_max = 0.0
     quad_max = 0.0
     for s in Sbar_list:
+        if not math.isfinite(s):
+            raise InvalidParameter(f"stress {s!r} is not finite")
         e = oned_forward(params, s)
         eps = oned_strain(e)
         delta0 = abs(eps)

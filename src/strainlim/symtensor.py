@@ -4,9 +4,9 @@ Symmetric tensors are stored as six plain floats so the hot operations
 (norm, trace, determinant) stay allocation-free; full 3x3 values only
 appear on the spectral paths. Components may also be numpy columns, which
 `frobenius`, `trace`, `det` and the arithmetic then treat row by row. The
-eigensolver is LAPACK's symmetric solver `dsyevd` (the one `np.linalg.eigh`
-calls), which, unlike the closed-form cubic, does not lose accuracy near
-repeated eigenvalues.
+eigensolver is `np.linalg.eigh` (LAPACK's symmetric solver `syevd`), which,
+unlike the closed-form cubic, does not lose accuracy near repeated
+eigenvalues. The module needs numpy only.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dsyevd
 
 from .errors import InvalidParameter, NoConvergence, NotPositiveDefinite, OutOfDomain, Singular
 
@@ -223,12 +222,12 @@ def eig_sym(A: SymTensor) -> Spectrum:
     """
     if not all(map(math.isfinite, A.components())):
         raise InvalidParameter(f"eig_sym needs finite components, got {A.components()!r}")
-    # dsyevd is the LAPACK driver behind np.linalg.eigh, whose Python wrapper
-    # costs more than the 3x3 solve; it sorts ascending, so solving for -A
-    # yields the descending order
-    neg_evals, v, info = dsyevd(-A.as_matrix())
-    if info:
-        raise NoConvergence(f"LAPACK dsyevd failed with info={info}")
+    # eigh (LAPACK syevd) sorts ascending, so solving for -A yields the
+    # descending order
+    try:
+        neg_evals, v = np.linalg.eigh(-A.as_matrix())
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"LAPACK syevd failed: {exc}") from None
     # sign convention: each column's largest-magnitude component is nonnegative
     cols = [c if max(c, key=abs) >= 0.0 else [-x for x in c] for c in v.T.tolist()]
     frame = Tensor3(tuple(x for row in zip(*cols) for x in row))

@@ -61,6 +61,11 @@ def test_fit_order_validation():
         fit_order(ds, [1.0, -1.0, 1.0, 1.0])
     with pytest.raises(FitUnderdetermined):
         fit_order([0.1, 0.05, 0.025], [1.0, 1.0, 1.0])
+    ds5 = ds + [0.00625]
+    for bad in (math.nan, math.inf):
+        # a non-finite row is an error, not a row the fit may silently drop
+        with pytest.raises(InvalidParameter):
+            fit_order(ds5, [1e-2, bad, 6.25e-4, 1.5625e-4, 3.90625e-5])
     with pytest.raises(AllZeroResiduals):
         fit_order(ds, [0.0, 0.0, 0.0, 0.0])
     with pytest.raises(FitUnderdetermined):

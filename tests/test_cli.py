@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -7,8 +8,12 @@ import sys
 import pytest
 
 import strainlim
-from strainlim.cli import ExperimentConfig, _build_parser, main, parse_config
+from strainlim.analysis import certify_constants, run_convergence_hencky
+from strainlim.cli import ExperimentConfig, _build_parser, _jsonable, main, parse_config
 from strainlim.errors import ConfigInvalid
+from strainlim.families import FamilySpec
+from strainlim.kinematics import RotationSpec
+from strainlim.symtensor import SymTensor
 
 AXIS = [1.0 / math.sqrt(3.0)] * 3
 LADDER = [2.0 ** -k for k in range(6, 14)]
@@ -223,11 +228,15 @@ def test_usage_errors_map_to_one(capsys):
     assert main(["--help"]) == 0
 
 
-def _fresh_processes(*argvs):
-    """(exit code, stdout, stderr) of `python -m strainlim argv`, one new process each."""
+def _fresh_env():
     src = os.path.dirname(os.path.dirname(os.path.abspath(strainlim.__file__)))
     paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+
+
+def _fresh_processes(*argvs):
+    """(exit code, stdout, stderr) of `python -m strainlim argv`, one new process each."""
+    env = _fresh_env()
     procs = [subprocess.Popen([sys.executable, "-m", "strainlim", *argv], env=env, text=True,
                               stdout=subprocess.PIPE, stderr=subprocess.PIPE)
              for argv in argvs]
@@ -320,3 +329,71 @@ def test_known_certify_thresholds_apply(tmp_path, capsys):
     assert main(["certify", "--config", _write(tmp_path, "t.json", tight),
                  "--out", str(tmp_path)]) == 2
     assert "check C0" in capsys.readouterr().out
+
+
+# --- import contract ----------------------------------------------------------
+
+_SCIPY_FREE_SCRIPT = """
+import json, sys
+import strainlim.cli as cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+assert not scipy_modules(), scipy_modules()
+*numpy_only, integrating = json.loads(sys.argv[1])
+for argv in numpy_only:
+    assert cli.main(argv) == 0, argv
+    assert not scipy_modules(), (argv, scipy_modules())
+assert cli.main(integrating) == 0, integrating
+assert "scipy.integrate" in sys.modules
+"""
+
+
+def test_only_integrating_energy_studies_load_scipy(tmp_path):
+    """A fresh interpreter runs solve, converge, converge-hencky and certify on numpy
+    alone; a p = 3 energy study then loads scipy.integrate on first use."""
+    solve = {"family": {"kind": "power_law", "a": 1.0, "p": 2.0},
+             "stress": CONVERGE["stress"], "delta": 0.015625}
+    energy = {"family": {"kind": "power_law", "a": 1.0, "p": 3.0, "c": 3.0},
+              "delta": 0.01, "samples": 20, "seed": 5}
+    runs = [[command, "--config", _write(tmp_path, command + ".json", payload),
+             "--out", str(tmp_path)]
+            for command, payload in (("solve", solve), ("converge", CONVERGE),
+                                     ("converge-hencky", CONVERGE), ("certify", CERTIFY),
+                                     ("energy", energy))]
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_FREE_SCRIPT, json.dumps(runs)],
+                          env=_fresh_env(), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("PASS") == 5
+
+
+# --- report serialization -------------------------------------------------------
+
+
+def _asdict_route(obj):
+    """The former _jsonable: dataclasses.asdict first, then a second walk."""
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return _asdict_route(dataclasses.asdict(obj))
+    if isinstance(obj, dict):
+        return {k: _asdict_route(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_asdict_route(v) for v in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return repr(obj)
+    return obj
+
+
+def test_one_walk_serialization_matches_asdict_route():
+    spec = FamilySpec(kind="power_law", a=1.0, p=2.0)
+    converge = run_convergence_hencky(spec, SymTensor(*CONVERGE["stress"]),
+                                      RotationSpec(axis=tuple(AXIS), magnitude_coefficient=1.0),
+                                      LADDER)
+    certify = certify_constants(spec, LADDER[:4], 300, 11)
+    odd = dataclasses.replace(converge, records=(
+        dataclasses.replace(converge.records[0], residual_full=math.nan,
+                            residual_leading=math.inf, stress_gap=-math.inf),),
+        failures=((0.5, "NoConvergence: stalled"),))
+    for report in (converge, certify, odd, {"report": odd, "slope": math.nan}):
+        assert (json.dumps(_jsonable(report), sort_keys=True)
+                == json.dumps(_asdict_route(report), sort_keys=True))

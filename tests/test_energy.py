@@ -105,6 +105,19 @@ def test_conjugate_saturates():
         conjugate_stress(prof, SymTensor(0.8, 0.8, 0.0))
 
 
+@pytest.mark.parametrize("family", [POWER, QUARTIC])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_strain_is_out_of_domain(family, bad):
+    prof = EnergyProfile(family)
+    E = SymTensor(0.01, bad, 0.0, 0.0, 0.005, 0.0)
+    with pytest.raises(OutOfDomain):
+        conjugate_stress(prof, E)
+    with pytest.raises(OutOfDomain):
+        legendre_transform(prof, E)
+    with pytest.raises(OutOfDomain):
+        green_stress(prof, 0.01, E)
+
+
 def test_fenchel_young_equality_at_conjugate_pairs():
     rng = np.random.default_rng(73)
     prof = EnergyProfile(POWER)

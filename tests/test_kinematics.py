@@ -78,6 +78,12 @@ def test_rotation_rejects_bad_inputs():
         make_rotation(RotationSpec(axis=AXIS, magnitude_coefficient=-1.0), 0.01)
     with pytest.raises(ValueError):
         make_rotation(RotationSpec(axis=AXIS, magnitude_coefficient=1.0, mode="cayley"), 0.01)
+    with pytest.raises(InvalidAxis):
+        make_rotation(RotationSpec(axis=(math.nan, 0.0, 1.0), magnitude_coefficient=1.0), 0.01)
+    with pytest.raises(ValueError):
+        make_rotation(ROT, math.nan)
+    with pytest.raises(ValueError):
+        make_rotation(RotationSpec(axis=AXIS, magnitude_coefficient=math.nan), 0.01)
 
 
 def test_rotation_renormalizes_nearly_unit_axis():

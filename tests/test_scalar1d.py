@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strainlim.errors import DomainError, Saturation
+from strainlim.errors import DomainError, InvalidParameter, Saturation
 from strainlim.scalar1d import (
     Scalar1DParams,
     one_minus_abs_pow,
@@ -133,6 +133,12 @@ def test_study_rows_and_diagnostics():
     assert 2.8 <= study.slope <= 3.2
     assert 0.0 < study.ratio_max <= 0.5
     assert 0.0 < study.quad_constant_max <= 0.5
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_study_rejects_non_finite_stress(bad):
+    with pytest.raises(InvalidParameter):
+        oned_delta0_study(P12, [0.1, 0.2, bad, 0.3, 0.4])
 
 
 def test_study_zero_stress_slope_is_none():

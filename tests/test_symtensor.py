@@ -250,7 +250,10 @@ def test_positivity_check_rejects_nan_spectrum(monkeypatch):
 
 
 def test_eig_sym_reports_lapack_failure(monkeypatch):
-    monkeypatch.setattr(symtensor, "dsyevd", lambda m: (np.zeros(3), np.eye(3), 2))
+    def failing_eigh(m):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
     with pytest.raises(NoConvergence):
         eig_sym(SymTensor.identity())
 
