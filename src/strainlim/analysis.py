@@ -5,9 +5,9 @@ ladder, rebuilds the finite deformation, and records how fast the
 linearized-strain residuals shrink; orders are least-squares slopes in
 log-log coordinates, with pairwise Richardson ratios available as a
 diagnostic. Certification samples the family's certified ball and reports
-sampled suprema for the defining constants (lower bounds on the true ones);
-each delta rung is drawn with one `ball_points` call and evaluated with one
-batched (N, 6) call per family function.
+sampled suprema for the defining constants (lower bounds on the true ones).
+Consecutive delta rungs share one batched call of up to 2048 rows, with
+delta as an (N,) column; each rung is drawn and reduced as if alone.
 """
 
 from __future__ import annotations
@@ -53,6 +53,7 @@ PROBE_SCALE = 1e-3
 # component weights mapping the Euclidean unit ball onto the Frobenius one
 _SYM_WEIGHTS = np.array([1.0, 1.0, 1.0] + [1.0 / math.sqrt(2.0)] * 3)
 _XX = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+_BATCH_ROWS = 2048  # rows per certification call; a larger rung gets a call of its own
 
 
 @dataclass(frozen=True)
@@ -183,7 +184,7 @@ def run_convergence_hencky(
 
 def _run_ladder(spec, stress, rot, deltas, hencky) -> ConvergenceReport:
     _validate_ladder(spec, deltas)
-    if frobenius(stress) > working_domain(spec).stress_radius:
+    if not frobenius(stress) <= working_domain(spec).stress_radius:  # NaN fails too
         raise OutOfDomain("%s lies outside the stress ball" % ("T" if hencky else "Sbar"))
     # looked up per call, not at import, so rebinding the module globals takes effect
     solve, deform, pushforward = (
@@ -231,6 +232,7 @@ def ball_points(gauss, u, radius) -> np.ndarray:
 
     Normal draws `gauss` of shape (N, 6) or (6,) give (xx, yy, zz, xy, xz, yz)
     rows of that shape; `u` is one uniform draw per point (1 gives the sphere).
+    `radius` is a float or an (N, 1) column, one radius per row.
     """
     g = np.asarray(gauss, dtype=float)
     n = np.sqrt((g * g).sum(axis=-1, keepdims=True))
@@ -261,28 +263,33 @@ def certify_constants(
     rng = np.random.default_rng(seed)
     dom = certified_domain(spec)
     shrink = 1.0 - 2.0 * PROBE_SCALE
+    per_call = max(1, _BATCH_ROWS // samples)
     rows = []
-    for delta in deltas:
-        r_e = dom.strain_radius(delta)
-        r_s = dom.stress_radius
-        g_e = rng.standard_normal((samples, 6))
-        u_e = rng.random(samples)
-        g_s = rng.standard_normal((samples, 6))
-        u_s = rng.random(samples)
-        d_e = rng.standard_normal((samples, 6))
-        d_s = rng.standard_normal((samples, 6))
+    for start in range(0, len(deltas), per_call):
+        group = deltas[start:start + per_call]
+        n = len(group) * samples
+        g_e, u_e, g_s, u_s, d_e, d_s = draws = [
+            np.empty(shape) for shape in ((n, 6), n, (n, 6), n, (n, 6), (n, 6))]
+        for rung in range(len(group)):  # the generator order of one rung per call
+            for a in draws:
+                part = a[rung * samples:(rung + 1) * samples]
+                (rng.random if a.ndim == 1 else rng.standard_normal)(out=part)
+        delta = np.repeat(np.asarray(group, dtype=float), samples)
+        r_e, r_s = dom.strain_radius(delta)[:, None], dom.stress_radius
         e1 = ball_points(g_e, u_e, r_e * shrink)
         s1 = ball_points(g_s, u_s, r_s * shrink)
         e2 = e1 + ball_points(d_e, 1.0, 1.0) * (r_e * PROBE_SCALE)
         s2 = s1 + ball_points(d_s, 1.0, 1.0) * (r_s * PROBE_SCALE)
+        del g_e, u_e, g_s, u_s, d_e, d_s, draws  # spent; freeing them lowers the peak
         f00 = family_eval(spec, delta, e1, s1)
         f10 = family_eval(spec, delta, e2, s1)
         f01 = family_eval(spec, delta, e1, s2)
-        c0 = max(frobenius(f).max() for f in (f00, f10, f01)) / delta
-        c1 = (frobenius(f10 - f00) / frobenius(e2 - e1)).max()
-        d0 = (frobenius(f01 - f00) / (delta * frobenius(s2 - s1))).max()
-        c3 = (leading_gap(spec, delta, e1, s1) / (delta * delta)).max()
-        rows.append(CertificateRow(delta, float(c0), float(c1), float(d0), float(c3)))
+        sups = [q.reshape(len(group), samples).max(axis=1) for q in (
+            np.maximum(np.maximum(frobenius(f00), frobenius(f10)), frobenius(f01)) / delta,
+            frobenius(f10 - f00) / frobenius(e2 - e1),
+            frobenius(f01 - f00) / (delta * frobenius(s2 - s1)),
+            leading_gap(spec, delta, e1, s1) / (delta * delta))]
+        rows += [CertificateRow(d, *map(float, c)) for d, *c in zip(group, *sups)]
     return CertificateReport(
         C0_hat=max(r.C0_hat for r in rows),
         C1_hat=max(r.C1_hat for r in rows),

@@ -21,9 +21,10 @@ headroom while staying inside the modulus-positivity region.
 
 `family_eval`, `family_leading` and `leading_gap` also take (N, 6) arrays of
 components (xx, yy, zz, xy, xz, yz) and return (N, 6) arrays ((N,) norms for
-`leading_gap`), raising the scalar call's error for the first failing row.
-A batch runs the same formulas as a SymTensor whose components are numpy
-columns. Domain checks read `not (norm <= radius)`: NaN and inf raise.
+`leading_gap`), raising the scalar call's error for the first failing row;
+`family_eval` and `leading_gap` also take an (N,) column of deltas. A batch
+runs the same formulas as a SymTensor whose components are numpy columns.
+Domain checks read `not (norm <= radius)`: NaN and inf raise.
 """
 
 from __future__ import annotations
@@ -158,11 +159,12 @@ def is_admissible(spec: FamilySpec, delta: float) -> bool:
 
 
 def _check(ok, value, error, template, *context):
-    """Raise `error` unless `ok` holds on every row; name the first failing value."""
+    """Raise `error` unless `ok` holds on every row; name the first failing row's values."""
     if ok is not True:
         bad = np.flatnonzero(np.logical_not(ok))
         if bad.size:
-            raise error(template.format(float(np.ravel(value)[bad[0]]), *context))
+            row = [float(np.ravel(c)[bad[0]]) if isinstance(c, np.ndarray) else c for c in context]
+            raise error(template.format(float(np.ravel(value)[bad[0]]), *row))
 
 
 def _check_ball(name, A, radius):
@@ -254,15 +256,19 @@ def family_eval(spec: FamilySpec, delta: float, E, Sbar):
     """Evaluate f_delta(E, Sbar) on the working domain.
 
     Raises InadmissibleDelta outside (0, delta_ceiling) and OutOfDomain
-    outside U_delta x V. (N, 6) arrays give an (N, 6) array.
+    outside U_delta x V. (N, 6) arrays give an (N, 6) array; with them
+    `delta` may also be an (N,) column, one delta per row.
     """
     dom, ceiling = spec._working
-    if not 0.0 < delta < ceiling:
-        raise InadmissibleDelta(
-            f"delta {delta!r} outside (0, {ceiling!r}) for kind {spec.kind}"
-        )
     if isinstance(E, SymTensor) and isinstance(Sbar, SymTensor):
+        if not 0.0 < delta < ceiling:
+            raise InadmissibleDelta(
+                f"delta {delta!r} outside (0, {ceiling!r}) for kind {spec.kind}"
+            )
         return _eval(spec, dom, delta, E, Sbar)
+    d = np.asarray(delta, dtype=float)
+    _check((0.0 < d) & (d < ceiling), d, InadmissibleDelta,
+           "delta {0!r} outside (0, {1!r}) for kind {2}", ceiling, spec.kind)
     return _rows(_eval(spec, dom, delta, *_columns(E, Sbar)))
 
 
@@ -346,8 +352,9 @@ def leading_gap(spec: FamilySpec, delta: float, E, Sbar):
 
     Exactly zero for power_law and scaled_base (definitional identity,
     same float path); O(delta^2) for the density kinds. (N, 6) arrays
-    give the (N,) row norms.
+    give the (N,) row norms; `delta` may then be an (N,) column.
     """
     full = family_eval(spec, delta, E, Sbar)
-    lead = family_leading(spec, E * (1.0 / delta), Sbar) * delta
+    d = delta[..., None] if isinstance(delta, np.ndarray) else delta
+    lead = family_leading(spec, E * (1.0 / d), Sbar) * d
     return frobenius(full - lead)

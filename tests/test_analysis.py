@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from strainlim import analysis
 from strainlim.analysis import (
     PROBE_SCALE,
     ball_points,
@@ -93,8 +94,11 @@ def test_ladder_validation():
         run_convergence(POWER, SBAR, ROT, [0.01, 0.02, 0.005, 0.0025])
     with pytest.raises(InadmissibleDelta):
         run_convergence(POWER, SBAR, ROT, [0.5, 0.25, 0.01, 0.005])
-    with pytest.raises(OutOfDomain):
-        run_convergence(POWER, SymTensor(2.0, 0.0, 0.0), ROT, [0.01, 0.005, 0.0025, 0.00125])
+    # one OutOfDomain up front, NaN included, not one failure per rung
+    for route in (run_convergence, run_convergence_hencky):
+        for bad in (2.0, math.nan, math.inf):
+            with pytest.raises(OutOfDomain, match="outside the stress ball"):
+                route(POWER, SymTensor(bad, 0.0, 0.0), ROT, [0.01, 0.005, 0.0025, 0.00125])
 
 
 def test_green_convergence_power_law():
@@ -246,3 +250,38 @@ def test_certify_matches_row_by_row_definition(spec):
         got = (row.delta, row.C0_hat, row.C1_hat, row.D0_hat, row.C3_hat)
         assert all(type(v) is float for v in got)
         assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+GROUPED_SPECS = [
+    POWER,
+    RECIP,
+    FamilySpec(kind="density_modulus_direct", E0=1.0, nu=0.3, a=0.3, b=0.5, c=1.0),
+    FamilySpec(kind="scaled_base", a=1.0, p=2.0, base="power_law"),
+]
+
+
+@pytest.mark.parametrize("spec", GROUPED_SPECS, ids=lambda s: s.kind)
+@pytest.mark.parametrize("samples", [100, 300])
+def test_certify_grouping_is_bit_exact(monkeypatch, spec, samples):
+    # 1 row: one rung per call; 2048 rows: 8 rungs in one group at 100
+    # samples, groups of 6 and 2 at 300; 10**6 rows: the whole ladder
+    reports = []
+    for budget in (1, 2048, 10 ** 6):
+        monkeypatch.setattr(analysis, "_BATCH_ROWS", budget)
+        reports.append(certify_constants(spec, LADDER, samples, 12))
+    assert reports[0] == reports[1] == reports[2]
+    assert [row.delta for row in reports[0].rows] == LADDER
+
+
+@pytest.mark.parametrize("samples, calls", [(100, 1), (10_000, 8)])
+def test_certify_call_count_follows_the_row_budget(monkeypatch, samples, calls):
+    seen = []
+
+    def counted(*args):
+        seen.append(len(args[2]))
+        return leading_gap(*args)
+
+    monkeypatch.setattr(analysis, "leading_gap", counted)
+    certify_constants(RECIP, LADDER, samples, 5)
+    assert len(seen) == calls
+    assert sum(seen) == samples * len(LADDER)

@@ -419,6 +419,15 @@ def test_batch_matches_scalar_rows(name, seed, n, frac):
     if spec.kind in ("power_law", "scaled_base"):
         assert np.all(gap == 0.0)
 
+    # a delta column, one delta per row, equals stacked one-row calls
+    col = rng.uniform(0.01, 0.99, n) * delta_ceiling(spec)
+    Ec = ball_points(rng.standard_normal((n, 6)), rng.random(n), dom.strain_radius(col)[:, None])
+    one_row = [(d, Ec[i:i + 1], S[i:i + 1]) for i, d in enumerate(col.tolist())]
+    stacked = np.vstack([family_eval(spec, *args) for args in one_row])
+    assert np.array_equal(family_eval(spec, col, Ec, S), stacked)
+    stacked_gap = np.concatenate([leading_gap(spec, *args) for args in one_row])
+    assert np.array_equal(leading_gap(spec, col, Ec, S), stacked_gap)
+
 
 def _raised(fn):
     try:
@@ -464,6 +473,30 @@ def test_batch_nonpositive_modulus_row_raises_like_scalar():
     assert scalar is NonpositiveModulus
     assert _raised(lambda: family_eval(RECIP, d, E, S)) is scalar
     assert _raised(lambda: leading_gap(RECIP, d, E, S)) is scalar
+
+
+def _error(fn):
+    with pytest.raises(Exception) as info:
+        fn()
+    return type(info.value), str(info.value)
+
+
+def test_delta_column_errors_name_the_failing_row():
+    # a batched error reads exactly as the scalar call on the failing row
+    E = np.zeros((3, 6))
+    S = np.full((3, 6), 0.05)
+    col = np.array([0.01, 0.25, 0.5])
+    want = (InadmissibleDelta, "delta 0.25 outside (0, 0.02) for kind density_modulus_reciprocal")
+    assert _error(lambda: family_eval(RECIP, 0.25, ZERO, ZERO)) == want
+    assert _error(lambda: family_eval(RECIP, col, E, S)) == want
+    assert _error(lambda: leading_gap(RECIP, col, E, S)) == want
+    # row 1 lies inside the other rows' strain balls but outside its own
+    col = np.array([0.01, 0.001, 0.01])
+    E[1, 0] = 0.005
+    want = _error(lambda: family_eval(POWER, 0.001, SymTensor(0.005), SymTensor(*S[1])))
+    assert want == (OutOfDomain, "|E| = 0.005 exceeds %r" % (1.05 * 0.001))
+    assert _error(lambda: family_eval(POWER, col, E, S)) == want
+    assert _error(lambda: leading_gap(POWER, col, E, S)) == want
 
 
 def test_batch_shapes_and_broadcast():
