@@ -5,6 +5,12 @@ JSON report next to it, and prints a single PASS/FAIL line. Exit codes:
 0 study ran and met its thresholds, 1 configuration or I/O problem,
 2 study ran but failed a threshold (or died partway with a solver error).
 
+One table, `_COMMANDS`, says per command which config keys it reads and
+which thresholds it knows, each with its default. `parse_config` walks that
+table: it rejects every key the command does not read, parses each value
+once and checks every given threshold, so a bad config exits 1 before the
+study runs.
+
 Outputs are written atomically (tempfile + rename) and floats are
 serialized with repr(), so reruns with the same config and seed produce
 byte-identical files.
@@ -18,11 +24,11 @@ import math
 import os
 import sys
 import tempfile
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .analysis import (ball_points, certify_constants, fit_order, run_convergence,
-                       run_convergence_hencky)
+from .analysis import ball_points, certify_constants, run_convergence, run_convergence_hencky
 from .energy import (
     EnergyProfile,
     complementary_energy,
@@ -32,28 +38,16 @@ from .energy import (
     legendre_transform,
 )
 from .errors import ConfigInvalid, StrainLimError, StudyFailed
-from .families import FamilySpec, _density_guaranteed_coeff, family_leading, working_domain
+from .families import KINDS, FamilySpec, _density_guaranteed_coeff, family_leading
 from .kinematics import RotationSpec
 from .scalar1d import Scalar1DParams, oned_delta0_study
 from .solver import solve_implicit
 from .symtensor import SymTensor, frobenius, inner
 
-COMMANDS = ("solve", "converge", "converge-hencky", "certify", "oned", "energy")
-
 _FAMILY_KEYS = ("kind", "a", "p", "E0", "nu", "b", "c", "delta1", "delta_max", "base")
 _ROTATION_KEYS = ("axis", "coefficient", "mode")
-
-# Threshold defaults. Order windows come from the quadratic/linear claims the
-# studies are meant to confirm; certification caps are the closed-form
-# constants for each family kind.
-_ORDER_FULL = (1.9, 2.1)
-_ORDER_STRESS = (0.9, 1.1)
-_SLOPE_1D = (0.9, 1.1)
-
-_THRESHOLD_KEYS = {"solve": ("residual",), "certify": ("C0", "C1", "D0", "C3"),
-                   "oned": ("slope",), "energy": ("grad_tol", "fenchel_tol", "roundtrip_tol")}
-_THRESHOLD_KEYS["converge"] = _THRESHOLD_KEYS["converge-hencky"] = (
-    "order_full", "order_leading", "order_stress", "stress_row_factor")
+# keys every command accepts; the rest are in each command's `_COMMANDS` entry
+_COMMON_KEYS = ("command", "family", "samples", "seed", "out", "thresholds")
 
 
 @dataclasses.dataclass
@@ -140,60 +134,61 @@ def _parse_family(raw) -> FamilySpec:
         raise ConfigInvalid("bad family: %s" % exc)
 
 
-def _parse_stress(raw) -> SymTensor:
-    _require(isinstance(raw, (list, tuple)) and len(raw) == 6,
-             "stress must be a list of six components [xx, yy, zz, xy, xz, yz]")
-    return SymTensor(*[_as_float(v, "stress[%d]" % i) for i, v in enumerate(raw)])
+def _numbers(raw, name, length=None) -> tuple:
+    _require(isinstance(raw, (list, tuple)) and len(raw) > 0 and length in (None, len(raw)),
+             "%s must be a list of %s numbers" % (name, length or "one or more"))
+    return tuple(_as_float(v, "%s[%d]" % (name, i)) for i, v in enumerate(raw))
 
 
-def _parse_rotation(raw) -> RotationSpec:
-    _require(isinstance(raw, dict), "rotation must be an object")
+def _positive(raw, name) -> float:
+    value = _as_float(raw, name)
+    _require(value > 0.0, "%s must be positive" % name)
+    return value
+
+
+def _parse_rotation(raw, name) -> RotationSpec:
+    _require(isinstance(raw, dict), "%s must be an object" % name)
     unknown = set(raw) - set(_ROTATION_KEYS)
-    _require(not unknown, "unknown rotation keys: %s" % sorted(unknown))
+    _require(not unknown, "unknown %s keys: %s" % (name, sorted(unknown)))
     _require("axis" in raw and "coefficient" in raw,
-             "rotation needs axis and coefficient")
-    axis = raw["axis"]
-    _require(isinstance(axis, (list, tuple)) and len(axis) == 3,
-             "rotation.axis must be a list of three numbers")
-    axis = tuple(_as_float(v, "rotation.axis[%d]" % i) for i, v in enumerate(axis))
-    coef = _as_float(raw["coefficient"], "rotation.coefficient")
-    _require(coef >= 0.0, "rotation.coefficient must be nonnegative")
+             "%s needs axis and coefficient" % name)
+    axis = _numbers(raw["axis"], name + ".axis", 3)
+    coef = _as_float(raw["coefficient"], name + ".coefficient")
+    _require(coef >= 0.0, "%s.coefficient must be nonnegative" % name)
     mode = raw.get("mode", "exact_exponential")
-    _require(mode == "exact_exponential", "rotation.mode must be 'exact_exponential'")
+    _require(mode == "exact_exponential", "%s.mode must be 'exact_exponential'" % name)
     return RotationSpec(axis=axis, magnitude_coefficient=coef, mode=mode)
 
 
-def _parse_deltas(raw) -> tuple:
-    _require(isinstance(raw, (list, tuple)) and len(raw) > 0,
-             "deltas must be a non-empty list")
-    vals = tuple(_as_float(v, "deltas[%d]" % i) for i, v in enumerate(raw))
-    for v in vals:
-        _require(v > 0.0, "deltas must be positive")
-    for lo, hi in zip(vals[1:], vals):
-        _require(lo < hi, "deltas must be strictly decreasing")
+def _parse_deltas(raw, name) -> tuple:
+    vals = _numbers(raw, name)
+    _require(all(v > 0.0 for v in vals), "%s must be positive" % name)
+    _require(all(lo < hi for lo, hi in zip(vals[1:], vals)),
+             "%s must be strictly decreasing" % name)
     return vals
 
 
-_TOP_KEYS = ("command", "family", "stress", "stresses", "rotation", "deltas",
-             "delta", "samples", "seed", "out", "thresholds")
-
-
 def parse_config(raw: dict, command: str) -> ExperimentConfig:
-    """Validate a raw config dict against what `command` needs."""
+    """Validate a raw config dict against `command`'s entry in `_COMMANDS`."""
+    _require(command in _COMMANDS, "unknown command %r" % command)
+    spec = _COMMANDS[command]
     _require(isinstance(raw, dict), "config root must be an object")
-    unknown = set(raw) - set(_TOP_KEYS)
+    unknown = set(raw) - set(_COMMON_KEYS) - set(spec.keys)
     _require(not unknown, "unknown config keys: %s" % sorted(unknown))
     if "command" in raw:
         _require(raw["command"] == command,
                  "config is for %r, not %r" % (raw["command"], command))
 
     cfg = ExperimentConfig(command=command, family=_parse_family(raw.get("family", {"kind": "power_law"})))
+    _require(cfg.family.kind in spec.kinds,
+             "%s needs a family.kind in %s" % (command, list(spec.kinds)))
 
-    if "thresholds" in raw:
-        _require(isinstance(raw["thresholds"], dict), "thresholds must be an object")
-        unknown = set(raw["thresholds"]) - set(_THRESHOLD_KEYS.get(command, ()))
-        _require(not unknown, "unknown %s thresholds: %s" % (command, sorted(unknown)))
-        cfg.thresholds = dict(raw["thresholds"])
+    thresholds = raw.get("thresholds", {})
+    _require(isinstance(thresholds, dict), "thresholds must be an object")
+    unknown = set(thresholds) - set(spec.thresholds)
+    _require(not unknown, "unknown %s thresholds: %s" % (command, sorted(unknown)))
+    cfg.thresholds = {key: _numbers(value, key, 2) if isinstance(spec.thresholds[key], tuple)
+                      else _as_float(value, key) for key, value in thresholds.items()}
     if "samples" in raw:
         _require(isinstance(raw["samples"], int) and not isinstance(raw["samples"], bool)
                  and raw["samples"] > 0, "samples must be a positive integer")
@@ -206,36 +201,11 @@ def parse_config(raw: dict, command: str) -> ExperimentConfig:
         _require(isinstance(raw["out"], str), "out must be a string")
         cfg.output_dir = raw["out"]
 
-    if command in ("solve", "converge", "converge-hencky"):
-        _require("stress" in raw, "%s needs a stress tensor" % command)
-        cfg.stress = _parse_stress(raw["stress"])
-    if command in ("converge", "converge-hencky"):
-        _require("rotation" in raw, "%s needs a rotation" % command)
-        cfg.rotation = _parse_rotation(raw["rotation"])
-        _require("deltas" in raw, "%s needs a deltas list" % command)
-        cfg.deltas = _parse_deltas(raw["deltas"])
-    if command == "certify":
-        _require("deltas" in raw, "certify needs a deltas list")
-        cfg.deltas = _parse_deltas(raw["deltas"])
-    if command in ("solve", "oned", "energy"):
-        _require("delta" in raw, "%s needs a delta" % command)
-        cfg.delta = _as_float(raw["delta"], "delta")
-        _require(cfg.delta > 0.0, "delta must be positive")
-    if command == "oned":
-        _require(cfg.family.kind == "power_law",
-                 "oned uses the scalar power law; family.kind must be power_law")
-        if "stresses" in raw:
-            _require(isinstance(raw["stresses"], (list, tuple)) and raw["stresses"],
-                     "stresses must be a non-empty list")
-            cfg.stresses = tuple(_as_float(v, "stresses[%d]" % i)
-                                 for i, v in enumerate(raw["stresses"]))
-        elif "stress" in raw:
-            cfg.stresses = (_as_float(raw["stress"], "stress"),)
-        else:
-            raise ConfigInvalid("oned needs stresses (list) or stress (scalar)")
-    if command == "energy":
-        _require(cfg.family.kind in ("power_law", "scaled_base"),
-                 "energy needs a power_law or scaled_base family")
+    for key, (field, parse) in spec.keys.items():
+        if key in raw:
+            setattr(cfg, field, parse(raw[key], key))
+    missing = sorted({field for field, _ in spec.keys.values() if getattr(cfg, field) is None})
+    _require(not missing, "%s needs %s" % (command, " and ".join(missing)))
     return cfg
 
 
@@ -297,11 +267,9 @@ def _in_window(value, window) -> bool:
     return value is not None and window[0] <= value <= window[1]
 
 
-def _window(thresholds, key, default):
-    raw = thresholds.get(key, default)
-    _require(isinstance(raw, (list, tuple)) and len(raw) == 2,
-             "threshold %s must be a [lo, hi] pair" % key)
-    return (_as_float(raw[0], key), _as_float(raw[1], key))
+def _thresholds(cfg: ExperimentConfig) -> dict:
+    """The command's threshold defaults, overridden by the config's checked values."""
+    return dict(_COMMANDS[cfg.command].thresholds, **cfg.thresholds)
 
 
 def _run_converge(cfg: ExperimentConfig):
@@ -312,11 +280,9 @@ def _run_converge(cfg: ExperimentConfig):
     header = ("delta", "delta0", "residual_full", "residual_leading",
               "stress_gap", "strain_gap")
 
-    w_full = _window(cfg.thresholds, "order_full", _ORDER_FULL)
-    w_lead = _window(cfg.thresholds, "order_leading", _ORDER_FULL)
-    w_stress = _window(cfg.thresholds, "order_stress", _ORDER_STRESS)
-    row_factor = _as_float(cfg.thresholds.get("stress_row_factor", 10.0),
-                           "stress_row_factor")
+    limits = _thresholds(cfg)
+    w_full, w_lead = limits["order_full"], limits["order_leading"]
+    w_stress, row_factor = limits["order_stress"], limits["stress_row_factor"]
     sn = frobenius(cfg.stress)
 
     checks = [("no_failed_rows", not report.failures,
@@ -338,17 +304,13 @@ def _run_converge(cfg: ExperimentConfig):
 _CERT_EPS = 1e-9
 
 
-def _certify_caps(spec: FamilySpec, thresholds: dict) -> dict:
+def _certify_caps(spec: FamilySpec) -> dict:
+    # the closed-form constants of each family kind; None leaves a constant uncapped
     if spec.kind == "power_law":
-        caps = {"C0": 1.0 + _CERT_EPS, "C1": 1e-12, "D0": 2.0 * spec.a + 1e-6}
-    elif spec.kind == "scaled_base":
-        caps = {"C0": 1.0 + _CERT_EPS, "C1": None, "D0": None}
-    else:
-        caps = {"C0": _density_guaranteed_coeff(spec), "C1": None, "D0": None}
-    for key in _THRESHOLD_KEYS["certify"]:
-        if key in thresholds:
-            caps[key] = _as_float(thresholds[key], key)
-    return caps
+        return {"C0": 1.0 + _CERT_EPS, "C1": 1e-12, "D0": 2.0 * spec.a + 1e-6}
+    if spec.kind == "scaled_base":
+        return {"C0": 1.0 + _CERT_EPS}
+    return {"C0": _density_guaranteed_coeff(spec)}
 
 
 def _run_certify(cfg: ExperimentConfig):
@@ -356,7 +318,7 @@ def _run_certify(cfg: ExperimentConfig):
     rows = [(r.delta, r.C0_hat, r.C1_hat, r.D0_hat, r.C3_hat) for r in report.rows]
     header = ("delta", "C0_hat", "C1_hat", "D0_hat", "C3_hat")
 
-    caps = _certify_caps(cfg.family, cfg.thresholds)
+    caps = dict(_certify_caps(cfg.family), **cfg.thresholds)
     checks = []
     for key, value in (("C0", report.C0_hat), ("C1", report.C1_hat),
                        ("D0", report.D0_hat), ("C3", report.C3_hat)):
@@ -377,7 +339,7 @@ def _run_oned(cfg: ExperimentConfig):
     header = ("Sbar", "E", "eps", "delta0", "sigma", "gap")
     rows = [(r["Sbar"], r["E"], r["eps"], r["delta0"], r["sigma"], r["gap"])
             for r in study.rows]
-    w = _window(cfg.thresholds, "slope", _SLOPE_1D)
+    w = _thresholds(cfg)["slope"]
     slope_ok = study.slope is None or _in_window(study.slope, w)
     checks = [("gap_slope", slope_ok,
                "fitted=%r window=%r" % (study.slope, list(w)))]
@@ -393,7 +355,7 @@ def _run_solve(cfg: ExperimentConfig):
               "xx", "yy", "zz", "xy", "xz", "yz")
     rows = [(cfg.delta, report.iterations, report.residual, report.method,
              report.interior_ball_ok) + comps]
-    tol = _as_float(cfg.thresholds.get("residual", 1e-10), "residual")
+    tol = _thresholds(cfg)["residual"]
     checks = [("residual", report.residual <= tol,
                "residual=%r cap=%r" % (report.residual, tol))]
     return checks, header, rows, {"report": _jsonable(report)}
@@ -411,9 +373,9 @@ def _run_energy(cfg: ExperimentConfig):
     spec = cfg.family
     rng = np.random.default_rng(cfg.seed)
     n = min(cfg.samples, 1000)
-    grad_tol = _as_float(cfg.thresholds.get("grad_tol", 1e-6), "grad_tol")
-    fy_tol = _as_float(cfg.thresholds.get("fenchel_tol", 1e-9), "fenchel_tol")
-    rt_tol = _as_float(cfg.thresholds.get("roundtrip_tol", 1e-8), "roundtrip_tol")
+    limits = _thresholds(cfg)
+    grad_tol, fy_tol, rt_tol = (limits["grad_tol"], limits["fenchel_tol"],
+                                limits["roundtrip_tol"])
 
     stress_r = 0.9 * spec.c
     strain_r = _energy_strain_radius(spec)
@@ -458,13 +420,45 @@ def _run_energy(cfg: ExperimentConfig):
     return checks, header, rows, {"worst": dict(worst), "probes": n}
 
 
-_RUNNERS = {
-    "solve": _run_solve,
-    "converge": _run_converge,
-    "converge-hencky": _run_converge,
-    "certify": _run_certify,
-    "oned": _run_oned,
-    "energy": _run_energy,
+class _Command(NamedTuple):
+    blurb: str
+    run: Callable
+    # config key read besides _COMMON_KEYS -> (ExperimentConfig field, parser);
+    # every field is required, and a later key for the same field wins
+    keys: dict
+    # threshold key -> default: a (lo, hi) window, a number, or None for a
+    # family-dependent certification cap
+    thresholds: dict
+    kinds: tuple = KINDS
+
+
+_STRESS = ("stress", lambda raw, name: SymTensor(*_numbers(raw, name, 6)))
+_DELTA = ("delta", _positive)
+_DELTAS = ("deltas", _parse_deltas)
+_CONVERGE = _Command(
+    "strain-driven convergence sweep", _run_converge,
+    {"stress": _STRESS, "rotation": ("rotation", _parse_rotation), "deltas": _DELTAS},
+    {"order_full": (1.9, 2.1), "order_leading": (1.9, 2.1), "order_stress": (0.9, 1.1),
+     "stress_row_factor": 10.0})
+
+# Everything a command reads from its config. Order windows come from the
+# quadratic/linear claims the studies are meant to confirm.
+_COMMANDS = {
+    "solve": _Command("solve the implicit relation at one delta", _run_solve,
+                      {"stress": _STRESS, "delta": _DELTA}, {"residual": 1e-10}),
+    "converge": _CONVERGE,
+    "converge-hencky": _CONVERGE._replace(blurb="stress-driven convergence sweep"),
+    "certify": _Command("sample family constants over the admissible ball", _run_certify,
+                        {"deltas": _DELTAS}, dict.fromkeys(("C0", "C1", "D0", "C3"))),
+    "oned": _Command("scalar diagnostic sweep", _run_oned,
+                     {"delta": _DELTA,
+                      "stress": ("stresses", lambda raw, name: (_as_float(raw, name),)),
+                      "stresses": ("stresses", _numbers)},
+                     {"slope": (0.9, 1.1)}, ("power_law",)),
+    "energy": _Command("complementary energy consistency probes", _run_energy,
+                       {"delta": _DELTA},
+                       {"grad_tol": 1e-6, "fenchel_tol": 1e-9, "roundtrip_tol": 1e-8},
+                       ("power_law", "scaled_base")),
 }
 
 
@@ -476,9 +470,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     are written either way.
     """
     try:
-        checks, header, rows, extra = _RUNNERS[cfg.command](cfg)
-    except ConfigInvalid:
-        raise
+        checks, header, rows, extra = _COMMANDS[cfg.command].run(cfg)
     except ValueError as exc:
         # parameters the library refuses (samples, delta ranges) are config errors
         raise ConfigInvalid("bad parameters: %s" % exc)
@@ -522,15 +514,8 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="strainlim",
         description="Strain-limited constitutive model studies.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, blurb in (
-        ("solve", "solve the implicit relation at one delta"),
-        ("converge", "strain-driven convergence sweep"),
-        ("converge-hencky", "stress-driven convergence sweep"),
-        ("certify", "sample family constants over the admissible ball"),
-        ("oned", "scalar diagnostic sweep"),
-        ("energy", "complementary energy consistency probes"),
-    ):
-        p = sub.add_parser(name, help=blurb)
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.blurb)
         p.add_argument("--config", required=True, help="path to JSON config")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="RNG seed override")

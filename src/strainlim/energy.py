@@ -50,13 +50,10 @@ class EnergyProfile:
     """
 
     family: FamilySpec
-    quadrature_points: int = 64
 
     def __post_init__(self):
         if self.family.kind not in ("power_law", "scaled_base"):
             raise ValueError("energy profiles require power_law or scaled_base")
-        if self.quadrature_points < 64:
-            raise ValueError("quadrature_points must be at least 64")
 
 
 def _checked_norm(profile: EnergyProfile, Sbar: SymTensor) -> float:

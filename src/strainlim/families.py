@@ -81,22 +81,23 @@ class FamilySpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown family kind {self.kind!r}")
-        if self.a <= 0.0:
-            raise ValueError("a must be positive")
-        if self.p < 1.0:
-            raise ValueError("p must be at least 1")
-        if self.E0 <= 0.0:
-            raise ValueError("E0 must be positive")
+        # chained comparisons with math.inf: NaN and inf fail them too
+        if not 0.0 < self.a < math.inf:
+            raise ValueError("a must be positive and finite")
+        if not 1.0 <= self.p < math.inf:
+            raise ValueError("p must be finite and at least 1")
+        if not 0.0 < self.E0 < math.inf:
+            raise ValueError("E0 must be positive and finite")
         if not 0.0 <= self.nu < 0.5:
             raise ValueError("nu must lie in [0, 1/2)")
-        if self.b <= 0.0 or self.c <= 0.0:
-            raise ValueError("b and c must be positive")
-        if self.delta1 <= 0.0:
-            raise ValueError("delta1 must be positive")
+        if not (0.0 < self.b < math.inf and 0.0 < self.c < math.inf):
+            raise ValueError("b and c must be positive and finite")
+        if not 0.0 < self.delta1 < math.inf:
+            raise ValueError("delta1 must be positive and finite")
         if self.kind in DENSITY_KINDS and self.a * self.b >= 0.5:
             raise ValueError("density kinds require a*b < 1/2")
-        if self.delta_max is not None and self.delta_max <= 0.0:
-            raise ValueError("delta_max override must be positive")
+        if self.delta_max is not None and not 0.0 < self.delta_max < math.inf:
+            raise ValueError("delta_max override must be positive and finite")
         if self.kind == "scaled_base":
             if self.base is None:
                 raise ValueError("scaled_base requires a base profile")

@@ -24,10 +24,11 @@ class Scalar1DParams:
     delta: float
 
     def __post_init__(self):
-        if self.a <= 0.0:
-            raise ValueError("a must be positive")
-        if self.p < 1.0:
-            raise ValueError("p must be at least 1")
+        # chained comparisons with math.inf: NaN and inf fail them too
+        if not 0.0 < self.a < math.inf:
+            raise ValueError("a must be positive and finite")
+        if not 1.0 <= self.p < math.inf:
+            raise ValueError("p must be finite and at least 1")
         if not 0.0 < self.delta <= 0.1:
             raise ValueError("delta must lie in (0, 0.1]")
 

@@ -8,8 +8,10 @@ import sys
 import pytest
 
 import strainlim
+import strainlim.cli as cli
 from strainlim.analysis import certify_constants, run_convergence_hencky
-from strainlim.cli import ExperimentConfig, _build_parser, _jsonable, main, parse_config
+from strainlim.cli import (_COMMANDS, ExperimentConfig, _build_parser, _jsonable, main,
+                           parse_config)
 from strainlim.errors import ConfigInvalid
 from strainlim.families import FamilySpec
 from strainlim.kinematics import RotationSpec
@@ -329,6 +331,67 @@ def test_known_certify_thresholds_apply(tmp_path, capsys):
     assert main(["certify", "--config", _write(tmp_path, "t.json", tight),
                  "--out", str(tmp_path)]) == 2
     assert "check C0" in capsys.readouterr().out
+
+
+# one valid config per command; together they hold every key some command reads
+VALID = {
+    "solve": {"family": {"kind": "power_law", "a": 1.0, "p": 2.0},
+              "stress": CONVERGE["stress"], "delta": 0.015625},
+    "converge": CONVERGE,
+    "converge-hencky": CONVERGE,
+    "certify": CERTIFY,
+    "oned": {"family": {"kind": "power_law"}, "delta": 0.001, "stresses": [0.1, 0.2, 0.3]},
+    "energy": {"family": {"kind": "power_law", "a": 1.0, "p": 2.0, "c": 3.0},
+               "delta": 0.01, "samples": 20, "seed": 5},
+}
+READ_KEYS = sorted({key for command in _COMMANDS.values() for key in command.keys})
+
+
+@pytest.mark.parametrize("command, key", [(command, key) for command in _COMMANDS
+                                          for key in READ_KEYS
+                                          if key not in _COMMANDS[command].keys])
+def test_keys_a_command_does_not_read_are_rejected(tmp_path, capsys, command, key):
+    parse_config(VALID[command], command)
+    # a well-formed value, taken from a command that does read the key
+    value = next(cfg[key] for cfg in VALID.values() if key in cfg)
+    bad = dict(VALID[command], **{key: value})
+    line = _run_expect_config_error(tmp_path, capsys, command, bad)
+    assert line.startswith("FAIL config: unknown config keys") and key in line
+
+
+@pytest.mark.parametrize("command, runner, thresholds", [
+    ("converge", "run_convergence", {"order_full": [1.0]}),
+    ("certify", "certify_constants", {"C0": "x"}),
+])
+def test_bad_thresholds_stop_before_the_study(tmp_path, capsys, monkeypatch, command, runner,
+                                               thresholds):
+    calls = []
+    real = getattr(cli, runner)
+    monkeypatch.setattr(cli, runner, lambda *args: calls.append(args) or real(*args))
+    _run_expect_config_error(tmp_path, capsys, command, dict(VALID[command],
+                                                             thresholds=thresholds))
+    assert calls == []
+    # the patched runner is the one the command calls
+    assert main([command, "--config", _write(tmp_path, "ok.json", VALID[command]),
+                 "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("command", ["solve", "converge", "energy"])
+def test_spelled_out_defaults_match_no_thresholds(tmp_path, command):
+    defaults = {key: list(value) if isinstance(value, tuple) else value
+                for key, value in _COMMANDS[command].thresholds.items()}
+    outputs = []
+    for name, payload in (("bare", VALID[command]),
+                          ("spelled", dict(VALID[command], thresholds=defaults))):
+        out = tmp_path / name
+        code = main([command, "--config", _write(tmp_path, name + ".json", payload),
+                     "--out", str(out)])
+        report = json.loads((out / (command + "_report.json")).read_text())
+        outputs.append((code, (out / (command + ".csv")).read_bytes(), report["verdict"],
+                        report["checks"]))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 0
 
 
 # --- import contract ----------------------------------------------------------

@@ -44,8 +44,6 @@ def _ball(rng, radius):
 def test_profile_validation():
     with pytest.raises(ValueError):
         EnergyProfile(FamilySpec(kind="density_modulus_reciprocal"))
-    with pytest.raises(ValueError):
-        EnergyProfile(POWER, quadrature_points=32)
 
 
 def test_radial_closed_form_oracle():

@@ -58,6 +58,10 @@ def test_spec_validation():
         FamilySpec(kind="scaled_base")
     with pytest.raises(ValueError):
         FamilySpec(kind="scaled_base", base="mystery")
+    for field in ("a", "p", "E0", "nu", "b", "c", "delta1", "delta_max"):
+        for bad in (NAN, INF, -INF):
+            with pytest.raises(ValueError):
+                FamilySpec(kind="power_law", **{field: bad})
 
 
 def test_delta_ceilings():

@@ -27,6 +27,10 @@ def test_params_validation():
         Scalar1DParams(a=1.0, p=2.0, delta=0.0)
     with pytest.raises(ValueError):
         Scalar1DParams(a=1.0, p=2.0, delta=0.2)
+    for bad in (math.nan, math.inf, -math.inf):
+        for field in ("a", "p", "delta"):
+            with pytest.raises(ValueError):
+                Scalar1DParams(**dict({"a": 1.0, "p": 2.0, "delta": 1e-3}, **{field: bad}))
 
 
 def test_forward_oracle():
