@@ -143,14 +143,18 @@ def _fit_or_none(deltas, values) -> Optional[float]:
         return None
 
 
+def _require_admissible(spec, deltas):
+    for d in deltas:
+        if not is_admissible(spec, d):
+            raise InadmissibleDelta(f"delta {d!r} is not admissible for kind {spec.kind}")
+
+
 def _validate_ladder(spec, deltas):
     if len(deltas) < 4:
         raise FitUnderdetermined(f"need at least 4 deltas, got {len(deltas)}")
     if any(b >= a for a, b in zip(deltas, deltas[1:])):
         raise ValueError("deltas must be strictly decreasing")
-    for d in deltas:
-        if not is_admissible(spec, d):
-            raise InadmissibleDelta(f"delta {d!r} is not admissible for kind {spec.kind}")
+    _require_admissible(spec, deltas)
 
 
 def _leading_residual(spec, delta, eps, sigma) -> float:
@@ -257,9 +261,7 @@ def certify_constants(
         raise InvalidParameter("samples must be at least 100")
     if len(deltas) == 0:
         raise InvalidParameter("certification needs at least one delta")
-    for d in deltas:
-        if not is_admissible(spec, d):
-            raise InadmissibleDelta(f"delta {d!r} is not admissible for kind {spec.kind}")
+    _require_admissible(spec, deltas)
     rng = np.random.default_rng(seed)
     dom = certified_domain(spec)
     shrink = 1.0 - 2.0 * PROBE_SCALE

@@ -189,6 +189,9 @@ def parse_config(raw: dict, command: str) -> ExperimentConfig:
     _require(not unknown, "unknown %s thresholds: %s" % (command, sorted(unknown)))
     cfg.thresholds = {key: _numbers(value, key, 2) if isinstance(spec.thresholds[key], tuple)
                       else _as_float(value, key) for key, value in thresholds.items()}
+    for key, value in cfg.thresholds.items():
+        _require(not isinstance(value, tuple) or value[0] <= value[1],
+                 "%s must be a window [lo, hi] with lo <= hi" % key)
     if "samples" in raw:
         _require(isinstance(raw["samples"], int) and not isinstance(raw["samples"], bool)
                  and raw["samples"] > 0, "samples must be a positive integer")

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import NoConvergence, OutOfDomain, Saturation
 from .families import FamilySpec, family_leading
 from .scalar1d import one_minus_abs_pow
-from .symtensor import SymTensor, frobenius, inner
+from .symtensor import SymTensor, central_differences, frobenius, inner
 
 _QUAD_TOL = 1e-12
 _GRAD_STEP = 1e-5
@@ -177,13 +177,6 @@ def green_stress(profile: EnergyProfile, delta: float, eps: SymTensor) -> SymTen
 
 
 def _central_gradient(fn, point: SymTensor, h: float) -> SymTensor:
-    # central differences in the six stored components, off-diagonal
-    # quotients halved (those components count twice in the inner product);
-    # fn maps the twelve probes, six steps up then six down, to 12 values
-    probes = [list(point.components()) for _ in range(12)]
-    for j in range(6):
-        probes[j][j] += h
-        probes[j + 6][j] -= h
-    values = fn(probes)
-    grad = [(values[j] - values[j + 6]) / (2.0 * h) for j in range(6)]
+    # off-diagonal quotients halved: those components count twice in the inner product
+    grad = central_differences(fn, point, h)
     return SymTensor(*grad[:3], *[0.5 * q for q in grad[3:]])

@@ -23,7 +23,9 @@ headroom while staying inside the modulus-positivity region.
 components (xx, yy, zz, xy, xz, yz) and return (N, 6) arrays ((N,) norms for
 `leading_gap`), raising the scalar call's error for the first failing row;
 `family_eval` and `leading_gap` also take an (N,) column of deltas. A batch
-runs the same formulas as a SymTensor whose components are numpy columns.
+runs the same formulas as a SymTensor whose components are numpy columns;
+a density-kind row may differ from the scalar call in the last ulp (numpy
+against libm `expm1`/`log1p`).
 Domain checks read `not (norm <= radius)`: NaN and inf raise.
 """
 

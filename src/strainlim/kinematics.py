@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidAxis, Singular
+from .errors import InvalidAxis, InvalidParameter, Singular
 from .symtensor import (SymTensor, Tensor3, frobenius, det, inverse, is_rotation, spd_sqrt,
                         sym_exp, sym_log, trace)
 
@@ -84,26 +84,11 @@ class DeformationState:
 
 def _state_from_f(fm: np.ndarray) -> DeformationState:
     F = Tensor3.from_matrix(fm)
-    cm = fm.T @ fm
-    bm = fm @ fm.T
-    C = SymTensor(cm[0, 0], cm[1, 1], cm[2, 2], cm[0, 1], cm[0, 2], cm[1, 2])
-    B = SymTensor(bm[0, 0], bm[1, 1], bm[2, 2], bm[0, 1], bm[0, 2], bm[1, 2])
-    E = SymTensor(
-        0.5 * (C.xx - 1.0),
-        0.5 * (C.yy - 1.0),
-        0.5 * (C.zz - 1.0),
-        0.5 * C.xy,
-        0.5 * C.xz,
-        0.5 * C.yz,
-    )
-    eps = SymTensor(
-        fm[0, 0] - 1.0,
-        fm[1, 1] - 1.0,
-        fm[2, 2] - 1.0,
-        0.5 * (fm[0, 1] + fm[1, 0]),
-        0.5 * (fm[0, 2] + fm[2, 0]),
-        0.5 * (fm[1, 2] + fm[2, 1]),
-    )
+    I = SymTensor.identity()
+    C = SymTensor.from_matrix(fm.T @ fm)
+    B = SymTensor.from_matrix(fm @ fm.T)
+    E = (C - I) * 0.5
+    eps = SymTensor.from_matrix(fm) - I
     H = sym_log(B) * 0.5
     d = det(F)
     if d <= 1e-14:
@@ -115,15 +100,7 @@ def deformation_from_green(E: SymTensor, R: Tensor3) -> DeformationState:
     """F = R (I + 2E)^{1/2}; requires I + 2E positive definite."""
     if not is_rotation(R):
         raise ValueError("R does not satisfy the rotation invariants")
-    c0 = SymTensor(
-        1.0 + 2.0 * E.xx,
-        1.0 + 2.0 * E.yy,
-        1.0 + 2.0 * E.zz,
-        2.0 * E.xy,
-        2.0 * E.xz,
-        2.0 * E.yz,
-    )
-    u = spd_sqrt(c0)
+    u = spd_sqrt(SymTensor.identity() + E * 2.0)
     return _state_from_f(R.as_matrix() @ u.as_matrix())
 
 
@@ -136,31 +113,15 @@ def deformation_from_hencky(H: SymTensor, R: Tensor3) -> DeformationState:
 
 def sigma_from_piola(F: Tensor3, Sbar: SymTensor) -> SymTensor:
     """Symmetric part of the first Piola stress: (F Sbar + Sbar F^T) / 2."""
-    m = F.as_matrix() @ Sbar.as_matrix()
-    return SymTensor(
-        m[0, 0],
-        m[1, 1],
-        m[2, 2],
-        0.5 * (m[0, 1] + m[1, 0]),
-        0.5 * (m[0, 2] + m[2, 0]),
-        0.5 * (m[1, 2] + m[2, 1]),
-    )
+    return SymTensor.from_matrix(F.as_matrix() @ Sbar.as_matrix())
 
 
 def sigma_from_cauchy(F: Tensor3, T: SymTensor) -> SymTensor:
-    """det(F) * (T F^{-T} + F^{-1} T) / 2; raises Singular for degenerate F."""
-    d = det(F)
-    if abs(d) <= 1e-14:
-        raise Singular(f"det F = {d!r} too small")
-    m = inverse(F).as_matrix() @ T.as_matrix()
-    return SymTensor(
-        d * m[0, 0],
-        d * m[1, 1],
-        d * m[2, 2],
-        d * 0.5 * (m[0, 1] + m[1, 0]),
-        d * 0.5 * (m[0, 2] + m[2, 0]),
-        d * 0.5 * (m[1, 2] + m[2, 1]),
-    )
+    """det(F) * (T F^{-T} + F^{-1} T) / 2; raises Singular for a degenerate or
+    non-finite F and InvalidParameter for a non-finite T."""
+    if not all(map(math.isfinite, T.components())):
+        raise InvalidParameter(f"T needs finite components, got {T.components()!r}")
+    return SymTensor.from_matrix(inverse(F).as_matrix() @ T.as_matrix()) * det(F)
 
 
 def density_linearization_gap(state: DeformationState) -> float:

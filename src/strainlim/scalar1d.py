@@ -35,6 +35,8 @@ class Scalar1DParams:
 
 def oned_forward(params: Scalar1DParams, Sbar: float) -> float:
     """E = delta * a (1 + |a S|^p)^{-1/p} S; always |E| < delta."""
+    if not math.isfinite(Sbar):
+        raise InvalidParameter(f"stress {Sbar!r} is not finite")
     u = params.a * Sbar
     return params.delta * u / (1.0 + abs(u) ** params.p) ** (1.0 / params.p)
 
@@ -42,9 +44,11 @@ def oned_forward(params: Scalar1DParams, Sbar: float) -> float:
 def oned_strain(E: float) -> float:
     """Linearized-strain variable eps = -1 + sqrt(1 + 2E), so E = eps + eps^2/2.
 
-    Raises DomainError for E <= -1/2. Written as 2E/(1 + sqrt(1+2E)) to
-    avoid cancellation at small E.
+    Raises DomainError for E <= -1/2 and InvalidParameter for NaN or inf.
+    Written as 2E/(1 + sqrt(1+2E)) to avoid cancellation at small E.
     """
+    if not math.isfinite(E):
+        raise InvalidParameter(f"strain {E!r} is not finite")
     if E <= -0.5:
         raise DomainError(f"E = {E!r} is at or below -1/2")
     return 2.0 * E / (1.0 + math.sqrt(1.0 + 2.0 * E))
@@ -67,9 +71,11 @@ def one_minus_abs_pow(u: float, p: float) -> float:
 def oned_invert(params: Scalar1DParams, E: float) -> float:
     """S = a^{-1} (1 - |E/delta|^p)^{-1/p} (E/delta); inverse of oned_forward.
 
-    Raises Saturation at |E/delta| >= 1: the limiting strain is not
-    attained at any finite stress.
+    Raises Saturation at a finite |E/delta| >= 1: the limiting strain is not
+    attained at any finite stress. A NaN or inf E raises InvalidParameter.
     """
+    if not math.isfinite(E):
+        raise InvalidParameter(f"strain {E!r} is not finite")
     u = E / params.delta
     if abs(u) >= 1.0:
         raise Saturation(f"|E/delta| = {abs(u)!r} is at or beyond the limit")
@@ -98,8 +104,6 @@ def oned_delta0_study(params: Scalar1DParams, Sbar_list) -> Delta0Study:
     ratio_max = 0.0
     quad_max = 0.0
     for s in Sbar_list:
-        if not math.isfinite(s):
-            raise InvalidParameter(f"stress {s!r} is not finite")
         e = oned_forward(params, s)
         eps = oned_strain(e)
         delta0 = abs(eps)

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonpositiveModulus, NoConvergence, OutOfDomain
-from .families import FamilySpec, family_eval, working_domain
-from .symtensor import SymTensor, frobenius
+from .families import FamilySpec, family_eval
+from .symtensor import SymTensor, central_differences, frobenius
 
 PICARD_BUDGET = 20
 MAX_ITER = 200
@@ -136,7 +136,11 @@ def _solve(spec, delta, stress, guess, method) -> SolveReport:
             best_e, best_res = E, res
         if res <= tol:
             return _report(spec, delta, E, iterations, res, "newton")
-        jac = _jacobian(feval, E)
+        # scalar probes: a batched (12, 6) family_eval differs in the last ulp
+        # for the density kinds (numpy against libm expm1/log1p)
+        h = FD_STEP * max(1.0, frobenius(E))
+        jac = np.transpose(central_differences(
+            lambda P: [_vec(e - feval(e)) for e in map(_unvec, P)], E, h))
         try:
             step = np.linalg.solve(jac, -_vec(g))
         except np.linalg.LinAlgError:
@@ -174,24 +178,6 @@ def _solve(spec, delta, stress, guess, method) -> SolveReport:
     )
 
 
-def _jacobian(feval, E: SymTensor) -> np.ndarray:
-    h = FD_STEP * max(1.0, frobenius(E))
-    v = _vec(E)
-    jac = np.empty((6, 6))
-    for j in range(6):
-        vp = v.copy()
-        vm = v.copy()
-        vp[j] += h
-        vm[j] -= h
-        ep = _unvec(vp)
-        em = _unvec(vm)
-        gp = _vec(ep - feval(ep))
-        gm = _vec(em - feval(em))
-        jac[:, j] = (gp - gm) / (2.0 * h)
-    return jac
-
-
 def _report(spec, delta, E, iterations, res, method) -> SolveReport:
-    dom = working_domain(spec)
-    interior = frobenius(E) <= 0.5 * dom.strain_radius(delta)
+    interior = frobenius(E) <= 0.5 * spec._working[0].strain_radius(delta)
     return SolveReport(E, iterations, res, method, interior)

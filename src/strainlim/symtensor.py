@@ -39,15 +39,9 @@ class SymTensor:
 
     @staticmethod
     def from_matrix(m) -> "SymTensor":
-        """Build from a 3x3 array, averaging away roundoff asymmetry."""
-        return SymTensor(
-            float(m[0][0]),
-            float(m[1][1]),
-            float(m[2][2]),
-            0.5 * (float(m[0][1]) + float(m[1][0])),
-            0.5 * (float(m[0][2]) + float(m[2][0])),
-            0.5 * (float(m[1][2]) + float(m[2][1])),
-        )
+        """Symmetric part of a 3x3 array or nested list, as six plain floats."""
+        (a, b, c), (d, e, f), (g, h, i) = np.asarray(m, dtype=float).tolist()
+        return SymTensor(a, e, i, 0.5 * (b + d), 0.5 * (c + g), 0.5 * (f + h))
 
     def as_matrix(self) -> np.ndarray:
         # both triangles from the same float, so the result is symmetric bit-exactly
@@ -179,8 +173,8 @@ def det(A) -> float:
 def inverse(A):
     """Inverse of a SymTensor or Tensor3 via the adjugate; raises Singular."""
     d = det(A)
-    if abs(d) <= 1e-14:
-        raise Singular(f"determinant {d!r} too small to invert")
+    if not 1e-14 < abs(d) < math.inf:  # NaN fails too
+        raise Singular(f"determinant {d!r} is not a finite number above 1e-14")
     if isinstance(A, SymTensor):
         # adjugate of a symmetric matrix is symmetric
         return SymTensor(
@@ -205,6 +199,20 @@ def inverse(A):
         a * f - b * e,
     )
     return Tensor3(tuple(x / d for x in adj))
+
+
+def central_differences(fn, point: SymTensor, h: float) -> list:
+    """Central difference quotients of `fn` in the six stored components of `point`.
+
+    `fn` maps the twelve probes (component lists, six steps of +h then six
+    of -h) to twelve values; returns the six quotients (v[j] - v[j+6]) / 2h.
+    """
+    probes = [list(point.components()) for _ in range(12)]
+    for j in range(6):
+        probes[j][j] += h
+        probes[j + 6][j] -= h
+    v = fn(probes)
+    return [(v[j] - v[j + 6]) / (2.0 * h) for j in range(6)]
 
 
 def is_rotation(R: Tensor3, tol: float = 1e-12) -> bool:
@@ -241,7 +249,7 @@ def _spectral_map(A: SymTensor, fn, require_pd: bool) -> SymTensor:
         raise NotPositiveDefinite(f"eigenvalue {lam_min!r} at or below {EIG_POSITIVITY_TOL}")
     v = spec.frame.as_matrix()
     out = (v * [fn(x) for x in spec.eigenvalues]) @ v.T
-    return SymTensor.from_matrix(out.tolist())
+    return SymTensor.from_matrix(out)
 
 
 def spd_sqrt(C: SymTensor) -> SymTensor:

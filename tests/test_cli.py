@@ -362,6 +362,7 @@ def test_keys_a_command_does_not_read_are_rejected(tmp_path, capsys, command, ke
 @pytest.mark.parametrize("command, runner, thresholds", [
     ("converge", "run_convergence", {"order_full": [1.0]}),
     ("certify", "certify_constants", {"C0": "x"}),
+    ("converge", "run_convergence", {"order_full": [2.1, 1.9]}),
 ])
 def test_bad_thresholds_stop_before_the_study(tmp_path, capsys, monkeypatch, command, runner,
                                                thresholds):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from strainlim.errors import InvalidAxis, NotPositiveDefinite, Singular
+from strainlim.errors import InvalidAxis, InvalidParameter, NotPositiveDefinite, Singular
 from strainlim.kinematics import (
     RotationSpec,
     deformation_from_green,
@@ -185,6 +185,27 @@ def test_cauchy_rejects_singular():
     F = Tensor3.from_matrix([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
     with pytest.raises(Singular):
         sigma_from_cauchy(F, SymTensor(1.0, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_cauchy_rejects_non_finite(bad):
+    F = Tensor3.from_matrix([[1.1, 0.1, 0.0], [0.0, 0.9, 0.0], [0.0, 0.0, 1.0]])
+    with pytest.raises(Singular):
+        sigma_from_cauchy(Tensor3((bad,) + F.data[1:]), SymTensor(1.0, 0.5, 0.2))
+    with pytest.raises(InvalidParameter):
+        sigma_from_cauchy(F, SymTensor(1.0, 0.5, 0.2, bad))
+
+
+def test_strain_measures_and_stresses_hold_plain_floats():
+    R = make_rotation(ROT, 0.05)
+    S = SymTensor(0.5, 0.25, -0.125, 0.1, 0.0, 0.2)
+    strain = SymTensor(0.01, -0.02, 0.005, 0.003, 0.0, -0.001)
+    green, hencky = deformation_from_green(strain, R), deformation_from_hencky(strain, R)
+    tensors = [getattr(state, name) for state in (green, hencky)
+               for name in ("C", "B", "E", "eps")]
+    tensors += [sigma_from_piola(green.F, S), sigma_from_cauchy(hencky.F, S)]
+    for t in tensors:
+        assert [type(x) for x in t.components()] == [float] * 6
 
 
 def test_density_linearization_gap_is_quadratic():

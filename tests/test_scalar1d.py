@@ -145,6 +145,15 @@ def test_study_rejects_non_finite_stress(bad):
         oned_delta0_study(P12, [0.1, 0.2, bad, 0.3, 0.4])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("fn", [lambda x: oned_forward(P12, x), oned_strain,
+                                lambda x: oned_invert(P12, x)],
+                         ids=["oned_forward", "oned_strain", "oned_invert"])
+def test_scalar_maps_reject_non_finite_input(fn, bad):
+    with pytest.raises(InvalidParameter):
+        fn(bad)
+
+
 def test_study_zero_stress_slope_is_none():
     study = oned_delta0_study(P12, [0.0, 0.0, 0.0, 0.0])
     assert study.slope is None

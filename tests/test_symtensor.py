@@ -17,6 +17,7 @@ from strainlim.symtensor import (
     Spectrum,
     SymTensor,
     Tensor3,
+    central_differences,
     det,
     eig_sym,
     frobenius,
@@ -203,6 +204,18 @@ def test_inverse_singular_raises():
         inverse(SymTensor(1.0, 1.0, 0.0))
 
 
+def test_central_differences_are_exact_on_quadratics_and_linear_maps():
+    rng = np.random.default_rng(5)
+    point = _sym(rng)
+    x0 = np.array(point.components())
+    q, b, A = rng.standard_normal(6), rng.standard_normal(6), rng.standard_normal((6, 6))
+    # a central quotient has no truncation error on a quadratic
+    grad = central_differences(lambda P: [float(q @ np.square(x) + b @ x) for x in P], point, 1e-3)
+    assert grad == pytest.approx(2.0 * q * x0 + b, rel=1e-9, abs=1e-9)
+    jac = np.transpose(central_differences(lambda P: [A @ x for x in P], point, 1e-3))
+    assert np.allclose(jac, A, rtol=1e-10, atol=1e-10)
+
+
 def test_is_rotation():
     assert is_rotation(Tensor3.identity())
     c, s = math.cos(0.3), math.sin(0.3)
@@ -233,6 +246,15 @@ def test_spectral_functions_reject_non_finite(fn, slot, bad):
     comps[slot] = bad
     with pytest.raises(InvalidParameter):
         fn(SymTensor(*comps))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("sym", [True, False])
+def test_inverse_rejects_non_finite(sym, bad):
+    A = (SymTensor(bad, 1.0, 1.0) if sym
+         else Tensor3((1.0, bad, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)))
+    with pytest.raises(Singular):
+        inverse(A)
 
 
 def test_sym_exp_overflow_names_the_eigenvalue():
