@@ -79,7 +79,6 @@ from .solver import SolveReport, solve_implicit, solve_implicit_hencky
 from .symtensor import (
     Spectrum,
     SymTensor,
-    Tensor3,
     det,
     eig_sym,
     frobenius,

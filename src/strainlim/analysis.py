@@ -105,10 +105,12 @@ def fit_order(deltas, residuals) -> float:
     Rows with residual exactly zero are excluded; if every row is zero the
     identity holds exactly and AllZeroResiduals is raised (success, there
     is no order to fit). Fewer than four usable rows raise FitUnderdetermined;
-    a negative, NaN or inf residual raises InvalidParameter.
+    a negative, NaN or inf residual or a delta that is not finite and
+    positive raises InvalidParameter.
     """
     if len(deltas) != len(residuals):
         raise ValueError("deltas and residuals must have equal length")
+    _require_positive_deltas(deltas)
     if not all(0.0 <= r < math.inf for r in residuals):  # NaN fails too
         raise InvalidParameter(f"residuals must be finite and nonnegative, got {residuals!r}")
     if len(deltas) < 4:
@@ -127,13 +129,20 @@ def richardson_orders(deltas, values):
     """Pairwise orders log(r_i/r_{i+1}) / log(d_i/d_{i+1}) for consecutive rows.
 
     Diagnostic only (exposes pre-asymptotic contamination); pairs with a
-    zero value are skipped.
+    zero value are skipped. A delta that is not finite and positive raises
+    InvalidParameter.
     """
+    _require_positive_deltas(deltas)
     out = []
     for (d0, r0), (d1, r1) in zip(zip(deltas, values), zip(deltas[1:], values[1:])):
         if r0 > 0.0 and r1 > 0.0 and d0 != d1:
             out.append(math.log(r0 / r1) / math.log(d0 / d1))
     return out
+
+
+def _require_positive_deltas(deltas):
+    if not all(0.0 < d < math.inf for d in deltas):  # NaN fails too
+        raise InvalidParameter(f"deltas must be finite and positive, got {deltas!r}")
 
 
 def _fit_or_none(deltas, values) -> Optional[float]:

@@ -5,7 +5,7 @@ A deformation gradient is assembled either from a Green strain, F = R (I +
 distance from the identity scales linearly in the limiting-strain
 parameter. Every derived measure (C, B, E, linearized strain, Hencky
 strain, density ratio) is recomputed from F so the state is internally
-consistent by construction.
+consistent by construction. F and R are float (3, 3) numpy arrays.
 """
 
 from __future__ import annotations
@@ -15,9 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidAxis, InvalidParameter, Singular
-from .symtensor import (SymTensor, Tensor3, frobenius, det, inverse, is_rotation, spd_sqrt,
-                        sym_exp, sym_log, trace)
+from .errors import InvalidAxis, InvalidParameter, OutOfDomain, Singular
+from .symtensor import SymTensor, det, inverse, is_rotation, spd_sqrt, sym_exp, sym_log, trace
 
 
 @dataclass(frozen=True)
@@ -35,17 +34,19 @@ class RotationSpec:
     mode: str = "exact_exponential"
 
 
-def make_rotation(spec: RotationSpec, delta: float) -> Tensor3:
-    """Generate R_delta via the closed-form Rodrigues formula.
+def make_rotation(spec: RotationSpec, delta: float) -> np.ndarray:
+    """Generate R_delta, a (3, 3) array, via the closed-form Rodrigues formula.
 
-    Raises InvalidAxis if |axis| deviates from 1 by more than 1e-8.
+    Raises InvalidAxis if |axis| deviates from 1 by more than 1e-8 and
+    InvalidParameter for a delta, coefficient or angle that is not finite.
     """
     if spec.mode != "exact_exponential":
         raise ValueError(f"unsupported rotation mode {spec.mode!r}")
-    if not delta > 0.0:  # each check fails for NaN too
-        raise ValueError("delta must be positive")
-    if not spec.magnitude_coefficient >= 0.0:
-        raise ValueError("magnitude_coefficient must be nonnegative")
+    if not 0.0 < delta < math.inf:  # each check fails for NaN too
+        raise InvalidParameter(f"delta must be finite and positive, got {delta!r}")
+    if not 0.0 <= spec.magnitude_coefficient < math.inf:
+        raise InvalidParameter("magnitude_coefficient must be finite and nonnegative, "
+                               f"got {spec.magnitude_coefficient!r}")
     ax = np.asarray(spec.axis, dtype=float)
     n = float(np.linalg.norm(ax))
     if not abs(n - 1.0) <= 1e-8:
@@ -53,6 +54,8 @@ def make_rotation(spec: RotationSpec, delta: float) -> Tensor3:
     ax = ax / n
     # unit-Frobenius generator: angle = delta * coefficient / sqrt(2)
     angle = delta * spec.magnitude_coefficient / math.sqrt(2.0)
+    if not angle < math.inf:
+        raise InvalidParameter(f"delta * magnitude_coefficient overflows, delta = {delta!r}")
     k = np.array(
         [
             [0.0, -ax[2], ax[1]],
@@ -60,15 +63,14 @@ def make_rotation(spec: RotationSpec, delta: float) -> Tensor3:
             [-ax[1], ax[0], 0.0],
         ]
     )
-    r = np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
-    return Tensor3.from_matrix(r)
+    return np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
 
 
 @dataclass(frozen=True)
 class DeformationState:
-    """All strain measures derived from one deformation gradient."""
+    """All strain measures derived from one deformation gradient F, a (3, 3) array."""
 
-    F: Tensor3
+    F: np.ndarray
     C: SymTensor
     B: SymTensor
     E: SymTensor
@@ -79,16 +81,19 @@ class DeformationState:
     @property
     def delta0(self) -> float:
         """Frobenius distance of F from the identity."""
-        return frobenius(self.F - Tensor3.identity())
+        # summed entry by entry in row-major order; np.linalg.norm changes the last digits
+        return math.sqrt(sum(x * x for x in (self.F - np.eye(3)).ravel().tolist()))
 
 
-def _state_from_f(fm: np.ndarray) -> DeformationState:
-    F = Tensor3.from_matrix(fm)
+def _state_from_f(F: np.ndarray) -> DeformationState:
     I = SymTensor.identity()
-    C = SymTensor.from_matrix(fm.T @ fm)
-    B = SymTensor.from_matrix(fm @ fm.T)
+    try:
+        with np.errstate(over="raise"):
+            C, B = SymTensor.from_matrix(F.T @ F), SymTensor.from_matrix(F @ F.T)
+    except FloatingPointError:
+        raise OutOfDomain(f"F^T F overflows for F = {F.tolist()!r}") from None
     E = (C - I) * 0.5
-    eps = SymTensor.from_matrix(fm) - I
+    eps = SymTensor.from_matrix(F) - I
     H = sym_log(B) * 0.5
     d = det(F)
     if d <= 1e-14:
@@ -96,32 +101,35 @@ def _state_from_f(fm: np.ndarray) -> DeformationState:
     return DeformationState(F, C, B, E, eps, H, 1.0 / d)
 
 
-def deformation_from_green(E: SymTensor, R: Tensor3) -> DeformationState:
+def deformation_from_green(E: SymTensor, R: np.ndarray) -> DeformationState:
     """F = R (I + 2E)^{1/2}; requires I + 2E positive definite."""
     if not is_rotation(R):
-        raise ValueError("R does not satisfy the rotation invariants")
+        raise InvalidParameter("R does not satisfy the rotation invariants")
     u = spd_sqrt(SymTensor.identity() + E * 2.0)
-    return _state_from_f(R.as_matrix() @ u.as_matrix())
+    return _state_from_f(R @ u.as_matrix())
 
 
-def deformation_from_hencky(H: SymTensor, R: Tensor3) -> DeformationState:
-    """F = e^H R."""
+def deformation_from_hencky(H: SymTensor, R: np.ndarray) -> DeformationState:
+    """F = e^H R; OutOfDomain if e^H or F^T F overflows."""
     if not is_rotation(R):
-        raise ValueError("R does not satisfy the rotation invariants")
-    return _state_from_f(sym_exp(H).as_matrix() @ R.as_matrix())
+        raise InvalidParameter("R does not satisfy the rotation invariants")
+    return _state_from_f(sym_exp(H).as_matrix() @ R)
 
 
-def sigma_from_piola(F: Tensor3, Sbar: SymTensor) -> SymTensor:
-    """Symmetric part of the first Piola stress: (F Sbar + Sbar F^T) / 2."""
-    return SymTensor.from_matrix(F.as_matrix() @ Sbar.as_matrix())
+def sigma_from_piola(F: np.ndarray, Sbar: SymTensor) -> SymTensor:
+    """Symmetric part of the first Piola stress: (F Sbar + Sbar F^T) / 2;
+    raises InvalidParameter for a non-finite F or Sbar."""
+    if not (np.isfinite(F).all() and all(map(math.isfinite, Sbar.components()))):
+        raise InvalidParameter(f"F and Sbar need finite entries, got {F.tolist()!r}, {Sbar!r}")
+    return SymTensor.from_matrix(F @ Sbar.as_matrix())
 
 
-def sigma_from_cauchy(F: Tensor3, T: SymTensor) -> SymTensor:
+def sigma_from_cauchy(F: np.ndarray, T: SymTensor) -> SymTensor:
     """det(F) * (T F^{-T} + F^{-1} T) / 2; raises Singular for a degenerate or
     non-finite F and InvalidParameter for a non-finite T."""
     if not all(map(math.isfinite, T.components())):
         raise InvalidParameter(f"T needs finite components, got {T.components()!r}")
-    return SymTensor.from_matrix(inverse(F).as_matrix() @ T.as_matrix()) * det(F)
+    return SymTensor.from_matrix(inverse(F) @ T.as_matrix()) * det(F)
 
 
 def density_linearization_gap(state: DeformationState) -> float:

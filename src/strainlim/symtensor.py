@@ -1,9 +1,11 @@
-"""Symmetric and general 3x3 tensor algebra with spectral operations.
+"""Symmetric 3x3 tensor algebra with spectral operations.
 
 Symmetric tensors are stored as six plain floats so the hot operations
 (norm, trace, determinant) stay allocation-free; full 3x3 values only
 appear on the spectral paths. Components may also be numpy columns, which
-`frobenius`, `trace`, `det` and the arithmetic then treat row by row. The
+`frobenius`, `trace`, `det` and the arithmetic then treat row by row. A
+general 3x3 tensor (a deformation gradient, a rotation, an eigenframe) is
+a float (3, 3) numpy array, which `det` and `inverse` also take. The
 eigensolver is `np.linalg.eigh` (LAPACK's symmetric solver `syevd`), which,
 unlike the closed-form cubic, does not lose accuracy near repeated
 eigenvalues. The module needs numpy only.
@@ -93,36 +95,12 @@ class SymTensor:
 
 
 @dataclass(frozen=True)
-class Tensor3:
-    """General 3x3 tensor, row-major component tuple. Houses F and R."""
-
-    data: tuple
-
-    @staticmethod
-    def identity() -> "Tensor3":
-        return Tensor3((1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0))
-
-    @staticmethod
-    def from_matrix(m) -> "Tensor3":
-        return Tensor3(tuple(float(m[i][j]) for i in range(3) for j in range(3)))
-
-    def as_matrix(self) -> np.ndarray:
-        return np.array(self.data).reshape(3, 3)
-
-    def transpose(self) -> "Tensor3":
-        d = self.data
-        return Tensor3((d[0], d[3], d[6], d[1], d[4], d[7], d[2], d[5], d[8]))
-
-    def __sub__(self, other: "Tensor3") -> "Tensor3":
-        return Tensor3(tuple(a - b for a, b in zip(self.data, other.data)))
-
-
-@dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues (descending) and the orthogonal eigenvector frame (columns)."""
+    """Eigenvalues (descending) and the orthogonal eigenvector frame, a (3, 3)
+    array whose columns are the eigenvectors."""
 
     eigenvalues: tuple
-    frame: Tensor3
+    frame: np.ndarray
 
 
 def frobenius(A):
@@ -135,9 +113,7 @@ def frobenius(A):
             + 2.0 * (A.xy * A.xy + A.xz * A.xz + A.yz * A.yz)
         )
         return math.sqrt(s) if isinstance(s, float) else np.sqrt(s)
-    if isinstance(A, np.ndarray):
-        return frobenius(SymTensor(*A.T))
-    return math.sqrt(sum(x * x for x in A.data))
+    return frobenius(SymTensor(*A.T))
 
 
 def trace(A: SymTensor) -> float:
@@ -155,23 +131,19 @@ def inner(A: SymTensor, B: SymTensor) -> float:
 
 
 def det(A) -> float:
-    """Determinant by cofactor expansion."""
+    """Determinant by cofactor expansion; A is a SymTensor or a (3, 3) array."""
     if isinstance(A, SymTensor):
         return (
             A.xx * (A.yy * A.zz - A.yz * A.yz)
             - A.xy * (A.xy * A.zz - A.yz * A.xz)
             + A.xz * (A.xy * A.yz - A.yy * A.xz)
         )
-    d = A.data
-    return (
-        d[0] * (d[4] * d[8] - d[5] * d[7])
-        - d[1] * (d[3] * d[8] - d[5] * d[6])
-        + d[2] * (d[3] * d[7] - d[4] * d[6])
-    )
+    (a, b, c), (d, e, f), (g, h, i) = A.tolist()
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
 def inverse(A):
-    """Inverse of a SymTensor or Tensor3 via the adjugate; raises Singular."""
+    """Inverse of a SymTensor or a (3, 3) array via the adjugate; raises Singular."""
     d = det(A)
     if not 1e-14 < abs(d) < math.inf:  # NaN fails too
         raise Singular(f"determinant {d!r} is not a finite number above 1e-14")
@@ -185,20 +157,13 @@ def inverse(A):
             (A.xy * A.yz - A.xz * A.yy) / d,
             (A.xy * A.xz - A.xx * A.yz) / d,
         )
-    m = A.data
-    a, b, c, e, f, g, h, i, j = m
-    adj = (
-        f * j - g * i,
-        c * i - b * j,
-        b * g - c * f,
-        g * h - e * j,
-        a * j - c * h,
-        c * e - a * g,
-        e * i - f * h,
-        b * h - a * i,
-        a * f - b * e,
-    )
-    return Tensor3(tuple(x / d for x in adj))
+    (a, b, c), (e, f, g), (h, i, j) = A.tolist()
+    adj = [
+        [f * j - g * i, c * i - b * j, b * g - c * f],
+        [g * h - e * j, a * j - c * h, c * e - a * g],
+        [e * i - f * h, b * h - a * i, a * f - b * e],
+    ]
+    return np.array(adj) / d
 
 
 def central_differences(fn, point: SymTensor, h: float) -> list:
@@ -215,9 +180,9 @@ def central_differences(fn, point: SymTensor, h: float) -> list:
     return [(v[j] - v[j + 6]) / (2.0 * h) for j in range(6)]
 
 
-def is_rotation(R: Tensor3, tol: float = 1e-12) -> bool:
-    m = R.as_matrix()
-    return bool(np.linalg.norm(m.T @ m - np.eye(3)) <= tol and np.linalg.det(m) > 0.0)
+def is_rotation(R: np.ndarray, tol: float = 1e-12) -> bool:
+    return bool(np.isfinite(R).all() and np.linalg.norm(R.T @ R - np.eye(3)) <= tol
+                and np.linalg.det(R) > 0.0)
 
 
 def eig_sym(A: SymTensor) -> Spectrum:
@@ -238,8 +203,7 @@ def eig_sym(A: SymTensor) -> Spectrum:
         raise NoConvergence(f"LAPACK syevd failed: {exc}") from None
     # sign convention: each column's largest-magnitude component is nonnegative
     cols = [c if max(c, key=abs) >= 0.0 else [-x for x in c] for c in v.T.tolist()]
-    frame = Tensor3(tuple(x for row in zip(*cols) for x in row))
-    return Spectrum(tuple((-neg_evals).tolist()), frame)
+    return Spectrum(tuple((-neg_evals).tolist()), np.array(cols).T)
 
 
 def _spectral_map(A: SymTensor, fn, require_pd: bool) -> SymTensor:
@@ -247,7 +211,7 @@ def _spectral_map(A: SymTensor, fn, require_pd: bool) -> SymTensor:
     lam_min = min(spec.eigenvalues)
     if require_pd and not (lam_min > EIG_POSITIVITY_TOL):
         raise NotPositiveDefinite(f"eigenvalue {lam_min!r} at or below {EIG_POSITIVITY_TOL}")
-    v = spec.frame.as_matrix()
+    v = spec.frame
     out = (v * [fn(x) for x in spec.eigenvalues]) @ v.T
     return SymTensor.from_matrix(out)
 

@@ -73,6 +73,16 @@ def test_fit_order_validation():
         fit_order(ds, [0.1, 0.0, 0.0, 0.01])
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan, -0.025, 0.0])
+def test_order_fits_reject_a_delta_that_is_not_finite_and_positive(bad):
+    ds = [0.1, 0.05, bad, 0.0125, 0.00625]
+    rs = [1e-2, 2.5e-3, 6.25e-4, 1.5625e-4, 3.90625e-5]
+    with pytest.raises(InvalidParameter):
+        fit_order(ds, rs)
+    with pytest.raises(InvalidParameter):
+        richardson_orders(ds, rs)
+
+
 def test_richardson_orders_pairwise():
     ds = [0.1 * 2.0 ** -k for k in range(5)]
     orders = richardson_orders(ds, [d * d for d in ds])

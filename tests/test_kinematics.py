@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from strainlim.errors import InvalidAxis, InvalidParameter, NotPositiveDefinite, Singular
+from strainlim.errors import (InvalidAxis, InvalidParameter, NotPositiveDefinite, OutOfDomain,
+                              Singular, StrainLimError)
 from strainlim.kinematics import (
     RotationSpec,
     deformation_from_green,
@@ -14,10 +17,11 @@ from strainlim.kinematics import (
     sigma_from_cauchy,
     sigma_from_piola,
 )
-from strainlim.symtensor import SymTensor, Tensor3, frobenius, is_rotation, spd_sqrt
+from strainlim.symtensor import SymTensor, frobenius, is_rotation, spd_sqrt
 
 AXIS = (1.0 / math.sqrt(3.0),) * 3
 ROT = RotationSpec(axis=AXIS, magnitude_coefficient=1.0)
+I3 = np.eye(3)
 
 
 def _skew_hat(axis):
@@ -41,13 +45,13 @@ def test_rotation_matches_matrix_exponential():
         delta = float(rng.uniform(1e-6, 0.05))
         R = make_rotation(RotationSpec(axis=axis, magnitude_coefficient=coef), delta)
         oracle = expm(delta * coef * _skew_hat(axis))
-        assert np.max(np.abs(np.array(R.as_matrix()) - oracle)) < 1e-14
+        assert np.max(np.abs(R - oracle)) < 1e-14
         assert is_rotation(R)
 
 
 def test_rotation_stays_near_identity():
     R = make_rotation(ROT, 1e-6)
-    gap = frobenius(R - Tensor3.identity())
+    gap = np.linalg.norm(R - I3)
     assert gap <= 1.5e-6
     assert gap > 0.0
 
@@ -57,14 +61,14 @@ def test_rotation_distance_scales_with_coefficient():
     for coef in (0.5, 1.0, 2.0):
         spec = RotationSpec(axis=AXIS, magnitude_coefficient=coef)
         for delta in (1e-2, 1e-4):
-            gap = frobenius(make_rotation(spec, delta) - Tensor3.identity())
+            gap = np.linalg.norm(make_rotation(spec, delta) - I3)
             assert gap <= coef * delta
             assert gap >= coef * delta * (1.0 - (coef * delta) ** 2)
 
 
 def test_rotation_zero_coefficient_is_identity():
     R = make_rotation(RotationSpec(axis=AXIS, magnitude_coefficient=0.0), 0.01)
-    assert frobenius(R - Tensor3.identity()) == 0.0
+    assert np.linalg.norm(R - I3) == 0.0
 
 
 def test_rotation_rejects_bad_inputs():
@@ -86,6 +90,13 @@ def test_rotation_rejects_bad_inputs():
         make_rotation(RotationSpec(axis=AXIS, magnitude_coefficient=math.nan), 0.01)
 
 
+@pytest.mark.parametrize("delta, coef",
+                         [(math.inf, 1.0), (0.01, math.inf), (0.01, -math.inf), (1e200, 1e200)])
+def test_rotation_rejects_infinite_delta_coefficient_and_angle(delta, coef):
+    with pytest.raises(InvalidParameter):
+        make_rotation(RotationSpec(axis=AXIS, magnitude_coefficient=coef), delta)
+
+
 def test_rotation_renormalizes_nearly_unit_axis():
     off = (1.0 + 5e-9) / math.sqrt(3.0)
     R = make_rotation(RotationSpec(axis=(off, off, off), magnitude_coefficient=1.0), 0.01)
@@ -94,8 +105,8 @@ def test_rotation_renormalizes_nearly_unit_axis():
 
 def test_green_uniaxial():
     E = SymTensor(0.005, 0.0, 0.0)
-    state = deformation_from_green(E, Tensor3.identity())
-    f = np.array(state.F.as_matrix())
+    state = deformation_from_green(E, I3)
+    f = state.F
     assert f[0, 0] == pytest.approx(math.sqrt(1.01), rel=1e-15)
     assert f[1, 1] == 1.0 and f[2, 2] == 1.0
     assert frobenius(state.E - E) < 1e-15
@@ -118,29 +129,35 @@ def test_green_polar_factor_is_proper():
     E = SymTensor(0.1, -0.05, 0.02, 0.03, 0.0, 0.01)
     R = make_rotation(ROT, 0.03)
     state = deformation_from_green(E, R)
-    f = np.array(state.F.as_matrix())
+    f = state.F
     assert np.linalg.det(f) > 0.0
     # recover the rotation: R = F U^{-1} with U = (I+2E)^{1/2}
     stretch = spd_sqrt(SymTensor(1.0, 1.0, 1.0) + 2.0 * E)
     u = f @ np.linalg.inv(np.array(stretch.as_matrix()))
-    assert np.max(np.abs(u - np.array(R.as_matrix()))) < 1e-11
+    assert np.max(np.abs(u - R)) < 1e-11
 
 
 def test_green_rejects_collapsed_metric():
     with pytest.raises(NotPositiveDefinite):
-        deformation_from_green(SymTensor(-0.6, 0.0, 0.0), Tensor3.identity())
+        deformation_from_green(SymTensor(-0.6, 0.0, 0.0), I3)
 
 
 def test_green_rejects_non_rotation():
-    stretch = Tensor3.from_matrix([[1.1, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    stretch = np.diag([1.1, 1.0, 1.0])
     with pytest.raises(ValueError):
         deformation_from_green(SymTensor(0.01, 0.0, 0.0), stretch)
 
 
 def test_hencky_isotropic_density():
     for h in (0.01, -0.02, 0.1):
-        state = deformation_from_hencky(SymTensor(h, h, h), Tensor3.identity())
+        state = deformation_from_hencky(SymTensor(h, h, h), I3)
         assert state.density_ratio == pytest.approx(math.exp(-3.0 * h), rel=1e-13)
+
+
+def test_hencky_names_an_overflowing_metric():
+    # e^H is finite, but C = F^T F holds e^800
+    with pytest.raises(OutOfDomain, match="overflows"):
+        deformation_from_hencky(SymTensor(400.0, -400.0, 0.0), I3)
 
 
 def test_hencky_round_trip():
@@ -157,7 +174,7 @@ def test_hencky_round_trip():
 
 
 def test_piola_diagonal_oracle():
-    F = Tensor3.from_matrix([[1.1, 0.0, 0.0], [0.0, 0.9, 0.0], [0.0, 0.0, 1.0]])
+    F = np.diag([1.1, 0.9, 1.0])
     S = SymTensor(2.0, -1.0, 0.5)
     sig = sigma_from_piola(F, S)
     assert sig.xx == pytest.approx(2.2, rel=1e-15)
@@ -168,11 +185,11 @@ def test_piola_diagonal_oracle():
 
 def test_piola_identity_is_passthrough():
     S = SymTensor(1.0, 0.5, -0.25, 0.1, 0.0, 0.2)
-    assert frobenius(sigma_from_piola(Tensor3.identity(), S) - S) == 0.0
+    assert frobenius(sigma_from_piola(I3, S) - S) == 0.0
 
 
 def test_cauchy_diagonal_oracle():
-    F = Tensor3.from_matrix([[1.2, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.8]])
+    F = np.diag([1.2, 1.0, 0.8])
     T = SymTensor(3.0, 1.0, -2.0)
     sig = sigma_from_cauchy(F, T)
     d = 1.2 * 0.8
@@ -182,18 +199,31 @@ def test_cauchy_diagonal_oracle():
 
 
 def test_cauchy_rejects_singular():
-    F = Tensor3.from_matrix([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
+    F = np.diag([1.0, 1.0, 0.0])
     with pytest.raises(Singular):
         sigma_from_cauchy(F, SymTensor(1.0, 0.0, 0.0))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_cauchy_rejects_non_finite(bad):
-    F = Tensor3.from_matrix([[1.1, 0.1, 0.0], [0.0, 0.9, 0.0], [0.0, 0.0, 1.0]])
+    F = np.array([[1.1, 0.1, 0.0], [0.0, 0.9, 0.0], [0.0, 0.0, 1.0]])
+    F_bad = F.copy()
+    F_bad[0, 0] = bad
     with pytest.raises(Singular):
-        sigma_from_cauchy(Tensor3((bad,) + F.data[1:]), SymTensor(1.0, 0.5, 0.2))
+        sigma_from_cauchy(F_bad, SymTensor(1.0, 0.5, 0.2))
     with pytest.raises(InvalidParameter):
         sigma_from_cauchy(F, SymTensor(1.0, 0.5, 0.2, bad))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_piola_rejects_non_finite(bad):
+    F = np.array([[1.1, 0.1, 0.0], [0.0, 0.9, 0.0], [0.0, 0.0, 1.0]])
+    F_bad = F.copy()
+    F_bad[1, 2] = bad
+    with pytest.raises(InvalidParameter):
+        sigma_from_piola(F_bad, SymTensor(1.0, 0.5, 0.2))
+    with pytest.raises(InvalidParameter):
+        sigma_from_piola(F, SymTensor(1.0, 0.5, 0.2, bad))
 
 
 def test_strain_measures_and_stresses_hold_plain_floats():
@@ -209,13 +239,76 @@ def test_strain_measures_and_stresses_hold_plain_floats():
 
 
 def test_density_linearization_gap_is_quadratic():
-    state = deformation_from_green(SymTensor(4e-4, 3e-4, -2e-4, 1e-4, 0.0, 0.0), Tensor3.identity())
+    state = deformation_from_green(SymTensor(4e-4, 3e-4, -2e-4, 1e-4, 0.0, 0.0), I3)
     assert frobenius(state.eps) < 1.2e-3
     assert density_linearization_gap(state) <= 5e-6
 
 
 def test_delta0_measures_distance_to_identity():
-    state = deformation_from_green(SymTensor(), Tensor3.identity())
+    state = deformation_from_green(SymTensor(), I3)
     assert state.delta0 == 0.0
-    state = deformation_from_green(SymTensor(0.01, 0.0, 0.0), Tensor3.identity())
+    state = deformation_from_green(SymTensor(0.01, 0.0, 0.0), I3)
     assert state.delta0 == pytest.approx(math.sqrt(1.02) - 1.0, rel=1e-12)
+
+
+# --- property tests: finite numbers or a named error ------------------------------
+
+def _entries(n):
+    """n finite entries, all within +-0.3 or all within +-1e6 (the bound of
+    test_symtensor's properties); in half of the draws one of them is NaN or an
+    infinity. Entries far beyond 1e6 overflow numpy's matrix products (see CHANGES.md)."""
+    def place(draw):
+        values, slot, bad = draw
+        return values[:slot] + [bad] + values[slot + 1:] if slot < n else values
+    finite = st.one_of(*(st.lists(st.floats(-r, r), min_size=n, max_size=n) for r in (0.3, 1e6)))
+    return st.tuples(finite,
+                     st.integers(0, 2 * n - 1),
+                     st.sampled_from([math.nan, math.inf, -math.inf])).map(place)
+
+
+_SYM = _entries(6).map(lambda v: SymTensor(*v))
+_MATRIX = _entries(9).map(lambda v: np.array(v).reshape(3, 3))
+_AXIS = st.one_of(st.sampled_from([AXIS, (0.0, 0.6, 0.8), (-1.0, 0.0, 0.0)]),
+                  _entries(3).map(tuple))
+_ROTATION = st.builds(RotationSpec, _AXIS, st.floats())
+
+
+def _finite_or_named_error(call):
+    """Run `call`; it must raise a StrainLimError or return only finite numbers."""
+    try:
+        out = call()
+    except StrainLimError:
+        return None
+    if isinstance(out, SymTensor):
+        values = out.components()
+    elif isinstance(out, np.ndarray):
+        values = out.ravel().tolist()
+    else:
+        values = (out.F.ravel().tolist()
+                  + [x for t in (out.C, out.B, out.E, out.eps, out.H) for x in t.components()]
+                  + [out.density_ratio, out.delta0, density_linearization_gap(out)])
+    assert all(map(math.isfinite, values)), out
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec=_ROTATION, delta=st.floats())
+def test_make_rotation_gives_finite_numbers_or_a_named_error(spec, delta):
+    _finite_or_named_error(lambda: make_rotation(spec, delta))
+
+
+@settings(max_examples=100, deadline=None)
+@given(strain=_SYM, spec=_ROTATION, R=_MATRIX, use_spec=st.booleans(), hencky=st.booleans())
+def test_deformation_gives_finite_numbers_or_a_named_error(strain, spec, R, use_spec, hencky):
+    if use_spec:
+        R = _finite_or_named_error(lambda: make_rotation(spec, 0.01))
+        R = np.eye(3) if R is None else R
+    build = deformation_from_hencky if hencky else deformation_from_green
+    _finite_or_named_error(lambda: build(strain, R))
+
+
+@settings(max_examples=100, deadline=None)
+@given(F=_MATRIX, stress=_SYM, cauchy=st.booleans())
+def test_pushforward_gives_finite_numbers_or_a_named_error(F, stress, cauchy):
+    pushforward = sigma_from_cauchy if cauchy else sigma_from_piola
+    _finite_or_named_error(lambda: pushforward(F, stress))

@@ -16,7 +16,6 @@ from strainlim.errors import (
 from strainlim.symtensor import (
     Spectrum,
     SymTensor,
-    Tensor3,
     central_differences,
     det,
     eig_sym,
@@ -118,7 +117,7 @@ def test_eig_sym_reconstructs_known_spectrum():
     a = q @ np.diag([3.0, 2.0, 1.0]) @ q.T
     spec = eig_sym(SymTensor.from_matrix(a.tolist()))
     assert spec.eigenvalues == pytest.approx((3.0, 2.0, 1.0), abs=1e-13)
-    v = np.array(spec.frame.as_matrix())
+    v = spec.frame
     assert np.allclose(v @ np.diag(spec.eigenvalues) @ v.T, a, atol=1e-13)
     assert np.allclose(v.T @ v, np.eye(3), atol=1e-13)
 
@@ -130,7 +129,7 @@ def test_eig_sym_descending_and_orthonormal_random():
         spec = eig_sym(A)
         e = spec.eigenvalues
         assert e[0] >= e[1] >= e[2]
-        v = np.array(spec.frame.as_matrix())
+        v = spec.frame
         assert np.max(np.abs(v.T @ v - np.eye(3))) < 1e-13
         recon = v @ np.diag(e) @ v.T
         assert np.max(np.abs(recon - np.array(A.as_matrix()))) < 1e-13 * max(1.0, frobenius(A))
@@ -192,11 +191,17 @@ def test_inverse_sym():
     assert np.max(np.abs(prod - np.eye(3))) < 1e-14
 
 
-def test_inverse_tensor3():
-    m = Tensor3.from_matrix([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 2.0]])
-    minv = inverse(m)
-    prod = np.array(m.as_matrix()) @ np.array(minv.as_matrix())
-    assert np.max(np.abs(prod - np.eye(3))) < 1e-14
+def test_inverse_general_matrix():
+    m = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 2.0]])
+    assert np.max(np.abs(m @ inverse(m) - np.eye(3))) < 1e-14
+
+
+def test_det_and_inverse_of_a_general_matrix_match_numpy():
+    rng = np.random.default_rng(29)
+    for _ in range(100):
+        m = rng.standard_normal((3, 3))
+        assert det(m) == pytest.approx(np.linalg.det(m), rel=1e-12, abs=1e-14)
+        assert np.allclose(inverse(m), np.linalg.inv(m), rtol=1e-9, atol=1e-12)
 
 
 def test_inverse_singular_raises():
@@ -217,22 +222,13 @@ def test_central_differences_are_exact_on_quadratics_and_linear_maps():
 
 
 def test_is_rotation():
-    assert is_rotation(Tensor3.identity())
+    assert is_rotation(np.eye(3))
     c, s = math.cos(0.3), math.sin(0.3)
-    R = Tensor3.from_matrix([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    R = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
     assert is_rotation(R)
     # reflection: orthogonal but det -1
-    refl = Tensor3.from_matrix([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, -1.0]])
-    assert not is_rotation(refl)
-    assert not is_rotation(Tensor3.from_matrix([[2.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
-
-
-def test_tensor3_transpose_and_sub():
-    m = Tensor3.from_matrix([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]])
-    t = m.transpose()
-    assert t.as_matrix()[0][1] == 4.0
-    z = m - m
-    assert frobenius(z) == 0.0
+    assert not is_rotation(np.diag([1.0, 1.0, -1.0]))
+    assert not is_rotation(np.diag([2.0, 1.0, 1.0]))
 
 
 # --- non-finite input ---------------------------------------------------------
@@ -252,7 +248,7 @@ def test_spectral_functions_reject_non_finite(fn, slot, bad):
 @pytest.mark.parametrize("sym", [True, False])
 def test_inverse_rejects_non_finite(sym, bad):
     A = (SymTensor(bad, 1.0, 1.0) if sym
-         else Tensor3((1.0, bad, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)))
+         else np.array([[1.0, bad, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
     with pytest.raises(Singular):
         inverse(A)
 
@@ -264,7 +260,7 @@ def test_sym_exp_overflow_names_the_eigenvalue():
 
 
 def test_positivity_check_rejects_nan_spectrum(monkeypatch):
-    nan_spectrum = Spectrum((math.nan,) * 3, Tensor3.identity())
+    nan_spectrum = Spectrum((math.nan,) * 3, np.eye(3))
     monkeypatch.setattr(symtensor, "eig_sym", lambda A: nan_spectrum)
     for fn in (spd_sqrt, sym_log):
         with pytest.raises(NotPositiveDefinite):
@@ -333,7 +329,7 @@ def _assert_matches_jacobi(A):
     scale = np.max(np.abs(w))
     assert np.max(np.abs(e - w)) <= 1e-13 * scale
     # each eigenvector is determined to about eps |A| / (its eigenvalue gap)
-    frame = np.array(spec.frame.as_matrix())
+    frame = spec.frame
     signs = np.where((frame * v).sum(axis=0) < 0.0, -1.0, 1.0)
     for j in range(3):
         gap = min(abs(w[j] - w[k]) for k in range(3) if k != j)
@@ -379,6 +375,6 @@ def test_eig_sym_matches_jacobi_exactly_on_diagonal_input(A):
     spec = eig_sym(A)
     w, v = _jacobi_eig(A)
     assert spec.eigenvalues == tuple(w.tolist())
-    assert np.array_equal(np.array(spec.frame.as_matrix()), v)
+    assert np.array_equal(spec.frame, v)
     for fn, scalar in _ALL_MAPS:
         assert fn(A) == SymTensor.from_matrix(((v * [scalar(x) for x in w]) @ v.T).tolist())
