@@ -49,6 +49,7 @@ from .families import (
     DomainSpec,
     FamilySpec,
     certified_domain,
+    certify_caps,
     delta_ceiling,
     family_eval,
     family_leading,

@@ -203,11 +203,14 @@ def _run_ladder(spec, stress, rot, deltas, hencky) -> ConvergenceReport:
     solve, deform, pushforward = (
         (solve_implicit_hencky, deformation_from_hencky, sigma_from_cauchy) if hencky
         else (solve_implicit, deformation_from_green, sigma_from_piola))
+    # every rung's rotation before the first solve: a spec that can never
+    # work raises once here, not once per rung
+    rotations = [make_rotation(rot, delta) for delta in deltas]
     records, failures = [], []
-    for delta in deltas:
+    for delta, R in zip(deltas, rotations):
         try:
             rep = solve(spec, delta, stress)
-            state = deform(rep.solution, make_rotation(rot, delta))
+            state = deform(rep.solution, R)
             sigma = pushforward(state.F, stress)
             eps = state.eps
             records.append(

@@ -9,7 +9,9 @@ One table, `_COMMANDS`, says per command which config keys it reads and
 which thresholds it knows, each with its default. `parse_config` walks that
 table: it rejects every key the command does not read, parses each value
 once and checks every given threshold, so a bad config exits 1 before the
-study runs.
+study runs. The report's config echo walks the same table, and the CSV
+columns of converge, certify and oned are the fields of the result types
+(`ConvergenceRecord`, `CertificateRow`, the `Delta0Study` row keys).
 
 Outputs are written atomically (tempfile + rename) and floats are
 serialized with repr(), so reruns with the same config and seed produce
@@ -38,7 +40,7 @@ from .energy import (
     legendre_transform,
 )
 from .errors import ConfigInvalid, StrainLimError, StudyFailed
-from .families import KINDS, FamilySpec, _density_guaranteed_coeff, family_leading
+from .families import KINDS, FamilySpec, certify_caps, family_leading
 from .kinematics import RotationSpec
 from .scalar1d import Scalar1DParams, oned_delta0_study
 from .solver import solve_implicit
@@ -46,8 +48,9 @@ from .symtensor import SymTensor, frobenius, inner
 
 _FAMILY_KEYS = ("kind", "a", "p", "E0", "nu", "b", "c", "delta1", "delta_max", "base")
 _ROTATION_KEYS = ("axis", "coefficient", "mode")
-# keys every command accepts; the rest are in each command's `_COMMANDS` entry
-_COMMON_KEYS = ("command", "family", "samples", "seed", "out", "thresholds")
+# keys every command accepts besides `out` and those in its `_COMMANDS`
+# entry; each is an ExperimentConfig field that the report echoes
+_COMMON_KEYS = ("command", "family", "samples", "seed", "thresholds")
 
 
 @dataclasses.dataclass
@@ -65,38 +68,24 @@ class ExperimentConfig:
     thresholds: dict = dataclasses.field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        out = {
-            "command": self.command,
-            "family": _family_to_dict(self.family),
-            "samples": self.samples,
-            "seed": self.seed,
-            "thresholds": dict(sorted(self.thresholds.items())),
-        }
-        if self.stress is not None:
-            out["stress"] = list(self.stress.components())
-        if self.stresses is not None:
-            out["stresses"] = list(self.stresses)
-        if self.rotation is not None:
-            out["rotation"] = {
-                "axis": list(self.rotation.axis),
-                "coefficient": self.rotation.magnitude_coefficient,
-                "mode": self.rotation.mode,
-            }
-        if self.deltas is not None:
-            out["deltas"] = list(self.deltas)
-        if self.delta is not None:
-            out["delta"] = self.delta
+        """The fields the command reads, in the form `parse_config` reads back."""
+        fields = _COMMON_KEYS + tuple(field for field, _ in _COMMANDS[self.command].keys.values())
+        return {field: _echo(getattr(self, field)) for field in fields}
+
+
+def _echo(value):
+    if isinstance(value, SymTensor):
+        return list(value.components())
+    if isinstance(value, RotationSpec):
+        return {"axis": list(value.axis), "coefficient": value.magnitude_coefficient,
+                "mode": value.mode}
+    if isinstance(value, FamilySpec):
+        out = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)
+               if f.name != "base" and getattr(value, f.name) is not None}
+        if value.kind == "scaled_base":
+            out["base"] = value.base if isinstance(value.base, str) else "custom"
         return out
-
-
-def _family_to_dict(spec: FamilySpec) -> dict:
-    d = {"kind": spec.kind, "a": spec.a, "p": spec.p, "E0": spec.E0, "nu": spec.nu,
-         "b": spec.b, "c": spec.c, "delta1": spec.delta1}
-    if spec.delta_max is not None:
-        d["delta_max"] = spec.delta_max
-    if spec.kind == "scaled_base":
-        d["base"] = spec.base if isinstance(spec.base, str) else "custom"
-    return d
+    return value
 
 
 def _require(cond, msg):
@@ -173,7 +162,7 @@ def parse_config(raw: dict, command: str) -> ExperimentConfig:
     _require(command in _COMMANDS, "unknown command %r" % command)
     spec = _COMMANDS[command]
     _require(isinstance(raw, dict), "config root must be an object")
-    unknown = set(raw) - set(_COMMON_KEYS) - set(spec.keys)
+    unknown = set(raw) - {"out", *_COMMON_KEYS, *spec.keys}
     _require(not unknown, "unknown config keys: %s" % sorted(unknown))
     if "command" in raw:
         _require(raw["command"] == command,
@@ -238,6 +227,12 @@ def _cell(value) -> str:
     return str(value)
 
 
+def _table(records):
+    """CSV header and rows of dataclass records or dicts, columns in field order."""
+    dicts = [r if isinstance(r, dict) else vars(r) for r in records]
+    return tuple(dicts[0]), [tuple(d.values()) for d in dicts]
+
+
 def _write_csv(path: str, header: tuple, rows) -> None:
     lines = [",".join(header)]
     for row in rows:
@@ -278,50 +273,28 @@ def _thresholds(cfg: ExperimentConfig) -> dict:
 def _run_converge(cfg: ExperimentConfig):
     runner = run_convergence_hencky if cfg.command == "converge-hencky" else run_convergence
     report = runner(cfg.family, cfg.stress, cfg.rotation, cfg.deltas)
-    rows = [(r.delta, r.delta0, r.residual_full, r.residual_leading,
-             r.stress_gap, r.strain_gap) for r in report.records]
-    header = ("delta", "delta0", "residual_full", "residual_leading",
-              "stress_gap", "strain_gap")
+    header, rows = _table(report.records)
 
     limits = _thresholds(cfg)
-    w_full, w_lead = limits["order_full"], limits["order_leading"]
-    w_stress, row_factor = limits["order_stress"], limits["stress_row_factor"]
-    sn = frobenius(cfg.stress)
-
     checks = [("no_failed_rows", not report.failures,
                "failures=%d" % len(report.failures))]
-    checks.append(("order_full", _in_window(report.fitted_order_full, w_full),
-                   "fitted=%r window=%r" % (report.fitted_order_full, list(w_full))))
-    lead_ok = report.fitted_order_leading is None or _in_window(
-        report.fitted_order_leading, w_lead)
-    checks.append(("order_leading", lead_ok,
-                   "fitted=%r window=%r" % (report.fitted_order_leading, list(w_lead))))
-    checks.append(("order_stress", _in_window(report.fitted_order_stress, w_stress),
-                   "fitted=%r window=%r" % (report.fitted_order_stress, list(w_stress))))
+    for name in ("order_full", "order_leading", "order_stress"):
+        fitted, window = getattr(report, "fitted_" + name), limits[name]
+        # an identically zero leading residual has no order and passes
+        ok = _in_window(fitted, window) or (name == "order_leading" and fitted is None)
+        checks.append((name, ok, "fitted=%r window=%r" % (fitted, list(window))))
+    sn, row_factor = frobenius(cfg.stress), limits["stress_row_factor"]
     bad = [r for r in report.records if r.stress_gap > row_factor * r.delta * sn]
     checks.append(("stress_rows", not bad,
                    "first violation at delta=%r" % (bad[0].delta if bad else None)))
     return checks, header, rows, {"report": _jsonable(report)}
 
 
-_CERT_EPS = 1e-9
-
-
-def _certify_caps(spec: FamilySpec) -> dict:
-    # the closed-form constants of each family kind; None leaves a constant uncapped
-    if spec.kind == "power_law":
-        return {"C0": 1.0 + _CERT_EPS, "C1": 1e-12, "D0": 2.0 * spec.a + 1e-6}
-    if spec.kind == "scaled_base":
-        return {"C0": 1.0 + _CERT_EPS}
-    return {"C0": _density_guaranteed_coeff(spec)}
-
-
 def _run_certify(cfg: ExperimentConfig):
     report = certify_constants(cfg.family, cfg.deltas, cfg.samples, cfg.seed)
-    rows = [(r.delta, r.C0_hat, r.C1_hat, r.D0_hat, r.C3_hat) for r in report.rows]
-    header = ("delta", "C0_hat", "C1_hat", "D0_hat", "C3_hat")
+    header, rows = _table(report.rows)
 
-    caps = dict(_certify_caps(cfg.family), **cfg.thresholds)
+    caps = dict(certify_caps(cfg.family), **cfg.thresholds)
     checks = []
     for key, value in (("C0", report.C0_hat), ("C1", report.C1_hat),
                        ("D0", report.D0_hat), ("C3", report.C3_hat)):
@@ -339,9 +312,7 @@ def _run_certify(cfg: ExperimentConfig):
 def _run_oned(cfg: ExperimentConfig):
     params = Scalar1DParams(a=cfg.family.a, p=cfg.family.p, delta=cfg.delta)
     study = oned_delta0_study(params, cfg.stresses)
-    header = ("Sbar", "E", "eps", "delta0", "sigma", "gap")
-    rows = [(r["Sbar"], r["E"], r["eps"], r["delta0"], r["sigma"], r["gap"])
-            for r in study.rows]
+    header, rows = _table(study.rows)
     w = _thresholds(cfg)["slope"]
     slope_ok = study.slope is None or _in_window(study.slope, w)
     checks = [("gap_slope", slope_ok,

@@ -126,6 +126,15 @@ def _density_guaranteed_coeff(spec: FamilySpec) -> float:
     return (1.0 + 4.0 * spec.nu) * spec.c / (spec.E0 * (1.0 - 2.0 * spec.a * spec.b))
 
 
+def certify_caps(spec: FamilySpec) -> dict:
+    """Caps on the certified constants from each kind's closed forms; absent ones are uncapped."""
+    if spec.kind == "power_law":
+        return {"C0": 1.0 + 1e-9, "C1": 1e-12, "D0": 2.0 * spec.a + 1e-6}
+    if spec.kind == "scaled_base":
+        return {"C0": 1.0 + 1e-9}
+    return {"C0": _density_guaranteed_coeff(spec)}
+
+
 def working_domain(spec: FamilySpec) -> DomainSpec:
     """Domain used by evaluation, the solver, and convergence studies."""
     if spec.kind == "power_law":

@@ -96,15 +96,12 @@ def _solve(spec, delta, stress, guess, method) -> SolveReport:
     if method in ("auto", "picard"):
         budget = PICARD_BUDGET if method == "auto" else MAX_ITER
         prev = None
-        switch = False
         while True:
             try:
                 fE = feval(E)
             except _DOMAIN_ERRORS:
                 if method == "picard":
                     raise
-                switch = True
-                E = best_e
                 break
             res = frobenius(E - fE)
             if res < best_res:
@@ -112,16 +109,15 @@ def _solve(spec, delta, stress, guess, method) -> SolveReport:
             if res <= tol:
                 return _report(spec, delta, E, iterations, res, "picard")
             if iterations >= budget:
-                switch = True
                 break
             if prev is not None and prev > 0.0 and res / prev > RATIO_SWITCH:
                 if method == "auto":
-                    switch = True
                     break
             E = fE
             prev = res
             iterations += 1
-        if method == "picard" or not switch:
+        # every break leaves for Newton, unless Picard was forced
+        if method == "picard":
             raise NoConvergence(
                 f"picard stalled at residual {best_res!r}", best_residual=best_res
             )
@@ -148,7 +144,6 @@ def _solve(spec, delta, stress, guess, method) -> SolveReport:
                 f"singular jacobian at residual {res!r}", best_residual=best_res
             )
         t = 1.0
-        accepted = False
         domain_blocked = True
         for _ in range(MAX_HALVINGS + 1):
             trial = _unvec(_vec(E) + t * step)
@@ -160,10 +155,9 @@ def _solve(spec, delta, stress, guess, method) -> SolveReport:
             domain_blocked = False
             if rt < res:
                 E = trial
-                accepted = True
                 break
             t *= 0.5
-        if not accepted:
+        else:
             if domain_blocked:
                 raise OutOfDomain(
                     "newton backtracking could not keep the iterate in the domain"

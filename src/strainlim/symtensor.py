@@ -143,20 +143,15 @@ def det(A) -> float:
 
 
 def inverse(A):
-    """Inverse of a SymTensor or a (3, 3) array via the adjugate; raises Singular."""
+    """Inverse of a (3, 3) array via the adjugate; raises Singular.
+
+    A SymTensor goes through its matrix and comes back as a SymTensor.
+    """
+    if isinstance(A, SymTensor):
+        return SymTensor.from_matrix(inverse(A.as_matrix()))
     d = det(A)
     if not 1e-14 < abs(d) < math.inf:  # NaN fails too
         raise Singular(f"determinant {d!r} is not a finite number above 1e-14")
-    if isinstance(A, SymTensor):
-        # adjugate of a symmetric matrix is symmetric
-        return SymTensor(
-            (A.yy * A.zz - A.yz * A.yz) / d,
-            (A.xx * A.zz - A.xz * A.xz) / d,
-            (A.xx * A.yy - A.xy * A.xy) / d,
-            (A.xz * A.yz - A.xy * A.zz) / d,
-            (A.xy * A.yz - A.xz * A.yy) / d,
-            (A.xy * A.xz - A.xx * A.yz) / d,
-        )
     (a, b, c), (e, f, g), (h, i, j) = A.tolist()
     adj = [
         [f * j - g * i, c * i - b * j, b * g - c * f],

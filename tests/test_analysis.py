@@ -17,6 +17,7 @@ from strainlim.errors import (
     AllZeroResiduals,
     FitUnderdetermined,
     InadmissibleDelta,
+    InvalidAxis,
     InvalidParameter,
     OutOfDomain,
 )
@@ -97,7 +98,7 @@ def test_richardson_orders_pairwise():
 # --- convergence studies ----------------------------------------------------
 
 
-def test_ladder_validation():
+def test_ladder_validation(monkeypatch):
     with pytest.raises(FitUnderdetermined):
         run_convergence(POWER, SBAR, ROT, [0.01, 0.005, 0.0025])
     with pytest.raises(ValueError):
@@ -109,6 +110,15 @@ def test_ladder_validation():
         for bad in (2.0, math.nan, math.inf):
             with pytest.raises(OutOfDomain, match="outside the stress ball"):
                 route(POWER, SymTensor(bad, 0.0, 0.0), ROT, [0.01, 0.005, 0.0025, 0.00125])
+    # a rotation that no rung can build raises its own error once, before any solve
+    for solver in ("solve_implicit", "solve_implicit_hencky"):
+        monkeypatch.setattr(analysis, solver, lambda *args: pytest.fail("solver ran"))
+    for route in (run_convergence, run_convergence_hencky):
+        for rot, error in ((RotationSpec(AXIS, -1.0), InvalidParameter),
+                           (RotationSpec(AXIS, math.inf), InvalidParameter),
+                           (RotationSpec((1.0, 1.0, 0.0), 1.0), InvalidAxis)):
+            with pytest.raises(error):
+                route(POWER, SBAR, rot, LADDER)
 
 
 def test_green_convergence_power_law():

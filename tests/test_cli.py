@@ -44,10 +44,19 @@ def _write(tmp_path, name, payload):
 # --- config parsing ---------------------------------------------------------
 
 
+SCALED_ENERGY = {"family": {"kind": "scaled_base", "base": "power_law", "a": 1.0,
+                            "delta_max": 0.05},
+                 "delta": 0.01, "thresholds": {"grad_tol": 1}}
+
+
 def test_parse_config_round_trip():
-    cfg = parse_config(CONVERGE, "converge")
-    again = parse_config(cfg.to_dict(), "converge")
-    assert again == cfg
+    for command, raw in list(VALID.items()) + [("energy", SCALED_ENERGY)]:
+        cfg = parse_config(raw, command)
+        echo = json.loads(json.dumps(cfg.to_dict()))
+        assert parse_config(echo, command) == cfg, command
+        # the echo holds the common fields and the fields this command reads, nothing else
+        read = {field for field, _ in _COMMANDS[command].keys.values()}
+        assert set(echo) == {"command", "family", "samples", "seed", "thresholds"} | read
 
 
 def test_parse_config_field_order_is_irrelevant():

@@ -16,6 +16,7 @@ from strainlim.families import (
     DENSITY_KINDS,
     FamilySpec,
     certified_domain,
+    certify_caps,
     delta_ceiling,
     family_eval,
     family_leading,
@@ -511,3 +512,19 @@ def test_batch_shapes_and_broadcast():
     assert family_eval(RECIP, 0.01, np.zeros((0, 6)), np.zeros((0, 6))).shape == (0, 6)
     with pytest.raises(ValueError):
         family_eval(RECIP, 0.01, np.zeros((3, 5)), S[:1])
+
+
+# --- certification caps ---------------------------------------------------------
+
+
+def test_certify_caps_follow_the_closed_forms():
+    assert certify_caps(FamilySpec(kind="power_law", a=1.5)) == {
+        "C0": 1.0 + 1e-9, "C1": 1e-12, "D0": 2.0 * 1.5 + 1e-6}
+    assert certify_caps(FamilySpec(kind="scaled_base", base="power_law")) == {"C0": 1.0 + 1e-9}
+    for kind in DENSITY_KINDS:
+        spec = FamilySpec(kind=kind, E0=2.0, nu=0.25, a=0.4, b=0.5, c=1.5)
+        caps = certify_caps(spec)
+        assert list(caps) == ["C0"]
+        # (1 + 4nu) c / (E0 (1 - 2ab))
+        assert caps["C0"] == pytest.approx((1.0 + 4.0 * 0.25) * 1.5 / (2.0 * (1.0 - 0.4)),
+                                           rel=1e-15)
