@@ -302,7 +302,7 @@ def certify_constants(
             np.maximum(np.maximum(frobenius(f00), frobenius(f10)), frobenius(f01)) / delta,
             frobenius(f10 - f00) / frobenius(e2 - e1),
             frobenius(f01 - f00) / (delta * frobenius(s2 - s1)),
-            leading_gap(spec, delta, e1, s1) / (delta * delta))]
+            leading_gap(spec, delta, e1, s1, f00) / (delta * delta))]
         rows += [CertificateRow(d, *map(float, c)) for d, *c in zip(group, *sups)]
     return CertificateReport(
         C0_hat=max(r.C0_hat for r in rows),

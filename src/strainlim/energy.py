@@ -4,8 +4,9 @@ The leading profile of the power-law family is the gradient of a radial
 complementary energy W*(S) = G(|S|) with G the antiderivative of
 a t (1 + a^p t^p)^{-1/p} (a `quad` integral for p != 2); W*(0) = 0 fixes the
 free additive constant. A scaled_base W* is the line integral of the leading
-profile along t S, t in [0, 1]: one `cubature` call integrates it for a whole
-(N, 6) array of stresses, e.g. the twelve probes of a gradient. W is
+profile along t S, t in [0, 1]: one `cubature` call integrates it for up to
+`_BATCH_ROWS` stresses, e.g. the 12 N probes of N gradients; a subdivision one
+row needs is shared by the call, which may move other rows' last digits. W is
 the convex conjugate of W*, evaluated at the closed-form maximizer (the
 tensor analogue of the one-dimensional inversion). The stress map of the
 associated Green elastic solid is a finite-difference gradient of W.
@@ -27,6 +28,9 @@ from .symtensor import SymTensor, central_differences, frobenius, inner
 
 _QUAD_TOL = 1e-12
 _GRAD_STEP = 1e-5
+# rows per `cubature` call: about 100 rows pay off its ~1 ms fixed cost, and
+# peak memory grows with the (nodes * rows, 6) arrays of larger calls
+_BATCH_ROWS = 192
 # wider than the FD step so gradient probes stay strictly inside the limit
 _SATURATION_GUARD = 1e-4
 
@@ -94,6 +98,9 @@ def _line_integrals(profile: EnergyProfile, rows: np.ndarray) -> np.ndarray:
     norms = frobenius(rows)
     if not np.all(norms <= fam.c):  # NaN and inf fail too
         raise OutOfDomain(f"|Sbar| = {float(np.max(norms))!r} exceeds {fam.c!r}")
+    if len(rows) > _BATCH_ROWS:
+        return np.concatenate([_line_integrals(profile, rows[i:i + _BATCH_ROWS])
+                               for i in range(0, len(rows), _BATCH_ROWS)])
     weighted = rows * [1.0, 1.0, 1.0, 2.0, 2.0, 2.0]
 
     def integrand(t):  # (m, 1) nodes -> (m, N) values
@@ -143,18 +150,23 @@ def legendre_transform(profile: EnergyProfile, Etilde: SymTensor) -> float:
     return inner(Etilde, star) - _radial_quad(fam.a, fam.p, frobenius(star))
 
 
-def complementary_gradient(profile: EnergyProfile, Sbar: SymTensor) -> SymTensor:
+def complementary_gradient(profile: EnergyProfile, Sbar):
     """Central finite-difference gradient of W*; should reproduce the leading profile.
 
     Same six-component convention as green_stress: off-diagonal quotients
     are halved. Probe points must stay inside the stress ball, so |Sbar|
-    needs a little headroom below c.
+    needs a little headroom below c. (N, 6) stresses give (N, 6) gradients,
+    batched as in `families`; scaled_base integrates all 12 N probes at once.
     """
-    h = _GRAD_STEP * max(1.0, _checked_norm(profile, Sbar))
+    points = ([Sbar] if isinstance(Sbar, SymTensor)
+              else [SymTensor(*S) for S in np.asarray(Sbar, dtype=float).tolist()])
+    steps = [_GRAD_STEP * max(1.0, _checked_norm(profile, S)) for S in points]
     if profile.family.kind == "scaled_base":
-        return _central_gradient(lambda P: _line_integrals(profile, np.array(P)).tolist(), Sbar, h)
-    return _central_gradient(
-        lambda P: [complementary_energy(profile, SymTensor(*S)) for S in P], Sbar, h)
+        fn = lambda P: _line_integrals(profile, np.array(P)).tolist()
+    else:
+        fn = lambda P: [complementary_energy(profile, SymTensor(*S)) for S in P]
+    grads = _central_gradient(fn, points, steps)
+    return SymTensor(*grads[0]) if isinstance(Sbar, SymTensor) else np.array(grads)
 
 
 def green_stress(profile: EnergyProfile, delta: float, eps: SymTensor) -> SymTensor:
@@ -172,11 +184,11 @@ def green_stress(profile: EnergyProfile, delta: float, eps: SymTensor) -> SymTen
         raise (Saturation if math.isfinite(e) else OutOfDomain)(
             f"|eps/delta| = {e!r} is not below the strain limit minus 1e-4")
     h = _GRAD_STEP * max(1.0, e)
-    return _central_gradient(
-        lambda P: [legendre_transform(profile, SymTensor(*E)) for E in P], et, h)
+    return SymTensor(*_central_gradient(
+        lambda P: [legendre_transform(profile, SymTensor(*E)) for E in P], [et], [h])[0])
 
 
-def _central_gradient(fn, point: SymTensor, h: float) -> SymTensor:
+def _central_gradient(fn, points: list, steps: list) -> list:
     # off-diagonal quotients halved: those components count twice in the inner product
-    grad = central_differences(fn, point, h)
-    return SymTensor(*grad[:3], *[0.5 * q for q in grad[3:]])
+    return [grad[:3] + [0.5 * q for q in grad[3:]]
+            for grad in central_differences(fn, points, steps)]

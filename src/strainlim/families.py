@@ -359,14 +359,15 @@ def _leading(spec: FamilySpec, Etilde: SymTensor, Sbar: SymTensor) -> SymTensor:
     return m * ((1.0 + spec.a * trace(Etilde)) / spec.E0)
 
 
-def leading_gap(spec: FamilySpec, delta: float, E, Sbar):
+def leading_gap(spec: FamilySpec, delta: float, E, Sbar, f_delta=None):
     """|f_delta(E, S) - delta f_1(E/delta, S)|.
 
     Exactly zero for power_law and scaled_base (definitional identity,
     same float path); O(delta^2) for the density kinds. (N, 6) arrays
-    give the (N,) row norms; `delta` may then be an (N,) column.
+    give the (N,) row norms; `delta` may then be an (N,) column. `f_delta`
+    is `family_eval(spec, delta, E, Sbar)` when the caller already has it.
     """
-    full = family_eval(spec, delta, E, Sbar)
+    full = family_eval(spec, delta, E, Sbar) if f_delta is None else f_delta
     d = delta[..., None] if isinstance(delta, np.ndarray) else delta
     lead = family_leading(spec, E * (1.0 / d), Sbar) * d
     return frobenius(full - lead)

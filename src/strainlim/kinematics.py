@@ -47,11 +47,7 @@ def make_rotation(spec: RotationSpec, delta: float) -> np.ndarray:
     if not 0.0 <= spec.magnitude_coefficient < math.inf:
         raise InvalidParameter("magnitude_coefficient must be finite and nonnegative, "
                                f"got {spec.magnitude_coefficient!r}")
-    ax = np.asarray(spec.axis, dtype=float)
-    n = float(np.linalg.norm(ax))
-    if not abs(n - 1.0) <= 1e-8:
-        raise InvalidAxis(f"|axis| = {n!r} is not 1 within 1e-8")
-    ax = ax / n
+    ax = unit_axis(spec.axis)
     # unit-Frobenius generator: angle = delta * coefficient / sqrt(2)
     angle = delta * spec.magnitude_coefficient / math.sqrt(2.0)
     if not angle < math.inf:
@@ -66,9 +62,20 @@ def make_rotation(spec: RotationSpec, delta: float) -> np.ndarray:
     return np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
 
 
+def unit_axis(axis) -> np.ndarray:
+    """`axis` over its norm; InvalidAxis unless that norm is 1 within 1e-8."""
+    ax = np.asarray(axis, dtype=float)
+    with np.errstate(over="ignore"):  # an overflowing norm is inf and fails the check
+        n = float(np.linalg.norm(ax))
+    if not abs(n - 1.0) <= 1e-8:
+        raise InvalidAxis(f"|axis| = {n!r} is not 1 within 1e-8")
+    return ax / n
+
+
 @dataclass(frozen=True)
 class DeformationState:
-    """All strain measures derived from one deformation gradient F, a (3, 3) array."""
+    """All strain measures derived from one deformation gradient F, a (3, 3)
+    array; delta0 is the Frobenius distance of F from the identity."""
 
     F: np.ndarray
     C: SymTensor
@@ -77,12 +84,7 @@ class DeformationState:
     eps: SymTensor
     H: SymTensor
     density_ratio: float
-
-    @property
-    def delta0(self) -> float:
-        """Frobenius distance of F from the identity."""
-        # summed entry by entry in row-major order; np.linalg.norm changes the last digits
-        return math.sqrt(sum(x * x for x in (self.F - np.eye(3)).ravel().tolist()))
+    delta0: float
 
 
 def _state_from_f(F: np.ndarray) -> DeformationState:
@@ -98,7 +100,11 @@ def _state_from_f(F: np.ndarray) -> DeformationState:
     d = det(F)
     if d <= 1e-14:
         raise Singular(f"det F = {d!r} is not positive")
-    return DeformationState(F, C, B, E, eps, H, 1.0 / d)
+    # summed entry by entry in row-major order; np.linalg.norm changes the last digits
+    delta0 = math.sqrt(sum(x * x for x in (F - np.eye(3)).ravel().tolist()))
+    if not (d < math.inf and delta0 < math.inf):  # NaN fails too
+        raise OutOfDomain(f"det F or |F - I| overflows for F = {F.tolist()!r}")
+    return DeformationState(F, C, B, E, eps, H, 1.0 / d, delta0)
 
 
 def deformation_from_green(E: SymTensor, R: np.ndarray) -> DeformationState:
@@ -118,18 +124,27 @@ def deformation_from_hencky(H: SymTensor, R: np.ndarray) -> DeformationState:
 
 def sigma_from_piola(F: np.ndarray, Sbar: SymTensor) -> SymTensor:
     """Symmetric part of the first Piola stress: (F Sbar + Sbar F^T) / 2;
-    raises InvalidParameter for a non-finite F or Sbar."""
+    InvalidParameter for a non-finite F or Sbar, OutOfDomain on overflow."""
     if not (np.isfinite(F).all() and all(map(math.isfinite, Sbar.components()))):
         raise InvalidParameter(f"F and Sbar need finite entries, got {F.tolist()!r}, {Sbar!r}")
-    return SymTensor.from_matrix(F @ Sbar.as_matrix())
+    return _finite_stress(lambda: SymTensor.from_matrix(F @ Sbar.as_matrix()), F)
 
 
 def sigma_from_cauchy(F: np.ndarray, T: SymTensor) -> SymTensor:
-    """det(F) * (T F^{-T} + F^{-1} T) / 2; raises Singular for a degenerate or
-    non-finite F and InvalidParameter for a non-finite T."""
+    """det(F) * (T F^{-T} + F^{-1} T) / 2; Singular for a degenerate or
+    non-finite F, InvalidParameter for a non-finite T, OutOfDomain on overflow."""
     if not all(map(math.isfinite, T.components())):
         raise InvalidParameter(f"T needs finite components, got {T.components()!r}")
-    return SymTensor.from_matrix(inverse(F) @ T.as_matrix()) * det(F)
+    return _finite_stress(lambda: SymTensor.from_matrix(inverse(F) @ T.as_matrix()) * det(F), F)
+
+
+def _finite_stress(pushforward, F: np.ndarray) -> SymTensor:
+    # an overflow, in numpy or in Python floats, leaves an inf or a NaN behind
+    with np.errstate(over="ignore", invalid="ignore"):
+        sigma = pushforward()
+    if not all(map(math.isfinite, sigma.components())):
+        raise OutOfDomain(f"the pushed-forward stress overflows for F = {F.tolist()!r}")
+    return sigma
 
 
 def density_linearization_gap(state: DeformationState) -> float:

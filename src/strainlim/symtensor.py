@@ -161,23 +161,32 @@ def inverse(A):
     return np.array(adj) / d
 
 
-def central_differences(fn, point: SymTensor, h: float) -> list:
+def central_differences(fn, point, h) -> list:
     """Central difference quotients of `fn` in the six stored components of `point`.
 
     `fn` maps the twelve probes (component lists, six steps of +h then six
     of -h) to twelve values; returns the six quotients (v[j] - v[j+6]) / 2h.
+    A list of N points with a list of N steps gives N quotient lists from
+    one `fn` call on all 12 N probes, point by point.
     """
-    probes = [list(point.components()) for _ in range(12)]
-    for j in range(6):
-        probes[j][j] += h
-        probes[j + 6][j] -= h
+    if isinstance(point, SymTensor):
+        return central_differences(fn, [point], [h])[0]
+    probes = [list(p.components()) for p in point for _ in range(12)]
+    starts = range(0, len(probes), 12)
+    for k, step in zip(starts, h):
+        for j in range(6):
+            probes[k + j][j] += step
+            probes[k + j + 6][j] -= step
     v = fn(probes)
-    return [(v[j] - v[j + 6]) / (2.0 * h) for j in range(6)]
+    return [[(v[k + j] - v[k + j + 6]) / (2.0 * step) for j in range(6)]
+            for k, step in zip(starts, h)]
 
 
 def is_rotation(R: np.ndarray, tol: float = 1e-12) -> bool:
-    return bool(np.isfinite(R).all() and np.linalg.norm(R.T @ R - np.eye(3)) <= tol
-                and np.linalg.det(R) > 0.0)
+    # an R^T R that overflows (inf or NaN) fails the norm test, as it should
+    with np.errstate(over="ignore", invalid="ignore"):
+        return bool(np.isfinite(R).all() and np.linalg.norm(R.T @ R - np.eye(3)) <= tol
+                    and np.linalg.det(R) > 0.0)
 
 
 def eig_sym(A: SymTensor) -> Spectrum:
@@ -185,8 +194,9 @@ def eig_sym(A: SymTensor) -> Spectrum:
 
     Eigenvalues sorted descending (ties keep LAPACK's order); each
     eigenvector's largest-magnitude component is made positive so the
-    output is deterministic. Raises InvalidParameter for NaN or inf input
-    and NoConvergence if LAPACK reports a failure.
+    output is deterministic. Raises InvalidParameter for NaN or inf input,
+    OutOfDomain for an eigenvalue beyond the float range and NoConvergence
+    if LAPACK reports a failure.
     """
     if not all(map(math.isfinite, A.components())):
         raise InvalidParameter(f"eig_sym needs finite components, got {A.components()!r}")
@@ -196,9 +206,12 @@ def eig_sym(A: SymTensor) -> Spectrum:
         neg_evals, v = np.linalg.eigh(-A.as_matrix())
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"LAPACK syevd failed: {exc}") from None
+    evals = tuple((-neg_evals).tolist())
+    if not all(map(math.isfinite, evals)):
+        raise OutOfDomain(f"eigenvalues {evals!r} overflow for {A.components()!r}")
     # sign convention: each column's largest-magnitude component is nonnegative
     cols = [c if max(c, key=abs) >= 0.0 else [-x for x in c] for c in v.T.tolist()]
-    return Spectrum(tuple((-neg_evals).tolist()), np.array(cols).T)
+    return Spectrum(evals, np.array(cols).T)
 
 
 def _spectral_map(A: SymTensor, fn, require_pd: bool) -> SymTensor:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from strainlim import analysis
+from strainlim import analysis, families
 from strainlim.analysis import (
     PROBE_SCALE,
     ball_points,
@@ -305,3 +305,17 @@ def test_certify_call_count_follows_the_row_budget(monkeypatch, samples, calls):
     certify_constants(RECIP, LADDER, samples, 5)
     assert len(seen) == calls
     assert sum(seen) == samples * len(LADDER)
+
+
+def test_certify_evaluates_each_point_pair_once(monkeypatch):
+    # f00 = f_delta(e1, s1) is handed to leading_gap, not evaluated again
+    seen = []
+
+    def counted(*args):
+        seen.append(args)
+        return family_eval(*args)
+
+    monkeypatch.setattr(analysis, "family_eval", counted)
+    monkeypatch.setattr(families, "family_eval", counted)
+    certify_constants(RECIP, LADDER, 100, 5)
+    assert len(seen) == 3

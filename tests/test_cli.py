@@ -233,6 +233,23 @@ def test_energy_command(tmp_path):
     assert code == 0
 
 
+def test_scaled_base_energy_study_makes_one_cubature_call(tmp_path, monkeypatch):
+    # all four probes' 48 finite-difference rows go through one integral
+    rows = []
+    real = strainlim.energy.cubature
+
+    def counted(*args, **kwargs):
+        result = real(*args, **kwargs)
+        rows.append(len(result.estimate))
+        return result
+
+    monkeypatch.setattr(strainlim.energy, "cubature", counted)
+    payload = dict(SCALED_ENERGY, samples=4, seed=3)
+    assert main(["energy", "--config", _write(tmp_path, "e.json", payload),
+                 "--out", str(tmp_path)]) == 0
+    assert rows == [48]
+
+
 def test_usage_errors_map_to_one(capsys):
     assert main(["bogus"]) == 1
     assert main([]) == 1
@@ -305,6 +322,13 @@ def _run_expect_config_error(tmp_path, capsys, command, payload):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("FAIL config")
     return lines[0]
+
+
+@pytest.mark.parametrize("command", ["converge", "converge-hencky"])
+@pytest.mark.parametrize("axis", [[1.0, 1.0, 0.0], [0.0, 0.0, 1.4e154]])
+def test_non_unit_rotation_axis_is_config_error(tmp_path, capsys, command, axis):
+    bad = dict(CONVERGE, rotation={"axis": axis, "coefficient": 1.0})
+    assert "rotation.axis" in _run_expect_config_error(tmp_path, capsys, command, bad)
 
 
 def test_thin_certify_sampling_is_config_error(tmp_path, capsys):

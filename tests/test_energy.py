@@ -244,6 +244,67 @@ def test_line_integral_reports_nonconvergence(monkeypatch):
         complementary_gradient(prof, S)
 
 
+# the CLI's stress ball (c = 1): no line integral here needs a subdivision, so
+# sharing a cubature call leaves every row's value unchanged
+UNIT_SCALED = FamilySpec(kind="scaled_base", a=1.0, p=2.0, base="power_law", delta1=0.05)
+UNIT_SCALED_CALLABLE = FamilySpec(kind="scaled_base", base=_log_base, delta1=0.05)
+CUBIC = FamilySpec(kind="power_law", a=1.0, p=3.0, c=3.0)
+
+
+@pytest.mark.parametrize("family", [UNIT_SCALED, UNIT_SCALED_CALLABLE, POWER, CUBIC])
+def test_batched_gradient_equals_per_stress_calls(family):
+    prof = EnergyProfile(family)
+    rng = np.random.default_rng(103)
+    stresses = [_ball(rng, 0.9 * family.c) for _ in range(20)] + [ZERO]
+    batch = complementary_gradient(prof, np.array([S.components() for S in stresses]))
+    assert batch.shape == (len(stresses), 6)
+    for S, row in zip(stresses, batch.tolist()):
+        assert row == list(complementary_gradient(prof, S).components())
+    one = complementary_gradient(prof, np.array([stresses[0].components()]))
+    assert one.tolist() == [list(complementary_gradient(prof, stresses[0]).components())]
+
+
+def test_batched_gradient_splits_at_the_row_cap(monkeypatch):
+    prof = EnergyProfile(UNIT_SCALED)
+    rng = np.random.default_rng(107)
+    stresses = np.array([_ball(rng, 0.9).components() for _ in range(40)])
+    rows = []  # the rows of each cubature call
+    real = energy.cubature
+
+    def counted(*args, **kwargs):
+        result = real(*args, **kwargs)
+        rows.append(len(result.estimate))
+        return result
+
+    monkeypatch.setattr(energy, "cubature", counted)
+    whole = complementary_gradient(prof, stresses)
+    assert sum(rows) == 12 * len(stresses) and max(rows) <= energy._BATCH_ROWS
+    assert len(rows) == -(-12 * len(stresses) // energy._BATCH_ROWS)
+    # a cap that splits probes across calls changes no value
+    monkeypatch.setattr(energy, "_BATCH_ROWS", 30)
+    rows.clear()
+    assert complementary_gradient(prof, stresses).tolist() == whole.tolist()
+    assert rows == [30] * 16
+
+
+def test_batched_gradient_stays_close_where_integrals_subdivide():
+    # at |S| up to 2.7 cubature subdivides [0, 1], and a shared call refines
+    # every row of the batch alike: the last digits may move, nothing more
+    prof = EnergyProfile(SCALED)
+    rng = np.random.default_rng(109)
+    stresses = [_ball(rng, 0.9 * SCALED.c) for _ in range(12)]
+    batch = complementary_gradient(prof, np.array([S.components() for S in stresses]))
+    single = [complementary_gradient(prof, S).components() for S in stresses]
+    assert np.max(np.abs(batch - np.array(single))) <= 1e-10
+
+
+def test_batched_gradient_raises_for_the_first_stress_out_of_the_ball():
+    prof = EnergyProfile(UNIT_SCALED)
+    stresses = np.array([[0.1, 0, 0, 0, 0, 0], [2.0, 0, 0, 0, 0, 0], [math.nan, 0, 0, 0, 0, 0]])
+    with pytest.raises(OutOfDomain, match="2.0"):
+        complementary_gradient(prof, stresses)
+
+
 @pytest.mark.parametrize("family", [POWER, QUARTIC, SCALED])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_stress_is_out_of_domain(family, bad):

@@ -275,6 +275,7 @@ def test_density_leading_gap_shrinks_quadratically():
         g1 = leading_gap(fam, 0.01, E, S)
         g2 = leading_gap(fam, 0.005, E * 0.5, S)
         assert g1 > 0.0
+        assert leading_gap(fam, 0.01, E, S, family_eval(fam, 0.01, E, S)) == g1
         # halving delta (and the strain with it) divides the gap by ~4
         assert g1 / g2 == pytest.approx(4.0, rel=0.2)
 

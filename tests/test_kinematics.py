@@ -226,6 +226,21 @@ def test_piola_rejects_non_finite(bad):
         sigma_from_piola(F, SymTensor(1.0, 0.5, 0.2, bad))
 
 
+def test_overflowing_finite_entries_raise_named_errors():
+    # each overflowed numpy with a RuntimeWarning, or returned inf
+    with pytest.raises(InvalidAxis, match="inf"):
+        make_rotation(RotationSpec(axis=(0.0, 0.0, 1.4e154), magnitude_coefficient=0.0), 1.0)
+    F = np.diag([0.0, 0.0, 3.4e38])
+    with pytest.raises(OutOfDomain):
+        sigma_from_piola(F, SymTensor(yz=5.3e269))
+    with pytest.raises(OutOfDomain):
+        sigma_from_cauchy(np.diag([1.0, 1e-40, 1e40]), SymTensor(yz=5.3e269))
+    with pytest.raises(OutOfDomain):  # finite product, inf after the det factor
+        sigma_from_cauchy(np.eye(3) * 1e100, SymTensor(1e200))
+    with pytest.raises(OutOfDomain):  # F^T F fits, det F and |F - I| do not
+        deformation_from_green(SymTensor(8e307, 8e307, 8e307), make_rotation(ROT, 1.0))
+
+
 def test_strain_measures_and_stresses_hold_plain_floats():
     R = make_rotation(ROT, 0.05)
     S = SymTensor(0.5, 0.25, -0.125, 0.1, 0.0, 0.2)
@@ -254,13 +269,14 @@ def test_delta0_measures_distance_to_identity():
 # --- property tests: finite numbers or a named error ------------------------------
 
 def _entries(n):
-    """n finite entries, all within +-0.3 or all within +-1e6 (the bound of
-    test_symtensor's properties); in half of the draws one of them is NaN or an
-    infinity. Entries far beyond 1e6 overflow numpy's matrix products (see CHANGES.md)."""
+    """n finite entries, all within +-0.3 or drawn from every finite float
+    (huge ones overflow numpy's matrix products); in half of the draws one of
+    them is NaN or an infinity."""
     def place(draw):
         values, slot, bad = draw
         return values[:slot] + [bad] + values[slot + 1:] if slot < n else values
-    finite = st.one_of(*(st.lists(st.floats(-r, r), min_size=n, max_size=n) for r in (0.3, 1e6)))
+    finite = st.one_of(*(st.lists(floats, min_size=n, max_size=n) for floats in (
+        st.floats(-0.3, 0.3), st.floats(allow_nan=False, allow_infinity=False))))
     return st.tuples(finite,
                      st.integers(0, 2 * n - 1),
                      st.sampled_from([math.nan, math.inf, -math.inf])).map(place)

@@ -221,6 +221,22 @@ def test_central_differences_are_exact_on_quadratics_and_linear_maps():
     assert np.allclose(jac, A, rtol=1e-10, atol=1e-10)
 
 
+def test_central_differences_at_several_points_match_single_point_calls():
+    rng = np.random.default_rng(7)
+    points = [_sym(rng) for _ in range(5)]
+    steps = [10.0 ** -k for k in range(1, 6)]
+    w = rng.standard_normal(6)
+    calls = []
+
+    def fn(P):
+        calls.append(len(P))
+        return [math.exp(float(w @ np.array(x))) for x in P]
+
+    batch = central_differences(fn, points, steps)
+    assert calls == [12 * len(points)]
+    assert batch == [central_differences(fn, p, h) for p, h in zip(points, steps)]
+
+
 def test_is_rotation():
     assert is_rotation(np.eye(3))
     c, s = math.cos(0.3), math.sin(0.3)
@@ -229,6 +245,8 @@ def test_is_rotation():
     # reflection: orthogonal but det -1
     assert not is_rotation(np.diag([1.0, 1.0, -1.0]))
     assert not is_rotation(np.diag([2.0, 1.0, 1.0]))
+    # R^T R overflows: not a rotation, and no numpy warning
+    assert not is_rotation(np.full((3, 3), 1e200))
 
 
 # --- non-finite input ---------------------------------------------------------
@@ -242,6 +260,13 @@ def test_spectral_functions_reject_non_finite(fn, slot, bad):
     comps[slot] = bad
     with pytest.raises(InvalidParameter):
         fn(SymTensor(*comps))
+
+
+@pytest.mark.parametrize("fn", [eig_sym, spd_sqrt, sym_log, sym_exp])
+def test_eigenvalues_beyond_the_float_range_are_out_of_domain(fn):
+    # finite entries whose largest eigenvalue (about 5e308) overflows
+    with pytest.raises(OutOfDomain, match="overflow"):
+        fn(SymTensor(*[1.7e308] * 6))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
