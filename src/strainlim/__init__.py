@@ -26,7 +26,6 @@ from .energy import (
     legendre_transform,
 )
 from .errors import (
-    AllZeroResiduals,
     ConfigInvalid,
     DomainError,
     FitUnderdetermined,

@@ -19,7 +19,6 @@ from typing import Optional
 import numpy as np
 
 from .errors import (
-    AllZeroResiduals,
     FitUnderdetermined,
     InadmissibleDelta,
     InvalidParameter,
@@ -68,7 +67,7 @@ class ConvergenceRecord:
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    """Per-delta rows plus fitted orders (None when a residual is identically zero)."""
+    """Per-delta rows plus the fit_order of each column (None when the column is all zero)."""
 
     records: tuple
     failures: tuple
@@ -99,12 +98,12 @@ class CertificateReport:
     rows: tuple
 
 
-def fit_order(deltas, residuals) -> float:
+def fit_order(deltas, residuals) -> Optional[float]:
     """Least-squares slope of log(residual) against log(delta).
 
     Rows with residual exactly zero are excluded; if every row is zero the
-    identity holds exactly and AllZeroResiduals is raised (success, there
-    is no order to fit). Fewer than four usable rows raise FitUnderdetermined;
+    identity holds exactly and the result is None (there is no order to
+    fit). Fewer than four usable rows raise FitUnderdetermined;
     a negative, NaN or inf residual or a delta that is not finite and
     positive raises InvalidParameter.
     """
@@ -117,7 +116,7 @@ def fit_order(deltas, residuals) -> float:
         raise FitUnderdetermined(f"need at least 4 rows, got {len(deltas)}")
     pairs = [(d, r) for d, r in zip(deltas, residuals) if r > 0.0]
     if not pairs:
-        raise AllZeroResiduals("every residual is exactly zero")
+        return None
     if len(pairs) < 4:
         raise FitUnderdetermined(f"only {len(pairs)} nonzero rows")
     ds = np.log([d for d, _ in pairs])
@@ -143,13 +142,6 @@ def richardson_orders(deltas, values):
 def _require_positive_deltas(deltas):
     if not all(0.0 < d < math.inf for d in deltas):  # NaN fails too
         raise InvalidParameter(f"deltas must be finite and positive, got {deltas!r}")
-
-
-def _fit_or_none(deltas, values) -> Optional[float]:
-    try:
-        return fit_order(deltas, values)
-    except AllZeroResiduals:
-        return None
 
 
 def _require_admissible(spec, deltas):
@@ -237,9 +229,9 @@ def _assemble(records, failures) -> ConvergenceReport:
     return ConvergenceReport(
         records=tuple(records),
         failures=tuple(failures),
-        fitted_order_full=_fit_or_none(ds, [r.residual_full for r in records]),
-        fitted_order_leading=_fit_or_none(ds, [r.residual_leading for r in records]),
-        fitted_order_stress=_fit_or_none(ds, [r.stress_gap for r in records]),
+        fitted_order_full=fit_order(ds, [r.residual_full for r in records]),
+        fitted_order_leading=fit_order(ds, [r.residual_leading for r in records]),
+        fitted_order_stress=fit_order(ds, [r.stress_gap for r in records]),
     )
 
 

@@ -154,13 +154,15 @@ def complementary_gradient(profile: EnergyProfile, Sbar):
     """Central finite-difference gradient of W*; should reproduce the leading profile.
 
     Same six-component convention as green_stress: off-diagonal quotients
-    are halved. Probe points must stay inside the stress ball, so |Sbar|
-    needs a little headroom below c. (N, 6) stresses give (N, 6) gradients,
-    batched as in `families`; scaled_base integrates all 12 N probes at once.
+    are halved. The step is 1e-5 max(min(1, c), |Sbar|), so probes stay in a
+    stress ball of any radius c when |Sbar| leaves a little headroom below c.
+    (N, 6) stresses give (N, 6) gradients, batched as in `families`;
+    scaled_base integrates all 12 N probes at once.
     """
     points = ([Sbar] if isinstance(Sbar, SymTensor)
               else [SymTensor(*S) for S in np.asarray(Sbar, dtype=float).tolist()])
-    steps = [_GRAD_STEP * max(1.0, _checked_norm(profile, S)) for S in points]
+    floor = min(1.0, profile.family.c)
+    steps = [_GRAD_STEP * max(floor, _checked_norm(profile, S)) for S in points]
     if profile.family.kind == "scaled_base":
         fn = lambda P: _line_integrals(profile, np.array(P)).tolist()
     else:

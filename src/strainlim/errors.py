@@ -53,13 +53,6 @@ class FitUnderdetermined(StrainLimError):
     """Fewer than four usable rows; a log-log slope cannot be trusted."""
 
 
-class AllZeroResiduals(StrainLimError):
-    """Every residual is exactly zero: the identity holds exactly.
-
-    Callers treat this as success (there is no order to fit), not failure.
-    """
-
-
 class InvalidParameter(StrainLimError, ValueError):
     """A library call got a parameter outside its documented range."""
 

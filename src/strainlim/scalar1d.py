@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .analysis import fit_order
-from .errors import AllZeroResiduals, DomainError, InvalidParameter, Saturation
+from .errors import DomainError, InvalidParameter, Saturation
 
 
 @dataclass(frozen=True)
@@ -124,13 +124,7 @@ def oned_delta0_study(params: Scalar1DParams, Sbar_list) -> Delta0Study:
             quad_max = max(
                 quad_max, gap * params.a * params.delta ** 2 / delta0 ** 2
             )
-    usable = [(r["delta0"], r["gap"]) for r in rows if r["delta0"] > 0.0]
-    if not usable:
-        # every stress was zero: the identity held exactly, nothing to fit
-        slope = None
-    else:
-        try:
-            slope = fit_order([d for d, _ in usable], [g for _, g in usable])
-        except AllZeroResiduals:
-            slope = None
+    usable = [r for r in rows if r["delta0"] > 0.0]
+    # every stress zero, or every gap zero: the identity held exactly, nothing to fit
+    slope = fit_order([r["delta0"] for r in usable], [r["gap"] for r in usable]) if usable else None
     return Delta0Study(tuple(rows), slope, ratio_max, quad_max)

@@ -1,11 +1,12 @@
 """Fixed-point solver for the implicit relation E = f_delta(E, Sbar).
 
-Strategy: Picard iteration from the guess (default zero). If the residual
-ratio between successive iterates exceeds 0.9, or the Picard budget runs
-out, switch to Newton on g(E) = E - f_delta(E, Sbar) over the six stored
-components, with a central finite-difference Jacobian and a backtracking
-line search. Stress-only kinds converge in exactly one Picard step with
-residual exactly 0.0 (the second evaluation repeats the same floats).
+One path: Picard iteration from the guess (default zero). If the residual
+ratio between successive iterates exceeds 0.9, the Picard budget runs out
+or an iterate leaves the domain, switch to Newton on g(E) = E - f_delta(E,
+Sbar) over the six stored components, from Picard's best iterate, with a
+central finite-difference Jacobian and a backtracking line search.
+Stress-only kinds converge in exactly one Picard step with residual exactly
+0.0 (the second evaluation repeats the same floats).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonpositiveModulus, NoConvergence, OutOfDomain
-from .families import FamilySpec, family_eval
+from .families import FamilySpec, family_eval, working_domain
 from .symtensor import SymTensor, central_differences, frobenius
 
 PICARD_BUDGET = 20
@@ -30,7 +31,10 @@ _DOMAIN_ERRORS = (OutOfDomain, NonpositiveModulus)
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Solution of E = f_delta(E, Sbar) reached from one guess."""
+    """Solution of E = f_delta(E, Sbar) reached from one guess.
+
+    `method` names the stage that met the tolerance: "picard" or "newton".
+    """
 
     solution: SymTensor
     iterations: int
@@ -47,27 +51,19 @@ def _unvec(v) -> SymTensor:
     return SymTensor(*(float(x) for x in v))
 
 
-def _tol(delta: float) -> float:
-    # solutions are O(delta); an absolute floor avoids demanding relative
-    # accuracy below machine precision
-    return 1e-13 * max(1.0, delta)
-
-
 def solve_implicit(
     spec: FamilySpec,
     delta: float,
     Sbar: SymTensor,
     guess: SymTensor = None,
-    method: str = "auto",
 ) -> SolveReport:
     """Solve E = f_delta(E, Sbar) to residual <= 1e-13 * max(1, delta).
 
-    `method` is "auto" (Picard, falling back to Newton), or "picard" /
-    "newton" to force one path. Raises NoConvergence (with the best
-    residual attached) or OutOfDomain when iterates cannot be kept inside
-    the working ball.
+    Picard from `guess`, then Newton from Picard's best iterate. Raises
+    NoConvergence (with the best residual attached) or OutOfDomain when
+    iterates cannot be kept inside the working ball.
     """
-    return _solve(spec, delta, Sbar, guess, method)
+    return _solve(spec, delta, Sbar, guess)
 
 
 def solve_implicit_hencky(
@@ -75,16 +71,15 @@ def solve_implicit_hencky(
     delta: float,
     T: SymTensor,
     guess: SymTensor = None,
-    method: str = "auto",
 ) -> SolveReport:
     """Solve H = f_delta(H, T); same contract as solve_implicit."""
-    return _solve(spec, delta, T, guess, method)
+    return _solve(spec, delta, T, guess)
 
 
-def _solve(spec, delta, stress, guess, method) -> SolveReport:
-    if method not in ("auto", "picard", "newton"):
-        raise ValueError(f"unknown method {method!r}")
-    tol = _tol(delta)
+def _solve(spec, delta, stress, guess) -> SolveReport:
+    # solutions are O(delta); an absolute floor avoids demanding relative
+    # accuracy below machine precision
+    tol = 1e-13 * max(1.0, delta)
     E = guess if guess is not None else SymTensor()
 
     def feval(x):
@@ -92,44 +87,30 @@ def _solve(spec, delta, stress, guess, method) -> SolveReport:
 
     best_e, best_res = E, math.inf
     iterations = 0
+    prev = 0.0  # no ratio test before the second residual
+    while True:
+        try:
+            fE = feval(E)
+        except _DOMAIN_ERRORS:
+            break
+        res = frobenius(E - fE)
+        if res < best_res:
+            best_e, best_res = E, res
+        if res <= tol:
+            return _report(spec, delta, E, iterations, res, "picard")
+        if iterations >= PICARD_BUDGET or (prev > 0.0 and res / prev > RATIO_SWITCH):
+            break
+        E = fE
+        prev = res
+        iterations += 1
 
-    if method in ("auto", "picard"):
-        budget = PICARD_BUDGET if method == "auto" else MAX_ITER
-        prev = None
-        while True:
-            try:
-                fE = feval(E)
-            except _DOMAIN_ERRORS:
-                if method == "picard":
-                    raise
-                break
-            res = frobenius(E - fE)
-            if res < best_res:
-                best_e, best_res = E, res
-            if res <= tol:
-                return _report(spec, delta, E, iterations, res, "picard")
-            if iterations >= budget:
-                break
-            if prev is not None and prev > 0.0 and res / prev > RATIO_SWITCH:
-                if method == "auto":
-                    break
-            E = fE
-            prev = res
-            iterations += 1
-        # every break leaves for Newton, unless Picard was forced
-        if method == "picard":
-            raise NoConvergence(
-                f"picard stalled at residual {best_res!r}", best_residual=best_res
-            )
-        E = best_e
-
-    # Newton on g(E) = E - f_delta(E, Sbar) over the six components
+    # Newton on g(E) = E - f_delta(E, Sbar) over the six components; every
+    # accepted step lowers the residual, so the current one is the best
+    E = best_e
     while iterations < MAX_ITER:
         fE = feval(E)  # domain errors at the current iterate are fatal here
         g = E - fE
         res = frobenius(g)
-        if res < best_res:
-            best_e, best_res = E, res
         if res <= tol:
             return _report(spec, delta, E, iterations, res, "newton")
         # scalar probes: a batched (12, 6) family_eval differs in the last ulp
@@ -141,7 +122,7 @@ def _solve(spec, delta, stress, guess, method) -> SolveReport:
             step = np.linalg.solve(jac, -_vec(g))
         except np.linalg.LinAlgError:
             raise NoConvergence(
-                f"singular jacobian at residual {res!r}", best_residual=best_res
+                f"singular jacobian at residual {res!r}", best_residual=res
             )
         t = 1.0
         domain_blocked = True
@@ -163,15 +144,15 @@ def _solve(spec, delta, stress, guess, method) -> SolveReport:
                     "newton backtracking could not keep the iterate in the domain"
                 )
             raise NoConvergence(
-                f"line search stalled at residual {res!r}", best_residual=best_res
+                f"line search stalled at residual {res!r}", best_residual=res
             )
         iterations += 1
     raise NoConvergence(
-        f"no convergence in {MAX_ITER} iterations; best residual {best_res!r}",
-        best_residual=best_res,
+        f"no convergence in {MAX_ITER} iterations; best residual {res!r}",
+        best_residual=res,
     )
 
 
 def _report(spec, delta, E, iterations, res, method) -> SolveReport:
-    interior = frobenius(E) <= 0.5 * spec._working[0].strain_radius(delta)
+    interior = frobenius(E) <= 0.5 * working_domain(spec).strain_radius(delta)
     return SolveReport(E, iterations, res, method, interior)

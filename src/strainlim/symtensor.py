@@ -5,7 +5,7 @@ Symmetric tensors are stored as six plain floats so the hot operations
 appear on the spectral paths. Components may also be numpy columns, which
 `frobenius`, `trace`, `det` and the arithmetic then treat row by row. A
 general 3x3 tensor (a deformation gradient, a rotation, an eigenframe) is
-a float (3, 3) numpy array, which `det` and `inverse` also take. The
+a float (3, 3) numpy array: `det` also takes one, `inverse` only takes one. The
 eigensolver is `np.linalg.eigh` (LAPACK's symmetric solver `syevd`), which,
 unlike the closed-form cubic, does not lose accuracy near repeated
 eigenvalues. The module needs numpy only.
@@ -22,6 +22,8 @@ from .errors import InvalidParameter, NoConvergence, NotPositiveDefinite, OutOfD
 
 # eigenvalues at or below this are treated as nonpositive
 EIG_POSITIVITY_TOL = 1e-14
+# largest Frobenius norm of R^T R - I that is_rotation accepts
+ROTATION_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -43,7 +45,8 @@ class SymTensor:
     def from_matrix(m) -> "SymTensor":
         """Symmetric part of a 3x3 array or nested list, as six plain floats."""
         (a, b, c), (d, e, f), (g, h, i) = np.asarray(m, dtype=float).tolist()
-        return SymTensor(a, e, i, 0.5 * (b + d), 0.5 * (c + g), 0.5 * (f + h))
+        # halving first cannot overflow, and halving a normal float is exact
+        return SymTensor(a, e, i, 0.5 * b + 0.5 * d, 0.5 * c + 0.5 * g, 0.5 * f + 0.5 * h)
 
     def as_matrix(self) -> np.ndarray:
         # both triangles from the same float, so the result is symmetric bit-exactly
@@ -142,13 +145,8 @@ def det(A) -> float:
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
-def inverse(A):
-    """Inverse of a (3, 3) array via the adjugate; raises Singular.
-
-    A SymTensor goes through its matrix and comes back as a SymTensor.
-    """
-    if isinstance(A, SymTensor):
-        return SymTensor.from_matrix(inverse(A.as_matrix()))
+def inverse(A: np.ndarray) -> np.ndarray:
+    """Inverse of a (3, 3) array via the adjugate; raises Singular."""
     d = det(A)
     if not 1e-14 < abs(d) < math.inf:  # NaN fails too
         raise Singular(f"determinant {d!r} is not a finite number above 1e-14")
@@ -182,10 +180,10 @@ def central_differences(fn, point, h) -> list:
             for k, step in zip(starts, h)]
 
 
-def is_rotation(R: np.ndarray, tol: float = 1e-12) -> bool:
+def is_rotation(R: np.ndarray) -> bool:
     # an R^T R that overflows (inf or NaN) fails the norm test, as it should
     with np.errstate(over="ignore", invalid="ignore"):
-        return bool(np.isfinite(R).all() and np.linalg.norm(R.T @ R - np.eye(3)) <= tol
+        return bool(np.isfinite(R).all() and np.linalg.norm(R.T @ R - np.eye(3)) <= ROTATION_TOL
                     and np.linalg.det(R) > 0.0)
 
 

@@ -233,6 +233,18 @@ def test_energy_command(tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize("c", [1e-4, 1e-5])
+@pytest.mark.parametrize("family", [
+    {"kind": "power_law", "a": 1.0, "p": 2.0},
+    {"kind": "scaled_base", "base": "power_law", "a": 1.0, "delta_max": 0.05},
+], ids=["power_law", "scaled_base"])
+def test_energy_study_on_a_small_stress_ball(tmp_path, family, c):
+    # the gradient step scales with c, so probes near |S| = 0.9 c stay in the ball
+    payload = {"family": dict(family, c=c), "delta": 0.01, "samples": 20, "seed": 5}
+    assert main(["energy", "--config", _write(tmp_path, "e.json", payload),
+                 "--out", str(tmp_path)]) == 0
+
+
 def test_scaled_base_energy_study_makes_one_cubature_call(tmp_path, monkeypatch):
     # all four probes' 48 finite-difference rows go through one integral
     rows = []

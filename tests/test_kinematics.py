@@ -188,6 +188,11 @@ def test_piola_identity_is_passthrough():
     assert frobenius(sigma_from_piola(I3, S) - S) == 0.0
 
 
+def test_piola_keeps_a_symmetric_part_near_the_float_range():
+    # xy + yx overflows, but their mean is finite
+    assert sigma_from_piola(I3, SymTensor(xy=1.5e308)).xy == 1.5e308
+
+
 def test_cauchy_diagonal_oracle():
     F = np.diag([1.2, 1.0, 0.8])
     T = SymTensor(3.0, 1.0, -2.0)

@@ -25,3 +25,40 @@ def test_no_module_imports_a_private_name_from_a_sibling(path):
     private = [(module, name) for module, name in _sibling_imports(tree)
                if name.startswith("_")]
     assert not private, "%s imports private names: %s" % (path.name, private)
+
+
+# underscore methods that are the public API of a namedtuple
+_NAMEDTUPLE_API = {"_replace", "_asdict", "_make", "_fields", "_field_defaults"}
+
+
+def _private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _own_private_names(tree):
+    """Underscore names a module defines: its functions, classes and assignments,
+    the attributes it stores and the names it passes to setattr."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            yield node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            yield node.attr
+        elif isinstance(node, ast.Call) and _is_setattr(node.func) and len(node.args) > 1:
+            if isinstance(node.args[1], ast.Constant):
+                yield node.args[1].value
+
+
+def _is_setattr(func):
+    return getattr(func, "id", None) == "setattr" or getattr(func, "attr", None) == "__setattr__"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_module_reads_a_private_attribute_it_does_not_define(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    allowed = set(_own_private_names(tree)) | _NAMEDTUPLE_API
+    foreign = sorted({node.attr for node in ast.walk(tree)
+                      if isinstance(node, ast.Attribute) and _private(node.attr)
+                      and node.attr not in allowed})
+    assert not foreign, "%s reads private attributes of other modules: %s" % (path.name, foreign)
