@@ -259,7 +259,9 @@ def certify_constants(
     C0_hat = max |f_delta|/delta, C1_hat = max strain difference quotient,
     D0_hat = max stress difference quotient / delta, C3_hat = max
     leading_gap / delta^2. Deterministic for a given seed (byte-identical
-    reports on repeat runs).
+    reports on repeat runs). Raises InvalidParameter when a constant is not
+    a finite float, as when a tiny delta's probe distance or delta^2
+    underflows to 0.
     """
     if samples < 100:
         raise InvalidParameter("samples must be at least 100")
@@ -290,11 +292,16 @@ def certify_constants(
         f00 = family_eval(spec, delta, e1, s1)
         f10 = family_eval(spec, delta, e2, s1)
         f01 = family_eval(spec, delta, e1, s2)
-        sups = [q.reshape(len(group), samples).max(axis=1) for q in (
-            np.maximum(np.maximum(frobenius(f00), frobenius(f10)), frobenius(f01)) / delta,
-            frobenius(f10 - f00) / frobenius(e2 - e1),
-            frobenius(f01 - f00) / (delta * frobenius(s2 - s1)),
-            leading_gap(spec, delta, e1, s1, f00) / (delta * delta))]
+        with np.errstate(all="ignore"):  # checked below
+            sups = [q.reshape(len(group), samples).max(axis=1) for q in (
+                np.maximum(np.maximum(frobenius(f00), frobenius(f10)), frobenius(f01)) / delta,
+                frobenius(f10 - f00) / frobenius(e2 - e1),
+                frobenius(f01 - f00) / (delta * frobenius(s2 - s1)),
+                leading_gap(spec, delta, e1, s1, f00) / (delta * delta))]
+        bad = np.flatnonzero(~np.isfinite(sups).all(axis=0))
+        if bad.size:
+            raise InvalidParameter(f"the sampled constants at delta {group[bad[0]]!r} "
+                                   "are not finite floats")
         rows += [CertificateRow(d, *map(float, c)) for d, *c in zip(group, *sups)]
     return CertificateReport(
         C0_hat=max(r.C0_hat for r in rows),

@@ -46,8 +46,8 @@ from .scalar1d import Scalar1DParams, oned_delta0_study
 from .solver import solve_implicit
 from .symtensor import SymTensor, frobenius, inner
 
-_FAMILY_KEYS = ("kind", "a", "p", "E0", "nu", "b", "c", "delta1", "delta_max", "base")
-_ROTATION_KEYS = ("axis", "coefficient", "mode")
+_FAMILY_KEYS = tuple(f.name for f in dataclasses.fields(FamilySpec))
+_ROTATION_KEYS = ("axis", "coefficient")
 # keys every command accepts besides `out` and those in its `_COMMANDS`
 # entry; each is an ExperimentConfig field that the report echoes
 _COMMON_KEYS = ("command", "family", "samples", "seed", "thresholds")
@@ -77,8 +77,7 @@ def _echo(value):
     if isinstance(value, SymTensor):
         return list(value.components())
     if isinstance(value, RotationSpec):
-        return {"axis": list(value.axis), "coefficient": value.magnitude_coefficient,
-                "mode": value.mode}
+        return {"axis": list(value.axis), "coefficient": value.magnitude_coefficient}
     if isinstance(value, FamilySpec):
         out = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)
                if f.name != "base" and getattr(value, f.name) is not None}
@@ -96,7 +95,10 @@ def _require(cond, msg):
 def _as_float(value, name) -> float:
     _require(isinstance(value, (int, float)) and not isinstance(value, bool),
              "%s must be a number, got %r" % (name, value))
-    v = float(value)
+    try:
+        v = float(value)
+    except OverflowError:  # an int past the float range
+        v = math.inf
     _require(math.isfinite(v), "%s must be finite" % name)
     return v
 
@@ -106,17 +108,10 @@ def _parse_family(raw) -> FamilySpec:
     unknown = set(raw) - set(_FAMILY_KEYS)
     _require(not unknown, "unknown family keys: %s" % sorted(unknown))
     _require("kind" in raw, "family.kind is required")
-    kwargs = {"kind": raw["kind"]}
-    for key in _FAMILY_KEYS[1:]:
-        if key not in raw:
-            continue
-        if key == "base":
-            _require(raw[key] == "power_law", "family.base must be 'power_law'")
-            kwargs[key] = raw[key]
-        elif key == "delta_max" and raw[key] is None:
-            continue
-        else:
-            kwargs[key] = _as_float(raw[key], "family.%s" % key)
+    # in field order, so the first bad value named is the same whatever the key order
+    kwargs = {key: raw[key] if key in ("kind", "base") else _as_float(raw[key], "family.%s" % key)
+              for key in _FAMILY_KEYS if key in raw}
+    _require(kwargs.get("base", "power_law") == "power_law", "family.base must be 'power_law'")
     try:
         return FamilySpec(**kwargs)
     except ValueError as exc:
@@ -148,9 +143,7 @@ def _parse_rotation(raw, name) -> RotationSpec:
         raise ConfigInvalid("%s.axis: %s" % (name, exc))
     coef = _as_float(raw["coefficient"], name + ".coefficient")
     _require(coef >= 0.0, "%s.coefficient must be nonnegative" % name)
-    mode = raw.get("mode", "exact_exponential")
-    _require(mode == "exact_exponential", "%s.mode must be 'exact_exponential'" % name)
-    return RotationSpec(axis=axis, magnitude_coefficient=coef, mode=mode)
+    return RotationSpec(axis=axis, magnitude_coefficient=coef)
 
 
 def _parse_deltas(raw, name) -> tuple:
@@ -237,17 +230,6 @@ def _table(records):
     return tuple(dicts[0]), [tuple(d.values()) for d in dicts]
 
 
-def _write_csv(path: str, header: tuple, rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_cell(v) for v in row))
-    _atomic_write(path, "\n".join(lines) + "\n")
-
-
-def _write_report(path: str, payload: dict) -> None:
-    _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
 def _jsonable(obj):
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
@@ -301,10 +283,7 @@ def _run_certify(cfg: ExperimentConfig):
     caps = dict(certify_caps(cfg.family), **cfg.thresholds)
     checks = []
     for key, value in (("C0", report.C0_hat), ("C1", report.C1_hat),
-                       ("D0", report.D0_hat), ("C3", report.C3_hat)):
-        if not math.isfinite(value):
-            checks.append((key + "_finite", False, "value=%r" % value))
-            continue
+                       ("D0", report.D0_hat), ("C3", report.C3_hat)):  # finite, or certify raises
         cap = caps.get(key)
         if cap is None:
             checks.append((key + "_finite", True, "value=%r" % value))
@@ -387,7 +366,7 @@ class _Command(NamedTuple):
     blurb: str
     run: Callable
     # config key read besides _COMMON_KEYS -> (ExperimentConfig field, parser);
-    # every field is required, and a later key for the same field wins
+    # every field is required
     keys: dict
     # threshold key -> default: a (lo, hi) window, a number, or None for a
     # family-dependent certification cap
@@ -414,9 +393,7 @@ _COMMANDS = {
     "certify": _Command("sample family constants over the admissible ball", _run_certify,
                         {"deltas": _DELTAS}, dict.fromkeys(("C0", "C1", "D0", "C3"))),
     "oned": _Command("scalar diagnostic sweep", _run_oned,
-                     {"delta": _DELTA,
-                      "stress": ("stresses", lambda raw, name: (_as_float(raw, name),)),
-                      "stresses": ("stresses", _numbers)},
+                     {"delta": _DELTA, "stresses": ("stresses", _numbers)},
                      {"slope": (0.9, 1.1)}, ("power_law",)),
     "energy": _Command("complementary energy consistency probes", _run_energy,
                        {"delta": _DELTA},
@@ -437,13 +414,15 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     except ValueError as exc:
         # parameters the library refuses (samples, delta ranges) are config errors
         raise ConfigInvalid("bad parameters: %s" % exc)
+    except MemoryError as exc:
+        raise ConfigInvalid("the study does not fit in memory: %s" % exc)
     except StrainLimError as exc:
         raise StudyFailed("%s: %s" % (type(exc).__name__, exc))
 
     stem = cfg.command.replace("-", "_")
     csv_path = os.path.join(cfg.output_dir, stem + ".csv")
     json_path = os.path.join(cfg.output_dir, stem + "_report.json")
-    _write_csv(csv_path, header, rows)
+    _atomic_write(csv_path, "".join(",".join(map(_cell, row)) + "\n" for row in (header, *rows)))
 
     ok = all(passed for _, passed, _ in checks)
     payload = {
@@ -454,7 +433,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         "csv": csv_path,
     }
     payload.update(_jsonable(extra))
-    _write_report(json_path, payload)
+    _atomic_write(json_path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
     if not ok:
         name, detail = next((n, d) for n, p, d in checks if not p)
@@ -485,20 +464,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_seed(cli_seed, raw_config) -> "int | None":
-    if cli_seed is not None:
-        return cli_seed
-    if "seed" in raw_config:
-        return None  # keep what parse_config read
-    env = os.environ.get("STRAINLIM_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigInvalid("STRAINLIM_SEED must be an integer, got %r" % env)
-    return None
-
-
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
@@ -508,16 +473,15 @@ def main(argv=None) -> int:
 
     try:
         try:
-            with open(args.config, "r") as handle:
+            with open(args.config, "r", encoding="utf-8") as handle:
                 raw = json.load(handle)
         except OSError as exc:
             raise ConfigInvalid("cannot read config: %s" % exc)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8, deep nesting
             raise ConfigInvalid("config is not valid JSON: %s" % exc)
         cfg = parse_config(raw, args.command)
-        seed = _resolve_seed(args.seed, raw)
-        if seed is not None:
-            cfg.seed = seed
+        if args.seed is not None:
+            cfg.seed = args.seed
         if args.out is not None:
             cfg.output_dir = args.out
         try:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergence, OutOfDomain, Saturation
+from .errors import InvalidParameter, NoConvergence, OutOfDomain, Saturation
 from .families import FamilySpec, family_leading
 from .scalar1d import one_minus_abs_pow
 from .symtensor import SymTensor, central_differences, frobenius, inner
@@ -162,6 +162,8 @@ def complementary_gradient(profile: EnergyProfile, Sbar):
     points = ([Sbar] if isinstance(Sbar, SymTensor)
               else [SymTensor(*S) for S in np.asarray(Sbar, dtype=float).tolist()])
     floor = min(1.0, profile.family.c)
+    if not _GRAD_STEP * floor > 0.0:
+        raise InvalidParameter(f"the gradient step underflows for c = {profile.family.c!r}")
     steps = [_GRAD_STEP * max(floor, _checked_norm(profile, S)) for S in points]
     if profile.family.kind == "scaled_base":
         fn = lambda P: _line_integrals(profile, np.array(P)).tolist()

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -66,7 +66,8 @@ class FamilySpec:
     coefficients; `delta1` and `base` only matter for scaled_base. `base`
     is a callable (Etilde, Sbar) -> SymTensor bounded by delta1, or the
     string "power_law" naming the built-in profile (the serializable
-    choice). `delta_max` overrides the admissibility ceiling.
+    choice). The admissible deltas follow from these constants alone (see
+    `delta_ceiling`).
     """
 
     kind: str
@@ -77,7 +78,6 @@ class FamilySpec:
     b: float = 0.5
     c: float = 1.0
     delta1: float = 0.05
-    delta_max: Optional[float] = None
     base: Union[Callable, str, None] = None
 
     def __post_init__(self):
@@ -98,13 +98,19 @@ class FamilySpec:
             raise ValueError("delta1 must be positive and finite")
         if self.kind in DENSITY_KINDS and self.a * self.b >= 0.5:
             raise ValueError("density kinds require a*b < 1/2")
-        if self.delta_max is not None and not 0.0 < self.delta_max < math.inf:
-            raise ValueError("delta_max override must be positive and finite")
         if self.kind == "scaled_base":
             if self.base is None:
                 raise ValueError("scaled_base requires a base profile")
             if isinstance(self.base, str) and self.base != "power_law":
                 raise ValueError(f"unknown named base {self.base!r}")
+        if self.kind == "power_law" or self.base == "power_law":
+            # every stress has |S| <= c, so (a |S|)^p stays finite when (a c)^p does
+            try:
+                finite = (self.a * self.c) ** self.p < math.inf
+            except OverflowError:
+                finite = False
+            if not finite:
+                raise ValueError("(a*c)^p overflows a float")
         # (working_domain, delta_ceiling), computed once per spec; a plain
         # attribute keeps attribute reads on the spec on CPython's fast path
         object.__setattr__(self, "_working", (working_domain(self), delta_ceiling(self)))
@@ -154,8 +160,6 @@ def certified_domain(spec: FamilySpec) -> DomainSpec:
 
 def delta_ceiling(spec: FamilySpec) -> float:
     """Admissibility ceiling: deltas must satisfy 0 < delta < ceiling."""
-    if spec.delta_max is not None:
-        return spec.delta_max
     if spec.kind == "power_law":
         return 0.1
     if spec.kind == "scaled_base":

@@ -26,12 +26,12 @@ class RotationSpec:
     W_hat is the skew generator of `axis` normalized to unit Frobenius norm,
     so |R_delta - I| <= coefficient * delta (and a fortiori <= coefficient *
     delta * e^{coefficient * delta}). The geometric rotation angle is
-    coefficient * delta / sqrt(2).
+    coefficient * delta / sqrt(2). The exponential is the only construction:
+    `make_rotation` evaluates it exactly with Rodrigues' formula.
     """
 
     axis: tuple
     magnitude_coefficient: float
-    mode: str = "exact_exponential"
 
 
 def make_rotation(spec: RotationSpec, delta: float) -> np.ndarray:
@@ -40,8 +40,6 @@ def make_rotation(spec: RotationSpec, delta: float) -> np.ndarray:
     Raises InvalidAxis if |axis| deviates from 1 by more than 1e-8 and
     InvalidParameter for a delta, coefficient or angle that is not finite.
     """
-    if spec.mode != "exact_exponential":
-        raise ValueError(f"unsupported rotation mode {spec.mode!r}")
     if not 0.0 < delta < math.inf:  # each check fails for NaN too
         raise InvalidParameter(f"delta must be finite and positive, got {delta!r}")
     if not 0.0 <= spec.magnitude_coefficient < math.inf:

@@ -31,14 +31,23 @@ class Scalar1DParams:
             raise ValueError("p must be finite and at least 1")
         if not 0.0 < self.delta <= 0.1:
             raise ValueError("delta must lie in (0, 0.1]")
+        if not self.a * self.delta > 0.0:  # sigma = eps / (a delta)
+            raise ValueError("a * delta underflows to 0")
 
 
 def oned_forward(params: Scalar1DParams, Sbar: float) -> float:
-    """E = delta * a (1 + |a S|^p)^{-1/p} S; always |E| < delta."""
-    if not math.isfinite(Sbar):
-        raise InvalidParameter(f"stress {Sbar!r} is not finite")
+    """E = delta * a (1 + |a S|^p)^{-1/p} S; always |E| < delta.
+
+    Raises InvalidParameter unless S and |a S|^p are finite floats.
+    """
     u = params.a * Sbar
-    return params.delta * u / (1.0 + abs(u) ** params.p) ** (1.0 / params.p)
+    try:
+        w = abs(u) ** params.p
+    except OverflowError:
+        w = math.inf
+    if not w < math.inf:  # a NaN or inf stress fails too
+        raise InvalidParameter(f"stress {Sbar!r}: |a S|^p is not a finite float")
+    return params.delta * u / (1.0 + w) ** (1.0 / params.p)
 
 
 def oned_strain(E: float) -> float:
@@ -119,7 +128,8 @@ def oned_delta0_study(params: Scalar1DParams, Sbar_list) -> Delta0Study:
                 "gap": gap,
             }
         )
-        if s != 0.0 and delta0 > 0.0:
+        # rows whose |S| delta0 or delta0^2 underflows to 0 have no ratio
+        if abs(s) * delta0 > 0.0 and delta0 ** 2 > 0.0:
             ratio_max = max(ratio_max, gap * params.delta / (abs(s) * delta0))
             quad_max = max(
                 quad_max, gap * params.a * params.delta ** 2 / delta0 ** 2

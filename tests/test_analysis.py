@@ -228,6 +228,13 @@ def test_certify_rejects_empty_ladder():
         certify_constants(POWER, [], 100, 0)
 
 
+@pytest.mark.parametrize("spec", [POWER, RECIP], ids=["power_law", "reciprocal"])
+def test_certify_rejects_a_delta_whose_quotients_underflow(spec):
+    # delta^2 is 0 in floats, so C3 has no finite value to report
+    with pytest.raises(InvalidParameter, match="1e-200"):
+        certify_constants(spec, [LADDER[0], 1e-200], 100, 0)
+
+
 def _point(gauss, u, radius):
     return SymTensor(*ball_points(gauss, u, radius).tolist())
 

@@ -1,11 +1,16 @@
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import strainlim
 import strainlim.cli as cli
@@ -44,8 +49,7 @@ def _write(tmp_path, name, payload):
 # --- config parsing ---------------------------------------------------------
 
 
-SCALED_ENERGY = {"family": {"kind": "scaled_base", "base": "power_law", "a": 1.0,
-                            "delta_max": 0.05},
+SCALED_ENERGY = {"family": {"kind": "scaled_base", "base": "power_law", "a": 1.0},
                  "delta": 0.01, "thresholds": {"grad_tol": 1}}
 
 
@@ -71,9 +75,10 @@ def test_parse_config_rejects_unknown_keys():
     bad = dict(CONVERGE, family={"kind": "power_law", "alpha": 2.0})
     with pytest.raises(ConfigInvalid):
         parse_config(bad, "converge")
-    bad = dict(CONVERGE, rotation={"axis": AXIS, "coefficient": 1.0, "angle": 0.2})
-    with pytest.raises(ConfigInvalid):
-        parse_config(bad, "converge")
+    for key, value in (("angle", 0.2), ("mode", "exact_exponential")):
+        bad = dict(CONVERGE, rotation={"axis": AXIS, "coefficient": 1.0, key: value})
+        with pytest.raises(ConfigInvalid):
+            parse_config(bad, "converge")
 
 
 def test_parse_config_rejects_missing_or_malformed():
@@ -93,13 +98,6 @@ def test_parse_config_rejects_missing_or_malformed():
         parse_config(dict(CERTIFY, family={"kind": "power_law", "a": -1.0}), "certify")
     with pytest.raises(ConfigInvalid):
         parse_config({"family": {"kind": "power_law"}, "delta": 0.001}, "oned")
-
-
-def test_parse_config_oned_scalar_fallback():
-    cfg = parse_config(
-        {"family": {"kind": "power_law"}, "delta": 0.001, "stress": 0.25}, "oned"
-    )
-    assert cfg.stresses == (0.25,)
 
 
 # --- end-to-end exit codes ----------------------------------------------------
@@ -131,9 +129,18 @@ def test_missing_config_file(tmp_path, capsys):
 
 
 def test_unreadable_json(tmp_path, capsys):
-    path = tmp_path / "broken.json"
-    path.write_text("{not json")
-    assert main(["converge", "--config", str(path)]) == 1
+    huge = json.dumps(dict(CONVERGE, family={"kind": "power_law", "a": 10 ** 400}))
+    for name, content in (("broken", b"{not json"),
+                          ("latin1", '{"out": "caf\xe9"}'.encode("latin-1")),
+                          ("deep", b"[" * 100000 + b"]" * 100000),
+                          ("huge_int", huge.encode())):
+        path = tmp_path / (name + ".json")
+        path.write_bytes(content)
+        assert main(["converge", "--config", str(path)]) == 1, name
+        captured = capsys.readouterr()
+        assert captured.out == "", name
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("FAIL config"), (name, lines)
 
 
 def test_certify_is_byte_deterministic(tmp_path):
@@ -160,18 +167,6 @@ def test_seed_precedence(tmp_path):
     rep_cli = json.loads((out_cli / "certify_report.json").read_text())
     assert rep_cfg["config"]["seed"] == 11
     assert rep_cli["config"]["seed"] == 99
-
-
-def test_env_seed_when_config_is_silent(tmp_path, monkeypatch):
-    payload = {k: v for k, v in CERTIFY.items() if k != "seed"}
-    cfg = _write(tmp_path, "cert.json", payload)
-    monkeypatch.setenv("STRAINLIM_SEED", "17")
-    out = tmp_path / "env"
-    assert main(["certify", "--config", cfg, "--out", str(out)]) == 0
-    rep = json.loads((out / "certify_report.json").read_text())
-    assert rep["config"]["seed"] == 17
-    monkeypatch.setenv("STRAINLIM_SEED", "promise")
-    assert main(["certify", "--config", cfg, "--out", str(out)]) == 1
 
 
 def test_oned_default_thresholds_fail_honestly(tmp_path, capsys):
@@ -236,7 +231,7 @@ def test_energy_command(tmp_path):
 @pytest.mark.parametrize("c", [1e-4, 1e-5])
 @pytest.mark.parametrize("family", [
     {"kind": "power_law", "a": 1.0, "p": 2.0},
-    {"kind": "scaled_base", "base": "power_law", "a": 1.0, "delta_max": 0.05},
+    {"kind": "scaled_base", "base": "power_law", "a": 1.0},
 ], ids=["power_law", "scaled_base"])
 def test_energy_study_on_a_small_stress_ball(tmp_path, family, c):
     # the gradient step scales with c, so probes near |S| = 0.9 c stay in the ball
@@ -343,6 +338,22 @@ def test_non_unit_rotation_axis_is_config_error(tmp_path, capsys, command, axis)
     assert "rotation.axis" in _run_expect_config_error(tmp_path, capsys, command, bad)
 
 
+@pytest.mark.parametrize("command", ["certify", "solve", "energy"])
+def test_family_whose_power_overflows_is_config_error(tmp_path, capsys, command):
+    # (a c)^p = 1e400 is past the float range
+    bad = dict(VALID[command], family={"kind": "power_law", "a": 1e200, "p": 2.0})
+    assert "bad family" in _run_expect_config_error(tmp_path, capsys, command, bad)
+
+
+def test_a_study_that_runs_out_of_memory_is_config_error(tmp_path, capsys, monkeypatch):
+    def out_of_memory(*args):
+        raise MemoryError("Unable to allocate 43.7 TiB for an array with shape (10**12, 6)")
+
+    monkeypatch.setattr(cli, "certify_constants", out_of_memory)
+    line = _run_expect_config_error(tmp_path, capsys, "certify", dict(CERTIFY, samples=10 ** 12))
+    assert "memory" in line
+
+
 def test_thin_certify_sampling_is_config_error(tmp_path, capsys):
     line = _run_expect_config_error(tmp_path, capsys, "certify", dict(CERTIFY, samples=50))
     assert "samples" in line
@@ -358,7 +369,7 @@ def test_oned_delta_out_of_range_is_config_error(tmp_path, capsys):
     ("certify", CERTIFY, "C9"),
     ("certify", CERTIFY, "order_full"),
     ("converge", CONVERGE, "C0"),
-    ("oned", {"family": {"kind": "power_law"}, "delta": 0.001, "stress": 0.25}, "slop"),
+    ("oned", {"family": {"kind": "power_law"}, "delta": 0.001, "stresses": [0.25]}, "slop"),
 ])
 def test_unknown_threshold_keys_are_rejected(tmp_path, capsys, command, payload, key):
     bad = dict(payload, thresholds={key: 1})
@@ -423,10 +434,15 @@ def test_bad_thresholds_stop_before_the_study(tmp_path, capsys, monkeypatch, com
     assert len(calls) == 1
 
 
+def _spelled_thresholds(command):
+    """The command's threshold defaults as a config spells them; certify's caps have none."""
+    return {key: list(value) if isinstance(value, tuple) else value
+            for key, value in _COMMANDS[command].thresholds.items() if value is not None}
+
+
 @pytest.mark.parametrize("command", ["solve", "converge", "energy"])
 def test_spelled_out_defaults_match_no_thresholds(tmp_path, command):
-    defaults = {key: list(value) if isinstance(value, tuple) else value
-                for key, value in _COMMANDS[command].thresholds.items()}
+    defaults = _spelled_thresholds(command)
     outputs = []
     for name, payload in (("bare", VALID[command]),
                           ("spelled", dict(VALID[command], thresholds=defaults))):
@@ -438,6 +454,77 @@ def test_spelled_out_defaults_match_no_thresholds(tmp_path, command):
                         report["checks"]))
     assert outputs[0] == outputs[1]
     assert outputs[0][0] == 0
+
+
+# --- CLI fuzz -------------------------------------------------------------------
+
+
+def _paths(obj, prefix=()):
+    """The key path of every value in a config, top-level and nested."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+def _replaced(raw, path, value):
+    raw = json.loads(json.dumps(raw))
+    parent = raw
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return raw
+
+
+def _non_finite(obj):
+    """True if a parsed report holds NaN or inf, as a float or as its repr string."""
+    if isinstance(obj, dict):
+        return any(_non_finite(v) for v in obj.values())
+    if isinstance(obj, list):
+        return any(_non_finite(v) for v in obj)
+    return obj in ("nan", "inf", "-inf") or (isinstance(obj, float) and not math.isfinite(obj))
+
+
+# each valid config with its thresholds spelled out, so threshold values are fuzzed too
+FUZZ_BASES = {command: dict(raw, thresholds=_spelled_thresholds(command))
+              for command, raw in VALID.items()}
+FUZZ_TARGETS = [(command, path) for command, raw in FUZZ_BASES.items() for path in _paths(raw)]
+# huge ints, NaN and Infinity literals, subnormals, wrong types
+_FUZZ_VALUES = st.one_of(
+    st.sampled_from([10 ** 400, 1e300, 1e-320, 0, -1, -2.5, math.nan, math.inf, -math.inf,
+                     "x", [1.0], {"k": 1}, None]),
+    st.floats(), st.integers(-10 ** 6, 10 ** 6))
+
+
+@settings(max_examples=150, deadline=None)
+@example(target=("certify", ("family", "a")), value=1e200)
+@example(target=("solve", ("family", "a")), value=1e200)
+@example(target=("converge", ("family", "a")), value=10 ** 400)
+@example(target=("oned", ("stresses", 0)), value=1e300)
+@example(target=("oned", ("stresses", 1)), value=1e-320)
+@example(target=("oned", ("delta",)), value=5e-324)
+@example(target=("certify", ("deltas", 3)), value=1e-320)
+@example(target=("certify", ("deltas", 3)), value=1e-200)
+@example(target=("energy", ("family", "c")), value=1e-320)
+@example(target=("converge", ("thresholds", "order_full", 0)), value=math.nan)
+@given(target=st.sampled_from(FUZZ_TARGETS), value=_FUZZ_VALUES)
+def test_cli_fuzz_exits_cleanly(target, value):
+    """One replaced value: exit 0, 1 or 2, one output line, no non-finite number in a PASS."""
+    command, path = target
+    raw = _replaced(FUZZ_BASES[command], path, value)
+    with tempfile.TemporaryDirectory() as out:
+        config = os.path.join(out, "fuzz.json")
+        with open(config, "w") as handle:
+            json.dump(raw, handle)  # NaN and inf become the NaN and Infinity literals
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main([command, "--config", config, "--out", out])
+        lines = (stdout.getvalue() + stderr.getvalue()).splitlines()
+        assert code in (0, 1, 2) and len(lines) == 1, (code, lines)
+        if code == 0:
+            with open(os.path.join(out, command.replace("-", "_") + "_report.json")) as handle:
+                report = json.load(handle)
+            assert report["verdict"] == "PASS" and not _non_finite(report), report
 
 
 # --- import contract ----------------------------------------------------------

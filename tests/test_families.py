@@ -59,10 +59,17 @@ def test_spec_validation():
         FamilySpec(kind="scaled_base")
     with pytest.raises(ValueError):
         FamilySpec(kind="scaled_base", base="mystery")
-    for field in ("a", "p", "E0", "nu", "b", "c", "delta1", "delta_max"):
+    for field in ("a", "p", "E0", "nu", "b", "c", "delta1"):
         for bad in (NAN, INF, -INF):
             with pytest.raises(ValueError):
                 FamilySpec(kind="power_law", **{field: bad})
+    # (a c)^p past the float range: an OverflowError, or a * c already inf
+    for kwargs in ({"a": 1e200}, {"a": 1e10, "p": 40.0}, {"a": 1e200, "c": 1e200, "p": 1.0}):
+        with pytest.raises(ValueError):
+            FamilySpec(kind="power_law", **kwargs)
+        with pytest.raises(ValueError):
+            FamilySpec(kind="scaled_base", base="power_law", **kwargs)
+    FamilySpec(kind="power_law", a=1e150)  # (a c)^2 = 1e300 is still a float
 
 
 def test_delta_ceilings():
@@ -71,8 +78,6 @@ def test_delta_ceilings():
     assert delta_ceiling(DIRECT) == pytest.approx(0.02)
     scaled = FamilySpec(kind="scaled_base", a=1.0, p=2.0, base="power_law", delta1=0.05)
     assert delta_ceiling(scaled) == pytest.approx(0.05)
-    tight = FamilySpec(kind="power_law", delta_max=0.003)
-    assert delta_ceiling(tight) == 0.003
 
 
 def test_is_admissible_boundary():

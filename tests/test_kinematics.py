@@ -80,8 +80,6 @@ def test_rotation_rejects_bad_inputs():
         make_rotation(ROT, -0.01)
     with pytest.raises(ValueError):
         make_rotation(RotationSpec(axis=AXIS, magnitude_coefficient=-1.0), 0.01)
-    with pytest.raises(ValueError):
-        make_rotation(RotationSpec(axis=AXIS, magnitude_coefficient=1.0, mode="cayley"), 0.01)
     with pytest.raises(InvalidAxis):
         make_rotation(RotationSpec(axis=(math.nan, 0.0, 1.0), magnitude_coefficient=1.0), 0.01)
     with pytest.raises(ValueError):

@@ -62,3 +62,23 @@ def test_no_module_reads_a_private_attribute_it_does_not_define(path):
                       if isinstance(node, ast.Attribute) and _private(node.attr)
                       and node.attr not in allowed})
     assert not foreign, "%s reads private attributes of other modules: %s" % (path.name, foreign)
+
+
+_ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
+
+
+def _environment_reads(tree):
+    """`os.environ`-style attribute reads and `from os import environ`-style imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in _ENVIRONMENT:
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            yield from (alias.name for alias in node.names if alias.name in _ENVIRONMENT)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_module_reads_the_environment(path):
+    # every setting comes from the config or a command-line option
+    tree = ast.parse(path.read_text(), filename=str(path))
+    reads = sorted(set(_environment_reads(tree)))
+    assert not reads, "%s reads the environment: %s" % (path.name, reads)

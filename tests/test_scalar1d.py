@@ -27,6 +27,9 @@ def test_params_validation():
         Scalar1DParams(a=1.0, p=2.0, delta=0.0)
     with pytest.raises(ValueError):
         Scalar1DParams(a=1.0, p=2.0, delta=0.2)
+    with pytest.raises(ValueError):
+        # a * delta underflows to 0
+        Scalar1DParams(a=0.3, p=2.0, delta=5e-324)
     for bad in (math.nan, math.inf, -math.inf):
         for field in ("a", "p", "delta"):
             with pytest.raises(ValueError):
@@ -139,8 +142,9 @@ def test_study_rows_and_diagnostics():
     assert 0.0 < study.quad_constant_max <= 0.5
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e300, -1e200])
 def test_study_rejects_non_finite_stress(bad):
+    # 1e300 and -1e200 are finite, but |a S|^p is not
     with pytest.raises(InvalidParameter):
         oned_delta0_study(P12, [0.1, 0.2, bad, 0.3, 0.4])
 
@@ -160,3 +164,22 @@ def test_study_zero_stress_slope_is_none():
     assert study.ratio_max == 0.0
     for r in study.rows:
         assert r["gap"] == 0.0
+
+
+def test_forward_rejects_a_stress_whose_power_is_not_finite():
+    with pytest.raises(InvalidParameter):
+        oned_forward(P12, 1e300)
+    with pytest.raises(InvalidParameter):  # a S itself overflows to inf
+        oned_forward(Scalar1DParams(a=1e200, p=1.0, delta=1e-3), 1e200)
+    # just inside the float range the relation saturates at E = delta
+    assert oned_forward(P12, 1e150) == P12.delta
+
+
+def test_study_leaves_underflowing_rows_out_of_the_ratios():
+    # |S| delta0 or delta0^2 underflows to 0 for these stresses
+    tiny = [1e-320, -5e-324, 1e-200]
+    stresses = [0.1, 0.2, 0.3, 0.4]
+    study = oned_delta0_study(P12, tiny + stresses)
+    assert len(study.rows) == 7
+    ref = oned_delta0_study(P12, stresses)
+    assert (study.ratio_max, study.quad_constant_max) == (ref.ratio_max, ref.quad_constant_max)
