@@ -27,7 +27,6 @@ from .energy import (
 )
 from .errors import (
     ConfigInvalid,
-    DomainError,
     FitUnderdetermined,
     InadmissibleDelta,
     InvalidAxis,
@@ -45,15 +44,15 @@ from .errors import (
 from .families import (
     DENSITY_KINDS,
     KINDS,
-    DomainSpec,
     FamilySpec,
     certified_domain,
     certify_caps,
+    check_ball,
+    check_delta,
     delta_ceiling,
     family_eval,
     family_leading,
     generalized_modulus,
-    is_admissible,
     leading_gap,
     working_domain,
 )

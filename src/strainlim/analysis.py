@@ -4,8 +4,9 @@ A convergence study solves the implicit relation on a descending delta
 ladder, rebuilds the finite deformation, and records how fast the
 linearized-strain residuals shrink; orders are least-squares slopes in
 log-log coordinates, with pairwise Richardson ratios available as a
-diagnostic. Certification samples the family's certified ball and reports
-sampled suprema for the defining constants (lower bounds on the true ones).
+diagnostic. Certification samples the certified balls B(0, k*delta) x
+B(0, c) and reports sampled suprema for the defining constants (lower
+bounds on the true ones). Both check every delta up front (`check_delta`).
 Consecutive delta rungs share one batched call of up to 2048 rows, with
 delta as an (N,) column; each rung is drawn and reduced as if alone.
 """
@@ -18,21 +19,15 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    FitUnderdetermined,
-    InadmissibleDelta,
-    InvalidParameter,
-    OutOfDomain,
-    StrainLimError,
-)
+from .errors import FitUnderdetermined, InvalidParameter, StrainLimError
 from .families import (
     FamilySpec,
     certified_domain,
+    check_ball,
+    check_delta,
     family_eval,
     family_leading,
-    is_admissible,
     leading_gap,
-    working_domain,
 )
 from .kinematics import (
     RotationSpec,
@@ -144,18 +139,12 @@ def _require_positive_deltas(deltas):
         raise InvalidParameter(f"deltas must be finite and positive, got {deltas!r}")
 
 
-def _require_admissible(spec, deltas):
-    for d in deltas:
-        if not is_admissible(spec, d):
-            raise InadmissibleDelta(f"delta {d!r} is not admissible for kind {spec.kind}")
-
-
 def _validate_ladder(spec, deltas):
     if len(deltas) < 4:
         raise FitUnderdetermined(f"need at least 4 deltas, got {len(deltas)}")
     if any(b >= a for a, b in zip(deltas, deltas[1:])):
         raise ValueError("deltas must be strictly decreasing")
-    _require_admissible(spec, deltas)
+    check_delta(spec, np.asarray(deltas, dtype=float))
 
 
 def _leading_residual(spec, delta, eps, sigma) -> float:
@@ -189,8 +178,7 @@ def run_convergence_hencky(
 
 def _run_ladder(spec, stress, rot, deltas, hencky) -> ConvergenceReport:
     _validate_ladder(spec, deltas)
-    if not frobenius(stress) <= working_domain(spec).stress_radius:  # NaN fails too
-        raise OutOfDomain("%s lies outside the stress ball" % ("T" if hencky else "Sbar"))
+    check_ball("T" if hencky else "Sbar", stress, spec.c)
     # looked up per call, not at import, so rebinding the module globals takes effect
     solve, deform, pushforward = (
         (solve_implicit_hencky, deformation_from_hencky, sigma_from_cauchy) if hencky
@@ -267,9 +255,9 @@ def certify_constants(
         raise InvalidParameter("samples must be at least 100")
     if len(deltas) == 0:
         raise InvalidParameter("certification needs at least one delta")
-    _require_admissible(spec, deltas)
+    check_delta(spec, np.asarray(deltas, dtype=float))
     rng = np.random.default_rng(seed)
-    dom = certified_domain(spec)
+    k = certified_domain(spec)
     shrink = 1.0 - 2.0 * PROBE_SCALE
     per_call = max(1, _BATCH_ROWS // samples)
     rows = []
@@ -283,7 +271,7 @@ def certify_constants(
                 part = a[rung * samples:(rung + 1) * samples]
                 (rng.random if a.ndim == 1 else rng.standard_normal)(out=part)
         delta = np.repeat(np.asarray(group, dtype=float), samples)
-        r_e, r_s = dom.strain_radius(delta)[:, None], dom.stress_radius
+        r_e, r_s = (k * delta)[:, None], spec.c
         e1 = ball_points(g_e, u_e, r_e * shrink)
         s1 = ball_points(g_s, u_s, r_s * shrink)
         e2 = e1 + ball_points(d_e, 1.0, 1.0) * (r_e * PROBE_SCALE)

@@ -69,8 +69,8 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         """The fields the command reads, in the form `parse_config` reads back."""
-        fields = _COMMON_KEYS + tuple(field for field, _ in _COMMANDS[self.command].keys.values())
-        return {field: _echo(getattr(self, field)) for field in fields}
+        keys = _COMMON_KEYS + tuple(_COMMANDS[self.command].keys)
+        return {key: _echo(getattr(self, key)) for key in keys}
 
 
 def _echo(value):
@@ -190,10 +190,10 @@ def parse_config(raw: dict, command: str) -> ExperimentConfig:
         _require(isinstance(raw["out"], str), "out must be a string")
         cfg.output_dir = raw["out"]
 
-    for key, (field, parse) in spec.keys.items():
+    for key, parse in spec.keys.items():
         if key in raw:
-            setattr(cfg, field, parse(raw[key], key))
-    missing = sorted({field for field, _ in spec.keys.values() if getattr(cfg, field) is None})
+            setattr(cfg, key, parse(raw[key], key))
+    missing = sorted(key for key in spec.keys if getattr(cfg, key) is None)
     _require(not missing, "%s needs %s" % (command, " and ".join(missing)))
     return cfg
 
@@ -365,8 +365,8 @@ def _run_energy(cfg: ExperimentConfig):
 class _Command(NamedTuple):
     blurb: str
     run: Callable
-    # config key read besides _COMMON_KEYS -> (ExperimentConfig field, parser);
-    # every field is required
+    # config key read besides _COMMON_KEYS, which names the ExperimentConfig
+    # field it sets -> its parser; every key is required
     keys: dict
     # threshold key -> default: a (lo, hi) window, a number, or None for a
     # family-dependent certification cap
@@ -374,12 +374,10 @@ class _Command(NamedTuple):
     kinds: tuple = KINDS
 
 
-_STRESS = ("stress", lambda raw, name: SymTensor(*_numbers(raw, name, 6)))
-_DELTA = ("delta", _positive)
-_DELTAS = ("deltas", _parse_deltas)
+_STRESS = lambda raw, name: SymTensor(*_numbers(raw, name, 6))
 _CONVERGE = _Command(
     "strain-driven convergence sweep", _run_converge,
-    {"stress": _STRESS, "rotation": ("rotation", _parse_rotation), "deltas": _DELTAS},
+    {"stress": _STRESS, "rotation": _parse_rotation, "deltas": _parse_deltas},
     {"order_full": (1.9, 2.1), "order_leading": (1.9, 2.1), "order_stress": (0.9, 1.1),
      "stress_row_factor": 10.0})
 
@@ -387,16 +385,16 @@ _CONVERGE = _Command(
 # quadratic/linear claims the studies are meant to confirm.
 _COMMANDS = {
     "solve": _Command("solve the implicit relation at one delta", _run_solve,
-                      {"stress": _STRESS, "delta": _DELTA}, {"residual": 1e-10}),
+                      {"stress": _STRESS, "delta": _positive}, {"residual": 1e-10}),
     "converge": _CONVERGE,
     "converge-hencky": _CONVERGE._replace(blurb="stress-driven convergence sweep"),
     "certify": _Command("sample family constants over the admissible ball", _run_certify,
-                        {"deltas": _DELTAS}, dict.fromkeys(("C0", "C1", "D0", "C3"))),
+                        {"deltas": _parse_deltas}, dict.fromkeys(("C0", "C1", "D0", "C3"))),
     "oned": _Command("scalar diagnostic sweep", _run_oned,
-                     {"delta": _DELTA, "stresses": ("stresses", _numbers)},
+                     {"delta": _positive, "stresses": _numbers},
                      {"slope": (0.9, 1.1)}, ("power_law",)),
     "energy": _Command("complementary energy consistency probes", _run_energy,
-                       {"delta": _DELTA},
+                       {"delta": _positive},
                        {"grad_tol": 1e-6, "fenchel_tol": 1e-9, "roundtrip_tol": 1e-8},
                        ("power_law", "scaled_base")),
 }

@@ -10,8 +10,9 @@ row needs is shared by the call, which may move other rows' last digits. W is
 the convex conjugate of W*, evaluated at the closed-form maximizer (the
 tensor analogue of the one-dimensional inversion). The stress map of the
 associated Green elastic solid is a finite-difference gradient of W.
-`quad` and `cubature` import `scipy.integrate` on their first call, so only
-studies that integrate (p != 2 or scaled_base) load scipy.
+Stresses must lie in the family's ball B(0, c) (`check_ball`). `quad` and
+`cubature` import `scipy.integrate` on their first call, so only studies
+that integrate (p != 2 or scaled_base) load scipy.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameter, NoConvergence, OutOfDomain, Saturation
-from .families import FamilySpec, family_leading
+from .families import FamilySpec, check_ball, family_leading
 from .scalar1d import one_minus_abs_pow
 from .symtensor import SymTensor, central_differences, frobenius, inner
 
@@ -60,13 +61,6 @@ class EnergyProfile:
             raise ValueError("energy profiles require power_law or scaled_base")
 
 
-def _checked_norm(profile: EnergyProfile, Sbar: SymTensor) -> float:
-    s = frobenius(Sbar)
-    if not s <= profile.family.c:  # NaN and inf fail too
-        raise OutOfDomain(f"|Sbar| = {s!r} exceeds {profile.family.c!r}")
-    return s
-
-
 def _radial_closed_form(a: float, s: float) -> float:
     # int_0^s a t (1 + a^2 t^2)^{-1/2} dt = ((1 + a^2 s^2)^{1/2} - 1)/a,
     # written to avoid the cancellation at small s
@@ -78,7 +72,7 @@ def complementary_energy_quadrature(profile: EnergyProfile, Sbar: SymTensor) -> 
     fam = profile.family
     if fam.kind == "scaled_base":
         return float(_line_integrals(profile, np.array([Sbar.components()]))[0])
-    return _radial_quad(fam.a, fam.p, _checked_norm(profile, Sbar))
+    return _radial_quad(fam.a, fam.p, check_ball("Sbar", Sbar, fam.c))
 
 
 def _radial_quad(a: float, p: float, s: float) -> float:
@@ -95,9 +89,7 @@ def _line_integrals(profile: EnergyProfile, rows: np.ndarray) -> np.ndarray:
     # W*(S) = int_0^1 <f_1(0, t S), S> dt for each row S, exact for any
     # gradient base; one family_leading call takes every ray at every node
     fam = profile.family
-    norms = frobenius(rows)
-    if not np.all(norms <= fam.c):  # NaN and inf fail too
-        raise OutOfDomain(f"|Sbar| = {float(np.max(norms))!r} exceeds {fam.c!r}")
+    check_ball("Sbar", rows, fam.c)
     if len(rows) > _BATCH_ROWS:
         return np.concatenate([_line_integrals(profile, rows[i:i + _BATCH_ROWS])
                                for i in range(0, len(rows), _BATCH_ROWS)])
@@ -117,7 +109,7 @@ def complementary_energy(profile: EnergyProfile, Sbar: SymTensor) -> float:
     """W*(Sbar), normalized so W*(0) = 0; convex on the stress ball."""
     fam = profile.family
     if fam.kind == "power_law" and fam.p == 2.0:
-        return _radial_closed_form(fam.a, _checked_norm(profile, Sbar))
+        return _radial_closed_form(fam.a, check_ball("Sbar", Sbar, fam.c))
     return complementary_energy_quadrature(profile, Sbar)
 
 
@@ -164,7 +156,7 @@ def complementary_gradient(profile: EnergyProfile, Sbar):
     floor = min(1.0, profile.family.c)
     if not _GRAD_STEP * floor > 0.0:
         raise InvalidParameter(f"the gradient step underflows for c = {profile.family.c!r}")
-    steps = [_GRAD_STEP * max(floor, _checked_norm(profile, S)) for S in points]
+    steps = [_GRAD_STEP * max(floor, check_ball("Sbar", S, profile.family.c)) for S in points]
     if profile.family.kind == "scaled_base":
         fn = lambda P: _line_integrals(profile, np.array(P)).tolist()
     else:

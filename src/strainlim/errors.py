@@ -18,7 +18,7 @@ class InvalidAxis(StrainLimError):
 
 
 class OutOfDomain(StrainLimError):
-    """Strain or stress argument lies outside the family's admissible ball."""
+    """An argument lies outside the ball or interval where the map is defined."""
 
 
 class InadmissibleDelta(StrainLimError):
@@ -35,10 +35,6 @@ class SingularLeading(StrainLimError):
 
 class Saturation(StrainLimError):
     """Requested strain is at or beyond the limiting value; no finite stress attains it."""
-
-
-class DomainError(StrainLimError):
-    """Scalar kinematic map evaluated outside its domain of definition."""
 
 
 class NoConvergence(StrainLimError):

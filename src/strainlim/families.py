@@ -10,14 +10,15 @@ Four kinds are implemented:
 - scaled_base: (delta/delta1) f(delta1 E / delta, S) for a supplied bounded
   Lipschitz base f with |f| <= delta1.
 
-Each family carries two concentric strain balls. The certified ball
-B(0, b*delta) is where the closed-form constants are guaranteed and is what
-`certified_domain` (used by constant certification) and the
-`generalized_modulus` precondition refer to. The working ball used for
-evaluation and solving is wider for the density kinds: the fixed points of
-E = f_delta(E, S) land outside B(0, b*delta) for moderate stresses, so the
-working radius covers the full guaranteed range of f_delta with 5%
-headroom while staying inside the modulus-positivity region.
+Stresses stay in B(0, c) for every kind. Strains stay in one of two
+concentric balls B(0, k*delta), whose coefficients k `certified_domain` and
+`working_domain` return. The certified ball B(0, b*delta) is where the
+closed-form constants are guaranteed (constant certification,
+`generalized_modulus`). The working ball used for evaluation and solving is
+wider for the density kinds: the fixed points of E = f_delta(E, S) land
+outside B(0, b*delta) for moderate stresses, so the working radius covers
+the full guaranteed range of f_delta with 5% headroom while staying inside
+the modulus-positivity region.
 
 `family_eval`, `family_leading` and `leading_gap` also take (N, 6) arrays of
 components (xx, yy, zz, xy, xz, yz) and return (N, 6) arrays ((N,) norms for
@@ -26,7 +27,9 @@ components (xx, yy, zz, xy, xz, yz) and return (N, 6) arrays ((N,) norms for
 runs the same formulas as a SymTensor whose components are numpy columns;
 a density-kind row may differ from the scalar call in the last ulp (numpy
 against libm `expm1`/`log1p`).
-Domain checks read `not (norm <= radius)`: NaN and inf raise.
+This module alone decides domain membership: `check_ball` for a strain or
+stress ball and `check_delta` for the admissible deltas, which other modules
+call. Checks read `not (norm <= radius)`: NaN and inf raise.
 """
 
 from __future__ import annotations
@@ -55,6 +58,8 @@ KINDS = (
 DENSITY_KINDS = ("density_modulus_reciprocal", "density_modulus_direct")
 
 _WORKING_MARGIN = 1.05
+# below it E/delta overflows or delta^2 is 0
+_SMALLEST_NORMAL = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -111,20 +116,9 @@ class FamilySpec:
                 finite = False
             if not finite:
                 raise ValueError("(a*c)^p overflows a float")
-        # (working_domain, delta_ceiling), computed once per spec; a plain
+        # (working coefficient k, delta_ceiling), computed once per spec; a plain
         # attribute keeps attribute reads on the spec on CPython's fast path
         object.__setattr__(self, "_working", (working_domain(self), delta_ceiling(self)))
-
-
-@dataclass(frozen=True)
-class DomainSpec:
-    """Ball domain U_delta x V: strain radius scales with delta, stress does not."""
-
-    strain_coeff: float
-    stress_radius: float
-
-    def strain_radius(self, delta: float) -> float:
-        return self.strain_coeff * delta
 
 
 def _density_guaranteed_coeff(spec: FamilySpec) -> float:
@@ -141,25 +135,26 @@ def certify_caps(spec: FamilySpec) -> dict:
     return {"C0": _density_guaranteed_coeff(spec)}
 
 
-def working_domain(spec: FamilySpec) -> DomainSpec:
-    """Domain used by evaluation, the solver, and convergence studies."""
+def working_domain(spec: FamilySpec) -> float:
+    """Coefficient k of the strain ball B(0, k*delta) used by evaluation, the
+    solver and convergence studies; the stress ball is B(0, c) for every kind."""
     if spec.kind == "power_law":
-        return DomainSpec(_WORKING_MARGIN, spec.c)
+        return _WORKING_MARGIN
     if spec.kind == "scaled_base":
-        return DomainSpec(spec.b / spec.delta1, spec.c)
-    coeff = max(spec.b, _WORKING_MARGIN * _density_guaranteed_coeff(spec))
-    return DomainSpec(coeff, spec.c)
+        return spec.b / spec.delta1
+    return max(spec.b, _WORKING_MARGIN * _density_guaranteed_coeff(spec))
 
 
-def certified_domain(spec: FamilySpec) -> DomainSpec:
-    """Ball on which the closed-form constants are guaranteed."""
+def certified_domain(spec: FamilySpec) -> float:
+    """Coefficient k of the strain ball B(0, k*delta) on which the closed-form
+    constants are guaranteed; the stress ball is B(0, c) for every kind."""
     if spec.kind in DENSITY_KINDS:
-        return DomainSpec(spec.b, spec.c)
+        return spec.b
     return working_domain(spec)
 
 
 def delta_ceiling(spec: FamilySpec) -> float:
-    """Admissibility ceiling: deltas must satisfy 0 < delta < ceiling."""
+    """Admissibility ceiling: `check_delta` admits normal floats 0 < delta < ceiling."""
     if spec.kind == "power_law":
         return 0.1
     if spec.kind == "scaled_base":
@@ -167,11 +162,7 @@ def delta_ceiling(spec: FamilySpec) -> float:
         return min(0.1, spec.delta1 / (2.0 * spec.b))
     ceiling = min(0.1, 1.0 / (50.0 * max(1.0, spec.a)))
     # keep the working ball inside B(0, 1/2) even for large stress radii
-    return min(ceiling, 1.0 / (2.0 * working_domain(spec).strain_coeff))
-
-
-def is_admissible(spec: FamilySpec, delta: float) -> bool:
-    return 0.0 < delta < spec._working[1]
+    return min(ceiling, 1.0 / (2.0 * working_domain(spec)))
 
 
 def _check(ok, value, error, template, *context):
@@ -183,11 +174,28 @@ def _check(ok, value, error, template, *context):
             raise error(template.format(float(np.ravel(value)[bad[0]]), *row))
 
 
-def _check_ball(name, A, radius):
+def check_ball(name: str, A, radius):
+    """|A|, or the (N,) row norms of a batch; OutOfDomain unless each is <= radius.
+
+    `radius` may be an (N,) column. The message names the first failing row.
+    """
     n = frobenius(A)
     ok = n <= radius
     if ok is not True:  # scalar fast path skips the call
         _check(ok, n, OutOfDomain, "|{1}| = {0!r} exceeds {2!r}", name, radius)
+    return n
+
+
+def check_delta(spec: FamilySpec, delta) -> None:
+    """InadmissibleDelta unless delta (a float or an (N,) column) lies in
+    (0, delta_ceiling) and is a normal float; names the first failing delta."""
+    ceiling = spec._working[1]
+    if isinstance(delta, np.ndarray) or not _SMALLEST_NORMAL <= delta < ceiling:
+        d = np.asarray(delta, dtype=float)
+        _check((0.0 < d) & (d < ceiling), d, InadmissibleDelta,
+               "delta {0!r} outside (0, {1!r}) for kind {2}", ceiling, spec.kind)
+        _check(d >= _SMALLEST_NORMAL, d, InadmissibleDelta,
+               "delta {0!r} is below the smallest normal float {1!r}", _SMALLEST_NORMAL)
 
 
 def _columns(*tensors):
@@ -271,26 +279,20 @@ def _scaled_leading(spec: FamilySpec, Etilde: SymTensor, Sbar: SymTensor) -> Sym
 def family_eval(spec: FamilySpec, delta: float, E, Sbar):
     """Evaluate f_delta(E, Sbar) on the working domain.
 
-    Raises InadmissibleDelta outside (0, delta_ceiling) and OutOfDomain
-    outside U_delta x V. (N, 6) arrays give an (N, 6) array; with them
-    `delta` may also be an (N,) column, one delta per row.
+    Raises InadmissibleDelta unless `check_delta` admits delta, and
+    OutOfDomain outside B(0, k*delta) x B(0, c). (N, 6) arrays give an
+    (N, 6) array; with them `delta` may also be an (N,) column, one delta
+    per row.
     """
-    dom, ceiling = spec._working
+    check_delta(spec, delta)
     if isinstance(E, SymTensor) and isinstance(Sbar, SymTensor):
-        if not 0.0 < delta < ceiling:
-            raise InadmissibleDelta(
-                f"delta {delta!r} outside (0, {ceiling!r}) for kind {spec.kind}"
-            )
-        return _eval(spec, dom, delta, E, Sbar)
-    d = np.asarray(delta, dtype=float)
-    _check((0.0 < d) & (d < ceiling), d, InadmissibleDelta,
-           "delta {0!r} outside (0, {1!r}) for kind {2}", ceiling, spec.kind)
-    return _rows(_eval(spec, dom, delta, *_columns(E, Sbar)))
+        return _eval(spec, delta, E, Sbar)
+    return _rows(_eval(spec, delta, *_columns(E, Sbar)))
 
 
-def _eval(spec, dom: DomainSpec, delta: float, E: SymTensor, Sbar: SymTensor) -> SymTensor:
-    _check_ball("E", E, dom.strain_radius(delta))
-    _check_ball("Sbar", Sbar, dom.stress_radius)
+def _eval(spec, delta: float, E: SymTensor, Sbar: SymTensor) -> SymTensor:
+    check_ball("E", E, spec._working[0] * delta)
+    check_ball("Sbar", Sbar, spec.c)
     if spec.kind == "power_law":
         # identical float path as delta * family_leading(...): the leading
         # residual of this kind is bit-equal to the full residual
@@ -314,14 +316,8 @@ def generalized_modulus(spec: FamilySpec, delta: float, E: SymTensor) -> float:
     """
     if spec.kind not in DENSITY_KINDS:
         raise ValueError("generalized_modulus is defined for the density kinds only")
-    if not is_admissible(spec, delta):
-        raise InadmissibleDelta(
-            f"delta {delta!r} outside (0, {delta_ceiling(spec)!r}) for kind {spec.kind}"
-        )
-    if not frobenius(E) <= spec.b * delta:
-        raise OutOfDomain(
-            f"|E| = {frobenius(E)!r} exceeds the certified radius {spec.b * delta!r}"
-        )
+    check_delta(spec, delta)
+    check_ball("E", E, spec.b * delta)
     bracket = _modulus_brackets(spec, delta, E)
     floor = 1.0 - 2.0 * spec.a * spec.b
     if spec.kind == "density_modulus_reciprocal":
@@ -348,9 +344,8 @@ def family_leading(spec: FamilySpec, Etilde, Sbar):
 
 
 def _leading(spec: FamilySpec, Etilde: SymTensor, Sbar: SymTensor) -> SymTensor:
-    dom = spec._working[0]
-    _check_ball("Etilde", Etilde, dom.strain_coeff)
-    _check_ball("Sbar", Sbar, dom.stress_radius)
+    check_ball("Etilde", Etilde, spec._working[0])
+    check_ball("Sbar", Sbar, spec.c)
     if spec.kind == "power_law":
         return _power_leading(spec.a, spec.p, Sbar)
     if spec.kind == "scaled_base":

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .analysis import fit_order
-from .errors import DomainError, InvalidParameter, Saturation
+from .errors import InvalidParameter, OutOfDomain, Saturation
 
 
 @dataclass(frozen=True)
@@ -53,13 +53,13 @@ def oned_forward(params: Scalar1DParams, Sbar: float) -> float:
 def oned_strain(E: float) -> float:
     """Linearized-strain variable eps = -1 + sqrt(1 + 2E), so E = eps + eps^2/2.
 
-    Raises DomainError for E <= -1/2 and InvalidParameter for NaN or inf.
+    Raises OutOfDomain for E <= -1/2 and InvalidParameter for NaN or inf.
     Written as 2E/(1 + sqrt(1+2E)) to avoid cancellation at small E.
     """
     if not math.isfinite(E):
         raise InvalidParameter(f"strain {E!r} is not finite")
     if E <= -0.5:
-        raise DomainError(f"E = {E!r} is at or below -1/2")
+        raise OutOfDomain(f"E = {E!r} is at or below -1/2")
     return 2.0 * E / (1.0 + math.sqrt(1.0 + 2.0 * E))
 
 

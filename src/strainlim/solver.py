@@ -154,5 +154,5 @@ def _solve(spec, delta, stress, guess) -> SolveReport:
 
 
 def _report(spec, delta, E, iterations, res, method) -> SolveReport:
-    interior = frobenius(E) <= 0.5 * working_domain(spec).strain_radius(delta)
+    interior = frobenius(E) <= 0.5 * (working_domain(spec) * delta)
     return SolveReport(E, iterations, res, method, interior)

@@ -107,7 +107,7 @@ def test_ladder_validation(monkeypatch):
     # one OutOfDomain up front, NaN included, not one failure per rung
     for route in (run_convergence, run_convergence_hencky):
         for bad in (2.0, math.nan, math.inf):
-            with pytest.raises(OutOfDomain, match="outside the stress ball"):
+            with pytest.raises(OutOfDomain, match="exceeds"):
                 route(POWER, SymTensor(bad, 0.0, 0.0), ROT, [0.01, 0.005, 0.0025, 0.00125])
     # a rotation that no rung can build raises its own error once, before any solve
     for solver in ("solve_implicit", "solve_implicit_hencky"):
@@ -228,6 +228,15 @@ def test_certify_rejects_empty_ladder():
         certify_constants(POWER, [], 100, 0)
 
 
+def test_subnormal_deltas_are_inadmissible():
+    # 1/delta overflows: one named error up front, not |Etilde| = inf or nan
+    with pytest.raises(InadmissibleDelta, match="1e-320 is below the smallest normal"):
+        certify_constants(POWER, [LADDER[0], 1e-320], 100, 0)
+    for route in (run_convergence, run_convergence_hencky):
+        with pytest.raises(InadmissibleDelta, match="1e-310 is below the smallest normal"):
+            route(RECIP, SBAR, ROT, [0.01, 1e-300, 1e-305, 1e-310, 1e-315])
+
+
 @pytest.mark.parametrize("spec", [POWER, RECIP], ids=["power_law", "reciprocal"])
 def test_certify_rejects_a_delta_whose_quotients_underflow(spec):
     # delta^2 is 0 in floats, so C3 has no finite value to report
@@ -247,7 +256,7 @@ def _certify_row_by_row(spec, deltas, samples, seed):
     shrink = 1.0 - 2.0 * PROBE_SCALE
     out = []
     for delta in deltas:
-        r_e, r_s = dom.strain_radius(delta), dom.stress_radius
+        r_e, r_s = dom * delta, spec.c
         g_e, u_e = rng.standard_normal((samples, 6)), rng.random(samples)
         g_s, u_s = rng.standard_normal((samples, 6)), rng.random(samples)
         d_e, d_s = rng.standard_normal((samples, 6)), rng.standard_normal((samples, 6))

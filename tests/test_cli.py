@@ -59,7 +59,7 @@ def test_parse_config_round_trip():
         echo = json.loads(json.dumps(cfg.to_dict()))
         assert parse_config(echo, command) == cfg, command
         # the echo holds the common fields and the fields this command reads, nothing else
-        read = {field for field, _ in _COMMANDS[command].keys.values()}
+        read = set(_COMMANDS[command].keys)
         assert set(echo) == {"command", "family", "samples", "seed", "thresholds"} | read
 
 
@@ -315,6 +315,15 @@ def test_study_errors_exit_two(tmp_path, capsys):
                  "--out", str(tmp_path)])
     assert code == 2
     assert "InadmissibleDelta" in capsys.readouterr().out
+
+
+def test_subnormal_certify_delta_exits_two(tmp_path, capsys):
+    bad = {"family": {"kind": "power_law"}, "deltas": [1e-320], "samples": 100}
+    code = main(["certify", "--config", _write(tmp_path, "c.json", bad), "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().out == (
+        "FAIL certify kind=power_law InadmissibleDelta: delta 1e-320 is below the "
+        "smallest normal float 2.2250738585072014e-308\n")
 
 
 # --- parameter and threshold validation -----------------------------------------

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -17,11 +18,11 @@ from strainlim.families import (
     FamilySpec,
     certified_domain,
     certify_caps,
+    check_delta,
     delta_ceiling,
     family_eval,
     family_leading,
     generalized_modulus,
-    is_admissible,
     leading_gap,
     working_domain,
 )
@@ -80,25 +81,38 @@ def test_delta_ceilings():
     assert delta_ceiling(scaled) == pytest.approx(0.05)
 
 
-def test_is_admissible_boundary():
+def test_check_delta_boundary():
     # open interval: the ceiling itself is out
-    assert is_admissible(POWER, 0.0999)
-    assert not is_admissible(POWER, 0.1)
-    assert not is_admissible(POWER, 0.0)
-    assert not is_admissible(POWER, -0.01)
-    assert is_admissible(RECIP, 0.0199)
-    assert not is_admissible(RECIP, 0.02)
+    check_delta(POWER, 0.0999)
+    check_delta(RECIP, 0.0199)
+    check_delta(POWER, np.array([0.0999, 0.05]))
+    for spec, delta in ((POWER, 0.1), (POWER, 0.0), (POWER, -0.01), (RECIP, 0.02),
+                        (POWER, math.nan), (POWER, math.inf)):
+        with pytest.raises(InadmissibleDelta, match="outside"):
+            check_delta(spec, delta)
+        with pytest.raises(InadmissibleDelta, match="outside"):
+            check_delta(spec, np.array([0.01, delta]))
+
+
+def test_subnormal_delta_is_inadmissible():
+    # below the smallest normal float E/delta overflows and delta^2 is 0
+    want = "delta 1e-320 is below the smallest normal float 2.2250738585072014e-308"
+    for spec in (POWER, RECIP):
+        with pytest.raises(InadmissibleDelta, match=want):
+            family_eval(spec, 1e-320, ZERO, SymTensor(0.1))
+        with pytest.raises(InadmissibleDelta, match=want):
+            family_eval(spec, np.array([0.01, 1e-320, 5e-324]), np.zeros((3, 6)), np.zeros((3, 6)))
+    check_delta(POWER, sys.float_info.min)
 
 
 def test_domains():
     d = 0.01
-    assert working_domain(POWER).strain_radius(d) == pytest.approx(1.05 * d)
-    assert certified_domain(POWER).strain_radius(d) == pytest.approx(1.05 * d)
-    assert working_domain(POWER).stress_radius == POWER.c
+    assert working_domain(POWER) * d == pytest.approx(1.05 * d)
+    assert certified_domain(POWER) * d == pytest.approx(1.05 * d)
     # density working ball must cover the largest observable profile
     bound = (1.0 + 4.0 * 0.3) * 1.0 / (1.0 * (1.0 - 2.0 * 0.3 * 0.5))
-    assert working_domain(RECIP).strain_radius(d) == pytest.approx(1.05 * bound * d)
-    assert certified_domain(RECIP).strain_radius(d) == pytest.approx(0.5 * d)
+    assert working_domain(RECIP) * d == pytest.approx(1.05 * bound * d)
+    assert certified_domain(RECIP) * d == pytest.approx(0.5 * d)
 
 
 # --- power law ------------------------------------------------------------
@@ -406,8 +420,8 @@ def test_batch_matches_scalar_rows(name, seed, n, frac):
     delta = frac * delta_ceiling(spec)
     dom = certified_domain(spec)
     rng = np.random.default_rng(seed)
-    E = _in_ball(rng, n, dom.strain_radius(delta))
-    S = _in_ball(rng, n, dom.stress_radius)
+    E = _in_ball(rng, n, dom * delta)
+    S = _in_ball(rng, n, spec.c)
     Et = E * (1.0 / delta)
 
     full = family_eval(spec, delta, E, S)
@@ -432,7 +446,7 @@ def test_batch_matches_scalar_rows(name, seed, n, frac):
 
     # a delta column, one delta per row, equals stacked one-row calls
     col = rng.uniform(0.01, 0.99, n) * delta_ceiling(spec)
-    Ec = ball_points(rng.standard_normal((n, 6)), rng.random(n), dom.strain_radius(col)[:, None])
+    Ec = ball_points(rng.standard_normal((n, 6)), rng.random(n), (dom * col)[:, None])
     one_row = [(d, Ec[i:i + 1], S[i:i + 1]) for i, d in enumerate(col.tolist())]
     stacked = np.vstack([family_eval(spec, *args) for args in one_row])
     assert np.array_equal(family_eval(spec, col, Ec, S), stacked)
@@ -460,13 +474,13 @@ def test_batch_with_one_bad_row_raises_the_scalar_error(name, seed, n, which):
     delta = 0.5 * delta_ceiling(spec)
     dom = working_domain(spec)
     rng = np.random.default_rng(seed)
-    E = _in_ball(rng, n, certified_domain(spec).strain_radius(delta))
-    S = _in_ball(rng, n, dom.stress_radius)
+    E = _in_ball(rng, n, certified_domain(spec) * delta)
+    S = _in_ball(rng, n, spec.c)
     row = int(rng.integers(n))
     if which == "strain":
-        E[row] = ball_points(rng.standard_normal(6), 1.0, 1.01 * dom.strain_radius(delta))
+        E[row] = ball_points(rng.standard_normal(6), 1.0, 1.01 * dom * delta)
     else:
-        S[row] = ball_points(rng.standard_normal(6), 1.0, 1.01 * dom.stress_radius)
+        S[row] = ball_points(rng.standard_normal(6), 1.0, 1.01 * spec.c)
     e, s = SymTensor(*E[row].tolist()), SymTensor(*S[row].tolist())
     error = _raised(lambda: family_eval(spec, delta, e, s))
     assert error is OutOfDomain

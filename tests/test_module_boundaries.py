@@ -82,3 +82,23 @@ def test_no_module_reads_the_environment(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     reads = sorted(set(_environment_reads(tree)))
     assert not reads, "%s reads the environment: %s" % (path.name, reads)
+
+
+# each module imports siblings only from earlier in this order, so no cycle can form
+LAYERS = ("errors", "symtensor", "families", "solver", "kinematics", "analysis",
+          "scalar1d", "energy", "cli")
+LAYERED = [p for p in MODULES if p.stem not in ("__init__", "__main__")]
+
+
+def test_every_module_has_a_layer():
+    assert sorted(p.stem for p in LAYERED) == sorted(LAYERS)
+
+
+@pytest.mark.parametrize("path", LAYERED, ids=[p.name for p in LAYERED])
+def test_modules_import_only_earlier_layers(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    earlier = LAYERS[:LAYERS.index(path.stem)]
+    # `from . import x` and `from strainlim import x` name no earlier layer either
+    later = sorted({str(module) for module, _ in _sibling_imports(tree)
+                    if (module or "").split(".")[-1] not in earlier})
+    assert not later, "%s imports from its own or a later layer: %s" % (path.name, later)

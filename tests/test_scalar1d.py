@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strainlim.errors import DomainError, InvalidParameter, Saturation
+from strainlim.errors import InvalidParameter, OutOfDomain, Saturation
 from strainlim.scalar1d import (
     Scalar1DParams,
     one_minus_abs_pow,
@@ -122,9 +122,9 @@ def test_strain_measure_identity():
 
 
 def test_strain_measure_domain():
-    with pytest.raises(DomainError):
+    with pytest.raises(OutOfDomain):
         oned_strain(-0.5)
-    with pytest.raises(DomainError):
+    with pytest.raises(OutOfDomain):
         oned_strain(-0.6)
 
 

@@ -135,4 +135,4 @@ def test_hencky_lane_same_contract():
 
 def test_solution_stays_inside_working_ball():
     rep = solve_implicit(DIRECT, DELTA, SymTensor(0.4, 0.3, -0.2, 0.1, 0.0, 0.0))
-    assert frobenius(rep.solution) <= working_domain(DIRECT).strain_radius(DELTA)
+    assert frobenius(rep.solution) <= working_domain(DIRECT) * DELTA
