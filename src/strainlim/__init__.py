@@ -12,14 +12,12 @@ from .analysis import (
     ConvergenceReport,
     certify_constants,
     fit_order,
-    richardson_orders,
     run_convergence,
     run_convergence_hencky,
 )
 from .energy import (
     EnergyProfile,
     complementary_energy,
-    complementary_energy_quadrature,
     complementary_gradient,
     conjugate_stress,
     green_stress,

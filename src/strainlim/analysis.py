@@ -3,12 +3,12 @@
 A convergence study solves the implicit relation on a descending delta
 ladder, rebuilds the finite deformation, and records how fast the
 linearized-strain residuals shrink; orders are least-squares slopes in
-log-log coordinates, with pairwise Richardson ratios available as a
-diagnostic. Certification samples the certified balls B(0, k*delta) x
-B(0, c) and reports sampled suprema for the defining constants (lower
-bounds on the true ones). Both check every delta up front (`check_delta`).
-Consecutive delta rungs share one batched call of up to 2048 rows, with
-delta as an (N,) column; each rung is drawn and reduced as if alone.
+log-log coordinates. Certification samples the certified balls
+B(0, k*delta) x B(0, c) and reports sampled suprema for the defining
+constants (lower bounds on the true ones). Both check every delta up front
+(`check_delta`). Consecutive delta rungs share one batched call of up to
+2048 rows, with delta as an (N,) column; each rung is drawn and reduced as
+if alone.
 """
 
 from __future__ import annotations
@@ -104,7 +104,8 @@ def fit_order(deltas, residuals) -> Optional[float]:
     """
     if len(deltas) != len(residuals):
         raise ValueError("deltas and residuals must have equal length")
-    _require_positive_deltas(deltas)
+    if not all(0.0 < d < math.inf for d in deltas):  # NaN fails too
+        raise InvalidParameter(f"deltas must be finite and positive, got {deltas!r}")
     if not all(0.0 <= r < math.inf for r in residuals):  # NaN fails too
         raise InvalidParameter(f"residuals must be finite and nonnegative, got {residuals!r}")
     if len(deltas) < 4:
@@ -117,26 +118,6 @@ def fit_order(deltas, residuals) -> Optional[float]:
     ds = np.log([d for d, _ in pairs])
     rs = np.log([r for _, r in pairs])
     return float(np.polyfit(ds, rs, 1)[0])
-
-
-def richardson_orders(deltas, values):
-    """Pairwise orders log(r_i/r_{i+1}) / log(d_i/d_{i+1}) for consecutive rows.
-
-    Diagnostic only (exposes pre-asymptotic contamination); pairs with a
-    zero value are skipped. A delta that is not finite and positive raises
-    InvalidParameter.
-    """
-    _require_positive_deltas(deltas)
-    out = []
-    for (d0, r0), (d1, r1) in zip(zip(deltas, values), zip(deltas[1:], values[1:])):
-        if r0 > 0.0 and r1 > 0.0 and d0 != d1:
-            out.append(math.log(r0 / r1) / math.log(d0 / d1))
-    return out
-
-
-def _require_positive_deltas(deltas):
-    if not all(0.0 < d < math.inf for d in deltas):  # NaN fails too
-        raise InvalidParameter(f"deltas must be finite and positive, got {deltas!r}")
 
 
 def _validate_ladder(spec, deltas):

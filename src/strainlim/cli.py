@@ -40,7 +40,7 @@ from .energy import (
     legendre_transform,
 )
 from .errors import ConfigInvalid, InvalidAxis, StrainLimError, StudyFailed
-from .families import KINDS, FamilySpec, certify_caps, family_leading
+from .families import KINDS, FamilySpec, certify_caps, check_delta, family_leading
 from .kinematics import RotationSpec, unit_axis
 from .scalar1d import Scalar1DParams, oned_delta0_study
 from .solver import solve_implicit
@@ -48,9 +48,9 @@ from .symtensor import SymTensor, frobenius, inner
 
 _FAMILY_KEYS = tuple(f.name for f in dataclasses.fields(FamilySpec))
 _ROTATION_KEYS = ("axis", "coefficient")
-# keys every command accepts besides `out` and those in its `_COMMANDS`
-# entry; each is an ExperimentConfig field that the report echoes
-_COMMON_KEYS = ("command", "family", "samples", "seed", "thresholds")
+# keys every command accepts besides those in its `_COMMANDS` entry; each
+# is an ExperimentConfig field that the report echoes
+_COMMON_KEYS = ("command", "family", "thresholds")
 
 
 @dataclasses.dataclass
@@ -130,6 +130,14 @@ def _positive(raw, name) -> float:
     return value
 
 
+def _integer(least, word):
+    def parse(raw, name) -> int:
+        _require(isinstance(raw, int) and not isinstance(raw, bool) and raw >= least,
+                 "%s must be a %s integer" % (name, word))
+        return raw
+    return parse
+
+
 def _parse_rotation(raw, name) -> RotationSpec:
     _require(isinstance(raw, dict), "%s must be an object" % name)
     unknown = set(raw) - set(_ROTATION_KEYS)
@@ -159,7 +167,7 @@ def parse_config(raw: dict, command: str) -> ExperimentConfig:
     _require(command in _COMMANDS, "unknown command %r" % command)
     spec = _COMMANDS[command]
     _require(isinstance(raw, dict), "config root must be an object")
-    unknown = set(raw) - {"out", *_COMMON_KEYS, *spec.keys}
+    unknown = set(raw) - {*_COMMON_KEYS, *spec.keys}
     _require(not unknown, "unknown config keys: %s" % sorted(unknown))
     if "command" in raw:
         _require(raw["command"] == command,
@@ -178,18 +186,6 @@ def parse_config(raw: dict, command: str) -> ExperimentConfig:
     for key, value in cfg.thresholds.items():
         _require(not isinstance(value, tuple) or value[0] <= value[1],
                  "%s must be a window [lo, hi] with lo <= hi" % key)
-    if "samples" in raw:
-        _require(isinstance(raw["samples"], int) and not isinstance(raw["samples"], bool)
-                 and raw["samples"] > 0, "samples must be a positive integer")
-        cfg.samples = raw["samples"]
-    if "seed" in raw:
-        _require(isinstance(raw["seed"], int) and not isinstance(raw["seed"], bool),
-                 "seed must be an integer")
-        cfg.seed = raw["seed"]
-    if "out" in raw:
-        _require(isinstance(raw["out"], str), "out must be a string")
-        cfg.output_dir = raw["out"]
-
     for key, parse in spec.keys.items():
         if key in raw:
             setattr(cfg, key, parse(raw[key], key))
@@ -321,6 +317,7 @@ def _run_solve(cfg: ExperimentConfig):
 def _run_energy(cfg: ExperimentConfig):
     profile = EnergyProfile(cfg.family)
     spec = cfg.family
+    check_delta(spec, cfg.delta)
     rng = np.random.default_rng(cfg.seed)
     power = spec.kind == "power_law"
     zero = SymTensor()
@@ -366,7 +363,7 @@ class _Command(NamedTuple):
     blurb: str
     run: Callable
     # config key read besides _COMMON_KEYS, which names the ExperimentConfig
-    # field it sets -> its parser; every key is required
+    # field it sets -> its parser; a key whose field defaults to None is required
     keys: dict
     # threshold key -> default: a (lo, hi) window, a number, or None for a
     # family-dependent certification cap
@@ -375,6 +372,7 @@ class _Command(NamedTuple):
 
 
 _STRESS = lambda raw, name: SymTensor(*_numbers(raw, name, 6))
+_SAMPLING = {"samples": _integer(1, "positive"), "seed": _integer(0, "nonnegative")}
 _CONVERGE = _Command(
     "strain-driven convergence sweep", _run_converge,
     {"stress": _STRESS, "rotation": _parse_rotation, "deltas": _parse_deltas},
@@ -389,12 +387,13 @@ _COMMANDS = {
     "converge": _CONVERGE,
     "converge-hencky": _CONVERGE._replace(blurb="stress-driven convergence sweep"),
     "certify": _Command("sample family constants over the admissible ball", _run_certify,
-                        {"deltas": _parse_deltas}, dict.fromkeys(("C0", "C1", "D0", "C3"))),
+                        {"deltas": _parse_deltas, **_SAMPLING},
+                        dict.fromkeys(("C0", "C1", "D0", "C3"))),
     "oned": _Command("scalar diagnostic sweep", _run_oned,
                      {"delta": _positive, "stresses": _numbers},
                      {"slope": (0.9, 1.1)}, ("power_law",)),
     "energy": _Command("complementary energy consistency probes", _run_energy,
-                       {"delta": _positive},
+                       {"delta": _positive, **_SAMPLING},
                        {"grad_tol": 1e-6, "fenchel_tol": 1e-9, "roundtrip_tol": 1e-8},
                        ("power_law", "scaled_base")),
 }
@@ -457,8 +456,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, command in _COMMANDS.items():
         p = sub.add_parser(name, help=command.blurb)
         p.add_argument("--config", required=True, help="path to JSON config")
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="RNG seed override")
+        p.add_argument("--out", default=".", help="output directory (default: .)")
     return parser
 
 
@@ -478,10 +476,7 @@ def main(argv=None) -> int:
         except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8, deep nesting
             raise ConfigInvalid("config is not valid JSON: %s" % exc)
         cfg = parse_config(raw, args.command)
-        if args.seed is not None:
-            cfg.seed = args.seed
-        if args.out is not None:
-            cfg.output_dir = args.out
+        cfg.output_dir = args.out
         try:
             payload = run_experiment(cfg)
         except OSError as exc:

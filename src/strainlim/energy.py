@@ -67,14 +67,6 @@ def _radial_closed_form(a: float, s: float) -> float:
     return a * s * s / (1.0 + math.sqrt(1.0 + (a * s) ** 2))
 
 
-def complementary_energy_quadrature(profile: EnergyProfile, Sbar: SymTensor) -> float:
-    """Adaptive-quadrature path for W*(Sbar); cross-checks the closed form."""
-    fam = profile.family
-    if fam.kind == "scaled_base":
-        return float(_line_integrals(profile, np.array([Sbar.components()]))[0])
-    return _radial_quad(fam.a, fam.p, check_ball("Sbar", Sbar, fam.c))
-
-
 def _radial_quad(a: float, p: float, s: float) -> float:
     # int_0^s a t (1 + (a t)^p)^{-1/p} dt
     if s == 0.0:
@@ -108,9 +100,10 @@ def _line_integrals(profile: EnergyProfile, rows: np.ndarray) -> np.ndarray:
 def complementary_energy(profile: EnergyProfile, Sbar: SymTensor) -> float:
     """W*(Sbar), normalized so W*(0) = 0; convex on the stress ball."""
     fam = profile.family
-    if fam.kind == "power_law" and fam.p == 2.0:
-        return _radial_closed_form(fam.a, check_ball("Sbar", Sbar, fam.c))
-    return complementary_energy_quadrature(profile, Sbar)
+    if fam.kind == "scaled_base":
+        return float(_line_integrals(profile, np.array([Sbar.components()]))[0])
+    s = check_ball("Sbar", Sbar, fam.c)
+    return _radial_closed_form(fam.a, s) if fam.p == 2.0 else _radial_quad(fam.a, fam.p, s)
 
 
 def conjugate_stress(profile: EnergyProfile, Etilde: SymTensor) -> SymTensor:

@@ -10,6 +10,7 @@ unavoidable kappa * ulp), but no float64 algorithm can beat that floor.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -29,8 +30,8 @@ class Scalar1DParams:
             raise ValueError("a must be positive and finite")
         if not 1.0 <= self.p < math.inf:
             raise ValueError("p must be finite and at least 1")
-        if not 0.0 < self.delta <= 0.1:
-            raise ValueError("delta must lie in (0, 0.1]")
+        if not sys.float_info.min <= self.delta <= 0.1:  # a subnormal delta is rounding noise
+            raise ValueError(f"delta must lie in [{sys.float_info.min!r}, 0.1]")
         if not self.a * self.delta > 0.0:  # sigma = eps / (a delta)
             raise ValueError("a * delta underflows to 0")
 

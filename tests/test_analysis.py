@@ -9,7 +9,6 @@ from strainlim.analysis import (
     ball_points,
     certify_constants,
     fit_order,
-    richardson_orders,
     run_convergence,
     run_convergence_hencky,
 )
@@ -79,19 +78,6 @@ def test_order_fits_reject_a_delta_that_is_not_finite_and_positive(bad):
     rs = [1e-2, 2.5e-3, 6.25e-4, 1.5625e-4, 3.90625e-5]
     with pytest.raises(InvalidParameter):
         fit_order(ds, rs)
-    with pytest.raises(InvalidParameter):
-        richardson_orders(ds, rs)
-
-
-def test_richardson_orders_pairwise():
-    ds = [0.1 * 2.0 ** -k for k in range(5)]
-    orders = richardson_orders(ds, [d * d for d in ds])
-    assert len(orders) == 4
-    for o in orders:
-        assert o == pytest.approx(2.0, abs=1e-12)
-    # zero rows drop their pairs
-    orders = richardson_orders(ds, [0.01, 0.0, 0.000625, 0.00015625, 0.0])
-    assert len(orders) == 1
 
 
 # --- convergence studies ----------------------------------------------------

@@ -4,6 +4,8 @@ import io
 import json
 import math
 import os
+import pathlib
+import re
 import subprocess
 import sys
 import tempfile
@@ -60,7 +62,7 @@ def test_parse_config_round_trip():
         assert parse_config(echo, command) == cfg, command
         # the echo holds the common fields and the fields this command reads, nothing else
         read = set(_COMMANDS[command].keys)
-        assert set(echo) == {"command", "family", "samples", "seed", "thresholds"} | read
+        assert set(echo) == {"command", "family", "thresholds"} | read
 
 
 def test_parse_config_field_order_is_irrelevant():
@@ -90,8 +92,10 @@ def test_parse_config_rejects_missing_or_malformed():
         parse_config(dict(CONVERGE, deltas=[]), "converge")
     with pytest.raises(ConfigInvalid):
         parse_config(dict(CONVERGE, deltas=[0.01, 0.02]), "converge")
-    with pytest.raises(ConfigInvalid):
-        parse_config(dict(CONVERGE, samples=0), "converge")
+    with pytest.raises(ConfigInvalid, match="samples must be a positive integer"):
+        parse_config(dict(CERTIFY, samples=0), "certify")
+    with pytest.raises(ConfigInvalid, match="seed must be a nonnegative integer"):
+        parse_config(dict(CERTIFY, seed=-1), "certify")
     with pytest.raises(ConfigInvalid):
         parse_config(dict(CONVERGE, command="certify"), "converge")
     with pytest.raises(ConfigInvalid):
@@ -154,19 +158,9 @@ def test_certify_is_byte_deterministic(tmp_path):
     assert header == "delta,C0_hat,C1_hat,D0_hat,C3_hat"
     # a different seed must change the sampled constants
     out3 = tmp_path / "run3"
-    assert main(["certify", "--config", cfg, "--seed", "12", "--out", str(out3)]) == 0
+    reseeded = _write(tmp_path, "cert12.json", dict(CERTIFY, seed=12))
+    assert main(["certify", "--config", reseeded, "--out", str(out3)]) == 0
     assert b1 != (out3 / "certify.csv").read_bytes()
-
-
-def test_seed_precedence(tmp_path):
-    cfg = _write(tmp_path, "cert.json", CERTIFY)
-    out_cfg, out_cli = tmp_path / "a", tmp_path / "b"
-    main(["certify", "--config", cfg, "--out", str(out_cfg)])
-    main(["certify", "--config", cfg, "--seed", "99", "--out", str(out_cli)])
-    rep_cfg = json.loads((out_cfg / "certify_report.json").read_text())
-    rep_cli = json.loads((out_cli / "certify_report.json").read_text())
-    assert rep_cfg["config"]["seed"] == 11
-    assert rep_cli["config"]["seed"] == 99
 
 
 def test_oned_default_thresholds_fail_honestly(tmp_path, capsys):
@@ -299,7 +293,8 @@ def test_one_parser_serves_every_call_in_a_process(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [["converge"], ["bogus", "--config", "x.json"], [],
-                                  ["solve", "--config", "x.json", "--seed", "z"]])
+                                  ["solve", "--config", "x.json", "--seed", "z"],
+                                  ["certify", "--config", "x.json", "--seed", "3"]])
 def test_usage_errors_print_one_line(argv, capsys):
     assert main(argv) == 1
     captured = capsys.readouterr()
@@ -315,6 +310,17 @@ def test_study_errors_exit_two(tmp_path, capsys):
                  "--out", str(tmp_path)])
     assert code == 2
     assert "InadmissibleDelta" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("delta", [5.0, 1e10, 1e300, 1e-320])
+def test_inadmissible_energy_delta_exits_two(tmp_path, capsys, delta):
+    # power_law admits deltas in (0, 0.1); the study stops before it samples
+    bad = dict(VALID["energy"], delta=delta)
+    code = main(["energy", "--config", _write(tmp_path, "e.json", bad), "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().out.startswith(
+        "FAIL energy kind=power_law InadmissibleDelta: delta %r " % delta)
+    assert not (tmp_path / "energy.csv").exists()
 
 
 def test_subnormal_certify_delta_exits_two(tmp_path, capsys):
@@ -374,6 +380,14 @@ def test_oned_delta_out_of_range_is_config_error(tmp_path, capsys):
     assert "delta" in line
 
 
+def test_subnormal_oned_delta_is_config_error(tmp_path, capsys):
+    # the gaps of a subnormal delta are rounding noise, so a wide window must not pass them
+    payload = {"family": {"kind": "power_law"}, "delta": 1e-310,
+               "stresses": [0.1, 0.2, 0.3, 0.4, 0.5], "thresholds": {"slope": [0.0, 5.0]}}
+    line = _run_expect_config_error(tmp_path, capsys, "oned", payload)
+    assert "delta must lie in [2.2250738585072014e-308, 0.1]" in line
+
+
 @pytest.mark.parametrize("command, payload, key", [
     ("certify", CERTIFY, "C9"),
     ("certify", CERTIFY, "order_full"),
@@ -422,6 +436,24 @@ def test_keys_a_command_does_not_read_are_rejected(tmp_path, capsys, command, ke
     bad = dict(VALID[command], **{key: value})
     line = _run_expect_config_error(tmp_path, capsys, command, bad)
     assert line.startswith("FAIL config: unknown config keys") and key in line
+
+
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_config_out_key_is_rejected(tmp_path, capsys, command):
+    # --out is the one source of the output directory
+    line = _run_expect_config_error(tmp_path, capsys, command, dict(VALID[command], out="x"))
+    assert line.startswith("FAIL config: unknown config keys: ['out']")
+
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_example_configs_parse():
+    examples = re.findall(r"```json\n(.*?)```\s*runs `strainlim ([\w-]+)`", README.read_text(),
+                          re.DOTALL)
+    assert [command for _, command in examples] == ["converge", "certify"]
+    for text, command in examples:
+        parse_config(json.loads(text), command)
 
 
 @pytest.mark.parametrize("command, runner, thresholds", [
