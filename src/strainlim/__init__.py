@@ -16,7 +16,6 @@ from .analysis import (
     run_convergence_hencky,
 )
 from .energy import (
-    EnergyProfile,
     complementary_energy,
     complementary_gradient,
     conjugate_stress,
@@ -66,7 +65,6 @@ from .kinematics import (
 )
 from .scalar1d import (
     Delta0Study,
-    Scalar1DParams,
     oned_delta0_study,
     oned_forward,
     oned_invert,

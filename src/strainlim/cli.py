@@ -32,7 +32,7 @@ import numpy as np
 
 from .analysis import ball_points, certify_constants, run_convergence, run_convergence_hencky
 from .energy import (
-    EnergyProfile,
+    ENERGY_KINDS,
     complementary_energy,
     complementary_gradient,
     conjugate_stress,
@@ -42,7 +42,7 @@ from .energy import (
 from .errors import ConfigInvalid, InvalidAxis, StrainLimError, StudyFailed
 from .families import KINDS, FamilySpec, certify_caps, check_delta, family_leading
 from .kinematics import RotationSpec, unit_axis
-from .scalar1d import Scalar1DParams, oned_delta0_study
+from .scalar1d import oned_delta0_study
 from .solver import solve_implicit
 from .symtensor import SymTensor, frobenius, inner
 
@@ -289,8 +289,7 @@ def _run_certify(cfg: ExperimentConfig):
 
 
 def _run_oned(cfg: ExperimentConfig):
-    params = Scalar1DParams(a=cfg.family.a, p=cfg.family.p, delta=cfg.delta)
-    study = oned_delta0_study(params, cfg.stresses)
+    study = oned_delta0_study(cfg.family, cfg.delta, cfg.stresses)
     header, rows = _table(study.rows)
     w = _thresholds(cfg)["slope"]
     slope_ok = study.slope is None or _in_window(study.slope, w)
@@ -315,9 +314,8 @@ def _run_solve(cfg: ExperimentConfig):
 
 
 def _run_energy(cfg: ExperimentConfig):
-    profile = EnergyProfile(cfg.family)
     spec = cfg.family
-    check_delta(spec, cfg.delta)
+    check_delta(spec, cfg.delta)  # scaled_base reads delta for this check alone
     rng = np.random.default_rng(cfg.seed)
     power = spec.kind == "power_law"
     zero = SymTensor()
@@ -333,7 +331,7 @@ def _run_energy(cfg: ExperimentConfig):
         if power:
             strains.append([SymTensor(*ball_points(rng.standard_normal(6), u[k], r).tolist())
                             for k, r in ((1, strain_r), (2, strain_r * cfg.delta))])
-    grads = complementary_gradient(profile, np.array([S.components() for S in stresses]))
+    grads = complementary_gradient(spec, np.array([S.components() for S in stresses]))
 
     rows = []
     for i, (S, grad) in enumerate(zip(stresses, grads.tolist())):
@@ -341,10 +339,10 @@ def _run_energy(cfg: ExperimentConfig):
         fy_err = rt_err = float("nan")
         if power:
             Et, eps = strains[i]
-            star = conjugate_stress(profile, Et)
-            fy_err = abs(legendre_transform(profile, Et)
-                         + complementary_energy(profile, star) - inner(Et, star))
-            sig = green_stress(profile, cfg.delta, eps)
+            star = conjugate_stress(spec, Et)
+            fy_err = abs(legendre_transform(spec, Et)
+                         + complementary_energy(spec, star) - inner(Et, star))
+            sig = green_stress(spec, cfg.delta, eps)
             rt_err = frobenius(family_leading(spec, zero, sig) * cfg.delta - eps)
         rows.append((i, grad_err, fy_err, rt_err))
 
@@ -395,7 +393,7 @@ _COMMANDS = {
     "energy": _Command("complementary energy consistency probes", _run_energy,
                        {"delta": _positive, **_SAMPLING},
                        {"grad_tol": 1e-6, "fenchel_tol": 1e-9, "roundtrip_tol": 1e-8},
-                       ("power_law", "scaled_base")),
+                       ENERGY_KINDS),
 }
 
 

@@ -10,7 +10,10 @@ row needs is shared by the call, which may move other rows' last digits. W is
 the convex conjugate of W*, evaluated at the closed-form maximizer (the
 tensor analogue of the one-dimensional inversion). The stress map of the
 associated Green elastic solid is a finite-difference gradient of W.
-Stresses must lie in the family's ball B(0, c) (`check_ball`). `quad` and
+Every map takes the family's `FamilySpec`: the stress-side maps accept the
+`ENERGY_KINDS`, the strain-side ones power_law alone, and any other kind
+raises ValueError. Stresses must lie in the family's ball B(0, c)
+(`check_ball`) and `green_stress`'s delta must pass `check_delta`. `quad` and
 `cubature` import `scipy.integrate` on their first call, so only studies
 that integrate (p != 2 or scaled_base) load scipy.
 """
@@ -18,15 +21,18 @@ that integrate (p != 2 or scaled_base) load scipy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidParameter, NoConvergence, OutOfDomain, Saturation
-from .families import FamilySpec, check_ball, family_leading
+from .families import FamilySpec, check_ball, check_delta, family_leading
 from .scalar1d import one_minus_abs_pow
 from .symtensor import SymTensor, central_differences, frobenius, inner
 
+# kinds whose leading profile is a gradient field: power_law always, and
+# scaled_base when its base is a gradient in the stress argument (the
+# built-in "power_law" base is)
+ENERGY_KINDS = ("power_law", "scaled_base")
 _QUAD_TOL = 1e-12
 _GRAD_STEP = 1e-5
 # rows per `cubature` call: about 100 rows pay off its ~1 ms fixed cost, and
@@ -46,21 +52,6 @@ def cubature(*args, **kwargs):
     return scipy.integrate.cubature(*args, **kwargs)
 
 
-@dataclass(frozen=True)
-class EnergyProfile:
-    """A family whose leading profile is a gradient field.
-
-    power_law always qualifies; scaled_base qualifies when its base is a
-    gradient in the stress argument (the built-in "power_law" base is).
-    """
-
-    family: FamilySpec
-
-    def __post_init__(self):
-        if self.family.kind not in ("power_law", "scaled_base"):
-            raise ValueError("energy profiles require power_law or scaled_base")
-
-
 def _radial_closed_form(a: float, s: float) -> float:
     # int_0^s a t (1 + a^2 t^2)^{-1/2} dt = ((1 + a^2 s^2)^{1/2} - 1)/a,
     # written to avoid the cancellation at small s
@@ -77,18 +68,17 @@ def _radial_quad(a: float, p: float, s: float) -> float:
     return value
 
 
-def _line_integrals(profile: EnergyProfile, rows: np.ndarray) -> np.ndarray:
+def _line_integrals(spec: FamilySpec, rows: np.ndarray) -> np.ndarray:
     # W*(S) = int_0^1 <f_1(0, t S), S> dt for each row S, exact for any
     # gradient base; one family_leading call takes every ray at every node
-    fam = profile.family
-    check_ball("Sbar", rows, fam.c)
+    check_ball("Sbar", rows, spec.c)
     if len(rows) > _BATCH_ROWS:
-        return np.concatenate([_line_integrals(profile, rows[i:i + _BATCH_ROWS])
+        return np.concatenate([_line_integrals(spec, rows[i:i + _BATCH_ROWS])
                                for i in range(0, len(rows), _BATCH_ROWS)])
     weighted = rows * [1.0, 1.0, 1.0, 2.0, 2.0, 2.0]
 
     def integrand(t):  # (m, 1) nodes -> (m, N) values
-        lead = family_leading(fam, SymTensor(), (t[:, :, None] * rows).reshape(-1, 6))
+        lead = family_leading(spec, SymTensor(), (t[:, :, None] * rows).reshape(-1, 6))
         return (lead.reshape(len(t), *rows.shape) * weighted).sum(axis=-1)
 
     res = cubature(integrand, [0.0], [1.0], rule="gk21", rtol=_QUAD_TOL, atol=_QUAD_TOL)
@@ -97,45 +87,47 @@ def _line_integrals(profile: EnergyProfile, rows: np.ndarray) -> np.ndarray:
     return res.estimate
 
 
-def complementary_energy(profile: EnergyProfile, Sbar: SymTensor) -> float:
-    """W*(Sbar), normalized so W*(0) = 0; convex on the stress ball."""
-    fam = profile.family
-    if fam.kind == "scaled_base":
-        return float(_line_integrals(profile, np.array([Sbar.components()]))[0])
-    s = check_ball("Sbar", Sbar, fam.c)
-    return _radial_closed_form(fam.a, s) if fam.p == 2.0 else _radial_quad(fam.a, fam.p, s)
+def complementary_energy(spec: FamilySpec, Sbar: SymTensor) -> float:
+    """W*(Sbar), normalized so W*(0) = 0; convex on the stress ball.
+
+    Raises ValueError for a kind outside ENERGY_KINDS.
+    """
+    if spec.kind not in ENERGY_KINDS:
+        raise ValueError(f"kind {spec.kind} has no complementary energy")
+    if spec.kind == "scaled_base":
+        return float(_line_integrals(spec, np.array([Sbar.components()]))[0])
+    s = check_ball("Sbar", Sbar, spec.c)
+    return _radial_closed_form(spec.a, s) if spec.p == 2.0 else _radial_quad(spec.a, spec.p, s)
 
 
-def conjugate_stress(profile: EnergyProfile, Etilde: SymTensor) -> SymTensor:
+def conjugate_stress(spec: FamilySpec, Etilde: SymTensor) -> SymTensor:
     """Closed-form maximizer of <Etilde, S> - W*(S): inverts the leading profile.
 
     a S = (1 - |Etilde|^p)^{-1/p} Etilde. Raises Saturation at |Etilde| >= 1
     and OutOfDomain when |Etilde| is NaN or inf.
     """
-    fam = profile.family
-    if fam.kind != "power_law":
+    if spec.kind != "power_law":
         raise ValueError("closed-form conjugate requires the power_law profile")
     e = frobenius(Etilde)
     if not e < 1.0:  # a NaN or inf strain is out of the domain, not saturated
         raise (Saturation if math.isfinite(e) else OutOfDomain)(f"|Etilde| = {e!r} is not below 1")
-    q = one_minus_abs_pow(e, fam.p)
-    return Etilde * (q ** (-1.0 / fam.p) / fam.a)
+    q = one_minus_abs_pow(e, spec.p)
+    return Etilde * (q ** (-1.0 / spec.p) / spec.a)
 
 
-def legendre_transform(profile: EnergyProfile, Etilde: SymTensor) -> float:
+def legendre_transform(spec: FamilySpec, Etilde: SymTensor) -> float:
     """W(Etilde) = sup_S [<Etilde, S> - W*(S)], evaluated at the maximizer."""
-    star = conjugate_stress(profile, Etilde)
-    fam = profile.family
-    if fam.kind == "power_law" and fam.p == 2.0:
+    star = conjugate_stress(spec, Etilde)
+    if spec.p == 2.0:
         # closed form a^{-1}(1 - sqrt(1 - e^2)); keeps W exactly conjugate
         e = frobenius(Etilde)
-        return e * e / (fam.a * (1.0 + math.sqrt(one_minus_abs_pow(e, 2.0))))
+        return e * e / (spec.a * (1.0 + math.sqrt(one_minus_abs_pow(e, 2.0))))
     # the conjugate stress may leave the configured stress ball; the radial
     # integral itself is defined for all stresses
-    return inner(Etilde, star) - _radial_quad(fam.a, fam.p, frobenius(star))
+    return inner(Etilde, star) - _radial_quad(spec.a, spec.p, frobenius(star))
 
 
-def complementary_gradient(profile: EnergyProfile, Sbar):
+def complementary_gradient(spec: FamilySpec, Sbar):
     """Central finite-difference gradient of W*; should reproduce the leading profile.
 
     Same six-component convention as green_stress: off-diagonal quotients
@@ -146,27 +138,29 @@ def complementary_gradient(profile: EnergyProfile, Sbar):
     """
     points = ([Sbar] if isinstance(Sbar, SymTensor)
               else [SymTensor(*S) for S in np.asarray(Sbar, dtype=float).tolist()])
-    floor = min(1.0, profile.family.c)
+    floor = min(1.0, spec.c)
     if not _GRAD_STEP * floor > 0.0:
-        raise InvalidParameter(f"the gradient step underflows for c = {profile.family.c!r}")
-    steps = [_GRAD_STEP * max(floor, check_ball("Sbar", S, profile.family.c)) for S in points]
-    if profile.family.kind == "scaled_base":
-        fn = lambda P: _line_integrals(profile, np.array(P)).tolist()
+        raise InvalidParameter(f"the gradient step underflows for c = {spec.c!r}")
+    steps = [_GRAD_STEP * max(floor, check_ball("Sbar", S, spec.c)) for S in points]
+    if spec.kind == "scaled_base":
+        fn = lambda P: _line_integrals(spec, np.array(P)).tolist()
     else:
-        fn = lambda P: [complementary_energy(profile, SymTensor(*S)) for S in P]
+        fn = lambda P: [complementary_energy(spec, SymTensor(*S)) for S in P]
     grads = _central_gradient(fn, points, steps)
     return SymTensor(*grads[0]) if isinstance(Sbar, SymTensor) else np.array(grads)
 
 
-def green_stress(profile: EnergyProfile, delta: float, eps: SymTensor) -> SymTensor:
+def green_stress(spec: FamilySpec, delta: float, eps: SymTensor) -> SymTensor:
     """Stress of the linearized Green elastic solid: the gradient of W at eps/delta.
 
     Central finite differences on W in the six stored components; the
     off-diagonal quotients are halved because those components carry double
-    weight in the matrix inner product. Raises Saturation when |eps/delta|
-    reaches 1 - 1e-4 (probe points must stay strictly inside the limit) and
-    OutOfDomain when it is NaN or inf.
+    weight in the matrix inner product. Raises InadmissibleDelta for a delta
+    `check_delta` refuses, Saturation when |eps/delta| reaches 1 - 1e-4
+    (probe points must stay strictly inside the limit) and OutOfDomain when
+    it is NaN or inf.
     """
+    check_delta(spec, delta)
     et = eps * (1.0 / delta)
     e = frobenius(et)
     if not e < 1.0 - _SATURATION_GUARD:  # as in conjugate_stress
@@ -174,7 +168,7 @@ def green_stress(profile: EnergyProfile, delta: float, eps: SymTensor) -> SymTen
             f"|eps/delta| = {e!r} is not below the strain limit minus 1e-4")
     h = _GRAD_STEP * max(1.0, e)
     return SymTensor(*_central_gradient(
-        lambda P: [legendre_transform(profile, SymTensor(*E)) for E in P], [et], [h])[0])
+        lambda P: [legendre_transform(spec, SymTensor(*E)) for E in P], [et], [h])[0])
 
 
 def _central_gradient(fn, points: list, steps: list) -> list:

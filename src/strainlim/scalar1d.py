@@ -5,50 +5,43 @@ delta as |S| grows, so inverting it is increasingly ill-conditioned: the
 relative condition number of S with respect to E is kappa = 1 + |a S|^p.
 The inversion below is conditioning-optimal (the only error left is the
 unavoidable kappa * ulp), but no float64 algorithm can beat that floor.
+The relation is the power_law family's scalar version: each function takes
+that `FamilySpec` and a delta, raises ValueError for any other kind and
+leaves the delta to `check_delta`.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Optional
 
 from .analysis import fit_order
 from .errors import InvalidParameter, OutOfDomain, Saturation
+from .families import FamilySpec, check_delta
 
 
-@dataclass(frozen=True)
-class Scalar1DParams:
-    a: float
-    p: float
-    delta: float
-
-    def __post_init__(self):
-        # chained comparisons with math.inf: NaN and inf fail them too
-        if not 0.0 < self.a < math.inf:
-            raise ValueError("a must be positive and finite")
-        if not 1.0 <= self.p < math.inf:
-            raise ValueError("p must be finite and at least 1")
-        if not sys.float_info.min <= self.delta <= 0.1:  # a subnormal delta is rounding noise
-            raise ValueError(f"delta must lie in [{sys.float_info.min!r}, 0.1]")
-        if not self.a * self.delta > 0.0:  # sigma = eps / (a delta)
-            raise ValueError("a * delta underflows to 0")
+def _check_scalar(spec: FamilySpec, delta: float) -> None:
+    if spec.kind != "power_law":
+        raise ValueError("the scalar relation requires the power_law family")
+    check_delta(spec, delta)
 
 
-def oned_forward(params: Scalar1DParams, Sbar: float) -> float:
+def oned_forward(spec: FamilySpec, delta: float, Sbar: float) -> float:
     """E = delta * a (1 + |a S|^p)^{-1/p} S; always |E| < delta.
 
-    Raises InvalidParameter unless S and |a S|^p are finite floats.
+    Raises InvalidParameter unless S and |a S|^p are finite floats. The
+    stress is not held to the family's ball: any finite |a S|^p is allowed.
     """
-    u = params.a * Sbar
+    _check_scalar(spec, delta)
+    u = spec.a * Sbar
     try:
-        w = abs(u) ** params.p
+        w = abs(u) ** spec.p
     except OverflowError:
         w = math.inf
     if not w < math.inf:  # a NaN or inf stress fails too
         raise InvalidParameter(f"stress {Sbar!r}: |a S|^p is not a finite float")
-    return params.delta * u / (1.0 + w) ** (1.0 / params.p)
+    return delta * u / (1.0 + w) ** (1.0 / spec.p)
 
 
 def oned_strain(E: float) -> float:
@@ -78,19 +71,20 @@ def one_minus_abs_pow(u: float, p: float) -> float:
     return -math.expm1(p * math.log1p(-w))
 
 
-def oned_invert(params: Scalar1DParams, E: float) -> float:
+def oned_invert(spec: FamilySpec, delta: float, E: float) -> float:
     """S = a^{-1} (1 - |E/delta|^p)^{-1/p} (E/delta); inverse of oned_forward.
 
     Raises Saturation at a finite |E/delta| >= 1: the limiting strain is not
     attained at any finite stress. A NaN or inf E raises InvalidParameter.
     """
+    _check_scalar(spec, delta)
     if not math.isfinite(E):
         raise InvalidParameter(f"strain {E!r} is not finite")
-    u = E / params.delta
+    u = E / delta
     if abs(u) >= 1.0:
         raise Saturation(f"|E/delta| = {abs(u)!r} is at or beyond the limit")
-    q = one_minus_abs_pow(u, params.p)
-    return u * q ** (-1.0 / params.p) / params.a
+    q = one_minus_abs_pow(u, spec.p)
+    return u * q ** (-1.0 / spec.p) / spec.a
 
 
 @dataclass(frozen=True)
@@ -108,16 +102,23 @@ class Delta0Study:
     quad_constant_max: float
 
 
-def oned_delta0_study(params: Scalar1DParams, Sbar_list) -> Delta0Study:
-    """Per stress: E, eps, delta0 = |eps|, sigma = eps/(a*delta), gap = |sigma - S|."""
+def oned_delta0_study(spec: FamilySpec, delta: float, Sbar_list) -> Delta0Study:
+    """Per stress: E, eps, delta0 = |eps|, sigma = eps/(a*delta), gap = |sigma - S|.
+
+    Raises InvalidParameter when a * delta underflows to 0.
+    """
+    _check_scalar(spec, delta)
+    a = spec.a
+    if not a * delta > 0.0:
+        raise InvalidParameter(f"a * delta underflows to 0 for a = {a!r}, delta = {delta!r}")
     rows = []
     ratio_max = 0.0
     quad_max = 0.0
     for s in Sbar_list:
-        e = oned_forward(params, s)
+        e = oned_forward(spec, delta, s)
         eps = oned_strain(e)
         delta0 = abs(eps)
-        sigma = eps / (params.a * params.delta)
+        sigma = eps / (a * delta)
         gap = abs(sigma - s)
         rows.append(
             {
@@ -131,10 +132,8 @@ def oned_delta0_study(params: Scalar1DParams, Sbar_list) -> Delta0Study:
         )
         # rows whose |S| delta0 or delta0^2 underflows to 0 have no ratio
         if abs(s) * delta0 > 0.0 and delta0 ** 2 > 0.0:
-            ratio_max = max(ratio_max, gap * params.delta / (abs(s) * delta0))
-            quad_max = max(
-                quad_max, gap * params.a * params.delta ** 2 / delta0 ** 2
-            )
+            ratio_max = max(ratio_max, gap * delta / (abs(s) * delta0))
+            quad_max = max(quad_max, gap * a * delta ** 2 / delta0 ** 2)
     usable = [r for r in rows if r["delta0"] > 0.0]
     # every stress zero, or every gap zero: the identity held exactly, nothing to fit
     slope = fit_order([r["delta0"] for r in usable], [r["gap"] for r in usable]) if usable else None

@@ -19,7 +19,6 @@ import pytest
 from strainlim.analysis import certify_constants, fit_order, run_convergence, run_convergence_hencky
 from strainlim.cli import main
 from strainlim.energy import (
-    EnergyProfile,
     complementary_energy,
     complementary_gradient,
     conjugate_stress,
@@ -34,7 +33,7 @@ from strainlim.kinematics import (
     density_linearization_gap,
     make_rotation,
 )
-from strainlim.scalar1d import Scalar1DParams, oned_delta0_study, oned_forward, oned_invert
+from strainlim.scalar1d import oned_delta0_study, oned_forward, oned_invert
 from strainlim.symtensor import SymTensor, frobenius, inner
 
 POWER = FamilySpec(kind="power_law", a=1.0, p=2.0)
@@ -191,18 +190,17 @@ def test_criterion_6_scalar_diagnostics():
     # relative error <= 1e-12 demanded for three (a, p) pairs
     worst = {}
     for a, p in ((1.0, 2.0), (0.5, 1.0), (2.0, 4.0)):
-        params = Scalar1DParams(a=a, p=p, delta=1e-3)
+        spec = FamilySpec(kind="power_law", a=a, p=p)
         w = 0.0
         for s in np.linspace(-1e3, 1e3, 1000):
-            back = oned_invert(params, oned_forward(params, float(s)))
+            back = oned_invert(spec, 1e-3, oned_forward(spec, 1e-3, float(s)))
             w = max(w, abs(back - s) / abs(s))
         worst[(a, p)] = w
     trip_ok = all(w <= 1e-12 for w in worst.values())
 
     # part two: decay order of |sigma - S| against delta0, demanded window
     # [0.9, 1.1]
-    params = Scalar1DParams(a=1.0, p=2.0, delta=1e-3)
-    study = oned_delta0_study(params, np.linspace(0.01, 0.5, 100))
+    study = oned_delta0_study(POWER, 1e-3, np.linspace(0.01, 0.5, 100))
     slope_ok = 0.9 <= study.slope <= 1.1
 
     ok = trip_ok and slope_ok
@@ -216,7 +214,6 @@ def test_criterion_6_scalar_diagnostics():
 
 def test_criterion_7_energy_consistency():
     spec = FamilySpec(kind="power_law", a=1.0, p=2.0, c=3.0)
-    prof = EnergyProfile(spec)
     rng = np.random.default_rng(7)
     zero = SymTensor()
 
@@ -225,23 +222,23 @@ def test_criterion_7_energy_consistency():
         S = _ball(rng, 0.9 * spec.c)
         grad_worst = max(
             grad_worst,
-            frobenius(complementary_gradient(prof, S) - family_leading(spec, zero, S)),
+            frobenius(complementary_gradient(spec, S) - family_leading(spec, zero, S)),
         )
 
     fy_worst = 0.0
     for _ in range(100):
         Et = _ball(rng, 0.9)
-        star = conjugate_stress(prof, Et)
+        star = conjugate_stress(spec, Et)
         fy_worst = max(
             fy_worst,
-            abs(legendre_transform(prof, Et) + complementary_energy(prof, star) - inner(Et, star)),
+            abs(legendre_transform(spec, Et) + complementary_energy(spec, star) - inner(Et, star)),
         )
 
     delta = 0.01
     rt_worst = 0.0
     for _ in range(50):
         eps = _ball(rng, 0.9 * delta)
-        sig = green_stress(prof, delta, eps)
+        sig = green_stress(spec, delta, eps)
         rt_worst = max(rt_worst, frobenius(family_leading(spec, zero, sig) * delta - eps))
 
     ok = grad_worst <= 1e-6 and fy_worst <= 1e-9 and rt_worst <= 1e-8

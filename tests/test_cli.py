@@ -332,6 +332,29 @@ def test_subnormal_certify_delta_exits_two(tmp_path, capsys):
         "smallest normal float 2.2250738585072014e-308\n")
 
 
+def _with_delta(command, delta):
+    """VALID[command] at `delta`, the top rung of a 4-rung ladder for the ladder commands."""
+    key = "deltas" if "deltas" in VALID[command] else "delta"
+    return dict(VALID[command], **{key: [delta / 2 ** k for k in range(4)]
+                                   if key == "deltas" else delta})
+
+
+@pytest.mark.parametrize("delta", [0.1, 1e-310])
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_inadmissible_delta_exits_two_for_every_command(tmp_path, capsys, command, delta):
+    # one rule for every command: power_law admits normal floats in (0, 0.1)
+    out = tmp_path / "out"
+    code = main([command, "--config", _write(tmp_path, "x.json", _with_delta(command, delta)),
+                 "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(
+        "FAIL %s kind=power_law InadmissibleDelta: delta %r " % (command, delta))
+    assert not out.exists()
+
+
 # --- parameter and threshold validation -----------------------------------------
 
 
@@ -372,20 +395,6 @@ def test_a_study_that_runs_out_of_memory_is_config_error(tmp_path, capsys, monke
 def test_thin_certify_sampling_is_config_error(tmp_path, capsys):
     line = _run_expect_config_error(tmp_path, capsys, "certify", dict(CERTIFY, samples=50))
     assert "samples" in line
-
-
-def test_oned_delta_out_of_range_is_config_error(tmp_path, capsys):
-    payload = {"family": {"kind": "power_law"}, "delta": 0.5, "stresses": [0.1, 0.2]}
-    line = _run_expect_config_error(tmp_path, capsys, "oned", payload)
-    assert "delta" in line
-
-
-def test_subnormal_oned_delta_is_config_error(tmp_path, capsys):
-    # the gaps of a subnormal delta are rounding noise, so a wide window must not pass them
-    payload = {"family": {"kind": "power_law"}, "delta": 1e-310,
-               "stresses": [0.1, 0.2, 0.3, 0.4, 0.5], "thresholds": {"slope": [0.0, 5.0]}}
-    line = _run_expect_config_error(tmp_path, capsys, "oned", payload)
-    assert "delta must lie in [2.2250738585072014e-308, 0.1]" in line
 
 
 @pytest.mark.parametrize("command, payload, key", [
@@ -454,6 +463,12 @@ def test_readme_example_configs_parse():
     assert [command for _, command in examples] == ["converge", "certify"]
     for text, command in examples:
         parse_config(json.loads(text), command)
+
+
+def test_readme_python_example_runs():
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.DOTALL)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], str(README), "exec"), {})
 
 
 @pytest.mark.parametrize("command, runner, thresholds", [

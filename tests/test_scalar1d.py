@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strainlim.errors import InvalidParameter, OutOfDomain, Saturation
+from strainlim.errors import InadmissibleDelta, InvalidParameter, OutOfDomain, Saturation
+from strainlim.families import FamilySpec
 from strainlim.scalar1d import (
-    Scalar1DParams,
     one_minus_abs_pow,
     oned_delta0_study,
     oned_forward,
@@ -15,32 +15,44 @@ from strainlim.scalar1d import (
     oned_strain,
 )
 
-P12 = Scalar1DParams(a=1.0, p=2.0, delta=1e-3)
+P12 = FamilySpec(kind="power_law", a=1.0, p=2.0)
+DELTA = 1e-3
+
+
+def _scalar_calls(spec, delta):
+    return (lambda: oned_forward(spec, delta, 0.5),
+            lambda: oned_invert(spec, delta, 0.5 * DELTA),
+            lambda: oned_delta0_study(spec, delta, [0.1, 0.2]))
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        Scalar1DParams(a=0.0, p=2.0, delta=1e-3)
-    with pytest.raises(ValueError):
-        Scalar1DParams(a=1.0, p=0.9, delta=1e-3)
-    with pytest.raises(ValueError):
-        Scalar1DParams(a=1.0, p=2.0, delta=0.0)
-    with pytest.raises(ValueError):
-        Scalar1DParams(a=1.0, p=2.0, delta=0.2)
-    with pytest.raises(ValueError):
-        # a * delta underflows to 0
-        Scalar1DParams(a=0.3, p=2.0, delta=5e-324)
-    for bad in (math.nan, math.inf, -math.inf):
-        for field in ("a", "p", "delta"):
-            with pytest.raises(ValueError):
-                Scalar1DParams(**dict({"a": 1.0, "p": 2.0, "delta": 1e-3}, **{field: bad}))
+    # the family's delta rule: normal floats in (0, 0.1) for power_law
+    for delta in (0.0, -DELTA, 0.1, 0.2, 1e-310, 5e-324, math.nan, math.inf, -math.inf):
+        for call in _scalar_calls(P12, delta):
+            with pytest.raises(InadmissibleDelta):
+                call()
+
+
+@pytest.mark.parametrize("spec", [FamilySpec(kind="density_modulus_reciprocal"),
+                                  FamilySpec(kind="scaled_base", base="power_law")],
+                         ids=["density", "scaled_base"])
+def test_scalar_maps_need_the_power_law_family(spec):
+    for call in _scalar_calls(spec, DELTA):
+        with pytest.raises(ValueError, match="power_law"):
+            call()
+
+
+def test_study_rejects_an_underflowing_a_delta():
+    # sigma = eps / (a delta) has no meaning once a * delta is 0
+    with pytest.raises(InvalidParameter, match="underflows"):
+        oned_delta0_study(FamilySpec(kind="power_law", a=1e-300), 1e-30, [0.1, 0.2])
 
 
 def test_forward_oracle():
     # u = a S = 1, E = delta / (1 + 1)^{1/2}
-    assert oned_forward(P12, 1.0) == pytest.approx(1e-3 / math.sqrt(2.0), rel=1e-15)
-    assert oned_forward(P12, 0.0) == 0.0
-    assert oned_forward(P12, -1.0) == -oned_forward(P12, 1.0)
+    assert oned_forward(P12, DELTA, 1.0) == pytest.approx(1e-3 / math.sqrt(2.0), rel=1e-15)
+    assert oned_forward(P12, DELTA, 0.0) == 0.0
+    assert oned_forward(P12, DELTA, -1.0) == -oned_forward(P12, DELTA, 1.0)
 
 
 def test_forward_respects_the_limit():
@@ -48,23 +60,23 @@ def test_forward_respects_the_limit():
     # astronomically large stress the ratio rounds to 1 and the limit is
     # attained exactly, never crossed
     for s in (1.0, 1e3, 1e6):
-        assert abs(oned_forward(P12, s)) < P12.delta
-    assert abs(oned_forward(P12, 1e12)) <= P12.delta
+        assert abs(oned_forward(P12, DELTA, s)) < DELTA
+    assert abs(oned_forward(P12, DELTA, 1e12)) <= DELTA
 
 
 def test_invert_oracle():
-    assert oned_invert(P12, 1e-3 / math.sqrt(2.0)) == pytest.approx(1.0, rel=1e-14)
+    assert oned_invert(P12, DELTA, 1e-3 / math.sqrt(2.0)) == pytest.approx(1.0, rel=1e-14)
 
 
 def test_invert_blows_up_near_saturation():
-    E = P12.delta * (1.0 - 1e-12)
-    assert oned_invert(P12, E) > 1e4
+    E = DELTA * (1.0 - 1e-12)
+    assert oned_invert(P12, DELTA, E) > 1e4
 
 
 def test_invert_saturates():
-    for E in (P12.delta, -P12.delta, 1e6 * P12.delta, -1e6 * P12.delta):
+    for E in (DELTA, -DELTA, 1e6 * DELTA, -1e6 * DELTA):
         with pytest.raises(Saturation):
-            oned_invert(P12, E)
+            oned_invert(P12, DELTA, E)
 
 
 @pytest.mark.parametrize(
@@ -75,26 +87,26 @@ def test_invert_saturates():
 def test_stress_round_trip_on_conditioned_range(a, p, smax):
     # S -> E -> S is 1e-12 wherever (1 + |aS|^p), the conditioning factor,
     # stays modest
-    params = Scalar1DParams(a=a, p=p, delta=1e-3)
+    spec = FamilySpec(kind="power_law", a=a, p=p)
     for s in np.linspace(-smax, smax, 1001):
-        back = oned_invert(params, oned_forward(params, s))
+        back = oned_invert(spec, DELTA, oned_forward(spec, DELTA, s))
         assert back == pytest.approx(s, rel=1e-12, abs=1e-15)
 
 
 def test_strain_round_trip_is_uniform():
     # the E -> S -> E direction has no conditioning cliff
-    params = Scalar1DParams(a=2.0, p=4.0, delta=1e-3)
+    spec = FamilySpec(kind="power_law", a=2.0, p=4.0)
     for u in np.linspace(-1.0 + 1e-6, 1.0 - 1e-6, 2001):
-        E = u * params.delta
-        again = oned_forward(params, oned_invert(params, E))
+        E = u * DELTA
+        again = oned_forward(spec, DELTA, oned_invert(spec, DELTA, E))
         assert again == pytest.approx(E, rel=1e-12, abs=1e-300)
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.floats(-0.999999, 0.999999))
 def test_strain_round_trip_hypothesis(u):
-    E = u * P12.delta
-    again = oned_forward(P12, oned_invert(P12, E))
+    E = u * DELTA
+    again = oned_forward(P12, DELTA, oned_invert(P12, DELTA, E))
     assert again == pytest.approx(E, rel=1e-12, abs=1e-300)
 
 
@@ -130,7 +142,7 @@ def test_strain_measure_domain():
 
 def test_study_rows_and_diagnostics():
     stresses = np.linspace(0.01, 0.5, 200)
-    study = oned_delta0_study(P12, stresses)
+    study = oned_delta0_study(P12, DELTA, stresses)
     assert len(study.rows) == 200
     r = study.rows[0]
     assert set(r) == {"Sbar", "E", "eps", "delta0", "sigma", "gap"}
@@ -146,12 +158,12 @@ def test_study_rows_and_diagnostics():
 def test_study_rejects_non_finite_stress(bad):
     # 1e300 and -1e200 are finite, but |a S|^p is not
     with pytest.raises(InvalidParameter):
-        oned_delta0_study(P12, [0.1, 0.2, bad, 0.3, 0.4])
+        oned_delta0_study(P12, DELTA, [0.1, 0.2, bad, 0.3, 0.4])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("fn", [lambda x: oned_forward(P12, x), oned_strain,
-                                lambda x: oned_invert(P12, x)],
+@pytest.mark.parametrize("fn", [lambda x: oned_forward(P12, DELTA, x), oned_strain,
+                                lambda x: oned_invert(P12, DELTA, x)],
                          ids=["oned_forward", "oned_strain", "oned_invert"])
 def test_scalar_maps_reject_non_finite_input(fn, bad):
     with pytest.raises(InvalidParameter):
@@ -159,7 +171,7 @@ def test_scalar_maps_reject_non_finite_input(fn, bad):
 
 
 def test_study_zero_stress_slope_is_none():
-    study = oned_delta0_study(P12, [0.0, 0.0, 0.0, 0.0])
+    study = oned_delta0_study(P12, DELTA, [0.0, 0.0, 0.0, 0.0])
     assert study.slope is None
     assert study.ratio_max == 0.0
     for r in study.rows:
@@ -168,18 +180,18 @@ def test_study_zero_stress_slope_is_none():
 
 def test_forward_rejects_a_stress_whose_power_is_not_finite():
     with pytest.raises(InvalidParameter):
-        oned_forward(P12, 1e300)
+        oned_forward(P12, DELTA, 1e300)
     with pytest.raises(InvalidParameter):  # a S itself overflows to inf
-        oned_forward(Scalar1DParams(a=1e200, p=1.0, delta=1e-3), 1e200)
+        oned_forward(FamilySpec(kind="power_law", a=1e200, p=1.0), DELTA, 1e200)
     # just inside the float range the relation saturates at E = delta
-    assert oned_forward(P12, 1e150) == P12.delta
+    assert oned_forward(P12, DELTA, 1e150) == DELTA
 
 
 def test_study_leaves_underflowing_rows_out_of_the_ratios():
     # |S| delta0 or delta0^2 underflows to 0 for these stresses
     tiny = [1e-320, -5e-324, 1e-200]
     stresses = [0.1, 0.2, 0.3, 0.4]
-    study = oned_delta0_study(P12, tiny + stresses)
+    study = oned_delta0_study(P12, DELTA, tiny + stresses)
     assert len(study.rows) == 7
-    ref = oned_delta0_study(P12, stresses)
+    ref = oned_delta0_study(P12, DELTA, stresses)
     assert (study.ratio_max, study.quad_constant_max) == (ref.ratio_max, ref.quad_constant_max)
