@@ -228,12 +228,16 @@ def certify_constants(
     C0_hat = max |f_delta|/delta, C1_hat = max strain difference quotient,
     D0_hat = max stress difference quotient / delta, C3_hat = max
     leading_gap / delta^2. Deterministic for a given seed (byte-identical
-    reports on repeat runs). Raises InvalidParameter when a constant is not
-    a finite float, as when a tiny delta's probe distance or delta^2
-    underflows to 0.
+    reports on repeat runs). Raises InvalidParameter unless samples is an
+    integer of at least 100 and seed a nonnegative integer, and when a
+    constant is not a finite float, as when a tiny delta's probe distance or
+    delta^2 underflows to 0.
     """
-    if samples < 100:
-        raise InvalidParameter("samples must be at least 100")
+    is_int = lambda x: isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+    if not (is_int(samples) and samples >= 100):
+        raise InvalidParameter(f"samples must be an integer of at least 100, got {samples!r}")
+    if not (is_int(seed) and seed >= 0):
+        raise InvalidParameter(f"seed must be a nonnegative integer, got {seed!r}")
     if len(deltas) == 0:
         raise InvalidParameter("certification needs at least one delta")
     check_delta(spec, np.asarray(deltas, dtype=float))

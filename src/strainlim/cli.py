@@ -5,11 +5,14 @@ JSON report next to it, and prints a single PASS/FAIL line. Exit codes:
 0 study ran and met its thresholds, 1 configuration or I/O problem,
 2 study ran but failed a threshold (or died partway with a solver error).
 
-One table, `_COMMANDS`, says per command which config keys it reads and
-which thresholds it knows, each with its default. `parse_config` walks that
+One table, `_COMMANDS`, is the config schema: per command, which config
+keys it reads and which thresholds it knows, each threshold with its
+default. `_DEFAULTS` names the only optional keys (`samples` and `seed`);
+every other key a command reads is required. `parse_config` walks that
 table: it rejects every key the command does not read, parses each value
 once and checks every given threshold, so a bad config exits 1 before the
-study runs. The report's config echo walks the same table, and the CSV
+study runs. It returns a namespace of `command`, `family`, `thresholds`
+and exactly the keys the command reads, which the report echoes. The CSV
 columns of converge, certify and oned are the fields of the result types
 (`ConvergenceRecord`, `CertificateRow`, the `Delta0Study` row keys).
 
@@ -26,6 +29,7 @@ import math
 import os
 import sys
 import tempfile
+from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -48,29 +52,10 @@ from .symtensor import SymTensor, frobenius, inner
 
 _FAMILY_KEYS = tuple(f.name for f in dataclasses.fields(FamilySpec))
 _ROTATION_KEYS = ("axis", "coefficient")
-# keys every command accepts besides those in its `_COMMANDS` entry; each
-# is an ExperimentConfig field that the report echoes
+# keys every command accepts besides those in its `_COMMANDS` entry
 _COMMON_KEYS = ("command", "family", "thresholds")
-
-
-@dataclasses.dataclass
-class ExperimentConfig:
-    command: str
-    family: FamilySpec
-    stress: "SymTensor | None" = None
-    stresses: "tuple | None" = None  # scalar sweep, oned only
-    rotation: "RotationSpec | None" = None
-    deltas: "tuple | None" = None
-    delta: "float | None" = None
-    samples: int = 10000
-    seed: int = 0
-    output_dir: str = "."
-    thresholds: dict = dataclasses.field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        """The fields the command reads, in the form `parse_config` reads back."""
-        keys = _COMMON_KEYS + tuple(_COMMANDS[self.command].keys)
-        return {key: _echo(getattr(self, key)) for key in keys}
+# the only optional keys; every other key a command reads is required
+_DEFAULTS = {"samples": 10000, "seed": 0}
 
 
 def _echo(value):
@@ -124,12 +109,6 @@ def _numbers(raw, name, length=None) -> tuple:
     return tuple(_as_float(v, "%s[%d]" % (name, i)) for i, v in enumerate(raw))
 
 
-def _positive(raw, name) -> float:
-    value = _as_float(raw, name)
-    _require(value > 0.0, "%s must be positive" % name)
-    return value
-
-
 def _integer(least, word):
     def parse(raw, name) -> int:
         _require(isinstance(raw, int) and not isinstance(raw, bool) and raw >= least,
@@ -156,13 +135,12 @@ def _parse_rotation(raw, name) -> RotationSpec:
 
 def _parse_deltas(raw, name) -> tuple:
     vals = _numbers(raw, name)
-    _require(all(v > 0.0 for v in vals), "%s must be positive" % name)
     _require(all(lo < hi for lo, hi in zip(vals[1:], vals)),
              "%s must be strictly decreasing" % name)
     return vals
 
 
-def parse_config(raw: dict, command: str) -> ExperimentConfig:
+def parse_config(raw: dict, command: str) -> SimpleNamespace:
     """Validate a raw config dict against `command`'s entry in `_COMMANDS`."""
     _require(command in _COMMANDS, "unknown command %r" % command)
     spec = _COMMANDS[command]
@@ -173,7 +151,8 @@ def parse_config(raw: dict, command: str) -> ExperimentConfig:
         _require(raw["command"] == command,
                  "config is for %r, not %r" % (raw["command"], command))
 
-    cfg = ExperimentConfig(command=command, family=_parse_family(raw.get("family", {"kind": "power_law"})))
+    cfg = SimpleNamespace(command=command,
+                          family=_parse_family(raw.get("family", {"kind": "power_law"})))
     _require(cfg.family.kind in spec.kinds,
              "%s needs a family.kind in %s" % (command, list(spec.kinds)))
 
@@ -189,7 +168,9 @@ def parse_config(raw: dict, command: str) -> ExperimentConfig:
     for key, parse in spec.keys.items():
         if key in raw:
             setattr(cfg, key, parse(raw[key], key))
-    missing = sorted(key for key in spec.keys if getattr(cfg, key) is None)
+        elif key in _DEFAULTS:
+            setattr(cfg, key, _DEFAULTS[key])
+    missing = sorted(set(spec.keys) - set(vars(cfg)))
     _require(not missing, "%s needs %s" % (command, " and ".join(missing)))
     return cfg
 
@@ -247,12 +228,12 @@ def _in_window(value, window) -> bool:
     return value is not None and window[0] <= value <= window[1]
 
 
-def _thresholds(cfg: ExperimentConfig) -> dict:
+def _thresholds(cfg) -> dict:
     """The command's threshold defaults, overridden by the config's checked values."""
     return dict(_COMMANDS[cfg.command].thresholds, **cfg.thresholds)
 
 
-def _run_converge(cfg: ExperimentConfig):
+def _run_converge(cfg):
     runner = run_convergence_hencky if cfg.command == "converge-hencky" else run_convergence
     report = runner(cfg.family, cfg.stress, cfg.rotation, cfg.deltas)
     header, rows = _table(report.records)
@@ -272,7 +253,7 @@ def _run_converge(cfg: ExperimentConfig):
     return checks, header, rows, {"report": _jsonable(report)}
 
 
-def _run_certify(cfg: ExperimentConfig):
+def _run_certify(cfg):
     report = certify_constants(cfg.family, cfg.deltas, cfg.samples, cfg.seed)
     header, rows = _table(report.rows)
 
@@ -288,7 +269,7 @@ def _run_certify(cfg: ExperimentConfig):
     return checks, header, rows, {"report": _jsonable(report)}
 
 
-def _run_oned(cfg: ExperimentConfig):
+def _run_oned(cfg):
     study = oned_delta0_study(cfg.family, cfg.delta, cfg.stresses)
     header, rows = _table(study.rows)
     w = _thresholds(cfg)["slope"]
@@ -300,7 +281,7 @@ def _run_oned(cfg: ExperimentConfig):
     return checks, header, rows, extra
 
 
-def _run_solve(cfg: ExperimentConfig):
+def _run_solve(cfg):
     report = solve_implicit(cfg.family, cfg.delta, cfg.stress)
     comps = report.solution.components()
     header = ("delta", "iterations", "residual", "method", "interior_ball_ok",
@@ -313,7 +294,7 @@ def _run_solve(cfg: ExperimentConfig):
     return checks, header, rows, {"report": _jsonable(report)}
 
 
-def _run_energy(cfg: ExperimentConfig):
+def _run_energy(cfg):
     spec = cfg.family
     check_delta(spec, cfg.delta)  # scaled_base reads delta for this check alone
     rng = np.random.default_rng(cfg.seed)
@@ -360,8 +341,8 @@ def _run_energy(cfg: ExperimentConfig):
 class _Command(NamedTuple):
     blurb: str
     run: Callable
-    # config key read besides _COMMON_KEYS, which names the ExperimentConfig
-    # field it sets -> its parser; a key whose field defaults to None is required
+    # config key read besides _COMMON_KEYS -> its parser; the key is required
+    # unless _DEFAULTS names it
     keys: dict
     # threshold key -> default: a (lo, hi) window, a number, or None for a
     # family-dependent certification cap
@@ -381,24 +362,24 @@ _CONVERGE = _Command(
 # quadratic/linear claims the studies are meant to confirm.
 _COMMANDS = {
     "solve": _Command("solve the implicit relation at one delta", _run_solve,
-                      {"stress": _STRESS, "delta": _positive}, {"residual": 1e-10}),
+                      {"stress": _STRESS, "delta": _as_float}, {"residual": 1e-10}),
     "converge": _CONVERGE,
     "converge-hencky": _CONVERGE._replace(blurb="stress-driven convergence sweep"),
     "certify": _Command("sample family constants over the admissible ball", _run_certify,
                         {"deltas": _parse_deltas, **_SAMPLING},
                         dict.fromkeys(("C0", "C1", "D0", "C3"))),
     "oned": _Command("scalar diagnostic sweep", _run_oned,
-                     {"delta": _positive, "stresses": _numbers},
+                     {"delta": _as_float, "stresses": _numbers},
                      {"slope": (0.9, 1.1)}, ("power_law",)),
     "energy": _Command("complementary energy consistency probes", _run_energy,
-                       {"delta": _positive, **_SAMPLING},
+                       {"delta": _as_float, **_SAMPLING},
                        {"grad_tol": 1e-6, "fenchel_tol": 1e-9, "roundtrip_tol": 1e-8},
                        ENERGY_KINDS),
 }
 
 
-def run_experiment(cfg: ExperimentConfig) -> dict:
-    """Run one configured study and write its CSV and JSON outputs.
+def run_experiment(cfg: SimpleNamespace, output_dir: str) -> dict:
+    """Run one configured study and write its CSV and JSON outputs into `output_dir`.
 
     Returns the JSON report payload on success. Raises StudyFailed if the
     study dies partway or misses a threshold; outputs that could be written
@@ -407,7 +388,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     try:
         checks, header, rows, extra = _COMMANDS[cfg.command].run(cfg)
     except ValueError as exc:
-        # parameters the library refuses (samples, delta ranges) are config errors
+        # parameters the library refuses (samples) are config errors
         raise ConfigInvalid("bad parameters: %s" % exc)
     except MemoryError as exc:
         raise ConfigInvalid("the study does not fit in memory: %s" % exc)
@@ -415,14 +396,14 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         raise StudyFailed("%s: %s" % (type(exc).__name__, exc))
 
     stem = cfg.command.replace("-", "_")
-    csv_path = os.path.join(cfg.output_dir, stem + ".csv")
-    json_path = os.path.join(cfg.output_dir, stem + "_report.json")
+    csv_path = os.path.join(output_dir, stem + ".csv")
+    json_path = os.path.join(output_dir, stem + "_report.json")
     _atomic_write(csv_path, "".join(",".join(map(_cell, row)) + "\n" for row in (header, *rows)))
 
     ok = all(passed for _, passed, _ in checks)
     payload = {
         "command": cfg.command,
-        "config": cfg.to_dict(),
+        "config": {key: _echo(value) for key, value in vars(cfg).items()},
         "verdict": "PASS" if ok else "FAIL",
         "checks": [{"name": n, "ok": p, "detail": d} for n, p, d in checks],
         "csv": csv_path,
@@ -474,9 +455,8 @@ def main(argv=None) -> int:
         except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8, deep nesting
             raise ConfigInvalid("config is not valid JSON: %s" % exc)
         cfg = parse_config(raw, args.command)
-        cfg.output_dir = args.out
         try:
-            payload = run_experiment(cfg)
+            payload = run_experiment(cfg, args.out)
         except OSError as exc:
             raise ConfigInvalid("cannot write outputs: %s" % exc)
         print("PASS %s kind=%s checks=%d csv=%s"

@@ -209,6 +209,13 @@ def test_certify_rejects_thin_sampling():
         certify_constants(POWER, LADDER[:4], 99, 0)
 
 
+@pytest.mark.parametrize("samples, seed, name", [(1000.0, 0, "samples"), (1000, 1.5, "seed"),
+                                                  (1000, -1, "seed")])
+def test_certify_names_a_bad_samples_or_seed(samples, seed, name):
+    with pytest.raises(InvalidParameter, match=name):
+        certify_constants(POWER, LADDER[:4], samples, seed)
+
+
 def test_certify_rejects_empty_ladder():
     with pytest.raises(InvalidParameter):
         certify_constants(POWER, [], 100, 0)

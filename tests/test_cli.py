@@ -17,8 +17,7 @@ from hypothesis import strategies as st
 import strainlim
 import strainlim.cli as cli
 from strainlim.analysis import certify_constants, run_convergence_hencky
-from strainlim.cli import (_COMMANDS, ExperimentConfig, _build_parser, _jsonable, main,
-                           parse_config)
+from strainlim.cli import _COMMANDS, _DEFAULTS, _build_parser, _jsonable, main, parse_config
 from strainlim.errors import ConfigInvalid
 from strainlim.families import FamilySpec
 from strainlim.kinematics import RotationSpec
@@ -55,14 +54,33 @@ SCALED_ENERGY = {"family": {"kind": "scaled_base", "base": "power_law", "a": 1.0
                  "delta": 0.01, "thresholds": {"grad_tol": 1}}
 
 
-def test_parse_config_round_trip():
-    for command, raw in list(VALID.items()) + [("energy", SCALED_ENERGY)]:
+def test_parse_config_round_trip(tmp_path):
+    # oned fits its slope over four stresses at least, so its study writes a report
+    studies = dict(VALID, oned=dict(VALID["oned"], stresses=[0.1, 0.2, 0.3, 0.4]))
+    for command, raw in list(studies.items()) + [("energy", dict(SCALED_ENERGY, samples=4))]:
         cfg = parse_config(raw, command)
-        echo = json.loads(json.dumps(cfg.to_dict()))
+        main([command, "--config", _write(tmp_path, "c.json", raw), "--out", str(tmp_path)])
+        report = tmp_path / (command.replace("-", "_") + "_report.json")
+        echo = json.loads(report.read_text())["config"]
         assert parse_config(echo, command) == cfg, command
         # the echo holds the common fields and the fields this command reads, nothing else
         read = set(_COMMANDS[command].keys)
         assert set(echo) == {"command", "family", "thresholds"} | read
+
+
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_parsed_config_holds_exactly_what_the_command_reads(command):
+    reads = set(_COMMANDS[command].keys)
+    bare = {key: value for key, value in VALID[command].items() if key not in _DEFAULTS}
+    for raw in (VALID[command], bare):
+        assert set(vars(parse_config(raw, command))) == {"command", "family", "thresholds"} | reads
+    # samples and seed alone are optional, and they take their defaults
+    cfg = parse_config(bare, command)
+    for key in reads & set(_DEFAULTS):
+        assert getattr(cfg, key) == _DEFAULTS[key]
+    for key in reads - set(_DEFAULTS):
+        with pytest.raises(ConfigInvalid, match="%s needs %s" % (command, key)):
+            parse_config({k: v for k, v in bare.items() if k != key}, command)
 
 
 def test_parse_config_field_order_is_irrelevant():
@@ -333,14 +351,23 @@ def test_subnormal_certify_delta_exits_two(tmp_path, capsys):
 
 
 def _with_delta(command, delta):
-    """VALID[command] at `delta`, the top rung of a 4-rung ladder for the ladder commands."""
-    key = "deltas" if "deltas" in VALID[command] else "delta"
-    return dict(VALID[command], **{key: [delta / 2 ** k for k in range(4)]
-                                   if key == "deltas" else delta})
+    """VALID[command] at `delta`. For the ladder commands a positive delta is the top
+    rung of a 4-rung ladder and a nonpositive one the bottom rung, so the ladder
+    stays strictly decreasing."""
+    if "deltas" not in VALID[command]:
+        return dict(VALID[command], delta=delta)
+    ladder = [delta / 2 ** k for k in range(4)] if delta > 0 else [0.004, 0.002, 0.001, delta]
+    return dict(VALID[command], deltas=ladder)
 
 
-@pytest.mark.parametrize("delta", [0.1, 1e-310])
-@pytest.mark.parametrize("command", sorted(_COMMANDS))
+LADDER_COMMANDS = ("certify", "converge", "converge-hencky")
+
+
+@pytest.mark.parametrize("command, delta", [
+    *[(command, delta) for command in sorted(_COMMANDS) for delta in (0.1, 1e-310)],
+    *[(command, delta) for command in sorted(_COMMANDS)
+      for delta in ((0.0, -0.001) if command in LADDER_COMMANDS else (0.0, -0.01))],
+])
 def test_inadmissible_delta_exits_two_for_every_command(tmp_path, capsys, command, delta):
     # one rule for every command: power_law admits normal floats in (0, 0.1)
     out = tmp_path / "out"
