@@ -128,11 +128,6 @@ def _validate_ladder(spec, deltas):
     check_delta(spec, np.asarray(deltas, dtype=float))
 
 
-def _leading_residual(spec, delta, eps, sigma) -> float:
-    lead = family_leading(spec, eps * (1.0 / delta), sigma) * delta
-    return frobenius(eps - lead)
-
-
 def run_convergence(
     spec: FamilySpec, Sbar: SymTensor, rot: RotationSpec, deltas
 ) -> ConvergenceReport:
@@ -164,14 +159,11 @@ def _run_ladder(spec, stress, rot, deltas, hencky) -> ConvergenceReport:
     solve, deform, pushforward = (
         (solve_implicit_hencky, deformation_from_hencky, sigma_from_cauchy) if hencky
         else (solve_implicit, deformation_from_green, sigma_from_piola))
-    # every rung's rotation before the first solve: a spec that can never
-    # work raises once here, not once per rung
-    rotations = [make_rotation(rot, delta) for delta in deltas]
     records, failures = [], []
-    for delta, R in zip(deltas, rotations):
+    for delta in deltas:
         try:
             rep = solve(spec, delta, stress)
-            state = deform(rep.solution, R)
+            state = deform(rep.solution, make_rotation(rot, delta))
             sigma = pushforward(state.F, stress)
             eps = state.eps
             records.append(
@@ -179,7 +171,8 @@ def _run_ladder(spec, stress, rot, deltas, hencky) -> ConvergenceReport:
                     delta=delta,
                     delta0=state.delta0,
                     residual_full=frobenius(eps - family_eval(spec, delta, eps, sigma)),
-                    residual_leading=_leading_residual(spec, delta, eps, sigma),
+                    residual_leading=frobenius(
+                        eps - family_leading(spec, eps * (1.0 / delta), sigma) * delta),
                     stress_gap=frobenius(sigma - stress),
                     strain_gap=frobenius(rep.solution - eps),
                 )

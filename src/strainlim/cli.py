@@ -43,9 +43,9 @@ from .energy import (
     green_stress,
     legendre_transform,
 )
-from .errors import ConfigInvalid, InvalidAxis, StrainLimError, StudyFailed
+from .errors import ConfigInvalid, InvalidAxis, InvalidParameter, StrainLimError, StudyFailed
 from .families import KINDS, FamilySpec, certify_caps, check_delta, family_leading
-from .kinematics import RotationSpec, unit_axis
+from .kinematics import RotationSpec
 from .scalar1d import oned_delta0_study
 from .solver import solve_implicit
 from .symtensor import SymTensor, frobenius, inner
@@ -88,15 +88,21 @@ def _as_float(value, name) -> float:
     return v
 
 
+def _object(raw, name, allowed, required=()) -> dict:
+    """`raw` if it is a JSON object with every `required` key and no key outside `allowed`."""
+    _require(isinstance(raw, dict), "%s must be an object" % name)
+    unknown = set(raw) - set(allowed)
+    _require(not unknown, "unknown %s keys: %s" % (name, sorted(unknown)))
+    missing = [key for key in required if key not in raw]
+    _require(not missing, "%s needs %s" % (name, " and ".join(missing)))
+    return raw
+
+
 def _parse_family(raw) -> FamilySpec:
-    _require(isinstance(raw, dict), "family must be an object")
-    unknown = set(raw) - set(_FAMILY_KEYS)
-    _require(not unknown, "unknown family keys: %s" % sorted(unknown))
-    _require("kind" in raw, "family.kind is required")
+    _object(raw, "family", _FAMILY_KEYS, ("kind",))
     # in field order, so the first bad value named is the same whatever the key order
     kwargs = {key: raw[key] if key in ("kind", "base") else _as_float(raw[key], "family.%s" % key)
               for key in _FAMILY_KEYS if key in raw}
-    _require(kwargs.get("base", "power_law") == "power_law", "family.base must be 'power_law'")
     try:
         return FamilySpec(**kwargs)
     except ValueError as exc:
@@ -118,19 +124,12 @@ def _integer(least, word):
 
 
 def _parse_rotation(raw, name) -> RotationSpec:
-    _require(isinstance(raw, dict), "%s must be an object" % name)
-    unknown = set(raw) - set(_ROTATION_KEYS)
-    _require(not unknown, "unknown %s keys: %s" % (name, sorted(unknown)))
-    _require("axis" in raw and "coefficient" in raw,
-             "%s needs axis and coefficient" % name)
-    axis = _numbers(raw["axis"], name + ".axis", 3)
+    _object(raw, name, _ROTATION_KEYS, _ROTATION_KEYS)
     try:
-        unit_axis(axis)
-    except InvalidAxis as exc:
-        raise ConfigInvalid("%s.axis: %s" % (name, exc))
-    coef = _as_float(raw["coefficient"], name + ".coefficient")
-    _require(coef >= 0.0, "%s.coefficient must be nonnegative" % name)
-    return RotationSpec(axis=axis, magnitude_coefficient=coef)
+        return RotationSpec(_numbers(raw["axis"], name + ".axis", 3),
+                            _as_float(raw["coefficient"], name + ".coefficient"))
+    except (InvalidAxis, InvalidParameter) as exc:
+        raise ConfigInvalid("%s: %s" % (name, exc))
 
 
 def _parse_deltas(raw, name) -> tuple:
@@ -144,9 +143,7 @@ def parse_config(raw: dict, command: str) -> SimpleNamespace:
     """Validate a raw config dict against `command`'s entry in `_COMMANDS`."""
     _require(command in _COMMANDS, "unknown command %r" % command)
     spec = _COMMANDS[command]
-    _require(isinstance(raw, dict), "config root must be an object")
-    unknown = set(raw) - {*_COMMON_KEYS, *spec.keys}
-    _require(not unknown, "unknown config keys: %s" % sorted(unknown))
+    _object(raw, "config", (*_COMMON_KEYS, *spec.keys))
     if "command" in raw:
         _require(raw["command"] == command,
                  "config is for %r, not %r" % (raw["command"], command))
@@ -156,22 +153,16 @@ def parse_config(raw: dict, command: str) -> SimpleNamespace:
     _require(cfg.family.kind in spec.kinds,
              "%s needs a family.kind in %s" % (command, list(spec.kinds)))
 
-    thresholds = raw.get("thresholds", {})
-    _require(isinstance(thresholds, dict), "thresholds must be an object")
-    unknown = set(thresholds) - set(spec.thresholds)
-    _require(not unknown, "unknown %s thresholds: %s" % (command, sorted(unknown)))
+    thresholds = _object(raw.get("thresholds", {}), "thresholds", spec.thresholds)
     cfg.thresholds = {key: _numbers(value, key, 2) if isinstance(spec.thresholds[key], tuple)
                       else _as_float(value, key) for key, value in thresholds.items()}
     for key, value in cfg.thresholds.items():
         _require(not isinstance(value, tuple) or value[0] <= value[1],
                  "%s must be a window [lo, hi] with lo <= hi" % key)
-    for key, parse in spec.keys.items():
-        if key in raw:
-            setattr(cfg, key, parse(raw[key], key))
-        elif key in _DEFAULTS:
-            setattr(cfg, key, _DEFAULTS[key])
-    missing = sorted(set(spec.keys) - set(vars(cfg)))
+    missing = sorted(set(spec.keys) - set(raw) - set(_DEFAULTS))
     _require(not missing, "%s needs %s" % (command, " and ".join(missing)))
+    for key, parse in spec.keys.items():
+        setattr(cfg, key, parse(raw[key], key) if key in raw else _DEFAULTS[key])
     return cfg
 
 

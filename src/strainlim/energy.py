@@ -143,11 +143,11 @@ def complementary_gradient(spec: FamilySpec, Sbar):
         raise InvalidParameter(f"the gradient step underflows for c = {spec.c!r}")
     steps = [_GRAD_STEP * max(floor, check_ball("Sbar", S, spec.c)) for S in points]
     if spec.kind == "scaled_base":
-        fn = lambda P: _line_integrals(spec, np.array(P)).tolist()
+        fn = lambda P: _line_integrals(spec, np.reshape(P, (-1, 6))).tolist()
     else:
         fn = lambda P: [complementary_energy(spec, SymTensor(*S)) for S in P]
     grads = _central_gradient(fn, points, steps)
-    return SymTensor(*grads[0]) if isinstance(Sbar, SymTensor) else np.array(grads)
+    return SymTensor(*grads[0]) if isinstance(Sbar, SymTensor) else np.reshape(grads, (-1, 6))
 
 
 def green_stress(spec: FamilySpec, delta: float, eps: SymTensor) -> SymTensor:

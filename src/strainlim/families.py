@@ -68,11 +68,11 @@ class FamilySpec:
 
     `a` is dimensionless for the density kinds and an inverse-stress scale
     for power_law; `b` and `c` are the certified strain/stress ball
-    coefficients; `delta1` and `base` only matter for scaled_base. `base`
-    is a callable (Etilde, Sbar) -> SymTensor bounded by delta1, or the
-    string "power_law" naming the built-in profile (the serializable
-    choice). The admissible deltas follow from these constants alone (see
-    `delta_ceiling`).
+    coefficients; `delta1` and `base` only matter for scaled_base, which
+    needs a base. `base` is None, a callable (Etilde, Sbar) -> SymTensor
+    bounded by delta1, or "power_law" naming the built-in profile (the
+    serializable choice). The admissible deltas follow from these constants
+    alone (see `delta_ceiling`).
     """
 
     kind: str
@@ -103,11 +103,10 @@ class FamilySpec:
             raise ValueError("delta1 must be positive and finite")
         if self.kind in DENSITY_KINDS and self.a * self.b >= 0.5:
             raise ValueError("density kinds require a*b < 1/2")
-        if self.kind == "scaled_base":
-            if self.base is None:
-                raise ValueError("scaled_base requires a base profile")
-            if isinstance(self.base, str) and self.base != "power_law":
-                raise ValueError(f"unknown named base {self.base!r}")
+        if not (callable(self.base) or self.base in (None, "power_law")):
+            raise ValueError(f"base must be None, a callable or 'power_law', got {self.base!r}")
+        if self.kind == "scaled_base" and self.base is None:
+            raise ValueError("scaled_base requires a base profile")
         if self.kind == "power_law" or self.base == "power_law":
             # every stress has |S| <= c, so (a |S|)^p stays finite when (a c)^p does
             try:

@@ -11,6 +11,8 @@ consistent by construction. F and R are float (3, 3) numpy arrays.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,24 +29,36 @@ class RotationSpec:
     so |R_delta - I| <= coefficient * delta (and a fortiori <= coefficient *
     delta * e^{coefficient * delta}). The geometric rotation angle is
     coefficient * delta / sqrt(2). The exponential is the only construction:
-    `make_rotation` evaluates it exactly with Rodrigues' formula.
+    `make_rotation` evaluates it exactly with Rodrigues' formula. Building a
+    spec checks both fields: InvalidAxis for a bad axis, and InvalidParameter
+    unless the coefficient is a finite, nonnegative number (never a bool).
     """
 
     axis: tuple
     magnitude_coefficient: float
 
+    def __post_init__(self):
+        if not (isinstance(self.axis, (tuple, list)) and len(self.axis) == 3
+                and all(map(_finite, self.axis))):
+            raise InvalidAxis(f"axis must be three finite numbers, got {self.axis!r}")
+        unit_axis(self.axis)
+        if not (_finite(self.magnitude_coefficient) and self.magnitude_coefficient >= 0.0):
+            raise InvalidParameter("magnitude_coefficient must be a finite, nonnegative number, "
+                                   f"got {self.magnitude_coefficient!r}")
+
+
+def _finite(x) -> bool:  # an int or float, not a bool, within the float range
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
+
 
 def make_rotation(spec: RotationSpec, delta: float) -> np.ndarray:
     """Generate R_delta, a (3, 3) array, via the closed-form Rodrigues formula.
 
-    Raises InvalidAxis if |axis| deviates from 1 by more than 1e-8 and
-    InvalidParameter for a delta, coefficient or angle that is not finite.
+    Raises InvalidParameter for a delta that is not finite and positive, or
+    whose angle overflows; the spec was checked when it was built.
     """
     if not 0.0 < delta < math.inf:  # each check fails for NaN too
         raise InvalidParameter(f"delta must be finite and positive, got {delta!r}")
-    if not 0.0 <= spec.magnitude_coefficient < math.inf:
-        raise InvalidParameter("magnitude_coefficient must be finite and nonnegative, "
-                               f"got {spec.magnitude_coefficient!r}")
     ax = unit_axis(spec.axis)
     # unit-Frobenius generator: angle = delta * coefficient / sqrt(2)
     angle = delta * spec.magnitude_coefficient / math.sqrt(2.0)
@@ -61,7 +75,7 @@ def make_rotation(spec: RotationSpec, delta: float) -> np.ndarray:
 
 
 def unit_axis(axis) -> np.ndarray:
-    """`axis` over its norm; InvalidAxis unless that norm is 1 within 1e-8."""
+    """Three finite numbers over their norm; InvalidAxis unless the norm is 1 within 1e-8."""
     ax = np.asarray(axis, dtype=float)
     with np.errstate(over="ignore"):  # an overflowing norm is inf and fails the check
         n = float(np.linalg.norm(ax))

@@ -267,6 +267,7 @@ def test_batched_gradient_equals_per_stress_calls(family):
         assert row == list(complementary_gradient(family, S).components())
     one = complementary_gradient(family, np.array([stresses[0].components()]))
     assert one.tolist() == [list(complementary_gradient(family, stresses[0]).components())]
+    assert complementary_gradient(family, np.empty((0, 6))).shape == (0, 6)
 
 
 def test_batched_gradient_splits_at_the_row_cap(monkeypatch):

@@ -73,6 +73,16 @@ def test_spec_validation():
     FamilySpec(kind="power_law", a=1e150)  # (a c)^2 = 1e300 is still a float
 
 
+@pytest.mark.parametrize("kind", ["scaled_base", "power_law"])
+@pytest.mark.parametrize("base", [5, [1], True, "x"])
+@pytest.mark.parametrize("a", [0.3, 1e200])
+def test_base_is_none_a_callable_or_power_law(kind, base, a):
+    # a base of another type once ran the built-in profile without its (a*c)^p guard,
+    # and a = 1e200 then overflowed in family_eval
+    with pytest.raises(ValueError, match="base must be None, a callable or 'power_law'"):
+        FamilySpec(kind=kind, base=base, a=a)
+
+
 def test_delta_ceilings():
     assert delta_ceiling(POWER) == 0.1
     assert delta_ceiling(RECIP) == pytest.approx(0.02)
@@ -532,6 +542,62 @@ def test_batch_shapes_and_broadcast():
     assert family_eval(RECIP, 0.01, np.zeros((0, 6)), np.zeros((0, 6))).shape == (0, 6)
     with pytest.raises(ValueError):
         family_eval(RECIP, 0.01, np.zeros((3, 5)), S[:1])
+
+
+# --- frame indifference -----------------------------------------------------------
+
+
+def _rotation(q):
+    """The proper rotation of the quaternion q (w, x, y, z), a (3, 3) array."""
+    w, x, y, z = np.asarray(q) / np.linalg.norm(q)
+    return np.array([[1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
+                     [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
+                     [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)]])
+
+
+def _turn(Q, rows):
+    """Q A Q^T for each (N, 6) row A."""
+    return np.array([SymTensor.from_matrix(Q @ SymTensor(*row).as_matrix() @ Q.T).components()
+                     for row in rows.tolist()])
+
+
+def _call(fn, scalar, *arrays):
+    """`fn` on (N, 6) arrays or, when `scalar`, on their first rows as SymTensors; the
+    result as (N, 6) or (N,) rows."""
+    if not scalar:
+        return fn(*arrays)
+    out = fn(*[SymTensor(*a[0].tolist()) for a in arrays])
+    return np.array([out.components() if isinstance(out, SymTensor) else out])
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_SPECS))
+@settings(max_examples=20, deadline=None)
+@given(
+    q=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4).filter(
+        lambda q: np.linalg.norm(q) > 0.1),
+    seed=st.integers(0, 2 ** 32 - 1),
+    n=st.integers(1, 8),
+    frac=st.floats(0.01, 0.99),
+    scalar=st.booleans(),
+)
+def test_families_are_frame_indifferent(name, q, seed, n, frac, scalar):
+    # every kind is isotropic: f(Q E Q^T, Q S Q^T) = Q f(E, S) Q^T for f_delta and
+    # f_1, and leading_gap does not move
+    spec, Q = BATCH_SPECS[name], _rotation(q)
+    delta = frac * delta_ceiling(spec)
+    rng = np.random.default_rng(seed)
+    # 0.9 of each radius: turning a point moves its norm by rounding alone
+    E = _in_ball(rng, n, 0.9 * certified_domain(spec) * delta)
+    S = _in_ball(rng, n, 0.9 * spec.c)
+    QE, QS = _turn(Q, E), _turn(Q, S)
+    full = lambda e, s: family_eval(spec, delta, e, s)
+    lead = lambda e, s: family_leading(spec, e * (1.0 / delta), s)
+    for fn in (full, lead):
+        want = _turn(Q, _call(fn, scalar, E, S))
+        assert np.abs(_call(fn, scalar, QE, QS) - want).max() <= 1e-13 * np.abs(want).max()
+    gap = lambda e, s: leading_gap(spec, delta, e, s)
+    moved = np.abs(_call(gap, scalar, QE, QS) - _call(gap, scalar, E, S))
+    assert np.all(moved <= 1e-13 * frobenius(_call(full, scalar, E, S)))
 
 
 # --- certification caps ---------------------------------------------------------

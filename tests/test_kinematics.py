@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -287,9 +287,11 @@ def _entries(n):
 
 _SYM = _entries(6).map(lambda v: SymTensor(*v))
 _MATRIX = _entries(9).map(lambda v: np.array(v).reshape(3, 3))
+# unit 3-vectors, and 2-, 3- and 4-vectors of finite and NaN or infinite entries
 _AXIS = st.one_of(st.sampled_from([AXIS, (0.0, 0.6, 0.8), (-1.0, 0.0, 0.0)]),
-                  _entries(3).map(tuple))
-_ROTATION = st.builds(RotationSpec, _AXIS, st.floats())
+                  *(_entries(n).map(tuple) for n in (2, 3, 4)))
+# (axis, coefficient) pairs: a bad pair raises when the RotationSpec is built
+_ROTATION = st.tuples(_AXIS, st.floats())
 
 
 def _finite_or_named_error(call):
@@ -311,16 +313,21 @@ def _finite_or_named_error(call):
 
 
 @settings(max_examples=100, deadline=None)
-@given(spec=_ROTATION, delta=st.floats())
-def test_make_rotation_gives_finite_numbers_or_a_named_error(spec, delta):
-    _finite_or_named_error(lambda: make_rotation(spec, delta))
+@given(rotation=_ROTATION, delta=st.floats())
+@example(rotation=((1.0, 0.0), 1.0), delta=0.01)
+@example(rotation=((1.0, 0.0, 0.0, 0.0), 1.0), delta=0.01)
+def test_make_rotation_gives_finite_numbers_or_a_named_error(rotation, delta):
+    _finite_or_named_error(lambda: make_rotation(RotationSpec(*rotation), delta))
+    if len(rotation[0]) != 3:  # a unit 2- or 4-vector is no axis either
+        with pytest.raises(InvalidAxis):
+            RotationSpec(*rotation)
 
 
 @settings(max_examples=100, deadline=None)
-@given(strain=_SYM, spec=_ROTATION, R=_MATRIX, use_spec=st.booleans(), hencky=st.booleans())
-def test_deformation_gives_finite_numbers_or_a_named_error(strain, spec, R, use_spec, hencky):
+@given(strain=_SYM, rotation=_ROTATION, R=_MATRIX, use_spec=st.booleans(), hencky=st.booleans())
+def test_deformation_gives_finite_numbers_or_a_named_error(strain, rotation, R, use_spec, hencky):
     if use_spec:
-        R = _finite_or_named_error(lambda: make_rotation(spec, 0.01))
+        R = _finite_or_named_error(lambda: make_rotation(RotationSpec(*rotation), 0.01))
         R = np.eye(3) if R is None else R
     build = deformation_from_hencky if hencky else deformation_from_green
     _finite_or_named_error(lambda: build(strain, R))
