@@ -49,7 +49,6 @@ from .families import (
     delta_ceiling,
     family_eval,
     family_leading,
-    generalized_modulus,
     leading_gap,
     working_domain,
 )

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import FitUnderdetermined, InvalidParameter, StrainLimError
+from .errors import FitUnderdetermined, InvalidParameter, StrainLimError, integer, real
 from .families import (
     FamilySpec,
     certified_domain,
@@ -98,12 +98,14 @@ def fit_order(deltas, residuals) -> Optional[float]:
 
     Rows with residual exactly zero are excluded; if every row is zero the
     identity holds exactly and the result is None (there is no order to
-    fit). Fewer than four usable rows raise FitUnderdetermined;
-    a negative, NaN or inf residual or a delta that is not finite and
-    positive raises InvalidParameter.
+    fit). Fewer than four usable rows raise FitUnderdetermined; a non-number
+    (`errors.real`), a negative, NaN or inf residual or a delta that is not
+    finite and positive raises InvalidParameter.
     """
     if len(deltas) != len(residuals):
-        raise ValueError("deltas and residuals must have equal length")
+        raise InvalidParameter("deltas and residuals must have equal length")
+    deltas = [real(d, "delta") for d in deltas]
+    residuals = [real(r, "residual") for r in residuals]
     if not all(0.0 < d < math.inf for d in deltas):  # NaN fails too
         raise InvalidParameter(f"deltas must be finite and positive, got {deltas!r}")
     if not all(0.0 <= r < math.inf for r in residuals):  # NaN fails too
@@ -120,12 +122,14 @@ def fit_order(deltas, residuals) -> Optional[float]:
     return float(np.polyfit(ds, rs, 1)[0])
 
 
-def _validate_ladder(spec, deltas):
+def _validate_ladder(spec, deltas) -> list:
+    deltas = [real(d, "delta") for d in deltas]
     if len(deltas) < 4:
         raise FitUnderdetermined(f"need at least 4 deltas, got {len(deltas)}")
     if any(b >= a for a, b in zip(deltas, deltas[1:])):
-        raise ValueError("deltas must be strictly decreasing")
-    check_delta(spec, np.asarray(deltas, dtype=float))
+        raise InvalidParameter("deltas must be strictly decreasing")
+    check_delta(spec, np.asarray(deltas))
+    return deltas
 
 
 def run_convergence(
@@ -153,7 +157,7 @@ def run_convergence_hencky(
 
 
 def _run_ladder(spec, stress, rot, deltas, hencky) -> ConvergenceReport:
-    _validate_ladder(spec, deltas)
+    deltas = _validate_ladder(spec, deltas)
     check_ball("T" if hencky else "Sbar", stress, spec.c)
     # looked up per call, not at import, so rebinding the module globals takes effect
     solve, deform, pushforward = (
@@ -221,19 +225,17 @@ def certify_constants(
     C0_hat = max |f_delta|/delta, C1_hat = max strain difference quotient,
     D0_hat = max stress difference quotient / delta, C3_hat = max
     leading_gap / delta^2. Deterministic for a given seed (byte-identical
-    reports on repeat runs). Raises InvalidParameter unless samples is an
-    integer of at least 100 and seed a nonnegative integer, and when a
-    constant is not a finite float, as when a tiny delta's probe distance or
-    delta^2 underflows to 0.
+    reports on repeat runs). Raises InvalidParameter unless the deltas are
+    numbers, samples an integer of at least 100 that numpy can allocate and
+    seed one of at least 0 (`errors`), and when a constant is not a finite
+    float, as when a tiny delta's probe distance or delta^2 underflows to 0.
     """
-    is_int = lambda x: isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-    if not (is_int(samples) and samples >= 100):
-        raise InvalidParameter(f"samples must be an integer of at least 100, got {samples!r}")
-    if not (is_int(seed) and seed >= 0):
-        raise InvalidParameter(f"seed must be a nonnegative integer, got {seed!r}")
+    samples = integer(samples, "samples", 100)
+    seed = integer(seed, "seed", 0)
+    deltas = [real(d, "delta") for d in deltas]
     if len(deltas) == 0:
         raise InvalidParameter("certification needs at least one delta")
-    check_delta(spec, np.asarray(deltas, dtype=float))
+    check_delta(spec, np.asarray(deltas))
     rng = np.random.default_rng(seed)
     k = certified_domain(spec)
     shrink = 1.0 - 2.0 * PROBE_SCALE
@@ -242,8 +244,11 @@ def certify_constants(
     for start in range(0, len(deltas), per_call):
         group = deltas[start:start + per_call]
         n = len(group) * samples
-        g_e, u_e, g_s, u_s, d_e, d_s = draws = [
-            np.empty(shape) for shape in ((n, 6), n, (n, 6), n, (n, 6), (n, 6))]
+        try:
+            g_e, u_e, g_s, u_s, d_e, d_s = draws = [
+                np.empty(shape) for shape in ((n, 6), n, (n, 6), n, (n, 6), (n, 6))]
+        except ValueError:  # numpy refuses the shape outright
+            raise InvalidParameter("samples is past numpy's array size") from None
         for rung in range(len(group)):  # the generator order of one rung per call
             for a in draws:
                 part = a[rung * samples:(rung + 1) * samples]

@@ -43,7 +43,8 @@ from .energy import (
     green_stress,
     legendre_transform,
 )
-from .errors import ConfigInvalid, InvalidAxis, InvalidParameter, StrainLimError, StudyFailed
+from .errors import (ConfigInvalid, InvalidAxis, InvalidParameter, StrainLimError, StudyFailed,
+                     integer, real)
 from .families import KINDS, FamilySpec, certify_caps, check_delta, family_leading
 from .kinematics import RotationSpec
 from .scalar1d import oned_delta0_study
@@ -64,8 +65,7 @@ def _echo(value):
     if isinstance(value, RotationSpec):
         return {"axis": list(value.axis), "coefficient": value.magnitude_coefficient}
     if isinstance(value, FamilySpec):
-        out = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)
-               if f.name != "base" and getattr(value, f.name) is not None}
+        out = {f.name: getattr(value, f.name) for f in dataclasses.fields(value) if f.name != "base"}
         if value.kind == "scaled_base":
             out["base"] = value.base if isinstance(value.base, str) else "custom"
         return out
@@ -78,12 +78,7 @@ def _require(cond, msg):
 
 
 def _as_float(value, name) -> float:
-    _require(isinstance(value, (int, float)) and not isinstance(value, bool),
-             "%s must be a number, got %r" % (name, value))
-    try:
-        v = float(value)
-    except OverflowError:  # an int past the float range
-        v = math.inf
+    v = real(value, name)
     _require(math.isfinite(v), "%s must be finite" % name)
     return v
 
@@ -100,11 +95,8 @@ def _object(raw, name, allowed, required=()) -> dict:
 
 def _parse_family(raw) -> FamilySpec:
     _object(raw, "family", _FAMILY_KEYS, ("kind",))
-    # in field order, so the first bad value named is the same whatever the key order
-    kwargs = {key: raw[key] if key in ("kind", "base") else _as_float(raw[key], "family.%s" % key)
-              for key in _FAMILY_KEYS if key in raw}
     try:
-        return FamilySpec(**kwargs)
+        return FamilySpec(**raw)
     except ValueError as exc:
         raise ConfigInvalid("bad family: %s" % exc)
 
@@ -115,19 +107,10 @@ def _numbers(raw, name, length=None) -> tuple:
     return tuple(_as_float(v, "%s[%d]" % (name, i)) for i, v in enumerate(raw))
 
 
-def _integer(least, word):
-    def parse(raw, name) -> int:
-        _require(isinstance(raw, int) and not isinstance(raw, bool) and raw >= least,
-                 "%s must be a %s integer" % (name, word))
-        return raw
-    return parse
-
-
 def _parse_rotation(raw, name) -> RotationSpec:
     _object(raw, name, _ROTATION_KEYS, _ROTATION_KEYS)
     try:
-        return RotationSpec(_numbers(raw["axis"], name + ".axis", 3),
-                            _as_float(raw["coefficient"], name + ".coefficient"))
+        return RotationSpec(raw["axis"], raw["coefficient"])
     except (InvalidAxis, InvalidParameter) as exc:
         raise ConfigInvalid("%s: %s" % (name, exc))
 
@@ -154,15 +137,18 @@ def parse_config(raw: dict, command: str) -> SimpleNamespace:
              "%s needs a family.kind in %s" % (command, list(spec.kinds)))
 
     thresholds = _object(raw.get("thresholds", {}), "thresholds", spec.thresholds)
-    cfg.thresholds = {key: _numbers(value, key, 2) if isinstance(spec.thresholds[key], tuple)
-                      else _as_float(value, key) for key, value in thresholds.items()}
-    for key, value in cfg.thresholds.items():
-        _require(not isinstance(value, tuple) or value[0] <= value[1],
-                 "%s must be a window [lo, hi] with lo <= hi" % key)
-    missing = sorted(set(spec.keys) - set(raw) - set(_DEFAULTS))
-    _require(not missing, "%s needs %s" % (command, " and ".join(missing)))
-    for key, parse in spec.keys.items():
-        setattr(cfg, key, parse(raw[key], key) if key in raw else _DEFAULTS[key])
+    try:  # a value the library's number rule refuses is a config error
+        cfg.thresholds = {key: _numbers(v, key, 2) if isinstance(spec.thresholds[key], tuple)
+                          else _as_float(v, key) for key, v in thresholds.items()}
+        for key, value in cfg.thresholds.items():
+            _require(not isinstance(value, tuple) or value[0] <= value[1],
+                     "%s must be a window [lo, hi] with lo <= hi" % key)
+        missing = sorted(set(spec.keys) - set(raw) - set(_DEFAULTS))
+        _require(not missing, "%s needs %s" % (command, " and ".join(missing)))
+        for key, parse in spec.keys.items():
+            setattr(cfg, key, parse(raw[key], key) if key in raw else _DEFAULTS[key])
+    except InvalidParameter as exc:
+        raise ConfigInvalid(str(exc)) from None
     return cfg
 
 
@@ -342,7 +328,8 @@ class _Command(NamedTuple):
 
 
 _STRESS = lambda raw, name: SymTensor(*_numbers(raw, name, 6))
-_SAMPLING = {"samples": _integer(1, "positive"), "seed": _integer(0, "nonnegative")}
+_SAMPLING = {"samples": functools.partial(integer, least=1),
+             "seed": functools.partial(integer, least=0)}
 _CONVERGE = _Command(
     "strain-driven convergence sweep", _run_converge,
     {"stress": _STRESS, "rotation": _parse_rotation, "deltas": _parse_deltas},

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one rule for numbers."""
+
+import math
+import numbers
 
 
 class StrainLimError(Exception):
@@ -59,3 +62,25 @@ class ConfigInvalid(StrainLimError):
 
 class StudyFailed(StrainLimError):
     """A study ran but did not meet its acceptance thresholds."""
+
+
+def real(value, name) -> float:
+    """`value` as a Python float, an int past the float range as +-inf;
+    InvalidParameter naming `name` unless it is an int or a float (numpy
+    scalars too, never a bool). Range checks, NaN and inf too, are the caller's."""
+    if type(value) is float:
+        return value
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise InvalidParameter(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def integer(value, name, least) -> int:
+    """`value` as a Python int; InvalidParameter naming `name` unless it is an
+    integer (numpy too, bools not) of at least `least`."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < least:
+        raise InvalidParameter(f"{name} must be an integer of at least {least}, got {value!r}")
+    return int(value)

@@ -13,12 +13,12 @@ Four kinds are implemented:
 Stresses stay in B(0, c) for every kind. Strains stay in one of two
 concentric balls B(0, k*delta), whose coefficients k `certified_domain` and
 `working_domain` return. The certified ball B(0, b*delta) is where the
-closed-form constants are guaranteed (constant certification,
-`generalized_modulus`). The working ball used for evaluation and solving is
-wider for the density kinds: the fixed points of E = f_delta(E, S) land
-outside B(0, b*delta) for moderate stresses, so the working radius covers
-the full guaranteed range of f_delta with 5% headroom while staying inside
-the modulus-positivity region.
+closed-form constants are guaranteed (constant certification). The
+working ball used for evaluation and solving is wider for the density
+kinds: the fixed points of E = f_delta(E, S) land outside B(0, b*delta)
+for moderate stresses, so the working radius covers the full guaranteed
+range of f_delta with 5% headroom while staying inside the
+modulus-positivity region.
 
 `family_eval`, `family_leading` and `leading_gap` also take (N, 6) arrays of
 components (xx, yy, zz, xy, xz, yz) and return (N, 6) arrays ((N,) norms for
@@ -42,10 +42,12 @@ import numpy as np
 
 from .errors import (
     InadmissibleDelta,
+    InvalidParameter,
     NonpositiveModulus,
     NotPositiveDefinite,
     OutOfDomain,
     SingularLeading,
+    real,
 )
 from .symtensor import SymTensor, det, frobenius, trace
 
@@ -72,7 +74,8 @@ class FamilySpec:
     needs a base. `base` is None, a callable (Etilde, Sbar) -> SymTensor
     bounded by delta1, or "power_law" naming the built-in profile (the
     serializable choice). The admissible deltas follow from these constants
-    alone (see `delta_ceiling`).
+    alone (see `delta_ceiling`). Building a spec stores each number as a
+    float (`errors.real`) and raises InvalidParameter for any bad value.
     """
 
     kind: str
@@ -87,26 +90,29 @@ class FamilySpec:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise ValueError(f"unknown family kind {self.kind!r}")
+            raise InvalidParameter(f"unknown family kind {self.kind!r}")
+        for name in ("a", "p", "E0", "nu", "b", "c", "delta1"):
+            object.__setattr__(self, name, real(getattr(self, name), name))
         # chained comparisons with math.inf: NaN and inf fail them too
         if not 0.0 < self.a < math.inf:
-            raise ValueError("a must be positive and finite")
+            raise InvalidParameter("a must be positive and finite")
         if not 1.0 <= self.p < math.inf:
-            raise ValueError("p must be finite and at least 1")
+            raise InvalidParameter("p must be finite and at least 1")
         if not 0.0 < self.E0 < math.inf:
-            raise ValueError("E0 must be positive and finite")
+            raise InvalidParameter("E0 must be positive and finite")
         if not 0.0 <= self.nu < 0.5:
-            raise ValueError("nu must lie in [0, 1/2)")
+            raise InvalidParameter("nu must lie in [0, 1/2)")
         if not (0.0 < self.b < math.inf and 0.0 < self.c < math.inf):
-            raise ValueError("b and c must be positive and finite")
+            raise InvalidParameter("b and c must be positive and finite")
         if not 0.0 < self.delta1 < math.inf:
-            raise ValueError("delta1 must be positive and finite")
+            raise InvalidParameter("delta1 must be positive and finite")
         if self.kind in DENSITY_KINDS and self.a * self.b >= 0.5:
-            raise ValueError("density kinds require a*b < 1/2")
+            raise InvalidParameter("density kinds require a*b < 1/2")
         if not (callable(self.base) or self.base in (None, "power_law")):
-            raise ValueError(f"base must be None, a callable or 'power_law', got {self.base!r}")
+            raise InvalidParameter(
+                f"base must be None, a callable or 'power_law', got {self.base!r}")
         if self.kind == "scaled_base" and self.base is None:
-            raise ValueError("scaled_base requires a base profile")
+            raise InvalidParameter("scaled_base requires a base profile")
         if self.kind == "power_law" or self.base == "power_law":
             # every stress has |S| <= c, so (a |S|)^p stays finite when (a c)^p does
             try:
@@ -114,7 +120,7 @@ class FamilySpec:
             except OverflowError:
                 finite = False
             if not finite:
-                raise ValueError("(a*c)^p overflows a float")
+                raise InvalidParameter("(a*c)^p overflows a float")
         # (working coefficient k, delta_ceiling), computed once per spec; a plain
         # attribute keeps attribute reads on the spec on CPython's fast path
         object.__setattr__(self, "_working", (working_domain(self), delta_ceiling(self)))
@@ -178,7 +184,10 @@ def check_ball(name: str, A, radius):
 
     `radius` may be an (N,) column. The message names the first failing row.
     """
-    n = frobenius(A)
+    try:
+        n = frobenius(A)
+    except OverflowError:  # an int component past the float range
+        n = math.inf
     ok = n <= radius
     if ok is not True:  # scalar fast path skips the call
         _check(ok, n, OutOfDomain, "|{1}| = {0!r} exceeds {2!r}", name, radius)
@@ -186,11 +195,13 @@ def check_ball(name: str, A, radius):
 
 
 def check_delta(spec: FamilySpec, delta) -> None:
-    """InadmissibleDelta unless delta (a float or an (N,) column) lies in
-    (0, delta_ceiling) and is a normal float; names the first failing delta."""
+    """InadmissibleDelta unless delta (a number or an (N,) column) lies in
+    (0, delta_ceiling) and is a normal float; names the first failing delta.
+    A scalar that is not a number (`errors.real`) raises InvalidParameter."""
     ceiling = spec._working[1]
-    if isinstance(delta, np.ndarray) or not _SMALLEST_NORMAL <= delta < ceiling:
-        d = np.asarray(delta, dtype=float)
+    if type(delta) is not float or not _SMALLEST_NORMAL <= delta < ceiling:
+        d = np.asarray(delta if isinstance(delta, np.ndarray) else real(delta, "delta"),
+                       dtype=float)
         _check((0.0 < d) & (d < ceiling), d, InadmissibleDelta,
                "delta {0!r} outside (0, {1!r}) for kind {2}", ceiling, spec.kind)
         _check(d >= _SMALLEST_NORMAL, d, InadmissibleDelta,
@@ -247,11 +258,8 @@ def _det_i2e_minus_one(E: SymTensor) -> float:
 
 
 def _modulus_brackets(spec: FamilySpec, delta: float, E: SymTensor):
-    """(reciprocal bracket, direct denominator) for the density moduli.
-
-    Only positivity is enforced here; the certified-ball check belongs to
-    the public `generalized_modulus`.
-    """
+    """(reciprocal bracket, direct denominator) for the density moduli; only
+    positivity is enforced."""
     dm1 = _det_i2e_minus_one(E)
     _check(dm1 > -1.0, dm1, NotPositiveDefinite, "I + 2E is not positive definite")
     lib = np if isinstance(dm1, np.ndarray) else math
@@ -303,33 +311,6 @@ def _eval(spec, delta: float, E: SymTensor, Sbar: SymTensor) -> SymTensor:
     if spec.kind == "density_modulus_reciprocal":
         return m * (delta / (spec.E0 * bracket))
     return m * (delta * bracket / spec.E0)
-
-
-def generalized_modulus(spec: FamilySpec, delta: float, E: SymTensor) -> float:
-    """Generalized Young's modulus E_delta(E) on the certified ball |E| <= b*delta.
-
-    Raises NonpositiveModulus if the modulus falls below the guaranteed
-    lower bound delta^{-1} E0 (1 - 2ab), which signals a precondition
-    violation (the bound holds for both density kinds on the certified
-    ball, for admissible delta).
-    """
-    if spec.kind not in DENSITY_KINDS:
-        raise ValueError("generalized_modulus is defined for the density kinds only")
-    check_delta(spec, delta)
-    check_ball("E", E, spec.b * delta)
-    bracket = _modulus_brackets(spec, delta, E)
-    floor = 1.0 - 2.0 * spec.a * spec.b
-    if spec.kind == "density_modulus_reciprocal":
-        if bracket < floor:
-            raise NonpositiveModulus(
-                f"bracket {bracket!r} underflows the guaranteed bound {floor!r}"
-            )
-        return spec.E0 * bracket / delta
-    if bracket > 1.0 / floor:
-        raise NonpositiveModulus(
-            f"modulus denominator {bracket!r} exceeds {1.0 / floor!r}"
-        )
-    return spec.E0 / (delta * bracket)
 
 
 def family_leading(spec: FamilySpec, Etilde, Sbar):

@@ -11,13 +11,11 @@ consistent by construction. F and R are float (3, 3) numpy arrays.
 from __future__ import annotations
 
 import math
-import numbers
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidAxis, InvalidParameter, OutOfDomain, Singular
+from .errors import InvalidAxis, InvalidParameter, OutOfDomain, Singular, real
 from .symtensor import SymTensor, det, inverse, is_rotation, spd_sqrt, sym_exp, sym_log, trace
 
 
@@ -30,33 +28,35 @@ class RotationSpec:
     delta * e^{coefficient * delta}). The geometric rotation angle is
     coefficient * delta / sqrt(2). The exponential is the only construction:
     `make_rotation` evaluates it exactly with Rodrigues' formula. Building a
-    spec checks both fields: InvalidAxis for a bad axis, and InvalidParameter
-    unless the coefficient is a finite, nonnegative number (never a bool).
+    spec stores the axis as a tuple of floats and the coefficient as a float
+    (`errors.real`, InvalidParameter for a value that is not a number), then
+    raises InvalidAxis for a bad axis and InvalidParameter unless the
+    coefficient is finite and nonnegative.
     """
 
     axis: tuple
     magnitude_coefficient: float
 
     def __post_init__(self):
-        if not (isinstance(self.axis, (tuple, list)) and len(self.axis) == 3
-                and all(map(_finite, self.axis))):
+        if not (isinstance(self.axis, (tuple, list)) and len(self.axis) == 3):
             raise InvalidAxis(f"axis must be three finite numbers, got {self.axis!r}")
-        unit_axis(self.axis)
-        if not (_finite(self.magnitude_coefficient) and self.magnitude_coefficient >= 0.0):
-            raise InvalidParameter("magnitude_coefficient must be a finite, nonnegative number, "
-                                   f"got {self.magnitude_coefficient!r}")
-
-
-def _finite(x) -> bool:  # an int or float, not a bool, within the float range
-    return isinstance(x, numbers.Real) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
+        object.__setattr__(self, "axis", tuple(real(x, "axis") for x in self.axis))
+        unit_axis(self.axis)  # an inf or NaN entry fails the norm test
+        k = real(self.magnitude_coefficient, "magnitude_coefficient")
+        if not 0.0 <= k < math.inf:
+            raise InvalidParameter(
+                f"magnitude_coefficient must be a finite, nonnegative number, got {k!r}")
+        object.__setattr__(self, "magnitude_coefficient", k)
 
 
 def make_rotation(spec: RotationSpec, delta: float) -> np.ndarray:
     """Generate R_delta, a (3, 3) array, via the closed-form Rodrigues formula.
 
-    Raises InvalidParameter for a delta that is not finite and positive, or
-    whose angle overflows; the spec was checked when it was built.
+    Raises InvalidParameter for a delta that is not a finite, positive number
+    (`errors.real`), or whose angle overflows; the spec was checked when it
+    was built.
     """
+    delta = real(delta, "delta")
     if not 0.0 < delta < math.inf:  # each check fails for NaN too
         raise InvalidParameter(f"delta must be finite and positive, got {delta!r}")
     ax = unit_axis(spec.axis)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .analysis import fit_order
-from .errors import InvalidParameter, OutOfDomain, Saturation
+from .errors import InvalidParameter, OutOfDomain, Saturation, real
 from .families import FamilySpec, check_delta
 
 
@@ -30,10 +30,11 @@ def _check_scalar(spec: FamilySpec, delta: float) -> None:
 def oned_forward(spec: FamilySpec, delta: float, Sbar: float) -> float:
     """E = delta * a (1 + |a S|^p)^{-1/p} S; always |E| < delta.
 
-    Raises InvalidParameter unless S and |a S|^p are finite floats. The
-    stress is not held to the family's ball: any finite |a S|^p is allowed.
+    Raises InvalidParameter unless S (`errors.real`) and |a S|^p are finite.
+    The stress is not held to the family's ball: any finite |a S|^p is allowed.
     """
     _check_scalar(spec, delta)
+    Sbar = real(Sbar, "stress")
     u = spec.a * Sbar
     try:
         w = abs(u) ** spec.p
@@ -47,9 +48,10 @@ def oned_forward(spec: FamilySpec, delta: float, Sbar: float) -> float:
 def oned_strain(E: float) -> float:
     """Linearized-strain variable eps = -1 + sqrt(1 + 2E), so E = eps + eps^2/2.
 
-    Raises OutOfDomain for E <= -1/2 and InvalidParameter for NaN or inf.
-    Written as 2E/(1 + sqrt(1+2E)) to avoid cancellation at small E.
+    Raises OutOfDomain for E <= -1/2 and InvalidParameter unless E is finite
+    (`errors.real`). Written as 2E/(1 + sqrt(1+2E)) against cancellation.
     """
+    E = real(E, "strain")
     if not math.isfinite(E):
         raise InvalidParameter(f"strain {E!r} is not finite")
     if E <= -0.5:
@@ -75,9 +77,10 @@ def oned_invert(spec: FamilySpec, delta: float, E: float) -> float:
     """S = a^{-1} (1 - |E/delta|^p)^{-1/p} (E/delta); inverse of oned_forward.
 
     Raises Saturation at a finite |E/delta| >= 1: the limiting strain is not
-    attained at any finite stress. A NaN or inf E raises InvalidParameter.
+    attained at any finite stress. InvalidParameter unless E is finite (`errors.real`).
     """
     _check_scalar(spec, delta)
+    E = real(E, "strain")
     if not math.isfinite(E):
         raise InvalidParameter(f"strain {E!r} is not finite")
     u = E / delta

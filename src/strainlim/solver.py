@@ -57,7 +57,7 @@ def solve_implicit(
     Sbar: SymTensor,
     guess: SymTensor = None,
 ) -> SolveReport:
-    """Solve E = f_delta(E, Sbar) to residual <= 1e-13 * max(1, delta).
+    """Solve E = f_delta(E, Sbar) to residual <= 1e-13.
 
     Picard from `guess`, then Newton from Picard's best iterate. Raises
     NoConvergence (with the best residual attached) or OutOfDomain when
@@ -77,9 +77,9 @@ def solve_implicit_hencky(
 
 
 def _solve(spec, delta, stress, guess) -> SolveReport:
-    # solutions are O(delta); an absolute floor avoids demanding relative
-    # accuracy below machine precision
-    tol = 1e-13 * max(1.0, delta)
+    # solutions are O(delta) with delta < 1 (the first family_eval checks it): an
+    # absolute tolerance avoids demanding relative accuracy below machine precision
+    tol = 1e-13
     E = guess if guess is not None else SymTensor()
 
     def feval(x):

@@ -110,9 +110,9 @@ def test_parse_config_rejects_missing_or_malformed():
         parse_config(dict(CONVERGE, deltas=[]), "converge")
     with pytest.raises(ConfigInvalid):
         parse_config(dict(CONVERGE, deltas=[0.01, 0.02]), "converge")
-    with pytest.raises(ConfigInvalid, match="samples must be a positive integer"):
+    with pytest.raises(ConfigInvalid, match="samples must be an integer of at least 1, got 0"):
         parse_config(dict(CERTIFY, samples=0), "certify")
-    with pytest.raises(ConfigInvalid, match="seed must be a nonnegative integer"):
+    with pytest.raises(ConfigInvalid, match="seed must be an integer of at least 0, got -1"):
         parse_config(dict(CERTIFY, seed=-1), "certify")
     with pytest.raises(ConfigInvalid):
         parse_config(dict(CONVERGE, command="certify"), "converge")
@@ -572,16 +572,19 @@ def _non_finite(obj):
 FUZZ_BASES = {command: dict(raw, thresholds=_spelled_thresholds(command))
               for command, raw in VALID.items()}
 FUZZ_TARGETS = [(command, path) for command, raw in FUZZ_BASES.items() for path in _paths(raw)]
-# huge ints, NaN and Infinity literals, subnormals, wrong types
+# huge ints, NaN and Infinity literals, subnormals, wrong types; family and
+# rotation values reach the specs unconverted, so bools and numeric strings too
 _FUZZ_VALUES = st.one_of(
     st.sampled_from([10 ** 400, 1e300, 1e-320, 0, -1, -2.5, math.nan, math.inf, -math.inf,
-                     "x", [1.0], {"k": 1}, None]),
+                     "x", [1.0], {"k": 1}, None, True, False, "1"]),
     st.floats(), st.integers(-10 ** 6, 10 ** 6))
 
 
 @settings(max_examples=150, deadline=None)
 @example(target=("certify", ("family", "a")), value=1e200)
 @example(target=("solve", ("family", "a")), value=1e200)
+@example(target=("solve", ("family", "a")), value=True)
+@example(target=("converge", ("rotation", "axis", 0)), value="1")
 @example(target=("converge", ("family", "a")), value=10 ** 400)
 @example(target=("oned", ("stresses", 0)), value=1e300)
 @example(target=("oned", ("stresses", 1)), value=1e-320)

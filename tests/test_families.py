@@ -22,7 +22,6 @@ from strainlim.families import (
     delta_ceiling,
     family_eval,
     family_leading,
-    generalized_modulus,
     leading_gap,
     working_domain,
 )
@@ -203,45 +202,43 @@ def test_density_eval_at_zero_strain():
     assert out.xx == 0.0
 
 
+def _modulus(spec, d, e):
+    # E_delta(e I) in closed form: det(I + 2e I) = (1 + 2e)^3
+    half = -0.5 if spec.kind == "density_modulus_reciprocal" else 0.5
+    bracket = 1.0 + spec.a / d * math.expm1(3.0 * half * math.log1p(2.0 * e))
+    return spec.E0 * bracket / d if half < 0.0 else spec.E0 / (d * bracket)
+
+
 def test_modulus_isotropic_closed_form():
-    d = 0.01
-    e = 0.002
-    E = SymTensor(e, e, e)
-    detv = (1.0 + 2.0 * e) ** 3
-    recip = generalized_modulus(RECIP, d, E)
-    expect = (1.0 / d) * 1.0 * (1.0 + 0.3 / d * (detv ** -0.5 - 1.0))
-    assert recip == pytest.approx(expect, rel=1e-12)
-    direct = generalized_modulus(DIRECT, d, E)
-    expect = (1.0 / d) * 1.0 / (1.0 + 0.3 / d * (detv ** 0.5 - 1.0))
-    assert direct == pytest.approx(expect, rel=1e-12)
+    # f_delta(E, S) = m(S) / E_delta(E) with m(S) = (1+nu) S - nu tr(S) I;
+    # S = diag(1, 0, 0) gives m(S)_xx = 1
+    d, e = 0.01, 0.002
+    for spec in (RECIP, DIRECT):
+        out = family_eval(spec, d, SymTensor(e, e, e), SymTensor(1.0))
+        assert out.xx == pytest.approx(1.0 / _modulus(spec, d, e), rel=1e-12)
 
 
 def test_modulus_decreases_with_dilatation():
-    d = 0.01
+    # the modulus falls along E = e I, so |f_delta| = |m(S)| / E_delta rises
+    d, S = 0.01, SymTensor(1.0)
     for spec in (RECIP, DIRECT):
-        values = [
-            generalized_modulus(spec, d, SymTensor(e, e, e))
-            for e in np.linspace(-0.0028, 0.0028, 41)
-        ]
-        assert all(a > b for a, b in zip(values, values[1:]))
+        norms = [frobenius(family_eval(spec, d, SymTensor(e, e, e), S))
+                 for e in np.linspace(-0.0028, 0.0028, 41)]
+        assert all(a < b for a, b in zip(norms, norms[1:]))
 
 
 def test_modulus_floor_on_certified_ball():
-    # E_delta >= E0 (1 - 2ab) / delta everywhere certification samples
+    # E_delta >= E0 (1 - 2ab) / delta everywhere certification samples, so
+    # |f_delta(E, S)| <= delta |m(S)| / (E0 (1 - 2ab)); the slack covers rounding
     rng = np.random.default_rng(21)
-    d = 0.015625
+    d, n = 0.015625, 2000
     for spec in (RECIP, DIRECT):
-        floor = spec.E0 * (1.0 - 2.0 * spec.a * spec.b) / d
-        for _ in range(2000):
-            E = _ball(rng, spec.b * d)
-            assert generalized_modulus(spec, d, E) >= floor
-
-
-def test_modulus_outside_certified_ball():
-    with pytest.raises(OutOfDomain):
-        generalized_modulus(RECIP, 0.01, SymTensor(0.01, 0.0, 0.0))
-    with pytest.raises(ValueError):
-        generalized_modulus(POWER, 0.01, ZERO)
+        E = ball_points(rng.standard_normal((n, 6)), rng.random(n), spec.b * d)
+        S = ball_points(rng.standard_normal((n, 6)), rng.random(n), spec.c)
+        m = (1.0 + spec.nu) * S
+        m[:, :3] -= spec.nu * S[:, :3].sum(axis=1, keepdims=True)
+        cap = d * frobenius(m) / (spec.E0 * (1.0 - 2.0 * spec.a * spec.b))
+        assert (frobenius(family_eval(spec, d, E, S)) <= cap * (1.0 + 1e-12)).all()
 
 
 def test_modulus_guard_fires_for_large_compression():
@@ -373,8 +370,6 @@ def test_scalar_path_rejects_nonfinite(bad):
             family_leading(spec, SymTensor(bad), S)
         with pytest.raises(OutOfDomain):
             leading_gap(spec, 0.01, ZERO, SymTensor(0.0, 0.0, bad))
-    with pytest.raises(OutOfDomain):
-        generalized_modulus(RECIP, 0.01, SymTensor(bad))
 
 
 @pytest.mark.parametrize("bad", [NAN, INF, -INF])

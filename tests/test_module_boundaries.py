@@ -102,3 +102,18 @@ def test_modules_import_only_earlier_layers(path):
     later = sorted({str(module) for module, _ in _sibling_imports(tree)
                     if (module or "").split(".")[-1] not in earlier})
     assert not later, "%s imports from its own or a later layer: %s" % (path.name, later)
+
+
+def _imported_modules(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_only_errors_imports_numbers(path):
+    # one rule decides what a number is: `errors.real` and `errors.integer`
+    imports = set(_imported_modules(ast.parse(path.read_text(), filename=str(path))))
+    assert ("numbers" in imports) == (path.stem == "errors"), path.name

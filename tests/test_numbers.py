@@ -1,0 +1,179 @@
+"""The number rule at every public entry point of `strainlim`.
+
+Each scalar number a public function takes is replaced, one at a time, by a
+bool, a string, None, an int past the float range, NaN, inf or a numpy
+scalar. The call must return finite numbers or raise a StrainLimError; a
+value that is no number (bools included) must raise, and a spec it builds
+holds Python floats. A guard keeps the table complete: every public
+callable of the package is either in it or on the list of callables that
+take no scalar number.
+"""
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+
+import strainlim
+from strainlim import (
+    FamilySpec,
+    InvalidParameter,
+    RotationSpec,
+    StrainLimError,
+    SymTensor,
+    certify_constants,
+    check_ball,
+    check_delta,
+    complementary_energy,
+    complementary_gradient,
+    family_eval,
+    family_leading,
+    fit_order,
+    green_stress,
+    leading_gap,
+    make_rotation,
+    oned_delta0_study,
+    oned_forward,
+    oned_invert,
+    oned_strain,
+    run_convergence,
+    run_convergence_hencky,
+    solve_implicit,
+    solve_implicit_hencky,
+)
+
+POWER = FamilySpec(kind="power_law", a=1.0, p=2.0)
+RECIP = FamilySpec(kind="density_modulus_reciprocal")
+ROT = RotationSpec((0.0, 0.0, 1.0), 1.0)
+S = SymTensor(0.5, 0.25, -0.125)
+ZERO = SymTensor()
+D = 2.0 ** -6
+LADDER = [D, D / 2, D / 4, D / 8]
+
+BAD = {"True": True, "False": False, "str": "0.01", "None": None, "10**400": 10 ** 400,
+       "-10**400": -10 ** 400, "nan": math.nan, "inf": math.inf, "-inf": -math.inf,
+       "np.nan": np.float64("nan"), "np.int64": np.int64(3), "np.float32": np.float32(0.5)}
+NOT_NUMBERS = ("True", "False", "str", "None")
+
+
+def _with(values, i, v):
+    return [v if k == i else x for k, x in enumerate(values)]
+
+
+# (public name, argument replaced) -> call with that argument set to v
+CASES = {
+    **{("FamilySpec", field): lambda v, f=field: FamilySpec(**{"kind": "power_law", f: v})
+       for field in ("a", "p", "E0", "nu", "b", "c", "delta1")},
+    **{("RotationSpec", "axis[%d]" % i): lambda v, i=i: RotationSpec(
+        tuple(_with([0.0, 0.0, 1.0], i, v)), 1.0) for i in range(3)},
+    ("RotationSpec", "magnitude_coefficient"): lambda v: RotationSpec((0.0, 0.0, 1.0), v),
+    ("make_rotation", "delta"): lambda v: make_rotation(ROT, v),
+    ("check_delta", "delta"): lambda v: check_delta(POWER, v),
+    ("family_eval", "delta"): lambda v: family_eval(RECIP, v, ZERO, S),
+    ("leading_gap", "delta"): lambda v: leading_gap(RECIP, v, ZERO, S),
+    ("solve_implicit", "delta"): lambda v: solve_implicit(RECIP, v, S),
+    ("solve_implicit_hencky", "delta"): lambda v: solve_implicit_hencky(RECIP, v, S),
+    ("green_stress", "delta"): lambda v: green_stress(POWER, v, SymTensor(0.1 * D)),
+    **{(run.__name__, "deltas[%d]" % i): lambda v, run=run, i=i: run(
+        POWER, S, ROT, _with(LADDER, i, v))
+       for run in (run_convergence, run_convergence_hencky) for i in (0, 2)},
+    ("certify_constants", "deltas[1]"): lambda v: certify_constants(POWER, [D, v], 100, 0),
+    ("certify_constants", "samples"): lambda v: certify_constants(POWER, [D], v, 0),
+    ("certify_constants", "seed"): lambda v: certify_constants(POWER, [D], 100, v),
+    ("fit_order", "deltas[1]"): lambda v: fit_order(_with(LADDER, 1, v), [4.0, 2.0, 1.0, 0.5]),
+    ("fit_order", "residuals[1]"): lambda v: fit_order(LADDER, _with([4.0, 2.0, 1.0, 0.5], 1, v)),
+    ("oned_forward", "delta"): lambda v: oned_forward(POWER, v, 0.5),
+    ("oned_forward", "Sbar"): lambda v: oned_forward(POWER, D, v),
+    ("oned_strain", "E"): lambda v: oned_strain(v),
+    ("oned_invert", "delta"): lambda v: oned_invert(POWER, v, 0.001),
+    ("oned_invert", "E"): lambda v: oned_invert(POWER, D, v),
+    ("oned_delta0_study", "delta"): lambda v: oned_delta0_study(POWER, v, [0.25, 0.5, 1.0, 2.0]),
+    ("oned_delta0_study", "Sbar_list[1]"): lambda v: oned_delta0_study(
+        POWER, D, _with([0.25, 0.5, 1.0, 2.0], 1, v)),
+}
+
+# SymTensor arithmetic is unchecked; the entry points that test a ball name
+# an int component past the float range. `check_ball`'s radius is no input:
+# callers pass a spec's checked constants
+HUGE = SymTensor(10 ** 400)
+TENSOR_CASES = {
+    ("check_ball", "A"): lambda: check_ball("E", HUGE, 1.0),
+    ("family_eval", "E"): lambda: family_eval(RECIP, D, HUGE, S),
+    ("family_eval", "Sbar"): lambda: family_eval(RECIP, D, ZERO, HUGE),
+    ("family_leading", "Sbar"): lambda: family_leading(RECIP, ZERO, HUGE),
+    ("leading_gap", "E"): lambda: leading_gap(RECIP, D, HUGE, S),
+    ("solve_implicit", "Sbar"): lambda: solve_implicit(RECIP, D, HUGE),
+    ("complementary_energy", "Sbar"): lambda: complementary_energy(POWER, HUGE),
+    ("complementary_gradient", "Sbar"): lambda: complementary_gradient(POWER, HUGE),
+}
+
+# public callables that take no scalar number: they take a spec, tensors or
+# records. SymTensor components are the hot path and stay unchecked
+NO_SCALAR = {
+    "certified_domain", "certify_caps", "delta_ceiling", "working_domain",
+    "conjugate_stress", "legendre_transform",
+    "deformation_from_green", "deformation_from_hencky", "density_linearization_gap",
+    "sigma_from_cauchy", "sigma_from_piola",
+    "det", "eig_sym", "frobenius", "inner", "inverse", "is_rotation", "spd_sqrt", "sym_exp",
+    "sym_log", "trace", "SymTensor",
+    # result records
+    "CertificateReport", "CertificateRow", "ConvergenceRecord", "ConvergenceReport",
+    "Delta0Study", "DeformationState", "SolveReport", "Spectrum",
+}
+
+
+def _numbers(out):
+    """Every number inside a result, walking records, tensors, arrays and containers."""
+    if isinstance(out, SymTensor):
+        yield from out.components()
+    elif isinstance(out, np.ndarray):
+        yield from out.ravel().tolist()
+    elif dataclasses.is_dataclass(out):
+        for field in dataclasses.fields(out):
+            yield from _numbers(getattr(out, field.name))
+    elif isinstance(out, dict):
+        for value in out.values():
+            yield from _numbers(value)
+    elif isinstance(out, (list, tuple)):
+        for value in out:
+            yield from _numbers(value)
+    elif isinstance(out, (int, float, np.number)) and not isinstance(out, bool):
+        yield out
+
+
+@pytest.mark.parametrize("value", BAD)
+@pytest.mark.parametrize("case", CASES, ids="-".join)
+def test_a_bad_number_gives_finite_numbers_or_a_named_error(case, value):
+    try:
+        out = CASES[case](BAD[value])
+    except StrainLimError:
+        return
+    assert value not in NOT_NUMBERS, "%r passed as a number" % BAD[value]
+    numbers = list(_numbers(out))
+    # an int is finite however large; math.isfinite would overflow on it
+    assert all(isinstance(x, (int, np.integer)) or math.isfinite(x) for x in numbers), out
+    if isinstance(out, (FamilySpec, RotationSpec)):
+        assert all(type(x) is float for x in numbers), out
+
+
+@pytest.mark.parametrize("field, value", [("kind", "nope"), ("kind", 3), ("base", 5),
+                                          ("base", "x"), ("base", True)])
+def test_a_bad_kind_or_base_is_an_invalid_parameter(field, value):
+    with pytest.raises(InvalidParameter):
+        FamilySpec(**dict({"kind": "scaled_base", "base": "power_law"}, **{field: value}))
+
+
+@pytest.mark.parametrize("case", TENSOR_CASES, ids="-".join)
+def test_an_overflowing_tensor_component_is_out_of_domain(case):
+    with pytest.raises(strainlim.OutOfDomain):
+        TENSOR_CASES[case]()
+
+
+def test_every_public_callable_is_in_the_table():
+    public = {name for name, obj in vars(strainlim).items()
+              if not name.startswith("_") and callable(obj)
+              and not (isinstance(obj, type) and issubclass(obj, Exception))}
+    covered = {name for name, _ in CASES} | {name for name, _ in TENSOR_CASES} | NO_SCALAR
+    assert public - covered == set(), "add these to the number table or to NO_SCALAR"
+    assert covered - public == set(), "these are no longer public"

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from strainlim.errors import NoConvergence, OutOfDomain
-from strainlim.families import FamilySpec, family_eval, generalized_modulus, working_domain
+from strainlim.families import FamilySpec, family_eval, working_domain
 from strainlim.solver import solve_implicit, solve_implicit_hencky
 from strainlim.symtensor import SymTensor, frobenius
 
@@ -33,10 +33,14 @@ def test_zero_stress_is_free():
 
 
 def _hydrostatic_root(spec, delta, s):
-    # scalar fixed point e = (1-2nu) s delta / E_delta(e I), bisected on the
-    # monotone residual g(e) = e - rhs(e)
+    # scalar fixed point e = (1-2nu) s / E_delta(e I), bisected on the
+    # monotone residual g(e) = e - rhs(e); the modulus is the closed form
+    # from det(I + 2e I) = (1 + 2e)^3
+    half = -0.5 if spec.kind == "density_modulus_reciprocal" else 0.5
+
     def g(e):
-        mod = generalized_modulus(spec, delta, SymTensor(e, e, e))
+        bracket = 1.0 + spec.a / delta * math.expm1(3.0 * half * math.log1p(2.0 * e))
+        mod = spec.E0 * bracket / delta if half < 0.0 else spec.E0 / (delta * bracket)
         return e - (1.0 - 2.0 * spec.nu) * s / mod
 
     lo, hi = 0.0, spec.b * delta * 0.99 / math.sqrt(3.0)
