@@ -47,6 +47,7 @@ from .families import (
     check_ball,
     check_delta,
     delta_ceiling,
+    density_line,
     family_eval,
     family_leading,
     leading_gap,

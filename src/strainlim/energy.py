@@ -27,7 +27,7 @@ import numpy as np
 from .errors import InvalidParameter, NoConvergence, OutOfDomain, Saturation
 from .families import FamilySpec, check_ball, check_delta, family_leading
 from .scalar1d import one_minus_abs_pow
-from .symtensor import SymTensor, central_differences, frobenius, inner
+from .symtensor import SymTensor, central_differences, frobenius, inner, is_finite
 
 # kinds whose leading profile is a gradient field: power_law always, and
 # scaled_base when its base is a gradient in the stress argument (the
@@ -158,9 +158,11 @@ def green_stress(spec: FamilySpec, delta: float, eps: SymTensor) -> SymTensor:
     weight in the matrix inner product. Raises InadmissibleDelta for a delta
     `check_delta` refuses, Saturation when |eps/delta| reaches 1 - 1e-4
     (probe points must stay strictly inside the limit) and OutOfDomain when
-    it is NaN or inf.
+    it is NaN or inf (an int past the float range too).
     """
     check_delta(spec, delta)
+    if not is_finite(eps):  # before eps/delta meets an int past the float range
+        raise OutOfDomain(f"eps needs finite components, got {eps.components()!r}")
     et = eps * (1.0 / delta)
     e = frobenius(et)
     if not e < 1.0 - _SATURATION_GUARD:  # as in conjugate_stress

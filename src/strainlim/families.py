@@ -27,6 +27,8 @@ components (xx, yy, zz, xy, xz, yz) and return (N, 6) arrays ((N,) norms for
 runs the same formulas as a SymTensor whose components are numpy columns;
 a density-kind row may differ from the scalar call in the last ulp (numpy
 against libm `expm1`/`log1p`).
+`density_line` reduces a density kind at one stress to its line E = s m:
+f_delta(s m, Sbar) = phi(s) m, the one home of that scalar reduction.
 This module alone decides domain membership: `check_ball` for a strain or
 stress ball and `check_delta` for the admissible deltas, which other modules
 call. Checks read `not (norm <= radius)`: NaN and inf raise.
@@ -183,11 +185,14 @@ def check_ball(name: str, A, radius):
     """|A|, or the (N,) row norms of a batch; OutOfDomain unless each is <= radius.
 
     `radius` may be an (N,) column. The message names the first failing row.
+    A radius that is not a number (`errors.real`) raises InvalidParameter.
     """
-    try:
-        n = frobenius(A)
-    except OverflowError:  # an int component past the float range
-        n = math.inf
+    if type(radius) is not float and not isinstance(radius, np.ndarray):
+        radius = real(radius, "radius")
+    return _within(name, frobenius(A), radius)
+
+
+def _within(name, n, radius):
     ok = n <= radius
     if ok is not True:  # scalar fast path skips the call
         _check(ok, n, OutOfDomain, "|{1}| = {0!r} exceeds {2!r}", name, radius)
@@ -242,10 +247,8 @@ def _iso_numerator(nu: float, Sbar: SymTensor) -> SymTensor:
     )
 
 
-def _det_i2e_minus_one(E: SymTensor) -> float:
-    # det(I + 2E) - 1 expanded in invariants of E, avoiding the cancellation
-    # of forming det(...) and subtracting 1 when |E| is tiny
-    t = trace(E)
+def _invariants(E: SymTensor):
+    """(tr E, second invariant, det E)."""
     i2 = (
         E.xx * E.yy
         + E.xx * E.zz
@@ -254,20 +257,52 @@ def _det_i2e_minus_one(E: SymTensor) -> float:
         - E.xz * E.xz
         - E.yz * E.yz
     )
-    return 2.0 * t + 4.0 * i2 + 8.0 * det(E)
+    return trace(E), i2, det(E)
 
 
-def _modulus_brackets(spec: FamilySpec, delta: float, E: SymTensor):
-    """(reciprocal bracket, direct denominator) for the density moduli; only
-    positivity is enforced."""
-    dm1 = _det_i2e_minus_one(E)
+def _modulus_factor(spec: FamilySpec, delta: float, t, i2, d):
+    """phi with f_delta(E, Sbar) = phi m, from the invariants (t, i2, d) of E:
+    delta / (E0 bracket) for the reciprocal kind, delta bracket / E0 for the
+    direct one; only the positivity of I + 2E and of the bracket is enforced."""
+    # det(I + 2E) - 1 expanded in the invariants of E, avoiding the cancellation
+    # of forming det(...) and subtracting 1 when |E| is tiny
+    dm1 = 2.0 * t + 4.0 * i2 + 8.0 * d
     _check(dm1 > -1.0, dm1, NotPositiveDefinite, "I + 2E is not positive definite")
     lib = np if isinstance(dm1, np.ndarray) else math
     # (det)^{-1/2} - 1 or (det)^{1/2} - 1, full relative precision near zero
     half = -0.5 if spec.kind == "density_modulus_reciprocal" else 0.5
     bracket = 1.0 + spec.a * lib.expm1(half * lib.log1p(dm1)) / delta
     _check(bracket > 0.0, bracket, NonpositiveModulus, "modulus bracket {!r} is nonpositive")
-    return bracket
+    if half < 0.0:
+        return delta / (spec.E0 * bracket)
+    return delta * bracket / spec.E0
+
+
+def density_line(spec: FamilySpec, delta: float, Sbar: SymTensor):
+    """(m, phi) with f_delta(s m, Sbar) = phi(s) m, m = (1+nu) Sbar - nu tr(Sbar) I.
+
+    For a density kind f_delta(E, Sbar) is a multiple of m for every E, so
+    each fixed point is s m with s = phi(s). phi(s) raises what `family_eval`
+    raises at s m and may differ from it in the last ulps. Raises
+    InvalidParameter for another kind, and what `family_eval` raises for
+    delta and Sbar.
+    """
+    if spec.kind not in DENSITY_KINDS:
+        raise InvalidParameter(f"density_line needs a density kind, got {spec.kind}")
+    check_delta(spec, delta)
+    check_ball("Sbar", Sbar, spec.c)
+    m = _iso_numerator(spec.nu, Sbar)
+    i1, i2, i3 = _invariants(m)
+    size, radius = frobenius(m), spec._working[0] * delta
+
+    def phi(s):
+        if type(s) is not float:
+            s = real(s, "s")
+        _within("E", abs(s) * size, radius)
+        ss = s * s  # the invariants of s m
+        return _modulus_factor(spec, delta, s * i1, ss * i2, ss * s * i3)
+
+    return m, phi
 
 
 def _scaled_leading(spec: FamilySpec, Etilde: SymTensor, Sbar: SymTensor) -> SymTensor:
@@ -306,11 +341,8 @@ def _eval(spec, delta: float, E: SymTensor, Sbar: SymTensor) -> SymTensor:
         return _power_leading(spec.a, spec.p, Sbar) * delta
     if spec.kind == "scaled_base":
         return _scaled_leading(spec, E * (1.0 / delta), Sbar) * delta
-    bracket = _modulus_brackets(spec, delta, E)
-    m = _iso_numerator(spec.nu, Sbar)
-    if spec.kind == "density_modulus_reciprocal":
-        return m * (delta / (spec.E0 * bracket))
-    return m * (delta * bracket / spec.E0)
+    factor = _modulus_factor(spec, delta, *_invariants(E))
+    return _iso_numerator(spec.nu, Sbar) * factor
 
 
 def family_leading(spec: FamilySpec, Etilde, Sbar):

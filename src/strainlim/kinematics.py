@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidAxis, InvalidParameter, OutOfDomain, Singular, real
-from .symtensor import SymTensor, det, inverse, is_rotation, spd_sqrt, sym_exp, sym_log, trace
+from .symtensor import (
+    SymTensor, det, inverse, is_finite, is_rotation, spd_sqrt, sym_exp, sym_log, trace)
 
 
 @dataclass(frozen=True)
@@ -120,9 +121,11 @@ def _state_from_f(F: np.ndarray) -> DeformationState:
 
 
 def deformation_from_green(E: SymTensor, R: np.ndarray) -> DeformationState:
-    """F = R (I + 2E)^{1/2}; requires I + 2E positive definite."""
+    """F = R (I + 2E)^{1/2}; requires I + 2E positive definite and E finite."""
     if not is_rotation(R):
         raise InvalidParameter("R does not satisfy the rotation invariants")
+    if not is_finite(E):  # as spd_sqrt would, before 2E meets an int past the float range
+        raise InvalidParameter(f"E needs finite components, got {E.components()!r}")
     u = spd_sqrt(SymTensor.identity() + E * 2.0)
     return _state_from_f(R @ u.as_matrix())
 
@@ -137,7 +140,7 @@ def deformation_from_hencky(H: SymTensor, R: np.ndarray) -> DeformationState:
 def sigma_from_piola(F: np.ndarray, Sbar: SymTensor) -> SymTensor:
     """Symmetric part of the first Piola stress: (F Sbar + Sbar F^T) / 2;
     InvalidParameter for a non-finite F or Sbar, OutOfDomain on overflow."""
-    if not (np.isfinite(F).all() and all(map(math.isfinite, Sbar.components()))):
+    if not (np.isfinite(F).all() and is_finite(Sbar)):
         raise InvalidParameter(f"F and Sbar need finite entries, got {F.tolist()!r}, {Sbar!r}")
     return _finite_stress(lambda: SymTensor.from_matrix(F @ Sbar.as_matrix()), F)
 
@@ -145,7 +148,7 @@ def sigma_from_piola(F: np.ndarray, Sbar: SymTensor) -> SymTensor:
 def sigma_from_cauchy(F: np.ndarray, T: SymTensor) -> SymTensor:
     """det(F) * (T F^{-T} + F^{-1} T) / 2; Singular for a degenerate or
     non-finite F, InvalidParameter for a non-finite T, OutOfDomain on overflow."""
-    if not all(map(math.isfinite, T.components())):
+    if not is_finite(T):
         raise InvalidParameter(f"T needs finite components, got {T.components()!r}")
     return _finite_stress(lambda: SymTensor.from_matrix(inverse(F) @ T.as_matrix()) * det(F), F)
 
@@ -154,7 +157,7 @@ def _finite_stress(pushforward, F: np.ndarray) -> SymTensor:
     # an overflow, in numpy or in Python floats, leaves an inf or a NaN behind
     with np.errstate(over="ignore", invalid="ignore"):
         sigma = pushforward()
-    if not all(map(math.isfinite, sigma.components())):
+    if not is_finite(sigma):
         raise OutOfDomain(f"the pushed-forward stress overflows for F = {F.tolist()!r}")
     return sigma
 

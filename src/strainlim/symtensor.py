@@ -49,14 +49,11 @@ class SymTensor:
         return SymTensor(a, e, i, 0.5 * b + 0.5 * d, 0.5 * c + 0.5 * g, 0.5 * f + 0.5 * h)
 
     def as_matrix(self) -> np.ndarray:
-        # both triangles from the same float, so the result is symmetric bit-exactly
-        return np.array(
-            [
-                [self.xx, self.xy, self.xz],
-                [self.xy, self.yy, self.yz],
-                [self.xz, self.yz, self.zz],
-            ]
-        )
+        # both triangles from the same float, so the result is symmetric bit-exactly;
+        # dtype=float reads an int past numpy's integers as a float, not an object
+        return np.array([[self.xx, self.xy, self.xz],
+                         [self.xy, self.yy, self.yz],
+                         [self.xz, self.yz, self.zz]], dtype=float)
 
     def components(self) -> tuple:
         return (self.xx, self.yy, self.zz, self.xy, self.xz, self.yz)
@@ -109,14 +106,21 @@ class Spectrum:
 def frobenius(A):
     """Frobenius norm sqrt(tr(A A^T)); (N,) row norms for columns or (N, 6) arrays."""
     if isinstance(A, SymTensor):
-        s = (
-            A.xx * A.xx
-            + A.yy * A.yy
-            + A.zz * A.zz
-            + 2.0 * (A.xy * A.xy + A.xz * A.xz + A.yz * A.yz)
-        )
+        try:
+            s = (A.xx * A.xx + A.yy * A.yy + A.zz * A.zz
+                 + 2.0 * (A.xy * A.xy + A.xz * A.xz + A.yz * A.yz))
+        except OverflowError:  # an int squared past the float range: inf, as for a float
+            return math.inf
         return math.sqrt(s) if isinstance(s, float) else np.sqrt(s)
     return frobenius(SymTensor(*A.T))
+
+
+def is_finite(A: SymTensor) -> bool:
+    """True when every component is finite; an int past the float range is not."""
+    try:
+        return all(map(math.isfinite, A.components()))
+    except OverflowError:
+        return False
 
 
 def trace(A: SymTensor) -> float:
@@ -192,11 +196,12 @@ def eig_sym(A: SymTensor) -> Spectrum:
 
     Eigenvalues sorted descending (ties keep LAPACK's order); each
     eigenvector's largest-magnitude component is made positive so the
-    output is deterministic. Raises InvalidParameter for NaN or inf input,
+    output is deterministic. Raises InvalidParameter for NaN or inf input
+    (an int past the float range too),
     OutOfDomain for an eigenvalue beyond the float range and NoConvergence
     if LAPACK reports a failure.
     """
-    if not all(map(math.isfinite, A.components())):
+    if not is_finite(A):
         raise InvalidParameter(f"eig_sym needs finite components, got {A.components()!r}")
     # eigh (LAPACK syevd) sorts ascending, so solving for -A yields the
     # descending order

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from strainlim.analysis import ball_points
 from strainlim.errors import (
     InadmissibleDelta,
+    InvalidParameter,
     NonpositiveModulus,
     OutOfDomain,
     SingularLeading,
@@ -20,6 +21,7 @@ from strainlim.families import (
     certify_caps,
     check_delta,
     delta_ceiling,
+    density_line,
     family_eval,
     family_leading,
     leading_gap,
@@ -248,6 +250,36 @@ def test_modulus_guard_fires_for_large_compression():
     e = 1.9 * d
     with pytest.raises(NonpositiveModulus):
         family_eval(RECIP, d, SymTensor(e, e, e), SymTensor(0.1, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("spec", [RECIP, DIRECT], ids=["reciprocal", "direct"])
+def test_density_line_is_family_eval_on_the_line(spec):
+    # f_delta(s m, S) = phi(s) m up to the last ulps, and phi raises what
+    # family_eval raises at s m, up to 5% past the working ball
+    rng = np.random.default_rng(11)
+    d = 0.5 * delta_ceiling(spec)
+    raised = set()
+    for _ in range(400):
+        S = _ball(rng, spec.c)
+        m, phi = density_line(spec, d, S)
+        s = rng.uniform(-1.05, 1.05) * working_domain(spec) * d / frobenius(m)
+        error = _raised(lambda: family_eval(spec, d, m * s, S))
+        assert _raised(lambda: phi(s)) is error
+        raised.add(error)
+        if error is None:
+            want = family_eval(spec, d, m * s, S)
+            assert frobenius(m * phi(s) - want) <= 1e-14 * frobenius(want)
+    assert OutOfDomain in raised and None in raised
+
+
+def test_density_line_errors():
+    with pytest.raises(InvalidParameter):
+        density_line(POWER, 0.01, SymTensor(0.1))
+    # the point of test_modulus_guard_fires_for_large_compression, on the line
+    d = 0.019
+    m, phi = density_line(RECIP, d, SymTensor(0.1, 0.1, 0.1))
+    with pytest.raises(NonpositiveModulus):
+        phi(1.9 * d / m.xx)
 
 
 def test_density_profile_bound():

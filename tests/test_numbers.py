@@ -27,11 +27,18 @@ from strainlim import (
     check_delta,
     complementary_energy,
     complementary_gradient,
+    conjugate_stress,
+    deformation_from_green,
+    deformation_from_hencky,
+    density_line,
+    eig_sym,
     family_eval,
     family_leading,
     fit_order,
+    frobenius,
     green_stress,
     leading_gap,
+    legendre_transform,
     make_rotation,
     oned_delta0_study,
     oned_forward,
@@ -39,8 +46,13 @@ from strainlim import (
     oned_strain,
     run_convergence,
     run_convergence_hencky,
+    sigma_from_cauchy,
+    sigma_from_piola,
     solve_implicit,
     solve_implicit_hencky,
+    spd_sqrt,
+    sym_exp,
+    sym_log,
 )
 
 POWER = FamilySpec(kind="power_law", a=1.0, p=2.0)
@@ -70,6 +82,9 @@ CASES = {
     ("RotationSpec", "magnitude_coefficient"): lambda v: RotationSpec((0.0, 0.0, 1.0), v),
     ("make_rotation", "delta"): lambda v: make_rotation(ROT, v),
     ("check_delta", "delta"): lambda v: check_delta(POWER, v),
+    ("check_ball", "radius"): lambda v: check_ball("E", SymTensor(0.1), v),
+    ("density_line", "delta"): lambda v: density_line(RECIP, v, S)[1](0.0),
+    ("density_line", "s"): lambda v: density_line(RECIP, D, S)[1](v),
     ("family_eval", "delta"): lambda v: family_eval(RECIP, v, ZERO, S),
     ("leading_gap", "delta"): lambda v: leading_gap(RECIP, v, ZERO, S),
     ("solve_implicit", "delta"): lambda v: solve_implicit(RECIP, v, S),
@@ -93,30 +108,37 @@ CASES = {
         POWER, D, _with([0.25, 0.5, 1.0, 2.0], 1, v)),
 }
 
-# SymTensor arithmetic is unchecked; the entry points that test a ball name
-# an int component past the float range. `check_ball`'s radius is no input:
-# callers pass a spec's checked constants
-HUGE = SymTensor(10 ** 400)
+# SymTensor arithmetic is unchecked; the maps that take a tensor read an int
+# component past the float range as inf: each raises the named error an inf
+# component raises, and `frobenius` gives inf for both
+HUGE, INF = SymTensor(10 ** 400), SymTensor(math.inf)
+R = np.eye(3)
 TENSOR_CASES = {
-    ("check_ball", "A"): lambda: check_ball("E", HUGE, 1.0),
-    ("family_eval", "E"): lambda: family_eval(RECIP, D, HUGE, S),
-    ("family_eval", "Sbar"): lambda: family_eval(RECIP, D, ZERO, HUGE),
-    ("family_leading", "Sbar"): lambda: family_leading(RECIP, ZERO, HUGE),
-    ("leading_gap", "E"): lambda: leading_gap(RECIP, D, HUGE, S),
-    ("solve_implicit", "Sbar"): lambda: solve_implicit(RECIP, D, HUGE),
-    ("complementary_energy", "Sbar"): lambda: complementary_energy(POWER, HUGE),
-    ("complementary_gradient", "Sbar"): lambda: complementary_gradient(POWER, HUGE),
+    ("check_ball", "A"): lambda T: check_ball("E", T, 1.0),
+    ("family_eval", "E"): lambda T: family_eval(RECIP, D, T, S),
+    ("family_eval", "Sbar"): lambda T: family_eval(RECIP, D, ZERO, T),
+    ("family_leading", "Sbar"): lambda T: family_leading(RECIP, ZERO, T),
+    ("leading_gap", "E"): lambda T: leading_gap(RECIP, D, T, S),
+    ("density_line", "Sbar"): lambda T: density_line(RECIP, D, T),
+    ("solve_implicit", "Sbar"): lambda T: solve_implicit(RECIP, D, T),
+    ("complementary_energy", "Sbar"): lambda T: complementary_energy(POWER, T),
+    ("complementary_gradient", "Sbar"): lambda T: complementary_gradient(POWER, T),
+    ("conjugate_stress", "Etilde"): lambda T: conjugate_stress(POWER, T),
+    ("legendre_transform", "Etilde"): lambda T: legendre_transform(POWER, T),
+    ("green_stress", "eps"): lambda T: green_stress(POWER, D, T),
+    **{(fn.__name__, "A"): fn for fn in (eig_sym, spd_sqrt, sym_log, sym_exp)},
+    ("deformation_from_green", "E"): lambda T: deformation_from_green(T, R),
+    ("deformation_from_hencky", "H"): lambda T: deformation_from_hencky(T, R),
+    ("sigma_from_piola", "Sbar"): lambda T: sigma_from_piola(R, T),
+    ("sigma_from_cauchy", "T"): lambda T: sigma_from_cauchy(R, T),
 }
 
 # public callables that take no scalar number: they take a spec, tensors or
 # records. SymTensor components are the hot path and stay unchecked
 NO_SCALAR = {
     "certified_domain", "certify_caps", "delta_ceiling", "working_domain",
-    "conjugate_stress", "legendre_transform",
-    "deformation_from_green", "deformation_from_hencky", "density_linearization_gap",
-    "sigma_from_cauchy", "sigma_from_piola",
-    "det", "eig_sym", "frobenius", "inner", "inverse", "is_rotation", "spd_sqrt", "sym_exp",
-    "sym_log", "trace", "SymTensor",
+    "density_linearization_gap",
+    "det", "frobenius", "inner", "inverse", "is_rotation", "trace", "SymTensor",
     # result records
     "CertificateReport", "CertificateRow", "ConvergenceRecord", "ConvergenceReport",
     "Delta0Study", "DeformationState", "SolveReport", "Spectrum",
@@ -165,9 +187,16 @@ def test_a_bad_kind_or_base_is_an_invalid_parameter(field, value):
 
 
 @pytest.mark.parametrize("case", TENSOR_CASES, ids="-".join)
-def test_an_overflowing_tensor_component_is_out_of_domain(case):
-    with pytest.raises(strainlim.OutOfDomain):
-        TENSOR_CASES[case]()
+def test_an_overflowing_tensor_component_raises_what_inf_raises(case):
+    with pytest.raises(StrainLimError) as inf:
+        TENSOR_CASES[case](INF)
+    with pytest.raises(StrainLimError) as huge:
+        TENSOR_CASES[case](HUGE)
+    assert type(huge.value) is type(inf.value)
+
+
+def test_an_overflowing_tensor_component_has_an_infinite_norm():
+    assert frobenius(HUGE) == frobenius(SymTensor(0.0, 0.0, 0.0, -10 ** 200)) == math.inf
 
 
 def test_every_public_callable_is_in_the_table():

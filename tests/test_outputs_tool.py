@@ -37,3 +37,16 @@ def test_snapshots_agree_and_compare_names_a_one_ulp_change(tmp_path, capsys):
     assert lines[0].startswith(study + " out/converge.csv: residual_full abs=")
     assert summary[0] == "1 of 20 studies differ"
     assert outputs.main(["compare", str(a), str(b)]) == 1
+
+
+def test_a_seed_replaces_every_standard_seed(tmp_path, capsys):
+    outputs = _tool()
+    digests = outputs.snapshot(tmp_path / "c", cycle=True, seed=5)
+    capsys.readouterr()
+    assert len(digests) == 20
+    assert {study.split("-")[1] for study in digests} == {"5"}
+    # the same workloads and lengths; energy runs once at the one seed
+    assert [s[0].replace("-5-", "-") for s in outputs.studies(cycle=True, seed=5)] == [
+        s[0].replace("-401-", "-").replace("-7-", "-") for s in outputs.studies(cycle=True)]
+    assert len(outputs.studies(seed=5)) == 480 + 300 + 102
+    assert outputs.studies(cycle=True, seed=401)[:12] == outputs.studies(cycle=True)[:12]

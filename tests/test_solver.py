@@ -1,9 +1,20 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import strainlim.solver
+from strainlim.analysis import ball_points
 from strainlim.errors import NoConvergence, OutOfDomain
-from strainlim.families import FamilySpec, family_eval, working_domain
+from strainlim.families import (
+    FamilySpec,
+    delta_ceiling,
+    density_line,
+    family_eval,
+    working_domain,
+)
 from strainlim.solver import solve_implicit, solve_implicit_hencky
 from strainlim.symtensor import SymTensor, frobenius
 
@@ -14,6 +25,9 @@ DIRECT = FamilySpec(kind="density_modulus_direct", E0=1.0, nu=0.3, a=0.3, b=0.5,
 STIFF = FamilySpec(kind="density_modulus_reciprocal", E0=1.0, nu=0.45, a=0.9, b=0.5, c=3.0)
 SBAR = SymTensor(0.5, 0.25, -0.125)
 DELTA = 2.0 ** -6
+# STIFF at delta = 2^-11 reaches Newton
+NEWTON_S = SymTensor(1.053568237520654, 1.548577327771007, -0.10633993342362029,
+                     0.9575539215983894, 0.7588024235430555, 0.4856308433477228)
 
 
 def test_power_law_closes_in_one_step():
@@ -86,22 +100,57 @@ def test_contraction_keeps_iteration_count_small():
 
 def test_newton_agrees_with_picard():
     # Newton reaches a fixed point that Picard, started there, accepts at once
-    S = SymTensor(1.053568237520654, 1.548577327771007, -0.10633993342362029,
-                  0.9575539215983894, 0.7588024235430555, 0.4856308433477228)
-    newton = solve_implicit(STIFF, 2.0 ** -11, S)
+    newton = solve_implicit(STIFF, 2.0 ** -11, NEWTON_S)
     assert newton.method == "newton"
     assert newton.residual <= 1e-13
-    picard = solve_implicit(STIFF, 2.0 ** -11, S, guess=newton.solution)
+    picard = solve_implicit(STIFF, 2.0 ** -11, NEWTON_S, guess=newton.solution)
     assert (picard.method, picard.iterations) == ("picard", 0)
     assert picard.solution == newton.solution
 
 
-def test_stalled_solve_carries_its_best_residual():
+def test_stalled_solve_carries_its_best_residual(monkeypatch):
     S = SymTensor(0.45057716151826754, 1.7732717025175075, 1.418711129001391,
                   -0.4224179813496206, -0.6189389823198892, -0.17788963219188111)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return family_eval(*args)
+
+    monkeypatch.setattr(strainlim.solver, "family_eval", counted)
     with pytest.raises(NoConvergence) as info:
         solve_implicit(STIFF, 2.0 ** -14, S)
     assert info.value.best_residual == pytest.approx(5.72e-5, rel=1e-3)
+    # the density kinds iterate on the line s m through phi; family_eval only
+    # checks a guess and an accepted solution
+    assert len(calls) <= 2
+
+
+def test_a_line_solution_meets_the_tolerance_in_six_components(monkeypatch):
+    # a line point whose scalar residual passes is returned only if
+    # |E - f(E)| at E = s m passes too; here it never does
+    shifted = lambda *args: family_eval(*args) + SymTensor(2e-13)
+    monkeypatch.setattr(strainlim.solver, "family_eval", shifted)
+    with pytest.raises(NoConvergence):
+        solve_implicit(RECIP, DELTA, SBAR)
+
+
+@pytest.mark.parametrize("solve", [solve_implicit, solve_implicit_hencky])
+@pytest.mark.parametrize("spec, delta, S", [(RECIP, DELTA, SBAR), (DIRECT, DELTA, SBAR),
+                                            (STIFF, 2.0 ** -11, NEWTON_S)],
+                         ids=["reciprocal", "direct", "newton"])
+def test_density_solutions_are_exactly_s_times_m(solve, spec, delta, S):
+    m, _ = density_line(spec, delta, S)
+    E = solve(spec, delta, S).solution
+    k = max(range(6), key=lambda i: abs(m.components()[i]))
+    s = E.components()[k] / m.components()[k]
+    near = [s]
+    for direction in (math.inf, -math.inf):
+        t = s
+        for _ in range(2):  # the quotient is within two ulps of the factor
+            t = math.nextafter(t, direction)
+            near.append(t)
+    assert any(m * t == E for t in near)
 
 
 def test_guess_short_circuits():
@@ -140,3 +189,50 @@ def test_hencky_lane_same_contract():
 def test_solution_stays_inside_working_ball():
     rep = solve_implicit(DIRECT, DELTA, SymTensor(0.4, 0.3, -0.2, 0.1, 0.0, 0.0))
     assert frobenius(rep.solution) <= working_domain(DIRECT) * DELTA
+
+
+def _rotation(q):
+    """The proper rotation of the quaternion q (w, x, y, z), a (3, 3) array."""
+    w, x, y, z = np.asarray(q) / np.linalg.norm(q)
+    return np.array([[1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
+                     [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
+                     [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)]])
+
+
+def _turn(Q, A):
+    return SymTensor.from_matrix(Q @ A.as_matrix() @ Q.T)
+
+
+def _isotropic_base(Et, S):
+    # bounded by delta1 = 0.05 and dependent on both arguments
+    return (S + Et * 0.1) * (0.05 / math.sqrt(1.0 + frobenius(S) ** 2 + frobenius(Et) ** 2))
+
+
+EQUIVARIANT_SPECS = {
+    "power_law": POWER,
+    "reciprocal": RECIP,
+    "direct": DIRECT,
+    "scaled_base": FamilySpec(kind="scaled_base", base=_isotropic_base, delta1=0.05),
+}
+
+
+@pytest.mark.parametrize("solve", [solve_implicit, solve_implicit_hencky])
+@pytest.mark.parametrize("name", sorted(EQUIVARIANT_SPECS))
+@settings(max_examples=15, deadline=None)
+@given(
+    q=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4).filter(
+        lambda q: np.linalg.norm(q) > 0.1),
+    seed=st.integers(0, 2 ** 32 - 1),
+    frac=st.floats(0.01, 0.99),
+)
+def test_solutions_are_frame_equivariant(solve, name, q, seed, frac):
+    # every kind is isotropic, so solve(Q S Q^T) = Q solve(S) Q^T. Each solution
+    # is within tol / (1 - L) of the fixed point, tol = 1e-13 the residual
+    # tolerance and L < 1/2 the strain Lipschitz constant of these families
+    spec, Q = EQUIVARIANT_SPECS[name], _rotation(q)
+    delta = frac * delta_ceiling(spec)
+    rng = np.random.default_rng(seed)
+    # 0.9 of the ball: turning a stress moves its norm by rounding alone
+    S = SymTensor(*ball_points(rng.standard_normal(6), rng.random(), 0.9 * spec.c).tolist())
+    want = _turn(Q, solve(spec, delta, S).solution)
+    assert frobenius(solve(spec, delta, _turn(Q, S)).solution - want) <= 4e-13

@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
 """Snapshot the outputs of the standard study set, and compare two snapshots.
 
-    python3 tools/outputs.py snapshot DIR [--src SRC]
+    python3 tools/outputs.py snapshot DIR [--src SRC] [--seed N]
     python3 tools/outputs.py compare A B
 
 `snapshot` runs the standard set in one process through `strainlim.cli.main`:
 converge seed 401 x480, energy seeds 401 and 3 x300 each and certify seed
-7 x102, the configs of `perfbench/workloads.py`. Each study gets its own
+7 x102, the configs of `perfbench/workloads.py`. `--seed N` runs the same
+workloads and lengths at seed N instead (energy then once, x300), so that a
+claim about outputs can be checked on a seed it was not written against.
+Each study gets its own
 directory `DIR/<workload>-<seed>-<index>/` holding `config.json`, the
 `exit` code, `stdout`, `stderr`, and the outputs in `out/`, written with
 `--out .` from inside `out/` so that no path of the snapshot leaks into
@@ -48,11 +51,13 @@ def _workloads():
     return module
 
 
-def studies(cycle=False):
-    """(study id, command, config) of the standard set, or of its first cycle per workload."""
+def studies(cycle=False, seed=None):
+    """(study id, command, config) of the standard set, or of its first cycle per
+    workload; a `seed` replaces every standard seed."""
     workloads = _workloads()
     plan, seen = [], set()
-    for workload, seed, length in STANDARD:
+    standard = STANDARD if seed is None else {(w, seed, n): None for w, _, n in STANDARD}
+    for workload, seed, length in standard:
         if cycle:
             if workload in seen:
                 continue
@@ -92,15 +97,16 @@ def manifest(directory):
             for study in sorted(directory.iterdir()) if study.is_dir()}
 
 
-def snapshot(directory, src=None, cycle=False):
-    """Run the study set into the new or empty `directory`; return its manifest."""
+def snapshot(directory, src=None, cycle=False, seed=None):
+    """Run the study set (at `seed`, if given) into the new or empty `directory`;
+    return its manifest."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     if any(directory.iterdir()):
         raise SystemExit("snapshot: %s is not empty" % directory)
     sys.path.insert(0, str(Path(src).resolve() if src else ROOT / "src"))
     from strainlim.cli import main
-    for study_id, command, cfg in studies(cycle):
+    for study_id, command, cfg in studies(cycle, seed):
         _run(main, directory / study_id, command, cfg)
     digests = manifest(directory)
     (directory / "manifest.json").write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
@@ -207,12 +213,13 @@ def main(argv=None):
     snap = sub.add_parser("snapshot", help="run the study set into a new directory")
     snap.add_argument("directory")
     snap.add_argument("--src", help="the src/ directory to import strainlim from")
+    snap.add_argument("--seed", type=int, help="run every workload at this seed")
     comp = sub.add_parser("compare", help="list the differences between two snapshots")
     comp.add_argument("a")
     comp.add_argument("b")
     args = parser.parse_args(argv)
     if args.action == "snapshot":
-        digests = snapshot(args.directory, args.src)
+        digests = snapshot(args.directory, args.src, seed=args.seed)
         print("%d studies in %s" % (len(digests), args.directory))
         return 0
     lines, summary = compare(args.a, args.b)
