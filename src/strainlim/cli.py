@@ -6,11 +6,11 @@ JSON report next to it, and prints a single PASS/FAIL line. Exit codes:
 2 study ran but failed a threshold (or died partway with a solver error).
 
 One table, `_COMMANDS`, is the config schema: per command, which config
-keys it reads and which thresholds it knows, each threshold with its
-default. `_DEFAULTS` names the only optional keys (`samples` and `seed`);
-every other key a command reads is required. `parse_config` walks that
-table: it rejects every key the command does not read, parses each value
-once and checks every given threshold, so a bad config exits 1 before the
+keys it reads, the defaults of its optional keys (`samples` and `seed`)
+and which thresholds it knows, each threshold with its default. Every
+other key a command reads is required. `parse_config` walks that table:
+it rejects every key the command does not read, parses each value once
+and checks every given threshold, so a bad config exits 1 before the
 study runs. It returns a namespace of `command`, `family`, `thresholds`
 and exactly the keys the command reads, which the report echoes. The CSV
 columns of converge, certify and oned are the fields of the result types
@@ -55,8 +55,6 @@ _FAMILY_KEYS = tuple(f.name for f in dataclasses.fields(FamilySpec))
 _ROTATION_KEYS = ("axis", "coefficient")
 # keys every command accepts besides those in its `_COMMANDS` entry
 _COMMON_KEYS = ("command", "family", "thresholds")
-# the only optional keys; every other key a command reads is required
-_DEFAULTS = {"samples": 10000, "seed": 0}
 
 
 def _echo(value):
@@ -65,11 +63,8 @@ def _echo(value):
     if isinstance(value, RotationSpec):
         return {"axis": list(value.axis), "coefficient": value.magnitude_coefficient}
     if isinstance(value, FamilySpec):
-        out = {f.name: getattr(value, f.name) for f in dataclasses.fields(value) if f.name != "base"}
-        if value.kind == "scaled_base":
-            out["base"] = value.base if isinstance(value.base, str) else "custom"
-        return out
-    return value
+        return {name: _echo(getattr(value, name)) for name in ("kind", *value.reads)}
+    return "custom" if callable(value) else value
 
 
 def _require(cond, msg):
@@ -143,10 +138,10 @@ def parse_config(raw: dict, command: str) -> SimpleNamespace:
         for key, value in cfg.thresholds.items():
             _require(not isinstance(value, tuple) or value[0] <= value[1],
                      "%s must be a window [lo, hi] with lo <= hi" % key)
-        missing = sorted(set(spec.keys) - set(raw) - set(_DEFAULTS))
+        missing = sorted(set(spec.keys) - set(raw) - set(spec.defaults))
         _require(not missing, "%s needs %s" % (command, " and ".join(missing)))
         for key, parse in spec.keys.items():
-            setattr(cfg, key, parse(raw[key], key) if key in raw else _DEFAULTS[key])
+            setattr(cfg, key, parse(raw[key], key) if key in raw else spec.defaults[key])
     except InvalidParameter as exc:
         raise ConfigInvalid(str(exc)) from None
     return cfg
@@ -283,7 +278,7 @@ def _run_energy(cfg):
     strain_r = min(0.9, x * (1.0 + x ** spec.p) ** (-1.0 / spec.p))
 
     stresses, strains = [], []
-    for _ in range(min(cfg.samples, 1000)):  # one probe's draws: g, u, then Et's and eps's
+    for _ in range(cfg.samples):  # one probe per sample, drawing g, u, then Et's and eps's
         g, u = rng.standard_normal(6), rng.random(3)
         stresses.append(SymTensor(*ball_points(g, u[0], 0.9 * spec.c).tolist()))
         if power:
@@ -319,17 +314,17 @@ class _Command(NamedTuple):
     blurb: str
     run: Callable
     # config key read besides _COMMON_KEYS -> its parser; the key is required
-    # unless _DEFAULTS names it
+    # unless `defaults` names it
     keys: dict
     # threshold key -> default: a (lo, hi) window, a number, or None for a
     # family-dependent certification cap
     thresholds: dict
-    kinds: tuple = KINDS
+    kinds: tuple = tuple(KINDS)
+    defaults: dict = {}
 
 
 _STRESS = lambda raw, name: SymTensor(*_numbers(raw, name, 6))
-_SAMPLING = {"samples": functools.partial(integer, least=1),
-             "seed": functools.partial(integer, least=0)}
+_SAMPLES, _SEED = functools.partial(integer, least=1), functools.partial(integer, least=0)
 _CONVERGE = _Command(
     "strain-driven convergence sweep", _run_converge,
     {"stress": _STRESS, "rotation": _parse_rotation, "deltas": _parse_deltas},
@@ -344,15 +339,17 @@ _COMMANDS = {
     "converge": _CONVERGE,
     "converge-hencky": _CONVERGE._replace(blurb="stress-driven convergence sweep"),
     "certify": _Command("sample family constants over the admissible ball", _run_certify,
-                        {"deltas": _parse_deltas, **_SAMPLING},
-                        dict.fromkeys(("C0", "C1", "D0", "C3"))),
+                        {"deltas": _parse_deltas, "samples": _SAMPLES, "seed": _SEED},
+                        dict.fromkeys(("C0", "C1", "D0", "C3")),
+                        defaults={"samples": 10000, "seed": 0}),
     "oned": _Command("scalar diagnostic sweep", _run_oned,
                      {"delta": _as_float, "stresses": _numbers},
                      {"slope": (0.9, 1.1)}, ("power_law",)),
     "energy": _Command("complementary energy consistency probes", _run_energy,
-                       {"delta": _as_float, **_SAMPLING},
+                       {"delta": _as_float, "samples": functools.partial(_SAMPLES, most=1000),
+                        "seed": _SEED},
                        {"grad_tol": 1e-6, "fenchel_tol": 1e-9, "roundtrip_tol": 1e-8},
-                       ENERGY_KINDS),
+                       ENERGY_KINDS, defaults={"samples": 1000, "seed": 0}),
 }
 
 

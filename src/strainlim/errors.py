@@ -78,9 +78,11 @@ def real(value, name) -> float:
         return math.inf if value > 0 else -math.inf
 
 
-def integer(value, name, least) -> int:
+def integer(value, name, least, most=math.inf) -> int:
     """`value` as a Python int; InvalidParameter naming `name` unless it is an
-    integer (numpy too, bools not) of at least `least`."""
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < least:
-        raise InvalidParameter(f"{name} must be an integer of at least {least}, got {value!r}")
+    integer (numpy too, bools not) of at least `least` and at most `most`."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or not (
+            least <= value <= most):
+        bound = f"of at least {least}" if most == math.inf else f"in [{least}, {most}]"
+        raise InvalidParameter(f"{name} must be an integer {bound}, got {value!r}")
     return int(value)

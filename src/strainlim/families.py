@@ -37,7 +37,7 @@ call. Checks read `not (norm <= radius)`: NaN and inf raise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Union
 
 import numpy as np
@@ -53,12 +53,13 @@ from .errors import (
 )
 from .symtensor import SymTensor, det, frobenius, trace
 
-KINDS = (
-    "scaled_base",
-    "power_law",
-    "density_modulus_reciprocal",
-    "density_modulus_direct",
-)
+# each kind -> the FamilySpec fields it reads; every other field keeps its default
+KINDS = {
+    "scaled_base": ("b", "c", "delta1", "base"),
+    "power_law": ("a", "p", "c"),
+    "density_modulus_reciprocal": ("a", "E0", "nu", "b", "c"),
+    "density_modulus_direct": ("a", "E0", "nu", "b", "c"),
+}
 DENSITY_KINDS = ("density_modulus_reciprocal", "density_modulus_direct")
 
 _WORKING_MARGIN = 1.05
@@ -72,12 +73,12 @@ class FamilySpec:
 
     `a` is dimensionless for the density kinds and an inverse-stress scale
     for power_law; `b` and `c` are the certified strain/stress ball
-    coefficients; `delta1` and `base` only matter for scaled_base, which
-    needs a base. `base` is None, a callable (Etilde, Sbar) -> SymTensor
-    bounded by delta1, or "power_law" naming the built-in profile (the
-    serializable choice). The admissible deltas follow from these constants
-    alone (see `delta_ceiling`). Building a spec stores each number as a
-    float (`errors.real`) and raises InvalidParameter for any bad value.
+    coefficients. scaled_base needs a `base`: a callable (Etilde, Sbar) ->
+    SymTensor bounded by delta1, or "power_law" naming the built-in profile
+    (the serializable choice). The admissible deltas follow from these
+    constants alone (see `delta_ceiling`). Building a spec stores each number
+    as a float (`errors.real`) and raises InvalidParameter for any bad value,
+    and then for any field outside `reads` that differs from its default.
     """
 
     kind: str
@@ -91,7 +92,7 @@ class FamilySpec:
     base: Union[Callable, str, None] = None
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if not (isinstance(self.kind, str) and self.kind in KINDS):
             raise InvalidParameter(f"unknown family kind {self.kind!r}")
         for name in ("a", "p", "E0", "nu", "b", "c", "delta1"):
             object.__setattr__(self, name, real(getattr(self, name), name))
@@ -123,9 +124,19 @@ class FamilySpec:
                 finite = False
             if not finite:
                 raise InvalidParameter("(a*c)^p overflows a float")
+        for field in fields(self)[1:]:
+            value = getattr(self, field.name)
+            if field.name not in self.reads and value != field.default:
+                owner = self.kind + (" with a callable base" if callable(self.base) else "")
+                raise InvalidParameter(f"{owner} does not read {field.name}, got {value!r}")
         # (working coefficient k, delta_ceiling), computed once per spec; a plain
         # attribute keeps attribute reads on the spec on CPython's fast path
         object.__setattr__(self, "_working", (working_domain(self), delta_ceiling(self)))
+
+    @property
+    def reads(self) -> tuple:
+        """The fields this spec reads: its `KINDS` entry, plus a and p for the built-in base."""
+        return KINDS[self.kind] + (("a", "p") if self.base == "power_law" else ())
 
 
 def _density_guaranteed_coeff(spec: FamilySpec) -> float:

@@ -36,6 +36,8 @@ from strainlim.kinematics import (
 from strainlim.scalar1d import oned_delta0_study, oned_forward, oned_invert
 from strainlim.symtensor import SymTensor, frobenius, inner
 
+from draws import ball
+
 POWER = FamilySpec(kind="power_law", a=1.0, p=2.0)
 RECIP = FamilySpec(kind="density_modulus_reciprocal", E0=1.0, nu=0.3, a=0.3, b=0.5, c=1.0)
 DIRECT = FamilySpec(kind="density_modulus_direct", E0=1.0, nu=0.3, a=0.3, b=0.5, c=1.0)
@@ -52,13 +54,6 @@ CERT_SAMPLES = 10000
 def _verdict(num, ok, text):
     print(f"[{'PASS' if ok else 'FAIL'}] criterion {num}: {text}")
     return ok
-
-
-def _ball(rng, radius):
-    v = rng.standard_normal(6)
-    w = np.array([1.0, 1.0, 1.0, math.sqrt(2.0), math.sqrt(2.0), math.sqrt(2.0)])
-    v *= radius * rng.random() ** (1.0 / 6.0) / np.linalg.norm(v * w)
-    return SymTensor(v[0], v[1], v[2], v[3], v[4], v[5])
 
 
 @pytest.fixture(scope="module")
@@ -219,7 +214,7 @@ def test_criterion_7_energy_consistency():
 
     grad_worst = 0.0
     for _ in range(100):
-        S = _ball(rng, 0.9 * spec.c)
+        S = ball(rng, 0.9 * spec.c)
         grad_worst = max(
             grad_worst,
             frobenius(complementary_gradient(spec, S) - family_leading(spec, zero, S)),
@@ -227,7 +222,7 @@ def test_criterion_7_energy_consistency():
 
     fy_worst = 0.0
     for _ in range(100):
-        Et = _ball(rng, 0.9)
+        Et = ball(rng, 0.9)
         star = conjugate_stress(spec, Et)
         fy_worst = max(
             fy_worst,
@@ -237,7 +232,7 @@ def test_criterion_7_energy_consistency():
     delta = 0.01
     rt_worst = 0.0
     for _ in range(50):
-        eps = _ball(rng, 0.9 * delta)
+        eps = ball(rng, 0.9 * delta)
         sig = green_stress(spec, delta, eps)
         rt_worst = max(rt_worst, frobenius(family_leading(spec, zero, sig) * delta - eps))
 
@@ -255,13 +250,13 @@ def test_criterion_8_kinematic_fidelity():
 
     trip_worst = 0.0
     for _ in range(100):
-        E = _ball(rng, 0.3)
+        E = ball(rng, 0.3)
         axis = rng.standard_normal(3)
         axis = tuple(axis / np.linalg.norm(axis))
         R = make_rotation(RotationSpec(axis=axis, magnitude_coefficient=1.0), 0.02)
         state = deformation_from_green(E, R)
         trip_worst = max(trip_worst, frobenius(state.E - E) / max(1.0, frobenius(E)))
-        H = _ball(rng, 0.8)
+        H = ball(rng, 0.8)
         state = deformation_from_hencky(H, R)
         trip_worst = max(trip_worst, frobenius(state.H - H) / max(1.0, frobenius(H)))
 

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import strainlim
 import strainlim.cli as cli
 from strainlim.analysis import certify_constants, run_convergence_hencky
-from strainlim.cli import _COMMANDS, _DEFAULTS, _build_parser, _jsonable, main, parse_config
+from strainlim.cli import _COMMANDS, _build_parser, _jsonable, main, parse_config
 from strainlim.errors import ConfigInvalid
 from strainlim.families import FamilySpec
 from strainlim.kinematics import RotationSpec
@@ -70,15 +70,16 @@ def test_parse_config_round_trip(tmp_path):
 
 @pytest.mark.parametrize("command", sorted(_COMMANDS))
 def test_parsed_config_holds_exactly_what_the_command_reads(command):
-    reads = set(_COMMANDS[command].keys)
-    bare = {key: value for key, value in VALID[command].items() if key not in _DEFAULTS}
+    reads, defaults = set(_COMMANDS[command].keys), _COMMANDS[command].defaults
+    bare = {key: value for key, value in VALID[command].items() if key not in defaults}
     for raw in (VALID[command], bare):
         assert set(vars(parse_config(raw, command))) == {"command", "family", "thresholds"} | reads
     # samples and seed alone are optional, and they take their defaults
+    assert set(defaults) <= {"samples", "seed"} and set(defaults) <= reads
     cfg = parse_config(bare, command)
-    for key in reads & set(_DEFAULTS):
-        assert getattr(cfg, key) == _DEFAULTS[key]
-    for key in reads - set(_DEFAULTS):
+    for key in defaults:
+        assert getattr(cfg, key) == defaults[key]
+    for key in reads - set(defaults):
         with pytest.raises(ConfigInvalid, match="%s needs %s" % (command, key)):
             parse_config({k: v for k, v in bare.items() if k != key}, command)
 
@@ -417,6 +418,39 @@ def test_a_study_that_runs_out_of_memory_is_config_error(tmp_path, capsys, monke
     monkeypatch.setattr(cli, "certify_constants", out_of_memory)
     line = _run_expect_config_error(tmp_path, capsys, "certify", dict(CERTIFY, samples=10 ** 12))
     assert "memory" in line
+
+
+def test_energy_samples_are_its_probes(tmp_path, capsys):
+    # a bare energy config runs its default 1000 probes, and echoes that number
+    bare = {key: value for key, value in VALID["energy"].items() if key != "samples"}
+    assert main(["energy", "--config", _write(tmp_path, "e.json", bare),
+                 "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "energy_report.json").read_text())
+    assert report["probes"] == report["config"]["samples"] == 1000
+    assert len((tmp_path / "energy.csv").read_text().splitlines()) == 1 + 1000
+    capsys.readouterr()
+    line = _run_expect_config_error(tmp_path, capsys, "energy", dict(bare, samples=1001))
+    assert line == "FAIL config: samples must be an integer in [1, 1000], got 1001"
+
+
+@pytest.mark.parametrize("command", ["oned", "energy"])
+@pytest.mark.parametrize("kind", ["density_modulus_reciprocal", "density_modulus_direct"])
+def test_a_command_refuses_a_kind_it_does_not_run(tmp_path, capsys, command, kind):
+    bad = dict(VALID[command], family={"kind": kind})
+    kinds = {"oned": ["power_law"], "energy": ["power_law", "scaled_base"]}[command]
+    line = _run_expect_config_error(tmp_path, capsys, command, bad)
+    assert line == "FAIL config: %s needs a family.kind in %s" % (command, kinds)
+
+
+@pytest.mark.parametrize("family, field", [
+    ({"kind": "power_law", "E0": 7, "nu": 0.1, "b": 9, "delta1": 3, "base": "power_law"}, "E0"),
+    ({"kind": "density_modulus_direct", "p": 3.0}, "p"),
+    ({"kind": "scaled_base", "base": "power_law", "E0": 2.0}, "E0"),
+])
+def test_a_family_value_its_kind_does_not_read_is_config_error(tmp_path, capsys, family, field):
+    line = _run_expect_config_error(tmp_path, capsys, "solve", dict(VALID["solve"], family=family))
+    assert line.startswith("FAIL config: bad family: %s does not read %s, got "
+                           % (family["kind"], field))
 
 
 def test_thin_certify_sampling_is_config_error(tmp_path, capsys):

@@ -17,6 +17,8 @@ from strainlim.errors import (InadmissibleDelta, NoConvergence, OutOfDomain, Sat
 from strainlim.families import FamilySpec, family_leading
 from strainlim.symtensor import SymTensor, frobenius, inner
 
+from draws import ball
+
 # conjugate stresses of strains near the limit run well past |S| = 1, so the
 # energy tests widen the stress ball
 POWER = FamilySpec(kind="power_law", a=1.0, p=2.0, c=3.0)
@@ -31,13 +33,6 @@ def _log_base(Et, S):
 
 
 SCALED_CALLABLE = FamilySpec(kind="scaled_base", base=_log_base, delta1=0.05, c=3.0)
-
-
-def _ball(rng, radius):
-    v = rng.standard_normal(6)
-    w = np.array([1.0, 1.0, 1.0, math.sqrt(2.0), math.sqrt(2.0), math.sqrt(2.0)])
-    v *= radius * rng.random() ** (1.0 / 6.0) / np.linalg.norm(v * w)
-    return SymTensor(v[0], v[1], v[2], v[3], v[4], v[5])
 
 
 def test_profile_validation():
@@ -81,7 +76,7 @@ def _radial_quad(family, S):
 def test_quadrature_matches_closed_form():
     rng = np.random.default_rng(61)
     for _ in range(50):
-        S = _ball(rng, POWER.c)
+        S = ball(rng, POWER.c)
         assert _radial_quad(POWER, S) == pytest.approx(
             complementary_energy(POWER, S), rel=1e-10, abs=1e-14
         )
@@ -99,7 +94,7 @@ def test_gradient_recovers_leading_profile():
     # a callable base is evaluated row by row, so it gets fewer draws
     for family, draws in ((POWER, 100), (QUARTIC, 100), (SCALED, 100), (SCALED_CALLABLE, 20)):
         for _ in range(draws):
-            S = _ball(rng, 0.9 * family.c)
+            S = ball(rng, 0.9 * family.c)
             g = complementary_gradient(family, S)
             f1 = family_leading(family, ZERO, S)
             assert frobenius(g - f1) <= 1e-6
@@ -108,7 +103,7 @@ def test_gradient_recovers_leading_profile():
 def test_conjugate_inverts_leading_profile():
     rng = np.random.default_rng(71)
     for _ in range(300):
-        Et = _ball(rng, 0.9)
+        Et = ball(rng, 0.9)
         star = conjugate_stress(POWER, Et)
         back = family_leading(POWER, ZERO, star)
         assert frobenius(back - Et) <= 1e-12 * max(1.0, frobenius(Et))
@@ -136,7 +131,7 @@ def test_non_finite_strain_is_out_of_domain(family, bad):
 def test_fenchel_young_equality_at_conjugate_pairs():
     rng = np.random.default_rng(73)
     for _ in range(300):
-        Et = _ball(rng, 0.9)
+        Et = ball(rng, 0.9)
         star = conjugate_stress(POWER, Et)
         gap = legendre_transform(POWER, Et) + complementary_energy(POWER, star) - inner(Et, star)
         assert abs(gap) <= 1e-9
@@ -147,7 +142,7 @@ def test_fenchel_young_strict_off_the_conjugate():
     rng = np.random.default_rng(79)
     star = conjugate_stress(POWER, Et)
     for _ in range(100):
-        S = _ball(rng, 2.0)
+        S = ball(rng, 2.0)
         if frobenius(S - star) < 1e-3:
             continue
         gap = legendre_transform(POWER, Et) + complementary_energy(POWER, S) - inner(Et, S)
@@ -174,7 +169,7 @@ def test_biconjugate_consistency_general_p():
 def test_complementary_energy_is_midpoint_convex():
     rng = np.random.default_rng(83)
     for _ in range(1000):
-        S1, S2 = _ball(rng, POWER.c), _ball(rng, POWER.c)
+        S1, S2 = ball(rng, POWER.c), ball(rng, POWER.c)
         mid = (S1 + S2) * 0.5
         lhs = complementary_energy(POWER, mid)
         rhs = 0.5 * (complementary_energy(POWER, S1) + complementary_energy(POWER, S2))
@@ -185,7 +180,7 @@ def test_green_stress_round_trip():
     rng = np.random.default_rng(89)
     delta = 0.01
     for _ in range(50):
-        eps = _ball(rng, 0.9 * delta)
+        eps = ball(rng, 0.9 * delta)
         sig = green_stress(POWER, delta, eps)
         back = family_leading(POWER, ZERO, sig) * delta
         assert frobenius(back - eps) <= 1e-8
@@ -205,7 +200,7 @@ def test_scaled_base_energy_matches_power_law():
     scaled = FamilySpec(kind="scaled_base", a=1.0, p=2.0, base="power_law", delta1=0.05, c=3.0)
     rng = np.random.default_rng(97)
     for _ in range(25):
-        S = _ball(rng, 2.5)
+        S = ball(rng, 2.5)
         assert complementary_energy(scaled, S) == pytest.approx(
             complementary_energy(POWER, S), rel=1e-9, abs=1e-14
         )
@@ -221,10 +216,10 @@ def _scalar_line_integral(family, S):
 @pytest.mark.parametrize("family", [SCALED, SCALED_CALLABLE])
 def test_batched_line_integral_matches_scalar_quad(family):
     rng = np.random.default_rng(101)
-    stresses = [_ball(rng, family.c) for _ in range(40)]
+    stresses = [ball(rng, family.c) for _ in range(40)]
     # a few on the ball's edge, where the integrand is flattest
     for _ in range(8):
-        S = _ball(rng, family.c)
+        S = ball(rng, family.c)
         stresses.append(S * ((1.0 - 1e-15 * rng.random()) * family.c / frobenius(S)))
     stresses.append(ZERO)
     batch = energy._line_integrals(family, np.array([S.components() for S in stresses]))
@@ -260,7 +255,7 @@ CUBIC = FamilySpec(kind="power_law", a=1.0, p=3.0, c=3.0)
 @pytest.mark.parametrize("family", [UNIT_SCALED, UNIT_SCALED_CALLABLE, POWER, CUBIC])
 def test_batched_gradient_equals_per_stress_calls(family):
     rng = np.random.default_rng(103)
-    stresses = [_ball(rng, 0.9 * family.c) for _ in range(20)] + [ZERO]
+    stresses = [ball(rng, 0.9 * family.c) for _ in range(20)] + [ZERO]
     batch = complementary_gradient(family, np.array([S.components() for S in stresses]))
     assert batch.shape == (len(stresses), 6)
     for S, row in zip(stresses, batch.tolist()):
@@ -272,7 +267,7 @@ def test_batched_gradient_equals_per_stress_calls(family):
 
 def test_batched_gradient_splits_at_the_row_cap(monkeypatch):
     rng = np.random.default_rng(107)
-    stresses = np.array([_ball(rng, 0.9).components() for _ in range(40)])
+    stresses = np.array([ball(rng, 0.9).components() for _ in range(40)])
     rows = []  # the rows of each cubature call
     real = energy.cubature
 
@@ -296,7 +291,7 @@ def test_batched_gradient_stays_close_where_integrals_subdivide():
     # at |S| up to 2.7 cubature subdivides [0, 1], and a shared call refines
     # every row of the batch alike: the last digits may move, nothing more
     rng = np.random.default_rng(109)
-    stresses = [_ball(rng, 0.9 * SCALED.c) for _ in range(12)]
+    stresses = [ball(rng, 0.9 * SCALED.c) for _ in range(12)]
     batch = complementary_gradient(SCALED, np.array([S.components() for S in stresses]))
     single = [complementary_gradient(SCALED, S).components() for S in stresses]
     assert np.max(np.abs(batch - np.array(single))) <= 1e-10

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 
@@ -29,17 +30,12 @@ from strainlim.families import (
 )
 from strainlim.symtensor import SymTensor, frobenius, trace
 
+from draws import ball, rotation
+
 POWER = FamilySpec(kind="power_law", a=1.0, p=2.0)
 RECIP = FamilySpec(kind="density_modulus_reciprocal", E0=1.0, nu=0.3, a=0.3, b=0.5, c=1.0)
 DIRECT = FamilySpec(kind="density_modulus_direct", E0=1.0, nu=0.3, a=0.3, b=0.5, c=1.0)
 ZERO = SymTensor()
-
-
-def _ball(rng, radius):
-    v = rng.standard_normal(6)
-    w = np.array([1.0, 1.0, 1.0, math.sqrt(2.0), math.sqrt(2.0), math.sqrt(2.0)])
-    v *= radius * rng.random() ** (1.0 / 6.0) / np.linalg.norm(v * w)
-    return SymTensor(v[0], v[1], v[2], v[3], v[4], v[5])
 
 
 # --- construction ---------------------------------------------------------
@@ -82,6 +78,38 @@ def test_base_is_none_a_callable_or_power_law(kind, base, a):
     # and a = 1e200 then overflowed in family_eval
     with pytest.raises(ValueError, match="base must be None, a callable or 'power_law'"):
         FamilySpec(kind=kind, base=base, a=a)
+
+
+# the fields each kind reads, written out here apart from `KINDS`
+READS = {
+    "power_law": ({"kind": "power_law"}, {"a", "p", "c"}),
+    "density_modulus_reciprocal": ({"kind": "density_modulus_reciprocal"},
+                                   {"a", "E0", "nu", "b", "c"}),
+    "density_modulus_direct": ({"kind": "density_modulus_direct"}, {"a", "E0", "nu", "b", "c"}),
+    "scaled_builtin": ({"kind": "scaled_base", "base": "power_law"},
+                       {"a", "p", "b", "c", "delta1", "base"}),
+    "scaled_callable": ({"kind": "scaled_base", "base": lambda Et, S: S * 0.0},
+                        {"b", "c", "delta1", "base"}),
+}
+# a valid value other than the default for each field
+OTHER = {"a": 0.2, "p": 3.0, "E0": 2.0, "nu": 0.25, "b": 0.4, "c": 0.9, "delta1": 0.04,
+         "base": "power_law"}
+
+
+@pytest.mark.parametrize("name", sorted(READS))
+def test_a_spec_takes_only_the_fields_its_kind_reads(name):
+    given, reads = READS[name]
+    assert set(FamilySpec(**given).reads) == reads
+    for field in dataclasses.fields(FamilySpec)[1:]:
+        if field.name in given:
+            continue
+        FamilySpec(**given, **{field.name: field.default})
+        if field.name in reads:
+            FamilySpec(**given, **{field.name: OTHER[field.name]})
+        else:
+            with pytest.raises(InvalidParameter, match=r"does not read %s, got %r$"
+                               % (field.name, OTHER[field.name])):
+                FamilySpec(**given, **{field.name: OTHER[field.name]})
 
 
 def test_delta_ceilings():
@@ -149,7 +177,7 @@ def test_power_sup_never_exceeds_delta():
     # |f_delta| / delta <= 1 with no tolerance, across the stress ball
     rng = np.random.default_rng(3)
     for _ in range(10000):
-        S = _ball(rng, POWER.c)
+        S = ball(rng, POWER.c)
         out = family_eval(POWER, 0.05, ZERO, S)
         assert frobenius(out) / 0.05 <= 1.0
 
@@ -159,8 +187,8 @@ def test_power_frechet_bound():
     rng = np.random.default_rng(9)
     spec = FamilySpec(kind="power_law", a=0.7, p=3.0)
     for _ in range(2000):
-        S1 = _ball(rng, spec.c)
-        S2 = _ball(rng, spec.c)
+        S1 = ball(rng, spec.c)
+        S2 = ball(rng, spec.c)
         lhs = frobenius(family_eval(spec, 0.02, ZERO, S1) - family_eval(spec, 0.02, ZERO, S2))
         assert lhs <= 2.0 * spec.a * 0.02 * frobenius(S1 - S2) * (1.0 + 1e-6) + 1e-300
 
@@ -168,8 +196,8 @@ def test_power_frechet_bound():
 def test_power_leading_gap_is_exactly_zero():
     rng = np.random.default_rng(15)
     for _ in range(100):
-        S = _ball(rng, POWER.c)
-        assert leading_gap(POWER, 0.01, _ball(rng, 0.005), S) == 0.0
+        S = ball(rng, POWER.c)
+        assert leading_gap(POWER, 0.01, ball(rng, 0.005), S) == 0.0
 
 
 def test_power_rejects_stress_outside_ball():
@@ -260,7 +288,7 @@ def test_density_line_is_family_eval_on_the_line(spec):
     d = 0.5 * delta_ceiling(spec)
     raised = set()
     for _ in range(400):
-        S = _ball(rng, spec.c)
+        S = ball(rng, spec.c)
         m, phi = density_line(spec, d, S)
         s = rng.uniform(-1.05, 1.05) * working_domain(spec) * d / frobenius(m)
         error = _raised(lambda: family_eval(spec, d, m * s, S))
@@ -289,8 +317,8 @@ def test_density_profile_bound():
     for spec in (RECIP, DIRECT):
         cap = (1.0 + 4.0 * spec.nu) * spec.c * d / (spec.E0 * (1.0 - 2.0 * spec.a * spec.b))
         for _ in range(2000):
-            E = _ball(rng, spec.b * d)
-            S = _ball(rng, spec.c)
+            E = ball(rng, spec.b * d)
+            S = ball(rng, spec.c)
             assert frobenius(family_eval(spec, d, E, S)) <= cap
 
 
@@ -303,8 +331,8 @@ def test_density_two_term_lipschitz():
         l_s = (1.0 + 4.0 * spec.nu) * d / (spec.E0 * (1.0 - 2.0 * ab))
         l_e = 2.0 * spec.a * (1.0 + 4.0 * spec.nu) * spec.c / (spec.E0 * (1.0 - 2.0 * ab) ** 2)
         for _ in range(2000):
-            E1, E2 = _ball(rng, spec.b * d), _ball(rng, spec.b * d)
-            S1, S2 = _ball(rng, spec.c), _ball(rng, spec.c)
+            E1, E2 = ball(rng, spec.b * d), ball(rng, spec.b * d)
+            S1, S2 = ball(rng, spec.c), ball(rng, spec.c)
             lhs = frobenius(family_eval(spec, d, E1, S1) - family_eval(spec, d, E2, S2))
             rhs = l_e * frobenius(E1 - E2) + l_s * frobenius(S1 - S2)
             assert lhs <= 2.0 * rhs + 1e-300
@@ -316,8 +344,8 @@ def test_density_leading_profiles_disagree_quadratically():
     # 2 a^2 (tr Etilde)^2 (1+4nu) |S| / E0 once a tr Etilde <= 1/2
     rng = np.random.default_rng(39)
     for _ in range(500):
-        Et = _ball(rng, 0.5)
-        S = _ball(rng, 1.0)
+        Et = ball(rng, 0.5)
+        S = ball(rng, 1.0)
         gap = frobenius(family_leading(RECIP, Et, S) - family_leading(DIRECT, Et, S))
         x = RECIP.a * trace(Et)
         cap = 2.0 * RECIP.a ** 2 * trace(Et) ** 2 * (1.0 + 4.0 * RECIP.nu) * frobenius(S) / RECIP.E0
@@ -351,8 +379,8 @@ def test_scaled_base_wraps_power_law():
     scaled = FamilySpec(kind="scaled_base", a=1.0, p=2.0, base="power_law", delta1=0.05)
     rng = np.random.default_rng(51)
     for _ in range(500):
-        S = _ball(rng, 1.0)
-        E = _ball(rng, 0.004)
+        S = ball(rng, 1.0)
+        E = ball(rng, 0.004)
         got = family_eval(scaled, 0.01, E, S)
         want = family_eval(POWER, 0.01, E, S)
         assert frobenius(got - want) <= 1e-15 * max(1.0, frobenius(want))
@@ -373,8 +401,8 @@ def test_scaled_base_leading_gap_is_exactly_zero():
     scaled = FamilySpec(kind="scaled_base", a=1.0, p=2.0, base="power_law", delta1=0.05)
     rng = np.random.default_rng(53)
     for _ in range(200):
-        S = _ball(rng, 1.0)
-        E = _ball(rng, 0.004)
+        S = ball(rng, 1.0)
+        E = ball(rng, 0.004)
         assert leading_gap(scaled, 0.01, E, S) == 0.0
 
 
@@ -574,14 +602,6 @@ def test_batch_shapes_and_broadcast():
 # --- frame indifference -----------------------------------------------------------
 
 
-def _rotation(q):
-    """The proper rotation of the quaternion q (w, x, y, z), a (3, 3) array."""
-    w, x, y, z = np.asarray(q) / np.linalg.norm(q)
-    return np.array([[1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
-                     [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
-                     [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)]])
-
-
 def _turn(Q, rows):
     """Q A Q^T for each (N, 6) row A."""
     return np.array([SymTensor.from_matrix(Q @ SymTensor(*row).as_matrix() @ Q.T).components()
@@ -610,7 +630,7 @@ def _call(fn, scalar, *arrays):
 def test_families_are_frame_indifferent(name, q, seed, n, frac, scalar):
     # every kind is isotropic: f(Q E Q^T, Q S Q^T) = Q f(E, S) Q^T for f_delta and
     # f_1, and leading_gap does not move
-    spec, Q = BATCH_SPECS[name], _rotation(q)
+    spec, Q = BATCH_SPECS[name], rotation(q)
     delta = frac * delta_ceiling(spec)
     rng = np.random.default_rng(seed)
     # 0.9 of each radius: turning a point moves its norm by rounding alone

@@ -75,8 +75,11 @@ def _with(values, i, v):
 
 # (public name, argument replaced) -> call with that argument set to v
 CASES = {
-    **{("FamilySpec", field): lambda v, f=field: FamilySpec(**{"kind": "power_law", f: v})
-       for field in ("a", "p", "E0", "nu", "b", "c", "delta1")},
+    # each field on a kind that reads it
+    **{("FamilySpec", f): lambda v, f=f, given=given: FamilySpec(**given, **{f: v})
+       for given, names in (({"kind": "scaled_base", "base": "power_law"}, "a p b c delta1"),
+                            ({"kind": "density_modulus_reciprocal"}, "E0 nu"))
+       for f in names.split()},
     **{("RotationSpec", "axis[%d]" % i): lambda v, i=i: RotationSpec(
         tuple(_with([0.0, 0.0, 1.0], i, v)), 1.0) for i in range(3)},
     ("RotationSpec", "magnitude_coefficient"): lambda v: RotationSpec((0.0, 0.0, 1.0), v),
@@ -179,8 +182,8 @@ def test_a_bad_number_gives_finite_numbers_or_a_named_error(case, value):
         assert all(type(x) is float for x in numbers), out
 
 
-@pytest.mark.parametrize("field, value", [("kind", "nope"), ("kind", 3), ("base", 5),
-                                          ("base", "x"), ("base", True)])
+@pytest.mark.parametrize("field, value", [("kind", "nope"), ("kind", 3), ("kind", ["power_law"]),
+                                          ("base", 5), ("base", "x"), ("base", True)])
 def test_a_bad_kind_or_base_is_an_invalid_parameter(field, value):
     with pytest.raises(InvalidParameter):
         FamilySpec(**dict({"kind": "scaled_base", "base": "power_law"}, **{field: value}))

@@ -18,6 +18,8 @@ from strainlim.families import (
 from strainlim.solver import solve_implicit, solve_implicit_hencky
 from strainlim.symtensor import SymTensor, frobenius
 
+from draws import rotation
+
 POWER = FamilySpec(kind="power_law", a=1.0, p=2.0)
 RECIP = FamilySpec(kind="density_modulus_reciprocal", E0=1.0, nu=0.3, a=0.3, b=0.5, c=1.0)
 DIRECT = FamilySpec(kind="density_modulus_direct", E0=1.0, nu=0.3, a=0.3, b=0.5, c=1.0)
@@ -191,14 +193,6 @@ def test_solution_stays_inside_working_ball():
     assert frobenius(rep.solution) <= working_domain(DIRECT) * DELTA
 
 
-def _rotation(q):
-    """The proper rotation of the quaternion q (w, x, y, z), a (3, 3) array."""
-    w, x, y, z = np.asarray(q) / np.linalg.norm(q)
-    return np.array([[1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
-                     [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
-                     [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)]])
-
-
 def _turn(Q, A):
     return SymTensor.from_matrix(Q @ A.as_matrix() @ Q.T)
 
@@ -229,7 +223,7 @@ def test_solutions_are_frame_equivariant(solve, name, q, seed, frac):
     # every kind is isotropic, so solve(Q S Q^T) = Q solve(S) Q^T. Each solution
     # is within tol / (1 - L) of the fixed point, tol = 1e-13 the residual
     # tolerance and L < 1/2 the strain Lipschitz constant of these families
-    spec, Q = EQUIVARIANT_SPECS[name], _rotation(q)
+    spec, Q = EQUIVARIANT_SPECS[name], rotation(q)
     delta = frac * delta_ceiling(spec)
     rng = np.random.default_rng(seed)
     # 0.9 of the ball: turning a stress moves its norm by rounding alone
