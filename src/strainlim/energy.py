@@ -12,7 +12,7 @@ tensor analogue of the one-dimensional inversion). The stress map of the
 associated Green elastic solid is a finite-difference gradient of W.
 Every map takes the family's `FamilySpec`: the stress-side maps accept the
 `ENERGY_KINDS`, the strain-side ones power_law alone, and any other kind
-raises ValueError. Stresses must lie in the family's ball B(0, c)
+raises InvalidParameter. Stresses must lie in the family's ball B(0, c)
 (`check_ball`) and `green_stress`'s delta must pass `check_delta`. `quad` and
 `cubature` import `scipy.integrate` on their first call, so only studies
 that integrate (p != 2 or scaled_base) load scipy.
@@ -90,10 +90,10 @@ def _line_integrals(spec: FamilySpec, rows: np.ndarray) -> np.ndarray:
 def complementary_energy(spec: FamilySpec, Sbar: SymTensor) -> float:
     """W*(Sbar), normalized so W*(0) = 0; convex on the stress ball.
 
-    Raises ValueError for a kind outside ENERGY_KINDS.
+    Raises InvalidParameter for a kind outside ENERGY_KINDS.
     """
     if spec.kind not in ENERGY_KINDS:
-        raise ValueError(f"kind {spec.kind} has no complementary energy")
+        raise InvalidParameter(f"kind {spec.kind} has no complementary energy")
     if spec.kind == "scaled_base":
         return float(_line_integrals(spec, np.array([Sbar.components()]))[0])
     s = check_ball("Sbar", Sbar, spec.c)
@@ -107,7 +107,7 @@ def conjugate_stress(spec: FamilySpec, Etilde: SymTensor) -> SymTensor:
     and OutOfDomain when |Etilde| is NaN or inf.
     """
     if spec.kind != "power_law":
-        raise ValueError("closed-form conjugate requires the power_law profile")
+        raise InvalidParameter("closed-form conjugate requires the power_law profile")
     e = frobenius(Etilde)
     if not e < 1.0:  # a NaN or inf strain is out of the domain, not saturated
         raise (Saturation if math.isfinite(e) else OutOfDomain)(f"|Etilde| = {e!r} is not below 1")

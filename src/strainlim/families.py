@@ -225,13 +225,17 @@ def check_delta(spec: FamilySpec, delta) -> None:
 
 
 def _columns(*tensors):
-    """SymTensors of (N,) columns from SymTensor or (N, 6) array arguments."""
-    arrays = np.broadcast_arrays(*[
-        np.asarray(t.components() if isinstance(t, SymTensor) else t, dtype=float)
-        for t in tensors
-    ])
+    """SymTensors of (N,) columns from SymTensor or (N, 6) array arguments;
+    InvalidParameter for any other shape, shapes that do not broadcast too."""
+    try:
+        arrays = np.broadcast_arrays(*[
+            np.asarray(t.components() if isinstance(t, SymTensor) else t, dtype=float)
+            for t in tensors
+        ])
+    except ValueError:  # shapes that do not broadcast, or rows numpy cannot read
+        arrays = [np.empty(0)]
     if arrays[0].ndim != 2 or arrays[0].shape[1] != 6:
-        raise ValueError("batched tensors must be (N, 6) component arrays")
+        raise InvalidParameter("batched tensors must be (N, 6) component arrays")
     return [SymTensor(*np.ascontiguousarray(a.T)) for a in arrays]
 
 

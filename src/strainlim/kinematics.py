@@ -112,7 +112,7 @@ def _state_from_f(F: np.ndarray) -> DeformationState:
     H = sym_log(B) * 0.5
     d = det(F)
     if d <= 1e-14:
-        raise Singular(f"det F = {d!r} is not positive")
+        raise Singular(f"det F = {d!r} is not a finite number above 1e-14")
     # summed entry by entry in row-major order; np.linalg.norm changes the last digits
     delta0 = math.sqrt(sum(x * x for x in (F - np.eye(3)).ravel().tolist()))
     if not (d < math.inf and delta0 < math.inf):  # NaN fails too

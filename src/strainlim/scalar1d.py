@@ -6,8 +6,8 @@ relative condition number of S with respect to E is kappa = 1 + |a S|^p.
 The inversion below is conditioning-optimal (the only error left is the
 unavoidable kappa * ulp), but no float64 algorithm can beat that floor.
 The relation is the power_law family's scalar version: each function takes
-that `FamilySpec` and a delta, raises ValueError for any other kind and
-leaves the delta to `check_delta`.
+that `FamilySpec` and a delta, raises InvalidParameter for any other kind
+and leaves the delta to `check_delta`.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .families import FamilySpec, check_delta
 
 def _check_scalar(spec: FamilySpec, delta: float) -> None:
     if spec.kind != "power_law":
-        raise ValueError("the scalar relation requires the power_law family")
+        raise InvalidParameter("the scalar relation requires the power_law family")
     check_delta(spec, delta)
 
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from strainlim import analysis, families
 from strainlim.analysis import (
@@ -19,9 +21,12 @@ from strainlim.errors import (
     InvalidParameter,
     OutOfDomain,
 )
-from strainlim.families import FamilySpec, certified_domain, family_eval, leading_gap
+from strainlim.families import (FamilySpec, certified_domain, delta_ceiling, family_eval,
+                                leading_gap)
 from strainlim.kinematics import RotationSpec
 from strainlim.symtensor import SymTensor, frobenius
+
+from draws import rotation
 
 POWER = FamilySpec(kind="power_law", a=1.0, p=2.0)
 RECIP = FamilySpec(kind="density_modulus_reciprocal", E0=1.0, nu=0.3, a=0.3, b=0.5, c=1.0)
@@ -102,6 +107,17 @@ def test_ladder_validation():
             RotationSpec(*args)
 
 
+def test_a_ladder_that_loses_its_rungs_names_each_failure():
+    # no rung of this stiff study solves (Newton's line search stalls), so each
+    # failure is recorded and the fit refuses with all of them in its message
+    stiff = FamilySpec(kind="density_modulus_reciprocal", E0=1.0, nu=0.45, a=0.9, c=3.0)
+    S = SymTensor(0.45057716151826754, 1.7732717025175075, 1.418711129001391,
+                  -0.4224179813496206, -0.6189389823198892, -0.17788963219188111)
+    with pytest.raises(FitUnderdetermined, match="only 0 successful rows") as info:
+        run_convergence(stiff, S, ROT, [2.0 ** -k for k in range(11, 15)])
+    assert str(info.value).count("NoConvergence: line search stalled") == 4
+
+
 def test_green_convergence_power_law():
     rep = run_convergence(POWER, SBAR, ROT, LADDER)
     assert not rep.failures
@@ -154,6 +170,51 @@ def test_deformation_stays_first_order_in_delta():
         assert r.delta0 <= cap
 
 
+def _turned(Q, S):
+    # Q S Q^T read entry by entry, so a slip in SymTensor.from_matrix cannot
+    # hide in the turned input
+    M = (Q @ S.as_matrix() @ Q.T).tolist()
+    return SymTensor(M[0][0], M[1][1], M[2][2], M[0][1], M[0][2], M[1][2])
+
+
+FRAME_SPECS = {"power_law": POWER, "reciprocal": RECIP,
+               "direct": FamilySpec(kind="density_modulus_direct", E0=1.0, nu=0.3, a=0.3, c=1.0)}
+COLUMNS = ("delta0", "residual_full", "residual_leading", "stress_gap", "strain_gap")
+
+
+@pytest.mark.parametrize("route", [run_convergence, run_convergence_hencky])
+@pytest.mark.parametrize("name", sorted(FRAME_SPECS))
+@settings(max_examples=10, deadline=None)
+@given(
+    q=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4).filter(
+        lambda q: np.linalg.norm(q) > 0.1),
+    seed=st.integers(0, 2 ** 32 - 1),
+    frac=st.floats(0.01, 0.99),
+    coefficient=st.floats(0.0, 2.0),
+)
+def test_convergence_columns_are_frame_indifferent(route, name, q, seed, frac, coefficient):
+    # turning the stress and the rotation axis by Q turns F, eps and sigma by Q,
+    # so no column, a Frobenius norm, moves. Each solve is within tol / (1 - L)
+    # of the fixed point (tol = 1e-13, strain Lipschitz constant L < 1/2), so
+    # the turned solutions differ by at most 4e-13. F = R (I + 2E)^(1/2) or
+    # e^H R follows the solution at a slope near 1 for these O(delta) strains,
+    # and eps, sigma = sym(F S) and f_delta follow F at slopes below 1 + c = 2:
+    # a factor of 5 covers both, so a column moves by at most 5 * 4e-13 = 2e-12
+    spec, Q = FRAME_SPECS[name], rotation(q)
+    rng = np.random.default_rng(seed)
+    S = SymTensor(*ball_points(rng.standard_normal(6), rng.random(), 0.9 * spec.c).tolist())
+    axis = rng.standard_normal(3)
+    axis /= np.linalg.norm(axis)
+    deltas = [frac * delta_ceiling(spec) * 0.5 ** k for k in range(4)]
+    plain = route(spec, S, RotationSpec(tuple(axis.tolist()), coefficient), deltas)
+    turned = route(spec, _turned(Q, S), RotationSpec(tuple((Q @ axis).tolist()), coefficient),
+                   deltas)
+    assert not plain.failures and not turned.failures
+    for a, b in zip(plain.records, turned.records, strict=True):
+        for column in COLUMNS:
+            assert abs(getattr(a, column) - getattr(b, column)) <= 2e-12, column
+
+
 # --- certification ----------------------------------------------------------
 
 
@@ -168,6 +229,13 @@ def test_ball_point_moments_and_radius():
     ratios = r / radius
     assert abs(ratios.mean() - 6.0 / 7.0) < 0.005
     assert abs((ratios ** 2).mean() - 0.75) < 0.005
+
+
+def test_zero_draw_points_along_xx():
+    # an all-zero normal draw has no direction, so its point goes along +xx
+    gauss = np.array([[0.0] * 6, [0.0, 2.0, 0.0, 0.0, 0.0, 0.0]])
+    assert ball_points(gauss, np.ones(2), 0.7).tolist() == [[0.7, 0.0, 0.0, 0.0, 0.0, 0.0],
+                                                            [0.0, 0.7, 0.0, 0.0, 0.0, 0.0]]
 
 
 def test_certify_power_law_exact_columns():

@@ -397,6 +397,27 @@ def _run_expect_config_error(tmp_path, capsys, command, payload):
     return lines[0]
 
 
+def test_an_out_path_that_is_a_file_is_config_error(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("kept")
+    code = main(["solve", "--config", _write(tmp_path, "x.json", VALID["solve"]),
+                 "--out", str(taken)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, taken.read_text()) == (1, "", "kept")
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("FAIL config: cannot write outputs: ")
+
+
+def test_a_failed_replace_leaves_no_temporary_file(tmp_path, capsys, monkeypatch):
+    def refuse(src, dst):
+        raise OSError("replace refused")
+
+    monkeypatch.setattr(cli.os, "replace", refuse)
+    line = _run_expect_config_error(tmp_path, capsys, "solve", VALID["solve"])
+    assert line == "FAIL config: cannot write outputs: replace refused"
+    assert [p.name for p in tmp_path.iterdir()] == ["x.json"]
+
+
 @pytest.mark.parametrize("command", ["converge", "converge-hencky"])
 @pytest.mark.parametrize("axis", [[1.0, 1.0, 0.0], [0.0, 0.0, 1.4e154]])
 def test_non_unit_rotation_axis_is_config_error(tmp_path, capsys, command, axis):

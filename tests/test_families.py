@@ -595,8 +595,10 @@ def test_batch_shapes_and_broadcast():
     assert out.shape == (2, 6)
     assert out[1].tolist() == list(family_eval(RECIP, 0.01, ZERO, SymTensor(*S[1])).components())
     assert family_eval(RECIP, 0.01, np.zeros((0, 6)), np.zeros((0, 6))).shape == (0, 6)
-    with pytest.raises(ValueError):
-        family_eval(RECIP, 0.01, np.zeros((3, 5)), S[:1])
+    # shapes that do not broadcast, and a 1-D pair, are named errors
+    for E_rows, S_rows in ((np.zeros((3, 5)), S[:1]), (np.zeros(6), np.zeros(6))):
+        with pytest.raises(InvalidParameter, match=r"\(N, 6\)"):
+            family_eval(RECIP, 0.01, E_rows, S_rows)
 
 
 # --- frame indifference -----------------------------------------------------------

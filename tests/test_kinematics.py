@@ -158,6 +158,12 @@ def test_hencky_names_an_overflowing_metric():
         deformation_from_hencky(SymTensor(400.0, -400.0, 0.0), I3)
 
 
+def test_hencky_names_a_vanishing_determinant():
+    # det F = e^(tr H) = 2.3e-15 is positive but below the 1e-14 floor
+    with pytest.raises(Singular, match="2.31.*is not a finite number above 1e-14"):
+        deformation_from_hencky(SymTensor(-15.7, -15.7, -2.3), I3)
+
+
 def test_hencky_round_trip():
     rng = np.random.default_rng(17)
     for _ in range(200):

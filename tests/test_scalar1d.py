@@ -38,7 +38,7 @@ def test_params_validation():
                          ids=["density", "scaled_base"])
 def test_scalar_maps_need_the_power_law_family(spec):
     for call in _scalar_calls(spec, DELTA):
-        with pytest.raises(ValueError, match="power_law"):
+        with pytest.raises(InvalidParameter, match="power_law"):
             call()
 
 

@@ -101,13 +101,13 @@ def test_contraction_keeps_iteration_count_small():
 
 
 def test_newton_agrees_with_picard():
-    # Newton reaches a fixed point that Picard, started there, accepts at once
+    # Newton reaches a fixed point that Picard's own test accepts at once:
+    # |E - f_delta(E)| meets the tolerance in six components
     newton = solve_implicit(STIFF, 2.0 ** -11, NEWTON_S)
     assert newton.method == "newton"
     assert newton.residual <= 1e-13
-    picard = solve_implicit(STIFF, 2.0 ** -11, NEWTON_S, guess=newton.solution)
-    assert (picard.method, picard.iterations) == ("picard", 0)
-    assert picard.solution == newton.solution
+    E = newton.solution
+    assert frobenius(E - family_eval(STIFF, 2.0 ** -11, E, NEWTON_S)) <= 1e-13
 
 
 def test_stalled_solve_carries_its_best_residual(monkeypatch):
@@ -124,7 +124,7 @@ def test_stalled_solve_carries_its_best_residual(monkeypatch):
         solve_implicit(STIFF, 2.0 ** -14, S)
     assert info.value.best_residual == pytest.approx(5.72e-5, rel=1e-3)
     # the density kinds iterate on the line s m through phi; family_eval only
-    # checks a guess and an accepted solution
+    # checks an accepted solution
     assert len(calls) <= 2
 
 
@@ -135,6 +135,45 @@ def test_a_line_solution_meets_the_tolerance_in_six_components(monkeypatch):
     monkeypatch.setattr(strainlim.solver, "family_eval", shifted)
     with pytest.raises(NoConvergence):
         solve_implicit(RECIP, DELTA, SBAR)
+
+
+def test_singular_slope_is_no_convergence(monkeypatch):
+    # no family has phi' = 1 exactly, so a stand-in line gives it: phi(s) = s + 1
+    # has no fixed point, Picard's ratio is 1, and with |m| = 1e-7 the Newton
+    # probes sit at s = +-1, where the difference quotient is exactly 1
+    monkeypatch.setattr(strainlim.solver, "density_line",
+                        lambda spec, delta, S: (SymTensor(1e-7), lambda s: s + 1.0))
+    with pytest.raises(NoConvergence, match="singular") as info:
+        solve_implicit(RECIP, DELTA, SBAR)
+    assert info.value.best_residual == 1e-7
+
+
+def test_backtracking_that_leaves_the_domain_is_out_of_domain(monkeypatch):
+    # a stand-in line defined only for |s| <= 2e-7: with |m| = 1 the Newton
+    # probes at s = +-1e-7 are inside, but every trial of the step 1000, down to
+    # 1000 / 2^30, is not
+    def phi(s):
+        if abs(s) > 2e-7:
+            raise OutOfDomain("outside the stand-in line")
+        return 1000.0
+
+    monkeypatch.setattr(strainlim.solver, "density_line",
+                        lambda spec, delta, S: (SymTensor(1.0), phi))
+    with pytest.raises(OutOfDomain, match="backtracking"):
+        solve_implicit(RECIP, DELTA, SBAR)
+
+
+def test_iteration_budget_is_no_convergence(monkeypatch):
+    # NEWTON_S stalls Picard through its 20-step budget and Newton's first step
+    # meets the tolerance; no family needs 200 steps, so the budget is lowered
+    monkeypatch.setattr(strainlim.solver, "MAX_ITER", strainlim.solver.PICARD_BUDGET)
+    with pytest.raises(NoConvergence, match="20 iterations") as info:
+        solve_implicit(STIFF, 2.0 ** -11, NEWTON_S)
+    assert info.value.best_residual == pytest.approx(1.159e-10, rel=1e-3)
+    # the residual of the last allowed step is tested before the budget ends
+    monkeypatch.setattr(strainlim.solver, "MAX_ITER", strainlim.solver.PICARD_BUDGET + 1)
+    rep = solve_implicit(STIFF, 2.0 ** -11, NEWTON_S)
+    assert (rep.method, rep.iterations) == ("newton", 21)
 
 
 @pytest.mark.parametrize("solve", [solve_implicit, solve_implicit_hencky])
@@ -153,12 +192,6 @@ def test_density_solutions_are_exactly_s_times_m(solve, spec, delta, S):
             t = math.nextafter(t, direction)
             near.append(t)
     assert any(m * t == E for t in near)
-
-
-def test_guess_short_circuits():
-    exact = solve_implicit(RECIP, DELTA, SBAR).solution
-    rep = solve_implicit(RECIP, DELTA, SBAR, guess=exact)
-    assert rep.iterations <= 1
 
 
 def test_stress_outside_ball_raises():
