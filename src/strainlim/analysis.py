@@ -102,10 +102,10 @@ def fit_order(deltas, residuals) -> Optional[float]:
     (`errors.real`), a negative, NaN or inf residual or a delta that is not
     finite and positive raises InvalidParameter.
     """
+    deltas = [real(d, "delta") for d in deltas]  # any iterable, read once
+    residuals = [real(r, "residual") for r in residuals]
     if len(deltas) != len(residuals):
         raise InvalidParameter("deltas and residuals must have equal length")
-    deltas = [real(d, "delta") for d in deltas]
-    residuals = [real(r, "residual") for r in residuals]
     if not all(0.0 < d < math.inf for d in deltas):  # NaN fails too
         raise InvalidParameter(f"deltas must be finite and positive, got {deltas!r}")
     if not all(0.0 <= r < math.inf for r in residuals):  # NaN fails too
@@ -243,23 +243,21 @@ def certify_constants(
     rows = []
     for start in range(0, len(deltas), per_call):
         group = deltas[start:start + per_call]
-        n = len(group) * samples
-        try:
-            g_e, u_e, g_s, u_s, d_e, d_s = draws = [
-                np.empty(shape) for shape in ((n, 6), n, (n, 6), n, (n, 6), (n, 6))]
+        try:  # each rung draws in the order of a call of its own
+            g_e, u_e, g_s, u_s, d_e, d_s = map(np.concatenate, zip(*[(
+                rng.standard_normal((samples, 6)), rng.random(samples),
+                rng.standard_normal((samples, 6)), rng.random(samples),
+                rng.standard_normal((samples, 6)), rng.standard_normal((samples, 6)))
+                for _ in group]))
         except ValueError:  # numpy refuses the shape outright
             raise InvalidParameter("samples is past numpy's array size") from None
-        for rung in range(len(group)):  # the generator order of one rung per call
-            for a in draws:
-                part = a[rung * samples:(rung + 1) * samples]
-                (rng.random if a.ndim == 1 else rng.standard_normal)(out=part)
         delta = np.repeat(np.asarray(group, dtype=float), samples)
         r_e, r_s = (k * delta)[:, None], spec.c
         e1 = ball_points(g_e, u_e, r_e * shrink)
         s1 = ball_points(g_s, u_s, r_s * shrink)
         e2 = e1 + ball_points(d_e, 1.0, 1.0) * (r_e * PROBE_SCALE)
         s2 = s1 + ball_points(d_s, 1.0, 1.0) * (r_s * PROBE_SCALE)
-        del g_e, u_e, g_s, u_s, d_e, d_s, draws  # spent; freeing them lowers the peak
+        del g_e, u_e, g_s, u_s, d_e, d_s  # spent; the evaluations reuse their memory, faster
         f00 = family_eval(spec, delta, e1, s1)
         f10 = family_eval(spec, delta, e2, s1)
         f01 = family_eval(spec, delta, e1, s2)

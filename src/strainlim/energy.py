@@ -27,7 +27,7 @@ import numpy as np
 from .errors import InvalidParameter, NoConvergence, OutOfDomain, Saturation
 from .families import FamilySpec, check_ball, check_delta, family_leading
 from .scalar1d import one_minus_abs_pow
-from .symtensor import SymTensor, central_differences, frobenius, inner, is_finite
+from .symtensor import SymTensor, central_differences, columns, frobenius, inner, is_finite
 
 # kinds whose leading profile is a gradient field: power_law always, and
 # scaled_base when its base is a gradient in the stress argument (the
@@ -133,11 +133,12 @@ def complementary_gradient(spec: FamilySpec, Sbar):
     Same six-component convention as green_stress: off-diagonal quotients
     are halved. The step is 1e-5 max(min(1, c), |Sbar|), so probes stay in a
     stress ball of any radius c when |Sbar| leaves a little headroom below c.
-    (N, 6) stresses give (N, 6) gradients, batched as in `families`;
-    scaled_base integrates all 12 N probes at once.
+    A batch (`columns`) gives (N, 6) gradients; scaled_base integrates all
+    12 N probes at once.
     """
-    points = ([Sbar] if isinstance(Sbar, SymTensor)
-              else [SymTensor(*S) for S in np.asarray(Sbar, dtype=float).tolist()])
+    single = isinstance(Sbar, SymTensor) and not isinstance(Sbar.xx, np.ndarray)
+    points = [Sbar] if single else [
+        SymTensor(*row) for row in zip(*(c.tolist() for c in columns(Sbar)[0].components()))]
     floor = min(1.0, spec.c)
     if not _GRAD_STEP * floor > 0.0:
         raise InvalidParameter(f"the gradient step underflows for c = {spec.c!r}")
@@ -147,7 +148,7 @@ def complementary_gradient(spec: FamilySpec, Sbar):
     else:
         fn = lambda P: [complementary_energy(spec, SymTensor(*S)) for S in P]
     grads = _central_gradient(fn, points, steps)
-    return SymTensor(*grads[0]) if isinstance(Sbar, SymTensor) else np.reshape(grads, (-1, 6))
+    return SymTensor(*grads[0]) if single else np.reshape(grads, (-1, 6))
 
 
 def green_stress(spec: FamilySpec, delta: float, eps: SymTensor) -> SymTensor:

@@ -20,8 +20,8 @@ for moderate stresses, so the working radius covers the full guaranteed
 range of f_delta with 5% headroom while staying inside the
 modulus-positivity region.
 
-`family_eval`, `family_leading` and `leading_gap` also take (N, 6) arrays of
-components (xx, yy, zz, xy, xz, yz) and return (N, 6) arrays ((N,) norms for
+`family_eval`, `family_leading` and `leading_gap` also take batches, which
+`symtensor.columns` reads, and return (N, 6) arrays ((N,) norms for
 `leading_gap`), raising the scalar call's error for the first failing row;
 `family_eval` and `leading_gap` also take an (N,) column of deltas. A batch
 runs the same formulas as a SymTensor whose components are numpy columns;
@@ -51,7 +51,7 @@ from .errors import (
     SingularLeading,
     real,
 )
-from .symtensor import SymTensor, det, frobenius, trace
+from .symtensor import SymTensor, columns, det, frobenius, trace
 
 # each kind -> the FamilySpec fields it reads; every other field keeps its default
 KINDS = {
@@ -224,19 +224,12 @@ def check_delta(spec: FamilySpec, delta) -> None:
                "delta {0!r} is below the smallest normal float {1!r}", _SMALLEST_NORMAL)
 
 
-def _columns(*tensors):
-    """SymTensors of (N,) columns from SymTensor or (N, 6) array arguments;
-    InvalidParameter for any other shape, shapes that do not broadcast too."""
-    try:
-        arrays = np.broadcast_arrays(*[
-            np.asarray(t.components() if isinstance(t, SymTensor) else t, dtype=float)
-            for t in tensors
-        ])
-    except ValueError:  # shapes that do not broadcast, or rows numpy cannot read
-        arrays = [np.empty(0)]
-    if arrays[0].ndim != 2 or arrays[0].shape[1] != 6:
-        raise InvalidParameter("batched tensors must be (N, 6) component arrays")
-    return [SymTensor(*np.ascontiguousarray(a.T)) for a in arrays]
+def _batch(delta, *batches) -> list:
+    """`columns(*batches)`; InvalidParameter unless delta is a number or an (N,) column."""
+    cols = columns(*batches)
+    if np.ndim(delta) and np.shape(delta) != cols[0].xx.shape:
+        raise InvalidParameter(f"delta of shape {np.shape(delta)} for {len(cols[0].xx)} rows")
+    return cols
 
 
 def _rows(A: SymTensor) -> np.ndarray:
@@ -330,21 +323,22 @@ def _scaled_leading(spec: FamilySpec, Etilde: SymTensor, Sbar: SymTensor) -> Sym
     # a user base sees a batch one row at a time
     rows = [spec.base(SymTensor(*e), SymTensor(*s)).components()
             for e, s in zip(_rows(Etilde * d1).tolist(), _rows(Sbar).tolist())]
-    return SymTensor(*np.array(rows, dtype=float).reshape(-1, 6).T) * (1.0 / d1)
+    return columns(np.reshape(rows, (-1, 6)))[0] * (1.0 / d1)
 
 
 def family_eval(spec: FamilySpec, delta: float, E, Sbar):
     """Evaluate f_delta(E, Sbar) on the working domain.
 
     Raises InadmissibleDelta unless `check_delta` admits delta, and
-    OutOfDomain outside B(0, k*delta) x B(0, c). (N, 6) arrays give an
-    (N, 6) array; with them `delta` may also be an (N,) column, one delta
-    per row.
+    OutOfDomain outside B(0, k*delta) x B(0, c). With (N, 6) arrays or an
+    (N,) column of deltas, one per row, the call is a batch (`columns`) and
+    gives an (N, 6) array; any other delta array raises InvalidParameter.
     """
     check_delta(spec, delta)
-    if isinstance(E, SymTensor) and isinstance(Sbar, SymTensor):
+    if (isinstance(E, SymTensor) and isinstance(Sbar, SymTensor)
+            and not isinstance(delta, np.ndarray)):  # the scalar path tests no shape
         return _eval(spec, delta, E, Sbar)
-    return _rows(_eval(spec, delta, *_columns(E, Sbar)))
+    return _rows(_eval(spec, delta, *_batch(delta, E, Sbar)))
 
 
 def _eval(spec, delta: float, E: SymTensor, Sbar: SymTensor) -> SymTensor:
@@ -367,7 +361,7 @@ def family_leading(spec: FamilySpec, Etilde, Sbar):
     """
     if isinstance(Etilde, SymTensor) and isinstance(Sbar, SymTensor):
         return _leading(spec, Etilde, Sbar)
-    return _rows(_leading(spec, *_columns(Etilde, Sbar)))
+    return _rows(_leading(spec, *columns(Etilde, Sbar)))
 
 
 def _leading(spec: FamilySpec, Etilde: SymTensor, Sbar: SymTensor) -> SymTensor:
@@ -389,11 +383,11 @@ def leading_gap(spec: FamilySpec, delta: float, E, Sbar, f_delta=None):
     """|f_delta(E, S) - delta f_1(E/delta, S)|.
 
     Exactly zero for power_law and scaled_base (definitional identity,
-    same float path); O(delta^2) for the density kinds. (N, 6) arrays
-    give the (N,) row norms; `delta` may then be an (N,) column. `f_delta`
+    same float path); O(delta^2) for the density kinds. A batch gives the
+    (N,) row norms; `delta` may then be an (N,) column. `f_delta`
     is `family_eval(spec, delta, E, Sbar)` when the caller already has it.
     """
     full = family_eval(spec, delta, E, Sbar) if f_delta is None else f_delta
-    d = delta[..., None] if isinstance(delta, np.ndarray) else delta
-    lead = family_leading(spec, E * (1.0 / d), Sbar) * d
-    return frobenius(full - lead)
+    if isinstance(delta, np.ndarray) or not all(isinstance(t, SymTensor) for t in (E, Sbar, full)):
+        E, Sbar, full = _batch(delta, E, Sbar, full)
+    return frobenius(full - family_leading(spec, E * (1.0 / delta), Sbar) * delta)

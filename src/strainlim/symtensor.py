@@ -3,12 +3,13 @@
 Symmetric tensors are stored as six plain floats so the hot operations
 (norm, trace, determinant) stay allocation-free; full 3x3 values only
 appear on the spectral paths. Components may also be numpy columns, which
-`frobenius`, `trace`, `det` and the arithmetic then treat row by row. A
-general 3x3 tensor (a deformation gradient, a rotation, an eigenframe) is
-a float (3, 3) numpy array: `det` also takes one, `inverse` only takes one. The
-eigensolver is `np.linalg.eigh` (LAPACK's symmetric solver `syevd`), which,
-unlike the closed-form cubic, does not lose accuracy near repeated
-eigenvalues. The module needs numpy only.
+`frobenius`, `trace`, `det` and the arithmetic then treat row by row; `columns`
+alone turns (N, 6) arrays of components into such tensors. A general 3x3
+tensor (a deformation gradient, a rotation, an eigenframe) is a float (3, 3)
+numpy array: `det` also takes one, `inverse` only takes one. The eigensolver
+is `np.linalg.eigh` (LAPACK's symmetric solver `syevd`), which, unlike the
+closed-form cubic, does not lose accuracy near repeated eigenvalues. The
+module needs numpy only.
 """
 
 from __future__ import annotations
@@ -103,8 +104,23 @@ class Spectrum:
     frame: np.ndarray
 
 
+def columns(*batches) -> list:
+    """SymTensors of (N,) columns from batches: (N, 6) component arrays, or SymTensors
+    of one row or of (N,) columns. The one reader of the (N, 6) format; any other
+    shape, and row counts that do not broadcast, raise InvalidParameter."""
+    try:
+        arrays = [np.atleast_2d(np.asarray(b.components(), dtype=float).T)
+                  if isinstance(b, SymTensor) else np.asarray(b, dtype=float) for b in batches]
+        if any(a.shape[1:] != (6,) for a in arrays):
+            raise ValueError
+        arrays = np.broadcast_arrays(*arrays)
+    except (TypeError, ValueError, OverflowError):  # rows numpy cannot read as floats too
+        raise InvalidParameter("batched tensors must be (N, 6) component arrays") from None
+    return [SymTensor(*np.ascontiguousarray(a.T)) for a in arrays]
+
+
 def frobenius(A):
-    """Frobenius norm sqrt(tr(A A^T)); (N,) row norms for columns or (N, 6) arrays."""
+    """Frobenius norm sqrt(tr(A A^T)); (N,) row norms for columns or a `columns` batch."""
     if isinstance(A, SymTensor):
         try:
             s = (A.xx * A.xx + A.yy * A.yy + A.zz * A.zz
@@ -112,7 +128,7 @@ def frobenius(A):
         except OverflowError:  # an int squared past the float range: inf, as for a float
             return math.inf
         return math.sqrt(s) if isinstance(s, float) else np.sqrt(s)
-    return frobenius(SymTensor(*A.T))
+    return frobenius(*columns(A))
 
 
 def is_finite(A: SymTensor) -> bool:

@@ -58,6 +58,15 @@ def test_fit_order_skips_exact_zeros():
     assert fit_order(ds, rs) == pytest.approx(2.0, abs=1e-10)
 
 
+def test_fit_order_reads_any_iterable():
+    # as run_convergence and certify_constants do; the lengths compare after the reads
+    ds = [1.0, 0.5, 0.25, 0.125]
+    want = fit_order(ds, [d * d for d in ds])
+    assert fit_order(iter(ds), (d * d for d in ds)) == want == pytest.approx(2.0, abs=1e-12)
+    with pytest.raises(InvalidParameter):
+        fit_order(iter(ds), iter([1.0, 2.0]))
+
+
 def test_fit_order_validation():
     ds = [0.1, 0.05, 0.025, 0.0125]
     with pytest.raises(ValueError):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from strainlim import energy
@@ -17,7 +19,7 @@ from strainlim.errors import (InadmissibleDelta, InvalidParameter, NoConvergence
 from strainlim.families import FamilySpec, family_leading
 from strainlim.symtensor import SymTensor, frobenius, inner
 
-from draws import ball
+from draws import ball, rotation
 
 # conjugate stresses of strains near the limit run well past |S| = 1, so the
 # energy tests widen the stress ball
@@ -264,8 +266,11 @@ CUBIC = FamilySpec(kind="power_law", a=1.0, p=3.0, c=3.0)
 def test_batched_gradient_equals_per_stress_calls(family):
     rng = np.random.default_rng(103)
     stresses = [ball(rng, 0.9 * family.c) for _ in range(20)] + [ZERO]
-    batch = complementary_gradient(family, np.array([S.components() for S in stresses]))
+    rows = np.array([S.components() for S in stresses])
+    batch = complementary_gradient(family, rows)
     assert batch.shape == (len(stresses), 6)
+    # a SymTensor of (N,) columns is the same batch
+    assert np.array_equal(complementary_gradient(family, SymTensor(*rows[:3].T)), batch[:3])
     for S, row in zip(stresses, batch.tolist()):
         assert row == list(complementary_gradient(family, S).components())
     one = complementary_gradient(family, np.array([stresses[0].components()]))
@@ -319,3 +324,26 @@ def test_non_finite_stress_is_out_of_domain(family, bad):
         complementary_energy(family, S)
     with pytest.raises(OutOfDomain):
         complementary_gradient(family, S)
+
+
+def _turn(Q, A):
+    return SymTensor.from_matrix(Q @ A.as_matrix() @ Q.T)
+
+
+@pytest.mark.parametrize("family", [POWER, CUBIC, UNIT_SCALED], ids=["p2", "p3", "scaled_base"])
+@settings(max_examples=10, deadline=None)
+@given(q=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4).filter(
+           lambda q: np.linalg.norm(q) > 0.1),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_energy_maps_are_frame_indifferent(family, q, seed):
+    # W*(Q S Q^T) = W*(S) and grad W*(Q S Q^T) = Q grad W*(S) Q^T. Turning S
+    # in floats moves |S| < 2.7 by a few ulps (about 1e-15) and |grad W*| < 1,
+    # so W* moves by as little: 5e-14 leaves a margin. The central differences
+    # are not equivariant: their truncation error h^2 |W*'''| / 6 at h = 1e-5
+    # and their rounding eps |W*| / h each stay near 1e-10, hence 1e-9.
+    Q = rotation(q)
+    S = ball(np.random.default_rng(seed), 0.9 * family.c)
+    QS = _turn(Q, S)
+    assert abs(complementary_energy(family, QS) - complementary_energy(family, S)) <= 5e-14
+    moved = complementary_gradient(family, QS) - _turn(Q, complementary_gradient(family, S))
+    assert frobenius(moved) <= 1e-9

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strainlim.analysis import ball_points
+from strainlim.energy import complementary_gradient
 from strainlim.errors import (
     InadmissibleDelta,
     InvalidParameter,
@@ -20,6 +21,7 @@ from strainlim.families import (
     FamilySpec,
     certified_domain,
     certify_caps,
+    check_ball,
     check_delta,
     delta_ceiling,
     density_line,
@@ -599,6 +601,53 @@ def test_batch_shapes_and_broadcast():
     for E_rows, S_rows in ((np.zeros((3, 5)), S[:1]), (np.zeros(6), np.zeros(6))):
         with pytest.raises(InvalidParameter, match=r"\(N, 6\)"):
             family_eval(RECIP, 0.01, E_rows, S_rows)
+
+
+# the batch rule: `symtensor.columns` alone reads (N, 6) arrays, and every entry
+# point that takes a batch refuses anything else with InvalidParameter
+_D = 0.01
+_ROWS = np.full((3, 6), 0.001)
+_NOT_BATCHES = {"(N, 5)": np.zeros((3, 5)), "(N, 7)": np.zeros((3, 7)), "(N, 1)": np.zeros((3, 1)),
+                "1-D": np.zeros(6), "3-D": np.zeros((2, 3, 6)), "str": "0.01"}
+_PAIRS = {**{"E " + k: (A, _ROWS) for k, A in _NOT_BATCHES.items()},
+          **{"Sbar " + k: (_ROWS, A) for k, A in _NOT_BATCHES.items()},
+          "no broadcast": (_ROWS, np.zeros((4, 6)))}
+_BAD_DELTAS = {"delta (1, 1)": np.full((1, 1), _D), "delta (N + 1,)": np.full(4, _D)}
+_F_ROWS = family_eval(RECIP, _D, _ROWS, _ROWS)
+BAD_BATCH_CALLS = {
+    "frobenius": {k: lambda A=A: frobenius(A) for k, A in _NOT_BATCHES.items()},
+    "check_ball": {k: lambda A=A: check_ball("E", A, 1.0) for k, A in _NOT_BATCHES.items()},
+    "complementary_gradient": {k: lambda A=A: complementary_gradient(POWER, A)
+                               for k, A in _NOT_BATCHES.items()},
+    "family_leading": {k: lambda p=p: family_leading(RECIP, *p) for k, p in _PAIRS.items()},
+    "family_eval": {**{k: lambda p=p: family_eval(RECIP, _D, *p) for k, p in _PAIRS.items()},
+                    **{k: lambda d=d: family_eval(RECIP, d, _ROWS, _ROWS)
+                       for k, d in _BAD_DELTAS.items()}},
+    "leading_gap": {**{k: lambda p=p: leading_gap(RECIP, _D, *p) for k, p in _PAIRS.items()},
+                    **{k + note: lambda d=d, f=f: leading_gap(RECIP, d, _ROWS, _ROWS, f)
+                       for k, d in _BAD_DELTAS.items()
+                       for note, f in (("", None), (" with f_delta", _F_ROWS))}},
+}
+
+
+@pytest.mark.parametrize("entry", BAD_BATCH_CALLS)
+def test_every_bad_batch_is_an_invalid_parameter(entry):
+    raised = {k: _raised(call) for k, call in BAD_BATCH_CALLS[entry].items()}
+    assert all(error is InvalidParameter for error in raised.values()), raised
+
+
+def test_leading_gap_reads_symtensor_columns_as_rows():
+    rng = np.random.default_rng(5)
+    delta = rng.uniform(0.2, 0.8, 4) * delta_ceiling(RECIP)
+    E = ball_points(rng.standard_normal((4, 6)), rng.random(4),
+                    (certified_domain(RECIP) * delta)[:, None])
+    S = _in_ball(rng, 4, RECIP.c)
+    gap = leading_gap(RECIP, delta, E, S)
+    assert gap.shape == (4,) and np.all(gap > 0.0)
+    cols = [SymTensor(*A.T) for A in (E, S)]
+    assert np.array_equal(leading_gap(RECIP, delta, *cols), gap)
+    assert np.array_equal(frobenius(family_eval(RECIP, delta, *cols)),
+                          frobenius(family_eval(RECIP, delta, E, S)))
 
 
 # --- frame indifference -----------------------------------------------------------

@@ -117,3 +117,21 @@ def test_only_errors_imports_numbers(path):
     # one rule decides what a number is: `errors.real` and `errors.integer`
     imports = set(_imported_modules(ast.parse(path.read_text(), filename=str(path))))
     assert ("numbers" in imports) == (path.stem == "errors"), path.name
+
+
+def _transposed_unpacks(tree):
+    """Lines that build a SymTensor from the unpacked columns of an array, `SymTensor(*A.T)`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and "SymTensor" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+            if any(isinstance(arg, ast.Starred) and any(
+                    isinstance(n, ast.Attribute) and n.attr == "T" for n in ast.walk(arg))
+                   for arg in node.args):
+                yield node.lineno
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_only_symtensor_reads_the_batch_format(path):
+    # one reader of (N, 6) arrays: `symtensor.columns` unpacks their columns
+    found = list(_transposed_unpacks(ast.parse(path.read_text(), filename=str(path))))
+    assert bool(found) == (path.stem == "symtensor"), (path.name, found)
