@@ -63,8 +63,8 @@ def _echo(value):
     if isinstance(value, RotationSpec):
         return {"axis": list(value.axis), "coefficient": value.magnitude_coefficient}
     if isinstance(value, FamilySpec):
-        return {name: _echo(getattr(value, name)) for name in ("kind", *value.reads)}
-    return "custom" if callable(value) else value
+        return {name: _echo(getattr(value, name)) for name in ("kind", *KINDS[value.kind])}
+    return value
 
 
 def _require(cond, msg):

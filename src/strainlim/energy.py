@@ -29,9 +29,8 @@ from .families import FamilySpec, check_ball, check_delta, family_leading
 from .scalar1d import one_minus_abs_pow
 from .symtensor import SymTensor, central_differences, columns, frobenius, inner, is_finite
 
-# kinds whose leading profile is a gradient field: power_law always, and
-# scaled_base when its base is a gradient in the stress argument (the
-# built-in "power_law" base is)
+# kinds whose leading profile is a gradient field: power_law, and scaled_base,
+# whose built-in base is the power-law profile
 ENERGY_KINDS = ("power_law", "scaled_base")
 _QUAD_TOL = 1e-12
 _GRAD_STEP = 1e-5
@@ -69,8 +68,8 @@ def _radial_quad(a: float, p: float, s: float) -> float:
 
 
 def _line_integrals(spec: FamilySpec, rows: np.ndarray) -> np.ndarray:
-    # W*(S) = int_0^1 <f_1(0, t S), S> dt for each row S, exact for any
-    # gradient base; one family_leading call takes every ray at every node
+    # W*(S) = int_0^1 <f_1(0, t S), S> dt for each row S, exact because the
+    # leading profile is a gradient; one family_leading call takes every ray at every node
     check_ball("Sbar", rows, spec.c)
     if len(rows) > _BATCH_ROWS:
         return np.concatenate([_line_integrals(spec, rows[i:i + _BATCH_ROWS])

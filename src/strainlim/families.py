@@ -7,8 +7,8 @@ Four kinds are implemented:
   E_delta = delta^{-1} E0 [1 + a delta^{-1} ((det(I+2E))^{-1/2} - 1)].
 - density_modulus_direct: same numerator with
   E_delta = delta^{-1} E0 [1 + a delta^{-1} ((det(I+2E))^{1/2} - 1)]^{-1}.
-- scaled_base: (delta/delta1) f(delta1 E / delta, S) for a supplied bounded
-  Lipschitz base f with |f| <= delta1.
+- scaled_base: (delta/delta1) f(delta1 E / delta, S) for the built-in base
+  f = delta1 times the power-law profile, with |f| <= delta1; stress-only.
 
 Stresses stay in B(0, c) for every kind. Strains stay in one of two
 concentric balls B(0, k*delta), whose coefficients k `certified_domain` and
@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Callable, Union
 
 import numpy as np
 
@@ -55,7 +54,7 @@ from .symtensor import SymTensor, columns, det, frobenius, trace
 
 # each kind -> the FamilySpec fields it reads; every other field keeps its default
 KINDS = {
-    "scaled_base": ("b", "c", "delta1", "base"),
+    "scaled_base": ("b", "c", "delta1", "base", "a", "p"),
     "power_law": ("a", "p", "c"),
     "density_modulus_reciprocal": ("a", "E0", "nu", "b", "c"),
     "density_modulus_direct": ("a", "E0", "nu", "b", "c"),
@@ -73,12 +72,12 @@ class FamilySpec:
 
     `a` is dimensionless for the density kinds and an inverse-stress scale
     for power_law; `b` and `c` are the certified strain/stress ball
-    coefficients. scaled_base needs a `base`: a callable (Etilde, Sbar) ->
-    SymTensor bounded by delta1, or "power_law" naming the built-in profile
-    (the serializable choice). The admissible deltas follow from these
-    constants alone (see `delta_ceiling`). Building a spec stores each number
-    as a float (`errors.real`) and raises InvalidParameter for any bad value,
-    and then for any field outside `reads` that differs from its default.
+    coefficients. scaled_base needs `base="power_law"`, the built-in
+    profile. The admissible deltas follow from these constants alone (see
+    `delta_ceiling`). Building a spec stores each number as a float
+    (`errors.real`) and raises InvalidParameter for any bad value, and then
+    for any field outside its kind's `KINDS` entry that differs from its
+    default.
     """
 
     kind: str
@@ -89,7 +88,7 @@ class FamilySpec:
     b: float = 0.5
     c: float = 1.0
     delta1: float = 0.05
-    base: Union[Callable, str, None] = None
+    base: str | None = None
 
     def __post_init__(self):
         if not (isinstance(self.kind, str) and self.kind in KINDS):
@@ -111,9 +110,8 @@ class FamilySpec:
             raise InvalidParameter("delta1 must be positive and finite")
         if self.kind in DENSITY_KINDS and self.a * self.b >= 0.5:
             raise InvalidParameter("density kinds require a*b < 1/2")
-        if not (callable(self.base) or self.base in (None, "power_law")):
-            raise InvalidParameter(
-                f"base must be None, a callable or 'power_law', got {self.base!r}")
+        if self.base not in (None, "power_law"):
+            raise InvalidParameter(f"base must be None or 'power_law', got {self.base!r}")
         if self.kind == "scaled_base" and self.base is None:
             raise InvalidParameter("scaled_base requires a base profile")
         if self.kind == "power_law" or self.base == "power_law":
@@ -126,17 +124,11 @@ class FamilySpec:
                 raise InvalidParameter("(a*c)^p overflows a float")
         for field in fields(self)[1:]:
             value = getattr(self, field.name)
-            if field.name not in self.reads and value != field.default:
-                owner = self.kind + (" with a callable base" if callable(self.base) else "")
-                raise InvalidParameter(f"{owner} does not read {field.name}, got {value!r}")
+            if field.name not in KINDS[self.kind] and value != field.default:
+                raise InvalidParameter(f"{self.kind} does not read {field.name}, got {value!r}")
         # (working coefficient k, delta_ceiling), computed once per spec; a plain
         # attribute keeps attribute reads on the spec on CPython's fast path
         object.__setattr__(self, "_working", (working_domain(self), delta_ceiling(self)))
-
-    @property
-    def reads(self) -> tuple:
-        """The fields this spec reads: its `KINDS` entry, plus a and p for the built-in base."""
-        return KINDS[self.kind] + (("a", "p") if self.base == "power_law" else ())
 
 
 def _density_guaranteed_coeff(spec: FamilySpec) -> float:
@@ -313,17 +305,11 @@ def density_line(spec: FamilySpec, delta: float, Sbar: SymTensor):
     return m, phi
 
 
-def _scaled_leading(spec: FamilySpec, Etilde: SymTensor, Sbar: SymTensor) -> SymTensor:
+def _scaled_leading(spec: FamilySpec, Sbar: SymTensor) -> SymTensor:
+    # the base delta1 f_1 and its rescaling by 1/delta1; x * d1 * (1/d1) is not
+    # always x in floats, and the outputs keep those roundings
     d1 = spec.delta1
-    if not callable(spec.base):
-        # built-in: the power-law profile scaled to the |f| <= delta1 convention
-        return _power_leading(spec.a, spec.p, Sbar) * d1 * (1.0 / d1)
-    if not isinstance(Sbar.xx, np.ndarray):
-        return spec.base(Etilde * d1, Sbar) * (1.0 / d1)
-    # a user base sees a batch one row at a time
-    rows = [spec.base(SymTensor(*e), SymTensor(*s)).components()
-            for e, s in zip(_rows(Etilde * d1).tolist(), _rows(Sbar).tolist())]
-    return columns(np.reshape(rows, (-1, 6)))[0] * (1.0 / d1)
+    return _power_leading(spec.a, spec.p, Sbar) * d1 * (1.0 / d1)
 
 
 def family_eval(spec: FamilySpec, delta: float, E, Sbar):
@@ -349,7 +335,7 @@ def _eval(spec, delta: float, E: SymTensor, Sbar: SymTensor) -> SymTensor:
         # residual of this kind is bit-equal to the full residual
         return _power_leading(spec.a, spec.p, Sbar) * delta
     if spec.kind == "scaled_base":
-        return _scaled_leading(spec, E * (1.0 / delta), Sbar) * delta
+        return _scaled_leading(spec, Sbar) * delta
     factor = _modulus_factor(spec, delta, *_invariants(E))
     return _iso_numerator(spec.nu, Sbar) * factor
 
@@ -370,7 +356,7 @@ def _leading(spec: FamilySpec, Etilde: SymTensor, Sbar: SymTensor) -> SymTensor:
     if spec.kind == "power_law":
         return _power_leading(spec.a, spec.p, Sbar)
     if spec.kind == "scaled_base":
-        return _scaled_leading(spec, Etilde, Sbar)
+        return _scaled_leading(spec, Sbar)
     m = _iso_numerator(spec.nu, Sbar)
     if spec.kind == "density_modulus_reciprocal":
         den = 1.0 - spec.a * trace(Etilde)

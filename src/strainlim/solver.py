@@ -1,18 +1,19 @@
 """Fixed-point solver for the implicit relation E = f_delta(E, Sbar).
 
-One loop: Picard iteration from zero; if the residual ratio between
-successive iterates exceeds 0.9, the Picard budget runs out or an iterate
-leaves the domain, Newton on g(x) = x - F(x) from Picard's best iterate,
-with a central-difference derivative and a backtracking line search. For
-the density kinds f_delta(s m, Sbar) = phi(s) m (`families.density_line`),
-so the unknown x is the scalar s of E = s m: two phi probes give Newton's
-slope, and the six-component Newton step would be parallel to m anyway.
-Otherwise x is the six stored components of E, with the twelve family_eval
-probes of `symtensor.central_differences`; only a callable scaled_base base
-reaches that Newton, as the stress-only kinds converge in exactly one
-Picard step with residual exactly 0.0 (the second evaluation repeats the
-same floats). Residuals are six-component norms, |m| |s - phi(s)| on the
-line; a line solution reports |E - f_delta(E, Sbar)| at E = s m.
+Every kind is either stress-only or on a line. power_law and scaled_base
+(with its built-in base) read the stress alone, so the solution is
+E = f_delta(0, Sbar) in closed form: zero at 0 iterations when
+|E| <= 1e-13, otherwise E at 1 iteration, whose residual
+|E - f_delta(E, Sbar)| is exactly 0.0 (the second evaluation repeats the
+same floats and checks that E lies in the working ball). For the density
+kinds f_delta(s m, Sbar) = phi(s) m (`families.density_line`), so each fixed
+point is E = s m with s = phi(s), and one loop solves that scalar relation:
+Picard iteration from zero; if the residual ratio between successive
+iterates exceeds 0.9, the Picard budget runs out or an iterate leaves the
+domain, Newton on g(s) = s - phi(s) from Picard's best iterate, with a slope
+from two phi probes and a backtracking line search. Its residual is the
+six-component norm |m| |s - phi(s)|, and a solution reports
+|E - f_delta(E, Sbar)| at E = s m, which must meet the tolerance too.
 """
 
 from __future__ import annotations
@@ -20,11 +21,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import NonpositiveModulus, NoConvergence, OutOfDomain
 from .families import DENSITY_KINDS, FamilySpec, density_line, family_eval, working_domain
-from .symtensor import SymTensor, central_differences, frobenius
+from .symtensor import SymTensor, frobenius
 
 PICARD_BUDGET = 20
 MAX_ITER = 200
@@ -53,9 +52,10 @@ class SolveReport:
 def solve_implicit(spec: FamilySpec, delta: float, Sbar: SymTensor) -> SolveReport:
     """Solve E = f_delta(E, Sbar) to residual <= 1e-13.
 
-    Picard from zero, then Newton from Picard's best iterate. Raises
-    NoConvergence (with the best residual attached) or OutOfDomain when
-    iterates cannot be kept inside the working ball.
+    The closed form for a stress-only kind; for a density kind Picard from
+    zero, then Newton from Picard's best iterate. Raises NoConvergence (with
+    the best residual attached) or OutOfDomain when iterates cannot be kept
+    inside the working ball.
     """
     return _solve(spec, delta, Sbar)
 
@@ -70,84 +70,73 @@ def _solve(spec, delta, stress) -> SolveReport:
     # family_eval checks it): an absolute tolerance avoids demanding relative
     # accuracy below machine precision
     tol = 1e-13
+    if spec.kind not in DENSITY_KINDS:  # stress-only: E = f_delta(0, stress)
+        E = family_eval(spec, delta, SymTensor(), stress)
+        res = frobenius(E)
+        if res <= tol:
+            return _report(spec, delta, SymTensor(), 0, res, "picard")
+        res = frobenius(E - family_eval(spec, delta, E, stress))
+        return _report(spec, delta, E, 1, res, "picard")
+
+    m, phi = density_line(spec, delta, stress)
+    unit = frobenius(m)
     iterations, prev = 0, 0.0  # no ratio test before the second residual
-    line = spec.kind in DENSITY_KINDS
-    if line:
-        m, image = density_line(spec, delta, stress)
-        unit = frobenius(m)
-        size = lambda v: unit * abs(v)
-        x = 0.0
 
-        def newton_step(s, g):  # the same step in E as the six-component probes
-            h = FD_STEP * max(1.0, abs(s) * unit) / unit
-            return -g / (1.0 - (image(s + h) - image(s - h)) / (2.0 * h))
-    else:
-        image = lambda E: family_eval(spec, delta, E, stress)
-        size = frobenius
-        x = SymTensor()
+    def accept(s, method):
+        """The report at E = s m, or None if it misses tol in six components."""
+        E = m * s
+        res = frobenius(E - family_eval(spec, delta, E, stress))
+        return _report(spec, delta, E, iterations, res, method) if res <= tol else None
 
-        def newton_step(E, g):
-            h = FD_STEP * max(1.0, frobenius(E))
-            jac = np.transpose(central_differences(
-                lambda P: [np.array((e - image(e)).components())
-                           for e in (SymTensor(*p) for p in P)], E, h))
-            return SymTensor(*np.linalg.solve(jac, -np.array(g.components())).tolist())
-
-    def accept(x, res, method):
-        """The report at x, or None if a line point misses tol in six components."""
-        if line:
-            x = m * x
-            res = frobenius(x - family_eval(spec, delta, x, stress))
-        return _report(spec, delta, x, iterations, res, method) if res <= tol else None
-
-    best_x, best_res = x, math.inf
+    s, best_s, best_res = 0.0, 0.0, math.inf
     while True:
         try:
-            fx = image(x)
+            fs = phi(s)
         except _DOMAIN_ERRORS:
             break
-        res = size(x - fx)
+        res = unit * abs(s - fs)
         if res < best_res:
-            best_x, best_res = x, res
-        if res <= tol and (report := accept(x, res, "picard")):
+            best_s, best_res = s, res
+        if res <= tol and (report := accept(s, "picard")):
             return report
         if iterations >= PICARD_BUDGET or (prev > 0.0 and res / prev > RATIO_SWITCH):
             break
-        x = fx
+        s = fs
         prev = res
         iterations += 1
 
-    # Newton on g(x) = x - F(x); every accepted step lowers the residual, so
+    # Newton on g(s) = s - phi(s); every accepted step lowers the residual, so
     # the current one is the best
-    x = best_x
+    s = best_s
     while True:
-        g = x - image(x)  # domain errors at the current iterate are fatal here
-        res = size(g)
-        if res <= tol and (report := accept(x, res, "newton")):
+        g = s - phi(s)  # domain errors at the current iterate are fatal here
+        res = unit * abs(g)
+        if res <= tol and (report := accept(s, "newton")):
             return report
         if iterations >= MAX_ITER:  # the last step's residual is tested first
             raise NoConvergence(
                 f"no convergence in {MAX_ITER} iterations; best residual {res!r}",
                 best_residual=res,
             )
-        try:
-            step = newton_step(x, g)
-        except (np.linalg.LinAlgError, ZeroDivisionError):
+        try:  # the slope step is FD_STEP max(1, |E|) in E
+            h = FD_STEP * max(1.0, abs(s) * unit) / unit
+            step = -g / (1.0 - (phi(s + h) - phi(s - h)) / (2.0 * h))
+        except ZeroDivisionError:
             raise NoConvergence(
                 f"singular jacobian at residual {res!r}", best_residual=res
             )
         t = 1.0
         domain_blocked = True
         for _ in range(MAX_HALVINGS + 1):
-            trial = x + step * t
+            trial = s + step * t
             try:
-                rt = size(trial - image(trial))
+                rt = unit * abs(trial - phi(trial))
             except _DOMAIN_ERRORS:
                 t *= 0.5
                 continue
             domain_blocked = False
             if rt < res:
-                x = trial
+                s = trial
                 break
             t *= 0.5
         else:

@@ -183,7 +183,8 @@ def test_a_bad_number_gives_finite_numbers_or_a_named_error(case, value):
 
 
 @pytest.mark.parametrize("field, value", [("kind", "nope"), ("kind", 3), ("kind", ["power_law"]),
-                                          ("base", 5), ("base", "x"), ("base", True)])
+                                          ("base", 5), ("base", "x"), ("base", True),
+                                          ("base", lambda Et, S: S)])
 def test_a_bad_kind_or_base_is_an_invalid_parameter(field, value):
     with pytest.raises(InvalidParameter):
         FamilySpec(**dict({"kind": "scaled_base", "base": "power_law"}, **{field: value}))

@@ -40,6 +40,16 @@ def test_power_law_closes_in_one_step():
     assert frobenius(rep.solution - family_eval(POWER, DELTA, rep.solution, SBAR)) == 0.0
 
 
+def test_a_stress_only_solution_within_the_tolerance_is_zero():
+    S = SymTensor(1e-12)
+    for spec in (POWER, FamilySpec(kind="scaled_base", base="power_law")):
+        E = family_eval(spec, DELTA, SymTensor(), S)
+        assert 0.0 < frobenius(E) <= 1e-13
+        rep = solve_implicit(spec, DELTA, S)
+        assert (rep.solution, rep.iterations, rep.method) == (SymTensor(), 0, "picard")
+        assert rep.residual == frobenius(E)
+
+
 def test_zero_stress_is_free():
     rep = solve_implicit(RECIP, DELTA, SymTensor())
     assert rep.iterations == 0
@@ -199,19 +209,15 @@ def test_stress_outside_ball_raises():
         solve_implicit(POWER, DELTA, SymTensor(1.5, 0.0, 0.0))
 
 
-def test_expansive_base_is_solved_by_newton():
-    # a legal base (bounded by delta1) whose strain slope is ~2.5 has no
-    # contracting fixed point: Picard stalls and Newton finds the solution
-    d1 = 0.05
-
-    def base(Et, S):
-        return SymTensor(d1 * (0.5 + 0.5 * math.sin(100.0 * Et.xx)), 0.0, 0.0)
-
-    spec = FamilySpec(kind="scaled_base", base=base, delta1=d1)
-    S = SymTensor(0.1, 0.0, 0.0)
-    rep = solve_implicit(spec, 0.01, S)
-    assert rep.method == "newton"
-    assert frobenius(rep.solution - family_eval(spec, 0.01, rep.solution, S)) <= 1e-13
+def test_stress_only_solution_outside_the_working_ball_raises():
+    # delta1 = 0.05 and b = 0.01 give a working ball of radius 0.2 delta, which
+    # f_delta(0, S) leaves; the error names that norm, the closed-form solution's
+    S = SymTensor(0.5, 0.25, -0.125, 0.1, 0.0, 0.0)
+    spec = FamilySpec(kind="scaled_base", base="power_law", a=1.0, b=0.01)
+    E = family_eval(spec, 1e-3, SymTensor(), S)
+    assert frobenius(E) == pytest.approx(5.08e-4, rel=1e-3)
+    with pytest.raises(OutOfDomain, match=r"\|E\| = %r exceeds" % frobenius(E)):
+        solve_implicit(spec, 1e-3, S)
 
 
 def test_hencky_lane_same_contract():
@@ -230,16 +236,11 @@ def _turn(Q, A):
     return SymTensor.from_matrix(Q @ A.as_matrix() @ Q.T)
 
 
-def _isotropic_base(Et, S):
-    # bounded by delta1 = 0.05 and dependent on both arguments
-    return (S + Et * 0.1) * (0.05 / math.sqrt(1.0 + frobenius(S) ** 2 + frobenius(Et) ** 2))
-
-
 EQUIVARIANT_SPECS = {
     "power_law": POWER,
     "reciprocal": RECIP,
     "direct": DIRECT,
-    "scaled_base": FamilySpec(kind="scaled_base", base=_isotropic_base, delta1=0.05),
+    "scaled_base": FamilySpec(kind="scaled_base", base="power_law", delta1=0.05),
 }
 
 
