@@ -3,7 +3,10 @@
 A convergence study solves the implicit relation on a descending delta
 ladder, rebuilds the finite deformation, and records how fast the
 linearized-strain residuals shrink; orders are least-squares slopes in
-log-log coordinates. Certification samples the certified balls
+log-log coordinates. The rungs are solved one by one, their kinematics
+built in one batched call of each function (rows bit for bit the single
+calls; a batch that raises is rebuilt rung by rung, so each failure keeps
+its rung and message), and the families evaluated per rung. Certification samples the certified balls
 B(0, k*delta) x B(0, c) and reports sampled suprema for the defining
 constants (lower bounds on the true ones). Both check every delta up front
 (`check_delta`). Consecutive delta rungs share one batched call of up to
@@ -38,7 +41,7 @@ from .kinematics import (
     sigma_from_piola,
 )
 from .solver import solve_implicit, solve_implicit_hencky
-from .symtensor import SymTensor, frobenius
+from .symtensor import SymTensor, columns, frobenius, rows
 
 # difference-quotient probes sit at this fraction of the domain radius;
 # base draws shrink by twice that so probe partners stay inside the ball
@@ -163,27 +166,48 @@ def _run_ladder(spec, stress, rot, deltas, hencky) -> ConvergenceReport:
     solve, deform, pushforward = (
         (solve_implicit_hencky, deformation_from_hencky, sigma_from_cauchy) if hencky
         else (solve_implicit, deformation_from_green, sigma_from_piola))
-    records, failures = [], []
-    for delta in deltas:
+
+    def build(delta, E):
+        # (delta0, eps, sigma) of each rung, in plain floats
+        state = deform(E, make_rotation(rot, delta))
+        sigma = pushforward(state.F, stress)
+        return list(zip(np.ravel(state.delta0).tolist(), rows(state.eps), rows(sigma)))
+
+    solved, failures = {}, {}  # rung index -> solution, or the exception that ended the rung
+    for i, delta in enumerate(deltas):
         try:
-            rep = solve(spec, delta, stress)
-            state = deform(rep.solution, make_rotation(rot, delta))
-            sigma = pushforward(state.F, stress)
-            eps = state.eps
+            solved[i] = solve(spec, delta, stress).solution
+        except StrainLimError as exc:
+            failures[i] = exc
+    try:  # the kinematics of every solved rung in one call of each function
+        built = dict(zip(solved, build(np.array([deltas[i] for i in solved]), columns(
+            np.reshape([E.components() for E in solved.values()], (-1, 6)))[0])))
+    except StrainLimError:  # rung by rung, so that each failure keeps its rung and message
+        built = {}
+        for i, E in solved.items():
+            try:
+                (built[i],) = build(deltas[i], E)
+            except StrainLimError as exc:
+                failures[i] = exc
+    records = []
+    for i, (delta0, eps, sigma) in built.items():
+        delta = deltas[i]
+        try:
             records.append(
                 ConvergenceRecord(
                     delta=delta,
-                    delta0=state.delta0,
+                    delta0=delta0,
                     residual_full=frobenius(eps - family_eval(spec, delta, eps, sigma)),
                     residual_leading=frobenius(
                         eps - family_leading(spec, eps * (1.0 / delta), sigma) * delta),
                     stress_gap=frobenius(sigma - stress),
-                    strain_gap=frobenius(rep.solution - eps),
+                    strain_gap=frobenius(solved[i] - eps),
                 )
             )
         except StrainLimError as exc:
-            failures.append((delta, f"{type(exc).__name__}: {exc}"))
-    return _assemble(records, failures)
+            failures[i] = exc
+    return _assemble(records, [(deltas[i], f"{type(exc).__name__}: {exc}")
+                               for i, exc in sorted(failures.items())])
 
 
 def _assemble(records, failures) -> ConvergenceReport:

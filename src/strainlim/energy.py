@@ -27,7 +27,7 @@ import numpy as np
 from .errors import InvalidParameter, NoConvergence, OutOfDomain, Saturation
 from .families import FamilySpec, check_ball, check_delta, family_leading
 from .scalar1d import one_minus_abs_pow
-from .symtensor import SymTensor, central_differences, columns, frobenius, inner, is_finite
+from .symtensor import SymTensor, central_differences, columns, frobenius, inner, is_finite, rows
 
 # kinds whose leading profile is a gradient field: power_law, and scaled_base,
 # whose built-in base is the power-law profile
@@ -136,8 +136,7 @@ def complementary_gradient(spec: FamilySpec, Sbar):
     12 N probes at once.
     """
     single = isinstance(Sbar, SymTensor) and not isinstance(Sbar.xx, np.ndarray)
-    points = [Sbar] if single else [
-        SymTensor(*row) for row in zip(*(c.tolist() for c in columns(Sbar)[0].components()))]
+    points = [Sbar] if single else rows(columns(Sbar)[0])
     floor = min(1.0, spec.c)
     if not _GRAD_STEP * floor > 0.0:
         raise InvalidParameter(f"the gradient step underflows for c = {spec.c!r}")

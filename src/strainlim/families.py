@@ -50,7 +50,7 @@ from .errors import (
     SingularLeading,
     real,
 )
-from .symtensor import SymTensor, columns, det, frobenius, trace
+from .symtensor import SymTensor, check_rows, columns, det, frobenius, trace
 
 # each kind -> the FamilySpec fields it reads; every other field keeps its default
 KINDS = {
@@ -177,11 +177,9 @@ def delta_ceiling(spec: FamilySpec) -> float:
 
 def _check(ok, value, error, template, *context):
     """Raise `error` unless `ok` holds on every row; name the first failing row's values."""
-    if ok is not True:
-        bad = np.flatnonzero(np.logical_not(ok))
-        if bad.size:
-            row = [float(np.ravel(c)[bad[0]]) if isinstance(c, np.ndarray) else c for c in context]
-            raise error(template.format(float(np.ravel(value)[bad[0]]), *row))
+    if ok is not True:  # scalar fast path skips the call
+        check_rows(ok, error, lambda k: template.format(float(np.ravel(value)[k]), *[
+            float(np.ravel(c)[k]) if isinstance(c, np.ndarray) else c for c in context]))
 
 
 def check_ball(name: str, A, radius):

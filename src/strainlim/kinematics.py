@@ -6,6 +6,12 @@ distance from the identity scales linearly in the limiting-strain
 parameter. Every derived measure (C, B, E, linearized strain, Hencky
 strain, density ratio) is recomputed from F so the state is internally
 consistent by construction. F and R are float (3, 3) numpy arrays.
+
+Every function also takes the batch format of `symtensor`: strains and
+stresses of (N,) columns, (N, 3, 3) stacks of F and R, and an (N,) column
+of deltas; one row against N broadcasts. Each row is bit for bit the
+single call on that row, and a batch raises the first failing check's
+error for its first failing row, with the single call's message.
 """
 
 from __future__ import annotations
@@ -16,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidAxis, InvalidParameter, OutOfDomain, Singular, real
-from .symtensor import (
-    SymTensor, det, inverse, is_finite, is_rotation, spd_sqrt, sym_exp, sym_log, trace)
+from .symtensor import (SymTensor, check_rows, det, entries, inverse, is_finite, is_rotation,
+                        rows, spd_sqrt, sym_exp, sym_log, trace)
 
 
 @dataclass(frozen=True)
@@ -50,21 +56,24 @@ class RotationSpec:
         object.__setattr__(self, "magnitude_coefficient", k)
 
 
-def make_rotation(spec: RotationSpec, delta: float) -> np.ndarray:
-    """Generate R_delta, a (3, 3) array, via the closed-form Rodrigues formula.
+def make_rotation(spec: RotationSpec, delta) -> np.ndarray:
+    """Generate R_delta, a (3, 3) array, via the closed-form Rodrigues formula;
+    an (N,) column of deltas gives an (N, 3, 3) stack.
 
     Raises InvalidParameter for a delta that is not a finite, positive number
     (`errors.real`), or whose angle overflows; the spec was checked when it
     was built.
     """
-    delta = real(delta, "delta")
-    if not 0.0 < delta < math.inf:  # each check fails for NaN too
-        raise InvalidParameter(f"delta must be finite and positive, got {delta!r}")
+    delta = np.asarray(delta if isinstance(delta, np.ndarray) else real(delta, "delta"),
+                       dtype=float)
+    check_rows((0.0 < delta) & (delta < math.inf), InvalidParameter,  # NaN fails too
+               lambda k: f"delta must be finite and positive, got {float(delta.ravel()[k])!r}")
     ax = unit_axis(spec.axis)
     # unit-Frobenius generator: angle = delta * coefficient / sqrt(2)
-    angle = delta * spec.magnitude_coefficient / math.sqrt(2.0)
-    if not angle < math.inf:
-        raise InvalidParameter(f"delta * magnitude_coefficient overflows, delta = {delta!r}")
+    with np.errstate(over="ignore"):  # checked below
+        angle = delta * spec.magnitude_coefficient / math.sqrt(2.0)
+    check_rows(angle < math.inf, InvalidParameter, lambda k: (
+        f"delta * magnitude_coefficient overflows, delta = {float(delta.ravel()[k])!r}"))
     k = np.array(
         [
             [0.0, -ax[2], ax[1]],
@@ -72,7 +81,10 @@ def make_rotation(spec: RotationSpec, delta: float) -> np.ndarray:
             [-ax[1], ax[0], 0.0],
         ]
     )
-    return np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
+    # math.sin and math.cos per angle: numpy's vector versions round differently
+    sin, cos = (np.reshape([fn(x) for x in angle.ravel().tolist()], angle.shape + (1, 1))
+                for fn in (math.sin, math.cos))
+    return np.eye(3) + sin * k + (1.0 - cos) * (k @ k)
 
 
 def unit_axis(axis) -> np.ndarray:
@@ -88,7 +100,8 @@ def unit_axis(axis) -> np.ndarray:
 @dataclass(frozen=True)
 class DeformationState:
     """All strain measures derived from one deformation gradient F, a (3, 3)
-    array; delta0 is the Frobenius distance of F from the identity."""
+    array; delta0 is the Frobenius distance of F from the identity. For a
+    batch, F is an (N, 3, 3) stack and every other field holds (N,) columns."""
 
     F: np.ndarray
     C: SymTensor
@@ -100,39 +113,50 @@ class DeformationState:
     delta0: float
 
 
+def _row(x, k):
+    """Row k of a batch for a message: a SymTensor of floats or a nested list."""
+    if isinstance(x, SymTensor):
+        r = rows(x)
+        return r[k if len(r) > 1 else 0]
+    return (x[k] if x.ndim > 2 else x).tolist()
+
+
 def _state_from_f(F: np.ndarray) -> DeformationState:
     I = SymTensor.identity()
-    try:
-        with np.errstate(over="raise"):
-            C, B = SymTensor.from_matrix(F.T @ F), SymTensor.from_matrix(F @ F.T)
-    except FloatingPointError:
-        raise OutOfDomain(f"F^T F overflows for F = {F.tolist()!r}") from None
-    E = (C - I) * 0.5
-    eps = SymTensor.from_matrix(F) - I
-    H = sym_log(B) * 0.5
-    d = det(F)
-    if d <= 1e-14:
-        raise Singular(f"det F = {d!r} is not a finite number above 1e-14")
-    # summed entry by entry in row-major order; np.linalg.norm changes the last digits
-    delta0 = math.sqrt(sum(x * x for x in (F - np.eye(3)).ravel().tolist()))
-    if not (d < math.inf and delta0 < math.inf):  # NaN fails too
-        raise OutOfDomain(f"det F or |F - I| overflows for F = {F.tolist()!r}")
-    return DeformationState(F, C, B, E, eps, H, 1.0 / d, delta0)
+    with np.errstate(over="ignore", invalid="ignore"):  # each overflow is checked below
+        Ft = np.swapaxes(F, -1, -2)
+        C, B = SymTensor.from_matrix(Ft @ F), SymTensor.from_matrix(F @ Ft)
+        check_rows(is_finite(C) & is_finite(B), OutOfDomain,
+                   lambda k: f"F^T F overflows for F = {_row(F, k)!r}")
+        E = (C - I) * 0.5
+        eps = SymTensor.from_matrix(F) - I
+        H = sym_log(B) * 0.5
+        d = det(F)
+        check_rows(np.logical_not(d <= 1e-14), Singular, lambda k: (
+            f"det F = {float(np.ravel(d)[k])!r} is not a finite number above 1e-14"))
+        # summed entry by entry in row-major order; np.linalg.norm changes the last digits
+        squares = sum(x * x for x in entries(F - np.eye(3)))
+        delta0 = np.sqrt(squares) if isinstance(squares, np.ndarray) else math.sqrt(squares)
+        check_rows((d < math.inf) & (delta0 < math.inf), OutOfDomain,  # NaN fails too
+                   lambda k: f"det F or |F - I| overflows for F = {_row(F, k)!r}")
+        return DeformationState(F, C, B, E, eps, H, 1.0 / d, delta0)
 
 
 def deformation_from_green(E: SymTensor, R: np.ndarray) -> DeformationState:
     """F = R (I + 2E)^{1/2}; requires I + 2E positive definite and E finite."""
-    if not is_rotation(R):
+    if not np.all(is_rotation(R)):
         raise InvalidParameter("R does not satisfy the rotation invariants")
-    if not is_finite(E):  # as spd_sqrt would, before 2E meets an int past the float range
-        raise InvalidParameter(f"E needs finite components, got {E.components()!r}")
-    u = spd_sqrt(SymTensor.identity() + E * 2.0)
+    # as spd_sqrt would, before 2E meets an int past the float range
+    check_rows(is_finite(E), InvalidParameter,
+               lambda k: f"E needs finite components, got {_row(E, k).components()!r}")
+    with np.errstate(over="ignore"):  # an inf in 2E, as in Python floats, which spd_sqrt names
+        u = spd_sqrt(SymTensor.identity() + E * 2.0)
     return _state_from_f(R @ u.as_matrix())
 
 
 def deformation_from_hencky(H: SymTensor, R: np.ndarray) -> DeformationState:
     """F = e^H R; OutOfDomain if e^H or F^T F overflows."""
-    if not is_rotation(R):
+    if not np.all(is_rotation(R)):
         raise InvalidParameter("R does not satisfy the rotation invariants")
     return _state_from_f(sym_exp(H).as_matrix() @ R)
 
@@ -140,16 +164,16 @@ def deformation_from_hencky(H: SymTensor, R: np.ndarray) -> DeformationState:
 def sigma_from_piola(F: np.ndarray, Sbar: SymTensor) -> SymTensor:
     """Symmetric part of the first Piola stress: (F Sbar + Sbar F^T) / 2;
     InvalidParameter for a non-finite F or Sbar, OutOfDomain on overflow."""
-    if not (np.isfinite(F).all() and is_finite(Sbar)):
-        raise InvalidParameter(f"F and Sbar need finite entries, got {F.tolist()!r}, {Sbar!r}")
+    check_rows(np.isfinite(F).all(axis=(-2, -1)) & is_finite(Sbar), InvalidParameter, lambda k: (
+        f"F and Sbar need finite entries, got {_row(F, k)!r}, {_row(Sbar, k)!r}"))
     return _finite_stress(lambda: SymTensor.from_matrix(F @ Sbar.as_matrix()), F)
 
 
 def sigma_from_cauchy(F: np.ndarray, T: SymTensor) -> SymTensor:
     """det(F) * (T F^{-T} + F^{-1} T) / 2; Singular for a degenerate or
     non-finite F, InvalidParameter for a non-finite T, OutOfDomain on overflow."""
-    if not is_finite(T):
-        raise InvalidParameter(f"T needs finite components, got {T.components()!r}")
+    check_rows(is_finite(T), InvalidParameter,
+               lambda k: f"T needs finite components, got {_row(T, k).components()!r}")
     return _finite_stress(lambda: SymTensor.from_matrix(inverse(F) @ T.as_matrix()) * det(F), F)
 
 
@@ -157,8 +181,8 @@ def _finite_stress(pushforward, F: np.ndarray) -> SymTensor:
     # an overflow, in numpy or in Python floats, leaves an inf or a NaN behind
     with np.errstate(over="ignore", invalid="ignore"):
         sigma = pushforward()
-    if not is_finite(sigma):
-        raise OutOfDomain(f"the pushed-forward stress overflows for F = {F.tolist()!r}")
+    check_rows(is_finite(sigma), OutOfDomain,
+               lambda k: f"the pushed-forward stress overflows for F = {_row(F, k)!r}")
     return sigma
 
 

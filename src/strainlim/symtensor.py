@@ -2,14 +2,19 @@
 
 Symmetric tensors are stored as six plain floats so the hot operations
 (norm, trace, determinant) stay allocation-free; full 3x3 values only
-appear on the spectral paths. Components may also be numpy columns, which
-`frobenius`, `trace`, `det` and the arithmetic then treat row by row; `columns`
-alone turns (N, 6) arrays of components into such tensors. A general 3x3
-tensor (a deformation gradient, a rotation, an eigenframe) is a float (3, 3)
-numpy array: `det` also takes one, `inverse` only takes one. The eigensolver
-is `np.linalg.eigh` (LAPACK's symmetric solver `syevd`), which, unlike the
-closed-form cubic, does not lose accuracy near repeated eigenvalues. The
-module needs numpy only.
+appear on the spectral paths. Components may also be numpy columns, a
+batch: `columns` alone turns (N, 6) arrays of components into one, and
+`rows` turns one back into plain-float tensors. A general 3x3 tensor (a
+deformation gradient, a rotation, an eigenframe) is a float (3, 3) numpy
+array, and a batch of them an (N, 3, 3) stack. Every function here takes
+a batch where it takes a tensor, and one tensor is a batch of one: each row
+of a batch gives, bit for bit, what a call on that row alone gives (stacked
+`eigh` and `matmul` are per-matrix calls, each fed the same layouts). A
+batch runs a single call's checks in the same order, each over every row,
+and raises the first failing check's error for its first failing row. The
+eigensolver is `np.linalg.eigh` (LAPACK's symmetric solver `syevd`), which,
+unlike the closed-form cubic, does not lose accuracy near repeated
+eigenvalues. The module needs numpy only.
 """
 
 from __future__ import annotations
@@ -44,17 +49,23 @@ class SymTensor:
 
     @staticmethod
     def from_matrix(m) -> "SymTensor":
-        """Symmetric part of a 3x3 array or nested list, as six plain floats."""
-        (a, b, c), (d, e, f), (g, h, i) = np.asarray(m, dtype=float).tolist()
+        """Symmetric part of a 3x3 array or nested list, as six plain floats, or
+        of an (N, 3, 3) stack, as (N,) columns."""
+        a, b, c, d, e, f, g, h, i = entries(m)
         # halving first cannot overflow, and halving a normal float is exact
         return SymTensor(a, e, i, 0.5 * b + 0.5 * d, 0.5 * c + 0.5 * g, 0.5 * f + 0.5 * h)
 
     def as_matrix(self) -> np.ndarray:
+        """The (3, 3) array, or the C-ordered (N, 3, 3) stack of a batch."""
         # both triangles from the same float, so the result is symmetric bit-exactly;
         # dtype=float reads an int past numpy's integers as a float, not an object
-        return np.array([[self.xx, self.xy, self.xz],
-                         [self.xy, self.yy, self.yz],
-                         [self.xz, self.yz, self.zz]], dtype=float)
+        c = self.components()
+        try:
+            c = np.array(c, dtype=float)
+        except ValueError:  # floats among numpy columns
+            c = np.array(np.broadcast_arrays(*c), dtype=float)
+        m = np.ascontiguousarray(c[[0, 3, 4, 3, 1, 5, 4, 5, 2]].T)
+        return m.reshape(c.shape[1:] + (3, 3))
 
     def components(self) -> tuple:
         return (self.xx, self.yy, self.zz, self.xy, self.xz, self.yz)
@@ -98,10 +109,25 @@ class SymTensor:
 @dataclass(frozen=True)
 class Spectrum:
     """Eigenvalues (descending) and the orthogonal eigenvector frame, a (3, 3)
-    array whose columns are the eigenvectors."""
+    array whose columns are the eigenvectors; for a batch, an (N, 3) array and
+    an (N, 3, 3) stack."""
 
     eigenvalues: tuple
     frame: np.ndarray
+
+
+def entries(m) -> list:
+    """The nine entries of a (3, 3) array in row-major order, as plain floats,
+    or of an (N, 3, 3) stack, as (N,) columns."""
+    m = np.asarray(m, dtype=float)
+    return m.ravel().tolist() if m.ndim == 2 else list(m.reshape(-1, 9).T)
+
+
+def check_rows(ok, error, message) -> None:
+    """Raise error(message(k)) for the first row k where `ok`, a bool or one
+    flag per row, fails."""
+    if ok is not True and not np.all(ok):
+        raise error(message(int(np.argmin(ok))))
 
 
 def columns(*batches) -> list:
@@ -119,6 +145,14 @@ def columns(*batches) -> list:
     return [SymTensor(*np.ascontiguousarray(a.T)) for a in arrays]
 
 
+def rows(A: SymTensor) -> list:
+    """The rows of a batch as SymTensors of plain floats; [A] for one tensor."""
+    comps = A.components()
+    if not any(isinstance(c, np.ndarray) for c in comps):
+        return [A]
+    return [SymTensor(*r) for r in zip(*(c.tolist() for c in np.broadcast_arrays(*comps)))]
+
+
 def frobenius(A):
     """Frobenius norm sqrt(tr(A A^T)); (N,) row norms for columns or a `columns` batch."""
     if isinstance(A, SymTensor):
@@ -132,11 +166,14 @@ def frobenius(A):
 
 
 def is_finite(A: SymTensor) -> bool:
-    """True when every component is finite; an int past the float range is not."""
+    """True when every component is finite; an int past the float range is not.
+    A batch gives one flag per row."""
     try:
         return all(map(math.isfinite, A.components()))
     except OverflowError:
         return False
+    except TypeError:  # numpy columns
+        return np.isfinite(A.as_matrix()).all(axis=(-2, -1))
 
 
 def trace(A: SymTensor) -> float:
@@ -154,29 +191,31 @@ def inner(A: SymTensor, B: SymTensor) -> float:
 
 
 def det(A) -> float:
-    """Determinant by cofactor expansion; A is a SymTensor or a (3, 3) array."""
+    """Determinant by cofactor expansion; A is a SymTensor or a (3, 3) array,
+    or a batch of either ((N,) determinants)."""
     if isinstance(A, SymTensor):
         return (
             A.xx * (A.yy * A.zz - A.yz * A.yz)
             - A.xy * (A.xy * A.zz - A.yz * A.xz)
             + A.xz * (A.xy * A.yz - A.yy * A.xz)
         )
-    (a, b, c), (d, e, f), (g, h, i) = A.tolist()
-    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    a, b, c, d, e, f, g, h, i = entries(A)
+    with np.errstate(over="ignore", invalid="ignore"):  # as Python floats: inf or NaN
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
 def inverse(A: np.ndarray) -> np.ndarray:
-    """Inverse of a (3, 3) array via the adjugate; raises Singular."""
+    """Inverse of a (3, 3) array, or of each matrix of an (N, 3, 3) stack, via
+    the adjugate; raises Singular."""
     d = det(A)
-    if not 1e-14 < abs(d) < math.inf:  # NaN fails too
-        raise Singular(f"determinant {d!r} is not a finite number above 1e-14")
-    (a, b, c), (e, f, g), (h, i, j) = A.tolist()
-    adj = [
-        [f * j - g * i, c * i - b * j, b * g - c * f],
-        [g * h - e * j, a * j - c * h, c * e - a * g],
-        [e * i - f * h, b * h - a * i, a * f - b * e],
-    ]
-    return np.array(adj) / d
+    check_rows(np.logical_and(1e-14 < abs(d), abs(d) < math.inf), Singular, lambda k: (  # NaN fails
+        f"determinant {float(np.ravel(d)[k])!r} is not a finite number above 1e-14"))
+    a, b, c, e, f, g, h, i, j = entries(A)
+    with np.errstate(over="ignore", invalid="ignore"):  # as Python floats: inf or NaN
+        adj = np.stack([f * j - g * i, c * i - b * j, b * g - c * f,
+                        g * h - e * j, a * j - c * h, c * e - a * g,
+                        e * i - f * h, b * h - a * i, a * f - b * e], axis=-1)
+        return adj.reshape(np.shape(d) + (3, 3)) / np.reshape(d, np.shape(d) + (1, 1))
 
 
 def central_differences(fn, point, h) -> list:
@@ -200,11 +239,14 @@ def central_differences(fn, point, h) -> list:
             for k, step in zip(starts, h)]
 
 
-def is_rotation(R: np.ndarray) -> bool:
+def is_rotation(R: np.ndarray):
+    """Finite, R^T R = I within ROTATION_TOL and det R > 0; one flag per
+    matrix of an (N, 3, 3) stack."""
     # an R^T R that overflows (inf or NaN) fails the norm test, as it should
     with np.errstate(over="ignore", invalid="ignore"):
-        return bool(np.isfinite(R).all() and np.linalg.norm(R.T @ R - np.eye(3)) <= ROTATION_TOL
-                    and np.linalg.det(R) > 0.0)
+        gap = np.linalg.norm(np.swapaxes(R, -1, -2) @ R - np.eye(3), axis=(-2, -1))
+        ok = np.isfinite(R).all(axis=(-2, -1)) & (gap <= ROTATION_TOL) & (det(R) > 0.0)
+    return bool(ok) if ok.ndim == 0 else ok
 
 
 def eig_sym(A: SymTensor) -> Spectrum:
@@ -217,30 +259,44 @@ def eig_sym(A: SymTensor) -> Spectrum:
     OutOfDomain for an eigenvalue beyond the float range and NoConvergence
     if LAPACK reports a failure.
     """
-    if not is_finite(A):
-        raise InvalidParameter(f"eig_sym needs finite components, got {A.components()!r}")
+    check_rows(is_finite(A), InvalidParameter,
+               lambda k: f"eig_sym needs finite components, got {rows(A)[k].components()!r}")
     # eigh (LAPACK syevd) sorts ascending, so solving for -A yields the
     # descending order
     try:
         neg_evals, v = np.linalg.eigh(-A.as_matrix())
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"LAPACK syevd failed: {exc}") from None
-    evals = tuple((-neg_evals).tolist())
-    if not all(map(math.isfinite, evals)):
-        raise OutOfDomain(f"eigenvalues {evals!r} overflow for {A.components()!r}")
-    # sign convention: each column's largest-magnitude component is nonnegative
-    cols = [c if max(c, key=abs) >= 0.0 else [-x for x in c] for c in v.T.tolist()]
-    return Spectrum(evals, np.array(cols).T)
+    evals = -neg_evals
+    check_rows(np.isfinite(evals).all(axis=-1), OutOfDomain, lambda k: (
+        f"eigenvalues {tuple(evals.reshape(-1, 3)[k].tolist())!r} overflow for "
+        f"{rows(A)[k].components()!r}"))
+    # sign convention: each column's largest-magnitude component is nonnegative;
+    # cols holds the columns as C-ordered rows, so the frame is F-ordered
+    cols = np.swapaxes(v, -1, -2)
+    lead = np.take_along_axis(cols, np.abs(cols).argmax(axis=-1)[..., None], axis=-1)
+    cols = np.where(lead >= 0.0, cols, -cols).copy(order="C")
+    return Spectrum(tuple(evals.tolist()) if evals.ndim == 1 else evals, np.swapaxes(cols, -1, -2))
 
 
 def _spectral_map(A: SymTensor, fn, require_pd: bool) -> SymTensor:
     spec = eig_sym(A)
-    lam_min = min(spec.eigenvalues)
-    if require_pd and not (lam_min > EIG_POSITIVITY_TOL):
-        raise NotPositiveDefinite(f"eigenvalue {lam_min!r} at or below {EIG_POSITIVITY_TOL}")
-    v = spec.frame
-    out = (v * [fn(x) for x in spec.eigenvalues]) @ v.T
-    return SymTensor.from_matrix(out)
+    lam = np.asarray(spec.eigenvalues)
+    if require_pd:
+        lam_min = lam.min(axis=-1)
+        check_rows(lam_min > EIG_POSITIVITY_TOL, NotPositiveDefinite, lambda k: (
+            f"eigenvalue {float(np.ravel(lam_min)[k])!r} at or below {EIG_POSITIVITY_TOL}"))
+    f = []  # the scalar function per eigenvalue: numpy's vector exp and log round differently
+    for x in lam.ravel().tolist():
+        try:
+            f.append(fn(x))
+        except OverflowError:  # exp: in descending rows the first to overflow is its row's top
+            raise OutOfDomain(f"eigenvalue {x!r} overflows {fn.__name__}") from None
+    f = np.reshape(f, lam.shape)
+    # (v * f(lam)) @ v^T with the layouts of a single call: an F-ordered left factor
+    # times a C-ordered right one (other layouts move the last bits in OpenBLAS)
+    cols = np.ascontiguousarray(np.swapaxes(spec.frame, -1, -2))
+    return SymTensor.from_matrix(np.swapaxes(cols * f[..., :, None], -1, -2) @ cols)
 
 
 def spd_sqrt(C: SymTensor) -> SymTensor:
@@ -255,7 +311,4 @@ def sym_log(B: SymTensor) -> SymTensor:
 
 def sym_exp(H: SymTensor) -> SymTensor:
     """Matrix exponential of a symmetric tensor; OutOfDomain if exp overflows."""
-    try:
-        return _spectral_map(H, math.exp, require_pd=False)
-    except OverflowError:
-        raise OutOfDomain(f"eigenvalue {max(eig_sym(H).eigenvalues)!r} overflows exp") from None
+    return _spectral_map(H, math.exp, require_pd=False)

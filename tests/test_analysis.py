@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -19,11 +20,15 @@ from strainlim.errors import (
     InadmissibleDelta,
     InvalidAxis,
     InvalidParameter,
+    NotPositiveDefinite,
     OutOfDomain,
+    StrainLimError,
 )
 from strainlim.families import (FamilySpec, certified_domain, delta_ceiling, family_eval,
-                                leading_gap)
-from strainlim.kinematics import RotationSpec
+                                family_leading, leading_gap)
+from strainlim.kinematics import (RotationSpec, deformation_from_green, deformation_from_hencky,
+                                  make_rotation, sigma_from_cauchy, sigma_from_piola)
+from strainlim.solver import solve_implicit, solve_implicit_hencky
 from strainlim.symtensor import SymTensor, frobenius
 
 from draws import rotation
@@ -222,6 +227,74 @@ def test_convergence_columns_are_frame_indifferent(route, name, q, seed, frac, c
     for a, b in zip(plain.records, turned.records, strict=True):
         for column in COLUMNS:
             assert abs(getattr(a, column) - getattr(b, column)) <= 2e-12, column
+
+
+def _ladder_rung_by_rung(spec, stress, rot, deltas, hencky):
+    # the per-rung definition of a ladder: each rung solved, deformed and
+    # pushed forward alone, its failure recorded where it happens
+    solve, deform, pushforward = (
+        (solve_implicit_hencky, deformation_from_hencky, sigma_from_cauchy) if hencky
+        else (solve_implicit, deformation_from_green, sigma_from_piola))
+    records, failures = [], []
+    for delta in deltas:
+        try:
+            E = solve(spec, delta, stress).solution
+            state = deform(E, make_rotation(rot, delta))
+            sigma = pushforward(state.F, stress)
+            eps = state.eps
+            records.append((delta, state.delta0,
+                            frobenius(eps - family_eval(spec, delta, eps, sigma)),
+                            frobenius(eps - family_leading(spec, eps * (1.0 / delta), sigma) * delta),
+                            frobenius(sigma - stress), frobenius(E - eps)))
+        except StrainLimError as exc:
+            failures.append((delta, f"{type(exc).__name__}: {exc}"))
+    return records, failures
+
+
+STIFF = FamilySpec(kind="density_modulus_reciprocal", E0=1.0, nu=0.45, a=0.9, c=3.0)
+# a stiff study whose two smallest rungs fail to solve (converge seed 401)
+STIFF_STUDY = (STIFF, SymTensor(0.7626275773893632, 1.1522417889454735, 0.8753547746127116,
+                                0.22855146853842637, -1.1575723771964543, -0.9543604642923954),
+               RotationSpec((0.051047227134707614, -0.2192018094038553, 0.9743432389850784),
+                            1.2463648936266811), [2.0 ** -k for k in range(8, 16)])
+LADDER_STUDIES = {name: (spec, SBAR, ROT, LADDER) for name, spec in (
+    ("scaled_base", FamilySpec(kind="scaled_base", a=1.0, p=2.0, base="power_law")),
+    *FRAME_SPECS.items())}
+LADDER_STUDIES["stiff"] = STIFF_STUDY
+
+
+@pytest.mark.parametrize("hencky", [False, True])
+@pytest.mark.parametrize("name", sorted(LADDER_STUDIES))
+def test_a_ladder_equals_its_rung_by_rung_definition(name, hencky):
+    spec, stress, rot, deltas = LADDER_STUDIES[name]
+    rep = (run_convergence_hencky if hencky else run_convergence)(spec, stress, rot, deltas)
+    records, failures = _ladder_rung_by_rung(spec, stress, rot, deltas, hencky)
+    got = [tuple(getattr(r, f.name) for f in dataclasses.fields(r)) for r in rep.records]
+    assert [[x.hex() for x in r] for r in got] == [[x.hex() for x in r] for r in records]
+    assert list(rep.failures) == failures
+    assert bool(failures) == (name == "stiff")
+
+
+def test_a_rung_whose_kinematics_fail_keeps_its_own_failure(monkeypatch):
+    # one rung's "solution" has I + 2E indefinite: the ladder's one batched
+    # deformation call raises, so each solved rung is rebuilt alone
+    broken, bad_delta = SymTensor(-0.6, 0.0, 0.0), LADDER[3]
+    plain = run_convergence(RECIP, SBAR, ROT, LADDER)
+    solve, deform, calls = analysis.solve_implicit, analysis.deformation_from_green, []
+
+    def patched_solve(spec, delta, stress):
+        rep = solve(spec, delta, stress)
+        return dataclasses.replace(rep, solution=broken) if delta == bad_delta else rep
+
+    monkeypatch.setattr(analysis, "solve_implicit", patched_solve)
+    monkeypatch.setattr(analysis, "deformation_from_green",
+                        lambda E, R: calls.append(E) or deform(E, R))
+    rep = run_convergence(RECIP, SBAR, ROT, LADDER)
+    with pytest.raises(NotPositiveDefinite) as alone:
+        deformation_from_green(broken, make_rotation(ROT, bad_delta))
+    assert rep.failures == ((bad_delta, f"NotPositiveDefinite: {alone.value}"),)
+    assert rep.records == tuple(r for r in plain.records if r.delta != bad_delta)
+    assert len(calls) == 1 + len(LADDER)  # the batch, then each rung alone
 
 
 # --- certification ----------------------------------------------------------

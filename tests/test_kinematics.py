@@ -17,7 +17,8 @@ from strainlim.kinematics import (
     sigma_from_cauchy,
     sigma_from_piola,
 )
-from strainlim.symtensor import SymTensor, frobenius, is_rotation, spd_sqrt
+from strainlim.symtensor import (Spectrum, SymTensor, columns, eig_sym, frobenius, is_rotation,
+                                 rows, spd_sqrt, sym_exp, sym_log)
 
 AXIS = (1.0 / math.sqrt(3.0),) * 3
 ROT = RotationSpec(axis=AXIS, magnitude_coefficient=1.0)
@@ -308,6 +309,8 @@ def _finite_or_named_error(call):
         return None
     if isinstance(out, SymTensor):
         values = out.components()
+    elif isinstance(out, Spectrum):
+        values = list(out.eigenvalues) + out.frame.ravel().tolist()
     elif isinstance(out, np.ndarray):
         values = out.ravel().tolist()
     else:
@@ -318,29 +321,95 @@ def _finite_or_named_error(call):
     return out
 
 
+def _values(out):
+    """The numbers of a result, one list per row; a single result is one row."""
+    if isinstance(out, SymTensor):
+        return [list(r.components()) for r in rows(out)]
+    if isinstance(out, np.ndarray):
+        return [m.ravel().tolist() for m in out.reshape(-1, 3, 3)]
+    if isinstance(out, Spectrum):
+        return [e + f for e, f in zip(np.reshape(out.eigenvalues, (-1, 3)).tolist(),
+                                      _values(out.frame))]
+    parts = [_values(t) for t in (out.F, out.C, out.B, out.E, out.eps, out.H)] + [
+        [[x] for x in np.ravel(v).tolist()] for v in (out.density_ratio, out.delta0)]
+    return [sum(row, []) for row in zip(*parts)]
+
+
+def _batch_matches_rows(batch, singles):
+    """`batch` is one call on N rows, `singles` the N calls on one row each. With
+    every row good the batch gives each row's numbers bit for bit; with one bad row
+    it raises that row's error and message; it never warns."""
+    outcomes = []
+    for call in singles:
+        try:
+            outcomes.append(call())
+        except StrainLimError as exc:
+            outcomes.append(exc)
+    failed = [o for o in outcomes if isinstance(o, StrainLimError)]
+    if not failed:
+        hexed = lambda rows_: [[x.hex() for x in row] for row in rows_]
+        assert hexed(_values(batch())) == hexed(sum(map(_values, outcomes), []))
+        return
+    with pytest.raises(StrainLimError) as info:
+        batch()
+    if len(failed) == 1:
+        assert (type(info.value), str(info.value)) == (type(failed[0]), str(failed[0]))
+
+
+# a good row, a small strain or stress; a batch puts it and the drawn row in the order `first`
+_GOOD = SymTensor(0.01, -0.02, 0.005, 0.003, 0.0, -0.001)
+
+
+def _pair(good, drawn, first):
+    return [drawn, good] if first else [good, drawn]
+
+
+def _batch(tensors):
+    return columns(np.array([t.components() for t in tensors]))[0]
+
+
 @settings(max_examples=100, deadline=None)
-@given(rotation=_ROTATION, delta=st.floats())
-@example(rotation=((1.0, 0.0), 1.0), delta=0.01)
-@example(rotation=((1.0, 0.0, 0.0, 0.0), 1.0), delta=0.01)
-def test_make_rotation_gives_finite_numbers_or_a_named_error(rotation, delta):
+@given(rotation=_ROTATION, delta=st.floats(), first=st.booleans())
+@example(rotation=((1.0, 0.0), 1.0), delta=0.01, first=True)
+@example(rotation=((1.0, 0.0, 0.0, 0.0), 1.0), delta=0.01, first=True)
+def test_make_rotation_gives_finite_numbers_or_a_named_error(rotation, delta, first):
     _finite_or_named_error(lambda: make_rotation(RotationSpec(*rotation), delta))
     if len(rotation[0]) != 3:  # a unit 2- or 4-vector is no axis either
         with pytest.raises(InvalidAxis):
             RotationSpec(*rotation)
+    deltas = _pair(0.01, delta, first)
+    _batch_matches_rows(lambda: make_rotation(ROT, np.array(deltas)),
+                        [lambda d=d: make_rotation(ROT, d) for d in deltas])
 
 
 @settings(max_examples=100, deadline=None)
-@given(strain=_SYM, rotation=_ROTATION, R=_MATRIX, use_spec=st.booleans(), hencky=st.booleans())
-def test_deformation_gives_finite_numbers_or_a_named_error(strain, rotation, R, use_spec, hencky):
+@given(strain=_SYM, rotation=_ROTATION, R=_MATRIX, use_spec=st.booleans(), hencky=st.booleans(),
+       first=st.booleans())
+def test_deformation_gives_finite_numbers_or_a_named_error(strain, rotation, R, use_spec, hencky,
+                                                           first):
     if use_spec:
         R = _finite_or_named_error(lambda: make_rotation(RotationSpec(*rotation), 0.01))
         R = np.eye(3) if R is None else R
     build = deformation_from_hencky if hencky else deformation_from_green
     _finite_or_named_error(lambda: build(strain, R))
+    Es, Rs = _pair(_GOOD, strain, first), _pair(make_rotation(ROT, 0.05), R, first)
+    _batch_matches_rows(lambda: build(_batch(Es), np.stack(Rs)),
+                        [lambda E=E, R=R: build(E, R) for E, R in zip(Es, Rs)])
 
 
 @settings(max_examples=100, deadline=None)
-@given(F=_MATRIX, stress=_SYM, cauchy=st.booleans())
-def test_pushforward_gives_finite_numbers_or_a_named_error(F, stress, cauchy):
+@given(F=_MATRIX, stress=_SYM, cauchy=st.booleans(), first=st.booleans())
+def test_pushforward_gives_finite_numbers_or_a_named_error(F, stress, cauchy, first):
     pushforward = sigma_from_cauchy if cauchy else sigma_from_piola
     _finite_or_named_error(lambda: pushforward(F, stress))
+    Fs, Ss = _pair(np.diag([1.1, 0.9, 1.0]), F, first), _pair(_GOOD, stress, first)
+    _batch_matches_rows(lambda: pushforward(np.stack(Fs), _batch(Ss)),
+                        [lambda F=F, S=S: pushforward(F, S) for F, S in zip(Fs, Ss)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(A=_SYM, fn=st.sampled_from([eig_sym, spd_sqrt, sym_log, sym_exp]), first=st.booleans())
+def test_spectral_maps_give_finite_numbers_or_a_named_error(A, fn, first):
+    _finite_or_named_error(lambda: fn(A))
+    As = _pair(SymTensor.identity() + _GOOD, A, first)  # the good row is positive definite
+    _batch_matches_rows(lambda: fn(_batch(As)), [lambda B=B: fn(B) for B in As])
