@@ -6,9 +6,9 @@ linearized-strain residuals shrink; orders are least-squares slopes in
 log-log coordinates. The rungs are solved one by one, their kinematics
 built in one batched call of each function (rows bit for bit the single
 calls; a batch that raises is rebuilt rung by rung, so each failure keeps
-its rung and message), and the families evaluated per rung. Certification samples the certified balls
-B(0, k*delta) x B(0, c) and reports sampled suprema for the defining
-constants (lower bounds on the true ones). Both check every delta up front
+its rung and message), and the families evaluated per rung. Certification
+samples the certified balls B(0, k*delta) x B(0, c) and reports sampled
+suprema for the defining constants (lower bounds on the true ones). Both check every delta up front
 (`check_delta`). Consecutive delta rungs share one batched call of up to
 2048 rows, with delta as an (N,) column; each rung is drawn and reduced as
 if alone.
@@ -179,9 +179,9 @@ def _run_ladder(spec, stress, rot, deltas, hencky) -> ConvergenceReport:
             solved[i] = solve(spec, delta, stress).solution
         except StrainLimError as exc:
             failures[i] = exc
+    strains = columns(np.reshape([E.components() for E in solved.values()], (-1, 6)))[0]
     try:  # the kinematics of every solved rung in one call of each function
-        built = dict(zip(solved, build(np.array([deltas[i] for i in solved]), columns(
-            np.reshape([E.components() for E in solved.values()], (-1, 6)))[0])))
+        built = dict(zip(solved, build(np.array([deltas[i] for i in solved]), strains)))
     except StrainLimError:  # rung by rung, so that each failure keeps its rung and message
         built = {}
         for i, E in solved.items():

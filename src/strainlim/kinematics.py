@@ -125,9 +125,10 @@ def _state_from_f(F: np.ndarray) -> DeformationState:
     I = SymTensor.identity()
     with np.errstate(over="ignore", invalid="ignore"):  # each overflow is checked below
         Ft = np.swapaxes(F, -1, -2)
-        C, B = SymTensor.from_matrix(Ft @ F), SymTensor.from_matrix(F @ Ft)
-        check_rows(is_finite(C) & is_finite(B), OutOfDomain,
-                   lambda k: f"F^T F overflows for F = {_row(F, k)!r}")
+        FtF, FFt = Ft @ F, F @ Ft
+        check_rows(np.isfinite(FtF).all(axis=(-2, -1)) & np.isfinite(FFt).all(axis=(-2, -1)),
+                   OutOfDomain, lambda k: f"F^T F overflows for F = {_row(F, k)!r}")
+        C, B = SymTensor.from_matrix(FtF), SymTensor.from_matrix(FFt)
         E = (C - I) * 0.5
         eps = SymTensor.from_matrix(F) - I
         H = sym_log(B) * 0.5

@@ -57,13 +57,8 @@ class SymTensor:
 
     def as_matrix(self) -> np.ndarray:
         """The (3, 3) array, or the C-ordered (N, 3, 3) stack of a batch."""
-        # both triangles from the same float, so the result is symmetric bit-exactly;
-        # dtype=float reads an int past numpy's integers as a float, not an object
-        c = self.components()
-        try:
-            c = np.array(c, dtype=float)
-        except ValueError:  # floats among numpy columns
-            c = np.array(np.broadcast_arrays(*c), dtype=float)
+        # both triangles from the same float, so the result is symmetric bit-exactly
+        c = _stacked(self)
         m = np.ascontiguousarray(c[[0, 3, 4, 3, 1, 5, 4, 5, 2]].T)
         return m.reshape(c.shape[1:] + (3, 3))
 
@@ -116,6 +111,15 @@ class Spectrum:
     frame: np.ndarray
 
 
+def _stacked(A: SymTensor) -> np.ndarray:
+    """The components as one float array, (6,) or (6, N)."""
+    c = A.components()
+    try:  # dtype=float reads an int past numpy's integers as a float, not an object
+        return np.array(c, dtype=float)
+    except ValueError:  # floats among numpy columns
+        return np.array(np.broadcast_arrays(*c), dtype=float)
+
+
 def entries(m) -> list:
     """The nine entries of a (3, 3) array in row-major order, as plain floats,
     or of an (N, 3, 3) stack, as (N,) columns."""
@@ -126,7 +130,7 @@ def entries(m) -> list:
 def check_rows(ok, error, message) -> None:
     """Raise error(message(k)) for the first row k where `ok`, a bool or one
     flag per row, fails."""
-    if ok is not True and not np.all(ok):
+    if ok is not True and not np.logical_and.reduce(ok, axis=None):
         raise error(message(int(np.argmin(ok))))
 
 
@@ -147,10 +151,9 @@ def columns(*batches) -> list:
 
 def rows(A: SymTensor) -> list:
     """The rows of a batch as SymTensors of plain floats; [A] for one tensor."""
-    comps = A.components()
-    if not any(isinstance(c, np.ndarray) for c in comps):
+    if not any(isinstance(c, np.ndarray) for c in A.components()):
         return [A]
-    return [SymTensor(*r) for r in zip(*(c.tolist() for c in np.broadcast_arrays(*comps)))]
+    return [SymTensor(*r) for r in _stacked(A).T.tolist()]
 
 
 def frobenius(A):
@@ -173,7 +176,7 @@ def is_finite(A: SymTensor) -> bool:
     except OverflowError:
         return False
     except TypeError:  # numpy columns
-        return np.isfinite(A.as_matrix()).all(axis=(-2, -1))
+        return np.isfinite(_stacked(A)).all(axis=0)
 
 
 def trace(A: SymTensor) -> float:
@@ -245,7 +248,7 @@ def is_rotation(R: np.ndarray):
     # an R^T R that overflows (inf or NaN) fails the norm test, as it should
     with np.errstate(over="ignore", invalid="ignore"):
         gap = np.linalg.norm(np.swapaxes(R, -1, -2) @ R - np.eye(3), axis=(-2, -1))
-        ok = np.isfinite(R).all(axis=(-2, -1)) & (gap <= ROTATION_TOL) & (det(R) > 0.0)
+        ok = np.isfinite(R).all(axis=(-2, -1)) & (gap <= ROTATION_TOL) & (np.linalg.det(R) > 0.0)
     return bool(ok) if ok.ndim == 0 else ok
 
 

@@ -242,10 +242,10 @@ def _ladder_rung_by_rung(spec, stress, rot, deltas, hencky):
             state = deform(E, make_rotation(rot, delta))
             sigma = pushforward(state.F, stress)
             eps = state.eps
+            leading = family_leading(spec, eps * (1.0 / delta), sigma) * delta
             records.append((delta, state.delta0,
                             frobenius(eps - family_eval(spec, delta, eps, sigma)),
-                            frobenius(eps - family_leading(spec, eps * (1.0 / delta), sigma) * delta),
-                            frobenius(sigma - stress), frobenius(E - eps)))
+                            frobenius(eps - leading), frobenius(sigma - stress), frobenius(E - eps)))
         except StrainLimError as exc:
             failures.append((delta, f"{type(exc).__name__}: {exc}"))
     return records, failures

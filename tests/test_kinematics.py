@@ -336,9 +336,9 @@ def _values(out):
 
 
 def _batch_matches_rows(batch, singles):
-    """`batch` is one call on N rows, `singles` the N calls on one row each. With
-    every row good the batch gives each row's numbers bit for bit; with one bad row
-    it raises that row's error and message; it never warns."""
+    """`batch` is one call on N rows, at most one of them bad, and `singles` the N
+    calls on one row each. With every row good the batch gives each row's numbers
+    bit for bit; with a bad row it raises that row's error and message; it never warns."""
     outcomes = []
     for call in singles:
         try:
@@ -352,8 +352,7 @@ def _batch_matches_rows(batch, singles):
         return
     with pytest.raises(StrainLimError) as info:
         batch()
-    if len(failed) == 1:
-        assert (type(info.value), str(info.value)) == (type(failed[0]), str(failed[0]))
+    assert (type(info.value), str(info.value)) == (type(failed[0]), str(failed[0]))
 
 
 # a good row, a small strain or stress; a batch puts it and the drawn row in the order `first`
