@@ -245,8 +245,9 @@ def central_differences(fn, point, h) -> list:
 def is_rotation(R: np.ndarray):
     """Finite, R^T R = I within ROTATION_TOL and det R > 0; one flag per
     matrix of an (N, 3, 3) stack."""
-    # an R^T R that overflows (inf or NaN) fails the norm test, as it should
-    with np.errstate(over="ignore", invalid="ignore"):
+    # an R^T R that overflows (inf or NaN) fails the norm test, as it should, and
+    # np.linalg.det of a bad matrix may divide by zero: every row is tested at once
+    with np.errstate(all="ignore"):
         gap = np.linalg.norm(np.swapaxes(R, -1, -2) @ R - np.eye(3), axis=(-2, -1))
         ok = np.isfinite(R).all(axis=(-2, -1)) & (gap <= ROTATION_TOL) & (np.linalg.det(R) > 0.0)
     return bool(ok) if ok.ndim == 0 else ok
