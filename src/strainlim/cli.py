@@ -277,21 +277,15 @@ def _run_energy(cfg):
     x = spec.a * 0.99 * spec.c
     strain_r = min(0.9, x * (1.0 + x ** spec.p) ** (-1.0 / spec.p))
 
-    stresses, strains = [], []
-    for _ in range(cfg.samples):  # one probe per sample, drawing g, u, then Et's and eps's
-        g, u = rng.standard_normal(6), rng.random(3)
-        stresses.append(SymTensor(*ball_points(g, u[0], 0.9 * spec.c).tolist()))
-        if power:
-            strains.append([SymTensor(*ball_points(rng.standard_normal(6), u[k], r).tolist())
-                            for k, r in ((1, strain_r), (2, strain_r * cfg.delta))])
-    grads = complementary_gradient(spec, np.array([S.components() for S in stresses]))
-
     rows = []
-    for i, (S, grad) in enumerate(zip(stresses, grads.tolist())):
-        grad_err = frobenius(SymTensor(*grad) - family_leading(spec, zero, S))
+    for i in range(cfg.samples):  # one probe per sample, drawing g, u, then Et and eps
+        g, u = rng.standard_normal(6), rng.random(3)
+        S = SymTensor(*ball_points(g, u[0], 0.9 * spec.c).tolist())
+        grad_err = frobenius(complementary_gradient(spec, S) - family_leading(spec, zero, S))
         fy_err = rt_err = float("nan")
         if power:
-            Et, eps = strains[i]
+            Et, eps = [SymTensor(*ball_points(rng.standard_normal(6), u[k], r).tolist())
+                       for k, r in ((1, strain_r), (2, strain_r * cfg.delta))]
             star = conjugate_stress(spec, Et)
             fy_err = abs(legendre_transform(spec, Et)
                          + complementary_energy(spec, star) - inner(Et, star))
@@ -371,9 +365,8 @@ def run_experiment(cfg: SimpleNamespace, output_dir: str) -> dict:
         raise StudyFailed("%s: %s" % (type(exc).__name__, exc))
 
     stem = cfg.command.replace("-", "_")
-    csv_path = os.path.join(output_dir, stem + ".csv")
-    json_path = os.path.join(output_dir, stem + "_report.json")
-    _atomic_write(csv_path, "".join(",".join(map(_cell, row)) + "\n" for row in (header, *rows)))
+    _atomic_write(os.path.join(output_dir, stem + ".csv"),
+                  "".join(",".join(map(_cell, row)) + "\n" for row in (header, *rows)))
 
     ok = all(passed for _, passed, _ in checks)
     payload = {
@@ -381,10 +374,11 @@ def run_experiment(cfg: SimpleNamespace, output_dir: str) -> dict:
         "config": {key: _echo(value) for key, value in vars(cfg).items()},
         "verdict": "PASS" if ok else "FAIL",
         "checks": [{"name": n, "ok": p, "detail": d} for n, p, d in checks],
-        "csv": csv_path,
+        "csv": stem + ".csv",  # a name, not a path: the report sits next to it
     }
     payload.update(_jsonable(extra))
-    _atomic_write(json_path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _atomic_write(os.path.join(output_dir, stem + "_report.json"),
+                  json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
     if not ok:
         name, detail = next((n, d) for n, p, d in checks if not p)
@@ -436,7 +430,7 @@ def main(argv=None) -> int:
             raise ConfigInvalid("cannot write outputs: %s" % exc)
         print("PASS %s kind=%s checks=%d csv=%s"
               % (cfg.command, cfg.family.kind, len(payload["checks"]),
-                 payload["csv"]))
+                 os.path.join(args.out, payload["csv"])))
         return 0
     except StudyFailed as exc:
         print("FAIL %s kind=%s %s" % (args.command, cfg.family.kind, exc))

@@ -3,19 +3,18 @@
 The leading profile of the power-law family is the gradient of a radial
 complementary energy W*(S) = G(|S|) with G the antiderivative of
 a t (1 + a^p t^p)^{-1/p} (a `quad` integral for p != 2); W*(0) = 0 fixes the
-free additive constant. A scaled_base W* is the line integral of the leading
-profile along t S, t in [0, 1]: one `cubature` call integrates it for up to
-`_BATCH_ROWS` stresses, e.g. the 12 N probes of N gradients; a subdivision one
-row needs is shared by the call, which may move other rows' last digits. W is
-the convex conjugate of W*, evaluated at the closed-form maximizer (the
-tensor analogue of the one-dimensional inversion). The stress map of the
-associated Green elastic solid is a finite-difference gradient of W.
-Every map takes the family's `FamilySpec`: the stress-side maps accept the
-`ENERGY_KINDS`, the strain-side ones power_law alone, and any other kind
-raises InvalidParameter. Stresses must lie in the family's ball B(0, c)
-(`check_ball`) and `green_stress`'s delta must pass `check_delta`. `quad` and
-`cubature` import `scipy.integrate` on their first call, so only studies
-that integrate (p != 2 or scaled_base) load scipy.
+free additive constant. A scaled_base leading profile is the power-law
+profile of its `a` and `p`, so its W* is the same G(|S|). W is the convex
+conjugate of W*, evaluated at the closed-form maximizer (the tensor analogue
+of the one-dimensional inversion). The stress map of the associated Green
+elastic solid is a finite-difference gradient of W.
+Every map takes the family's `FamilySpec` and one SymTensor (anything else
+raises InvalidParameter): the stress-side maps accept the `ENERGY_KINDS`,
+the strain-side ones power_law alone, and any other kind raises
+InvalidParameter. Stresses must lie in the family's ball B(0, c)
+(`check_ball`) and `green_stress`'s delta must pass `check_delta`. `quad`
+imports `scipy.integrate` on its first call, so only studies that integrate
+(p != 2) load scipy.
 """
 
 from __future__ import annotations
@@ -24,19 +23,16 @@ import math
 
 import numpy as np
 
-from .errors import InvalidParameter, NoConvergence, OutOfDomain, Saturation
-from .families import FamilySpec, check_ball, check_delta, family_leading
+from .errors import InvalidParameter, OutOfDomain, Saturation
+from .families import FamilySpec, check_ball, check_delta
 from .scalar1d import one_minus_abs_pow
-from .symtensor import SymTensor, central_differences, columns, frobenius, inner, is_finite, rows
+from .symtensor import SymTensor, central_differences, frobenius, inner, is_finite
 
 # kinds whose leading profile is a gradient field: power_law, and scaled_base,
 # whose built-in base is the power-law profile
 ENERGY_KINDS = ("power_law", "scaled_base")
 _QUAD_TOL = 1e-12
 _GRAD_STEP = 1e-5
-# rows per `cubature` call: about 100 rows pay off its ~1 ms fixed cost, and
-# peak memory grows with the (nodes * rows, 6) arrays of larger calls
-_BATCH_ROWS = 192
 # wider than the FD step so gradient probes stay strictly inside the limit
 _SATURATION_GUARD = 1e-4
 
@@ -46,19 +42,11 @@ def quad(*args, **kwargs):
     return scipy.integrate.quad(*args, **kwargs)
 
 
-def cubature(*args, **kwargs):
-    import scipy.integrate
-    return scipy.integrate.cubature(*args, **kwargs)
-
-
-def _radial_closed_form(a: float, s: float) -> float:
-    # int_0^s a t (1 + a^2 t^2)^{-1/2} dt = ((1 + a^2 s^2)^{1/2} - 1)/a,
-    # written to avoid the cancellation at small s
-    return a * s * s / (1.0 + math.sqrt(1.0 + (a * s) ** 2))
-
-
-def _radial_quad(a: float, p: float, s: float) -> float:
-    # int_0^s a t (1 + (a t)^p)^{-1/p} dt
+def _radial(a: float, p: float, s: float) -> float:
+    # G(s) = int_0^s a t (1 + (a t)^p)^{-1/p} dt
+    if p == 2.0:
+        # ((1 + a^2 s^2)^{1/2} - 1)/a, written to avoid the cancellation at small s
+        return a * s * s / (1.0 + math.sqrt(1.0 + (a * s) ** 2))
     if s == 0.0:
         return 0.0
     expo = -1.0 / p
@@ -67,46 +55,36 @@ def _radial_quad(a: float, p: float, s: float) -> float:
     return value
 
 
-def _line_integrals(spec: FamilySpec, rows: np.ndarray) -> np.ndarray:
-    # W*(S) = int_0^1 <f_1(0, t S), S> dt for each row S, exact because the
-    # leading profile is a gradient; one family_leading call takes every ray at every node
-    check_ball("Sbar", rows, spec.c)
-    if len(rows) > _BATCH_ROWS:
-        return np.concatenate([_line_integrals(spec, rows[i:i + _BATCH_ROWS])
-                               for i in range(0, len(rows), _BATCH_ROWS)])
-    weighted = rows * [1.0, 1.0, 1.0, 2.0, 2.0, 2.0]
-
-    def integrand(t):  # (m, 1) nodes -> (m, N) values
-        lead = family_leading(spec, SymTensor(), (t[:, :, None] * rows).reshape(-1, 6))
-        return (lead.reshape(len(t), *rows.shape) * weighted).sum(axis=-1)
-
-    res = cubature(integrand, [0.0], [1.0], rule="gk21", rtol=_QUAD_TOL, atol=_QUAD_TOL)
-    if res.status != "converged":
-        raise NoConvergence(f"W* line integral {res.status}", float(np.max(res.error)))
-    return res.estimate
+def _check(spec: FamilySpec, kinds: tuple, name: str, A) -> None:
+    # the public maps check once; their finite-difference probes skip it
+    if spec.kind not in kinds:
+        raise InvalidParameter(f"this map takes the kinds {list(kinds)}, got {spec.kind}")
+    # SymTensors of numpy columns are batches, which no energy map takes
+    if not isinstance(A, SymTensor) or any(isinstance(c, np.ndarray) for c in A.components()):
+        raise InvalidParameter(f"{name} must be one SymTensor, got {type(A).__name__}")
 
 
 def complementary_energy(spec: FamilySpec, Sbar: SymTensor) -> float:
-    """W*(Sbar), normalized so W*(0) = 0; convex on the stress ball.
+    """W*(Sbar) = G(|Sbar|), normalized so W*(0) = 0; convex on the stress ball.
 
     Raises InvalidParameter for a kind outside ENERGY_KINDS.
     """
-    if spec.kind not in ENERGY_KINDS:
-        raise InvalidParameter(f"kind {spec.kind} has no complementary energy")
-    if spec.kind == "scaled_base":
-        return float(_line_integrals(spec, np.array([Sbar.components()]))[0])
-    s = check_ball("Sbar", Sbar, spec.c)
-    return _radial_closed_form(spec.a, s) if spec.p == 2.0 else _radial_quad(spec.a, spec.p, s)
+    _check(spec, ENERGY_KINDS, "Sbar", Sbar)
+    return _radial(spec.a, spec.p, check_ball("Sbar", Sbar, spec.c))
 
 
 def conjugate_stress(spec: FamilySpec, Etilde: SymTensor) -> SymTensor:
     """Closed-form maximizer of <Etilde, S> - W*(S): inverts the leading profile.
 
-    a S = (1 - |Etilde|^p)^{-1/p} Etilde. Raises Saturation at |Etilde| >= 1
-    and OutOfDomain when |Etilde| is NaN or inf.
+    a S = (1 - |Etilde|^p)^{-1/p} Etilde. Raises InvalidParameter unless the
+    kind is power_law, Saturation at |Etilde| >= 1 and OutOfDomain when
+    |Etilde| is NaN or inf.
     """
-    if spec.kind != "power_law":
-        raise InvalidParameter("closed-form conjugate requires the power_law profile")
+    _check(spec, ("power_law",), "Etilde", Etilde)
+    return _conjugate(spec, Etilde)
+
+
+def _conjugate(spec: FamilySpec, Etilde: SymTensor) -> SymTensor:
     e = frobenius(Etilde)
     if not e < 1.0:  # a NaN or inf strain is out of the domain, not saturated
         raise (Saturation if math.isfinite(e) else OutOfDomain)(f"|Etilde| = {e!r} is not below 1")
@@ -116,37 +94,35 @@ def conjugate_stress(spec: FamilySpec, Etilde: SymTensor) -> SymTensor:
 
 def legendre_transform(spec: FamilySpec, Etilde: SymTensor) -> float:
     """W(Etilde) = sup_S [<Etilde, S> - W*(S)], evaluated at the maximizer."""
-    star = conjugate_stress(spec, Etilde)
+    _check(spec, ("power_law",), "Etilde", Etilde)
+    return _legendre(spec, Etilde)
+
+
+def _legendre(spec: FamilySpec, Etilde: SymTensor) -> float:
+    star = _conjugate(spec, Etilde)
     if spec.p == 2.0:
         # closed form a^{-1}(1 - sqrt(1 - e^2)); keeps W exactly conjugate
         e = frobenius(Etilde)
         return e * e / (spec.a * (1.0 + math.sqrt(one_minus_abs_pow(e, 2.0))))
     # the conjugate stress may leave the configured stress ball; the radial
     # integral itself is defined for all stresses
-    return inner(Etilde, star) - _radial_quad(spec.a, spec.p, frobenius(star))
+    return inner(Etilde, star) - _radial(spec.a, spec.p, frobenius(star))
 
 
-def complementary_gradient(spec: FamilySpec, Sbar):
+def complementary_gradient(spec: FamilySpec, Sbar: SymTensor) -> SymTensor:
     """Central finite-difference gradient of W*; should reproduce the leading profile.
 
     Same six-component convention as green_stress: off-diagonal quotients
     are halved. The step is 1e-5 max(min(1, c), |Sbar|), so probes stay in a
     stress ball of any radius c when |Sbar| leaves a little headroom below c.
-    A batch (`columns`) gives (N, 6) gradients; scaled_base integrates all
-    12 N probes at once.
     """
-    single = isinstance(Sbar, SymTensor) and not isinstance(Sbar.xx, np.ndarray)
-    points = [Sbar] if single else rows(columns(Sbar)[0])
+    _check(spec, ENERGY_KINDS, "Sbar", Sbar)
     floor = min(1.0, spec.c)
     if not _GRAD_STEP * floor > 0.0:
         raise InvalidParameter(f"the gradient step underflows for c = {spec.c!r}")
-    steps = [_GRAD_STEP * max(floor, check_ball("Sbar", S, spec.c)) for S in points]
-    if spec.kind == "scaled_base":
-        fn = lambda P: _line_integrals(spec, np.reshape(P, (-1, 6))).tolist()
-    else:
-        fn = lambda P: [complementary_energy(spec, SymTensor(*S)) for S in P]
-    grads = _central_gradient(fn, points, steps)
-    return SymTensor(*grads[0]) if single else np.reshape(grads, (-1, 6))
+    h = _GRAD_STEP * max(floor, check_ball("Sbar", Sbar, spec.c))
+    return _central_gradient(lambda P: [
+        _radial(spec.a, spec.p, check_ball("Sbar", SymTensor(*S), spec.c)) for S in P], Sbar, h)
 
 
 def green_stress(spec: FamilySpec, delta: float, eps: SymTensor) -> SymTensor:
@@ -154,11 +130,13 @@ def green_stress(spec: FamilySpec, delta: float, eps: SymTensor) -> SymTensor:
 
     Central finite differences on W in the six stored components; the
     off-diagonal quotients are halved because those components carry double
-    weight in the matrix inner product. Raises InadmissibleDelta for a delta
-    `check_delta` refuses, Saturation when |eps/delta| reaches 1 - 1e-4
-    (probe points must stay strictly inside the limit) and OutOfDomain when
-    it is NaN or inf (an int past the float range too).
+    weight in the matrix inner product. Raises InvalidParameter unless the
+    kind is power_law, InadmissibleDelta for a delta `check_delta` refuses,
+    Saturation when |eps/delta| reaches 1 - 1e-4 (probe points must stay
+    strictly inside the limit) and OutOfDomain when it is NaN or inf (an int
+    past the float range too).
     """
+    _check(spec, ("power_law",), "eps", eps)
     check_delta(spec, delta)
     if not is_finite(eps):  # before eps/delta meets an int past the float range
         raise OutOfDomain(f"eps needs finite components, got {eps.components()!r}")
@@ -168,11 +146,10 @@ def green_stress(spec: FamilySpec, delta: float, eps: SymTensor) -> SymTensor:
         raise (Saturation if math.isfinite(e) else OutOfDomain)(
             f"|eps/delta| = {e!r} is not below the strain limit minus 1e-4")
     h = _GRAD_STEP * max(1.0, e)
-    return SymTensor(*_central_gradient(
-        lambda P: [legendre_transform(spec, SymTensor(*E)) for E in P], [et], [h])[0])
+    return _central_gradient(lambda P: [_legendre(spec, SymTensor(*E)) for E in P], et, h)
 
 
-def _central_gradient(fn, points: list, steps: list) -> list:
+def _central_gradient(fn, point: SymTensor, h: float) -> SymTensor:
     # off-diagonal quotients halved: those components count twice in the inner product
-    return [grad[:3] + [0.5 * q for q in grad[3:]]
-            for grad in central_differences(fn, points, steps)]
+    grad = central_differences(fn, point, h)
+    return SymTensor(*grad[:3], *[0.5 * q for q in grad[3:]])

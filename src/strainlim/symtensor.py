@@ -221,25 +221,18 @@ def inverse(A: np.ndarray) -> np.ndarray:
         return adj.reshape(np.shape(d) + (3, 3)) / np.reshape(d, np.shape(d) + (1, 1))
 
 
-def central_differences(fn, point, h) -> list:
+def central_differences(fn, point: SymTensor, h: float) -> list:
     """Central difference quotients of `fn` in the six stored components of `point`.
 
     `fn` maps the twelve probes (component lists, six steps of +h then six
     of -h) to twelve values; returns the six quotients (v[j] - v[j+6]) / 2h.
-    A list of N points with a list of N steps gives N quotient lists from
-    one `fn` call on all 12 N probes, point by point.
     """
-    if isinstance(point, SymTensor):
-        return central_differences(fn, [point], [h])[0]
-    probes = [list(p.components()) for p in point for _ in range(12)]
-    starts = range(0, len(probes), 12)
-    for k, step in zip(starts, h):
-        for j in range(6):
-            probes[k + j][j] += step
-            probes[k + j + 6][j] -= step
+    probes = [list(point.components()) for _ in range(12)]
+    for j in range(6):
+        probes[j][j] += h
+        probes[j + 6][j] -= h
     v = fn(probes)
-    return [[(v[k + j] - v[k + j + 6]) / (2.0 * step) for j in range(6)]
-            for k, step in zip(starts, h)]
+    return [(v[j] - v[j + 6]) / (2.0 * h) for j in range(6)]
 
 
 def is_rotation(R: np.ndarray):

@@ -253,21 +253,18 @@ def test_energy_study_on_a_small_stress_ball(tmp_path, family, c):
                  "--out", str(tmp_path)]) == 0
 
 
-def test_scaled_base_energy_study_makes_one_cubature_call(tmp_path, monkeypatch):
-    # all four probes' 48 finite-difference rows go through one integral
-    rows = []
-    real = strainlim.energy.cubature
-
-    def counted(*args, **kwargs):
-        result = real(*args, **kwargs)
-        rows.append(len(result.estimate))
-        return result
-
-    monkeypatch.setattr(strainlim.energy, "cubature", counted)
-    payload = dict(SCALED_ENERGY, samples=4, seed=3)
-    assert main(["energy", "--config", _write(tmp_path, "e.json", payload),
-                 "--out", str(tmp_path)]) == 0
-    assert rows == [48]
+def test_reports_do_not_depend_on_the_output_directory(tmp_path, capsys):
+    # the report names its CSV, which sits next to it; only the PASS line holds the path
+    config = _write(tmp_path, "e.json", dict(SCALED_ENERGY, samples=4, seed=3))
+    reports = []
+    for name in ("one", "other/nested"):
+        out = tmp_path / name
+        out.mkdir(parents=True)
+        assert main(["energy", "--config", config, "--out", str(out)]) == 0
+        assert capsys.readouterr().out.endswith("csv=%s\n" % os.path.join(str(out), "energy.csv"))
+        reports.append((out / "energy_report.json").read_bytes())
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["csv"] == "energy.csv"
 
 
 def test_usage_errors_map_to_one(capsys):
@@ -688,21 +685,21 @@ assert "scipy.integrate" in sys.modules
 
 
 def test_only_integrating_energy_studies_load_scipy(tmp_path):
-    """A fresh interpreter runs solve, converge, converge-hencky and certify on numpy
-    alone; a p = 3 energy study then loads scipy.integrate on first use."""
+    """A fresh interpreter runs solve, converge, converge-hencky, certify and a p = 2
+    scaled_base energy study on numpy alone; a p = 3 energy study then loads
+    scipy.integrate on first use."""
     solve = {"family": {"kind": "power_law", "a": 1.0, "p": 2.0},
              "stress": CONVERGE["stress"], "delta": 0.015625}
     energy = {"family": {"kind": "power_law", "a": 1.0, "p": 3.0, "c": 3.0},
               "delta": 0.01, "samples": 20, "seed": 5}
-    runs = [[command, "--config", _write(tmp_path, command + ".json", payload),
-             "--out", str(tmp_path)]
-            for command, payload in (("solve", solve), ("converge", CONVERGE),
-                                     ("converge-hencky", CONVERGE), ("certify", CERTIFY),
-                                     ("energy", energy))]
+    studies = (("solve", solve), ("converge", CONVERGE), ("converge-hencky", CONVERGE),
+               ("certify", CERTIFY), ("energy", dict(SCALED_ENERGY, samples=4)), ("energy", energy))
+    runs = [[command, "--config", _write(tmp_path, "%d.json" % i, payload), "--out", str(tmp_path)]
+            for i, (command, payload) in enumerate(studies)]
     proc = subprocess.run([sys.executable, "-c", _SCIPY_FREE_SCRIPT, json.dumps(runs)],
                           env=_fresh_env(), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.count("PASS") == 5
+    assert proc.stdout.count("PASS") == 6
 
 
 # --- report serialization -------------------------------------------------------

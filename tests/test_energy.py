@@ -14,8 +14,7 @@ from strainlim.energy import (
     green_stress,
     legendre_transform,
 )
-from strainlim.errors import (InadmissibleDelta, InvalidParameter, NoConvergence, OutOfDomain,
-                              Saturation)
+from strainlim.errors import InadmissibleDelta, InvalidParameter, OutOfDomain, Saturation
 from strainlim.families import FamilySpec, family_leading
 from strainlim.symtensor import SymTensor, frobenius, inner
 
@@ -38,12 +37,39 @@ def test_profile_validation():
     S = SymTensor(0.1, 0.0, 0.0)
     for call in (lambda: complementary_energy(density, S),
                  lambda: complementary_gradient(density, S),
-                 lambda: complementary_gradient(density, np.array([S.components()])),
                  lambda: conjugate_stress(density, S),
                  lambda: legendre_transform(density, S),
                  lambda: green_stress(density, 0.01, S * 0.01)):
         with pytest.raises(InvalidParameter):
             call()
+
+
+# every energy map takes one SymTensor of plain numbers: arrays, batches, lists
+# and strings are named errors
+_NOT_TENSORS = {"(2, 6)": np.full((2, 6), 0.001), "(1, 6)": np.full((1, 6), 0.001),
+                "list": [0.001] * 6, "str": "0.001", "(N, 5)": np.zeros((3, 5)),
+                "(N, 7)": np.zeros((3, 7)), "(N, 1)": np.zeros((3, 1)), "1-D": np.zeros(6),
+                "3-D": np.zeros((2, 3, 6)), "columns": SymTensor(*np.full((6, 2), 0.001))}
+_ENERGY_MAPS = {
+    "complementary_energy": lambda A: complementary_energy(POWER, A),
+    "scaled_base complementary_energy": lambda A: complementary_energy(SCALED, A),
+    "complementary_gradient": lambda A: complementary_gradient(POWER, A),
+    "conjugate_stress": lambda A: conjugate_stress(POWER, A),
+    "legendre_transform": lambda A: legendre_transform(POWER, A),
+    "green_stress": lambda A: green_stress(POWER, 0.01, A),
+}
+
+
+@pytest.mark.parametrize("name", _ENERGY_MAPS)
+def test_every_energy_map_refuses_what_is_not_one_tensor(name):
+    raised = {}
+    for key, A in _NOT_TENSORS.items():
+        try:
+            _ENERGY_MAPS[name](A)
+            raised[key] = None
+        except Exception as exc:
+            raised[key] = type(exc)
+    assert all(error is InvalidParameter for error in raised.values()), raised
 
 
 @pytest.mark.parametrize("delta", [0.0, -0.01, 0.1, 1e-320, math.nan])
@@ -200,25 +226,28 @@ def test_stress_ball_is_enforced():
         complementary_energy(POWER, SymTensor(3.5, 0.0, 0.0))
 
 
-def test_scaled_base_energy_matches_power_law():
-    scaled = FamilySpec(kind="scaled_base", a=1.0, p=2.0, base="power_law", delta1=0.05, c=3.0)
+@pytest.mark.parametrize("p", [2.0, 4.0])
+def test_scaled_base_energy_is_the_power_law_energy(p):
+    # a scaled_base leading profile is the power-law profile of its a and p, so
+    # both kinds run one radial integral: equal bits, not merely close values
+    power = FamilySpec(kind="power_law", a=0.7, p=p, c=3.0)
+    scaled = FamilySpec(kind="scaled_base", a=0.7, p=p, base="power_law", delta1=0.05, c=3.0)
     rng = np.random.default_rng(97)
-    for _ in range(25):
-        S = ball(rng, 2.5)
-        assert complementary_energy(scaled, S) == pytest.approx(
-            complementary_energy(POWER, S), rel=1e-9, abs=1e-14
-        )
+    for S in [ball(rng, 2.5) for _ in range(25)] + [ZERO]:
+        assert complementary_energy(scaled, S) == complementary_energy(power, S)
+        assert complementary_gradient(scaled, S) == complementary_gradient(power, S)
 
 
 def _scalar_line_integral(family, S):
-    # the former per-stress path: one scalar quad along the ray t -> t S
+    # an independent reference: one scalar quad along the ray t -> t S
     value, _ = quad(lambda t: inner(family_leading(family, ZERO, S * t), S), 0.0, 1.0,
                     epsabs=1e-12, epsrel=1e-12, limit=200)
     return value
 
 
 @pytest.mark.parametrize("family", [SCALED, SCALED_QUARTIC])
-def test_batched_line_integral_matches_scalar_quad(family):
+def test_scaled_base_energy_matches_scalar_line_integral(family):
+    # W*(S) = int_0^1 <f_1(0, t S), S> dt: the radial form is that line integral
     rng = np.random.default_rng(101)
     stresses = [ball(rng, family.c) for _ in range(40)]
     # a few on the ball's edge, where the integrand is flattest
@@ -226,88 +255,13 @@ def test_batched_line_integral_matches_scalar_quad(family):
         S = ball(rng, family.c)
         stresses.append(S * ((1.0 - 1e-15 * rng.random()) * family.c / frobenius(S)))
     stresses.append(ZERO)
-    batch = energy._line_integrals(family, np.array([S.components() for S in stresses]))
-    for S, value in zip(stresses, batch):
-        reference = _scalar_line_integral(family, S)
-        assert abs(value - reference) <= 1e-14
-        assert abs(complementary_energy(family, S) - reference) <= 1e-14
+    for S in stresses:
+        assert abs(complementary_energy(family, S) - _scalar_line_integral(family, S)) <= 1e-14
 
 
-def test_line_integral_reports_nonconvergence(monkeypatch):
-    real = energy.cubature
-
-    def stalled(*args, **kwargs):
-        result = real(*args, **kwargs)
-        result.status = "not_converged"
-        return result
-
-    monkeypatch.setattr(energy, "cubature", stalled)
-    S = SymTensor(0.5, -0.2, 0.1, 0.3, 0.0, 0.1)
-    with pytest.raises(NoConvergence):
-        complementary_energy(SCALED, S)
-    with pytest.raises(NoConvergence):
-        complementary_gradient(SCALED, S)
-
-
-# the CLI's stress ball (c = 1): no line integral here needs a subdivision, so
-# sharing a cubature call leaves every row's value unchanged
+# the CLI's stress ball (c = 1)
 UNIT_SCALED = FamilySpec(kind="scaled_base", a=1.0, p=2.0, base="power_law", delta1=0.05)
-UNIT_SCALED_QUARTIC = FamilySpec(kind="scaled_base", a=0.7, p=4.0, base="power_law")
 CUBIC = FamilySpec(kind="power_law", a=1.0, p=3.0, c=3.0)
-
-
-@pytest.mark.parametrize("family", [UNIT_SCALED, UNIT_SCALED_QUARTIC, POWER, CUBIC])
-def test_batched_gradient_equals_per_stress_calls(family):
-    rng = np.random.default_rng(103)
-    stresses = [ball(rng, 0.9 * family.c) for _ in range(20)] + [ZERO]
-    rows = np.array([S.components() for S in stresses])
-    batch = complementary_gradient(family, rows)
-    assert batch.shape == (len(stresses), 6)
-    # a SymTensor of (N,) columns is the same batch
-    assert np.array_equal(complementary_gradient(family, SymTensor(*rows[:3].T)), batch[:3])
-    for S, row in zip(stresses, batch.tolist()):
-        assert row == list(complementary_gradient(family, S).components())
-    one = complementary_gradient(family, np.array([stresses[0].components()]))
-    assert one.tolist() == [list(complementary_gradient(family, stresses[0]).components())]
-    assert complementary_gradient(family, np.empty((0, 6))).shape == (0, 6)
-
-
-def test_batched_gradient_splits_at_the_row_cap(monkeypatch):
-    rng = np.random.default_rng(107)
-    stresses = np.array([ball(rng, 0.9).components() for _ in range(40)])
-    rows = []  # the rows of each cubature call
-    real = energy.cubature
-
-    def counted(*args, **kwargs):
-        result = real(*args, **kwargs)
-        rows.append(len(result.estimate))
-        return result
-
-    monkeypatch.setattr(energy, "cubature", counted)
-    whole = complementary_gradient(UNIT_SCALED, stresses)
-    assert sum(rows) == 12 * len(stresses) and max(rows) <= energy._BATCH_ROWS
-    assert len(rows) == -(-12 * len(stresses) // energy._BATCH_ROWS)
-    # a cap that splits probes across calls changes no value
-    monkeypatch.setattr(energy, "_BATCH_ROWS", 30)
-    rows.clear()
-    assert complementary_gradient(UNIT_SCALED, stresses).tolist() == whole.tolist()
-    assert rows == [30] * 16
-
-
-def test_batched_gradient_stays_close_where_integrals_subdivide():
-    # at |S| up to 2.7 cubature subdivides [0, 1], and a shared call refines
-    # every row of the batch alike: the last digits may move, nothing more
-    rng = np.random.default_rng(109)
-    stresses = [ball(rng, 0.9 * SCALED.c) for _ in range(12)]
-    batch = complementary_gradient(SCALED, np.array([S.components() for S in stresses]))
-    single = [complementary_gradient(SCALED, S).components() for S in stresses]
-    assert np.max(np.abs(batch - np.array(single))) <= 1e-10
-
-
-def test_batched_gradient_raises_for_the_first_stress_out_of_the_ball():
-    stresses = np.array([[0.1, 0, 0, 0, 0, 0], [2.0, 0, 0, 0, 0, 0], [math.nan, 0, 0, 0, 0, 0]])
-    with pytest.raises(OutOfDomain, match="2.0"):
-        complementary_gradient(UNIT_SCALED, stresses)
 
 
 @pytest.mark.parametrize("family", [POWER, QUARTIC, SCALED])

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strainlim.analysis import ball_points
-from strainlim.energy import complementary_gradient
 from strainlim.errors import (
     InadmissibleDelta,
     InvalidParameter,
@@ -600,8 +599,6 @@ _F_ROWS = family_eval(RECIP, _D, _ROWS, _ROWS)
 BAD_BATCH_CALLS = {
     "frobenius": {k: lambda A=A: frobenius(A) for k, A in _NOT_BATCHES.items()},
     "check_ball": {k: lambda A=A: check_ball("E", A, 1.0) for k, A in _NOT_BATCHES.items()},
-    "complementary_gradient": {k: lambda A=A: complementary_gradient(POWER, A)
-                               for k, A in _NOT_BATCHES.items()},
     "family_leading": {k: lambda p=p: family_leading(RECIP, *p) for k, p in _PAIRS.items()},
     "family_eval": {**{k: lambda p=p: family_eval(RECIP, _D, *p) for k, p in _PAIRS.items()},
                     **{k: lambda d=d: family_eval(RECIP, d, _ROWS, _ROWS)

@@ -135,3 +135,20 @@ def test_only_symtensor_reads_the_batch_format(path):
     # one reader of (N, 6) arrays: `symtensor.columns` unpacks their columns
     found = list(_transposed_unpacks(ast.parse(path.read_text(), filename=str(path))))
     assert bool(found) == (path.stem == "symtensor"), (path.name, found)
+
+
+def _scipy_integrate_reads(tree):
+    """Names read from scipy.integrate: `scipy.integrate.x` attributes and
+    `from scipy.integrate import x` imports; `from scipy import integrate` yields
+    "integrate", which no guard allows."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and ast.unparse(node.value) == "scipy.integrate":
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom) and node.module in ("scipy", "scipy.integrate"):
+            yield from (alias.name for alias in node.names)
+
+
+def test_energy_has_one_quadrature_path():
+    # every integral of the package goes through `energy.quad`, scipy's adaptive quad
+    path = next(p for p in MODULES if p.stem == "energy")
+    assert set(_scipy_integrate_reads(ast.parse(path.read_text(), filename=str(path)))) == {"quad"}

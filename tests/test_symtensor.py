@@ -220,22 +220,6 @@ def test_central_differences_are_exact_on_quadratics_and_linear_maps():
     assert np.allclose(jac, A, rtol=1e-10, atol=1e-10)
 
 
-def test_central_differences_at_several_points_match_single_point_calls():
-    rng = np.random.default_rng(7)
-    points = [_sym(rng) for _ in range(5)]
-    steps = [10.0 ** -k for k in range(1, 6)]
-    w = rng.standard_normal(6)
-    calls = []
-
-    def fn(P):
-        calls.append(len(P))
-        return [math.exp(float(w @ np.array(x))) for x in P]
-
-    batch = central_differences(fn, points, steps)
-    assert calls == [12 * len(points)]
-    assert batch == [central_differences(fn, p, h) for p, h in zip(points, steps)]
-
-
 def test_is_rotation():
     assert is_rotation(np.eye(3))
     c, s = math.cos(0.3), math.sin(0.3)
