@@ -54,6 +54,7 @@ _ENERGY_MAPS = {
     "complementary_energy": lambda A: complementary_energy(POWER, A),
     "scaled_base complementary_energy": lambda A: complementary_energy(SCALED, A),
     "complementary_gradient": lambda A: complementary_gradient(POWER, A),
+    "scaled_base complementary_gradient": lambda A: complementary_gradient(SCALED, A),
     "conjugate_stress": lambda A: conjugate_stress(POWER, A),
     "legendre_transform": lambda A: legendre_transform(POWER, A),
     "green_stress": lambda A: green_stress(POWER, 0.01, A),
@@ -226,7 +227,14 @@ def test_stress_ball_is_enforced():
         complementary_energy(POWER, SymTensor(3.5, 0.0, 0.0))
 
 
-@pytest.mark.parametrize("p", [2.0, 4.0])
+@pytest.mark.parametrize("family", [POWER, SCALED], ids=["power_law", "scaled_base"])
+def test_gradient_names_a_stress_out_of_the_ball(family):
+    # the gradient checks the ball before any probe is taken, and names |Sbar|
+    with pytest.raises(OutOfDomain, match=r"\|Sbar\| = 3\.5 exceeds 3\.0"):
+        complementary_gradient(family, SymTensor(3.5, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0, 4.0])
 def test_scaled_base_energy_is_the_power_law_energy(p):
     # a scaled_base leading profile is the power-law profile of its a and p, so
     # both kinds run one radial integral: equal bits, not merely close values
