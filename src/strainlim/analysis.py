@@ -97,13 +97,13 @@ class CertificateReport:
 
 
 def fit_order(deltas, residuals) -> Optional[float]:
-    """Least-squares slope of log(residual) against log(delta).
+    """Least-squares slope of log(residual) against log(delta), in closed form.
 
     Rows with residual exactly zero are excluded; if every row is zero the
     identity holds exactly and the result is None (there is no order to
-    fit). Fewer than four usable rows raise FitUnderdetermined; a non-number
-    (`errors.real`), a negative, NaN or inf residual or a delta that is not
-    finite and positive raises InvalidParameter.
+    fit). Fewer than four usable rows, or usable rows of one delta, raise
+    FitUnderdetermined; a non-number (`errors.real`), a negative, NaN or inf
+    residual or a delta that is not finite and positive raises InvalidParameter.
     """
     deltas = [real(d, "delta") for d in deltas]  # any iterable, read once
     residuals = [real(r, "residual") for r in residuals]
@@ -115,14 +115,17 @@ def fit_order(deltas, residuals) -> Optional[float]:
         raise InvalidParameter(f"residuals must be finite and nonnegative, got {residuals!r}")
     if len(deltas) < 4:
         raise FitUnderdetermined(f"need at least 4 rows, got {len(deltas)}")
-    pairs = [(d, r) for d, r in zip(deltas, residuals) if r > 0.0]
+    pairs = [(math.log(d), math.log(r)) for d, r in zip(deltas, residuals) if r > 0.0]
     if not pairs:
         return None
     if len(pairs) < 4:
         raise FitUnderdetermined(f"only {len(pairs)} nonzero rows")
-    ds = np.log([d for d, _ in pairs])
-    rs = np.log([r for _, r in pairs])
-    return float(np.polyfit(ds, rs, 1)[0])
+    xs, ys = zip(*pairs)
+    if len(set(xs)) < 2:
+        raise FitUnderdetermined(f"the nonzero rows share one log(delta) = {xs[0]!r}")
+    mx, my = math.fsum(xs) / len(xs), math.fsum(ys) / len(ys)
+    dxs = [x - mx for x in xs]
+    return math.fsum(dx * (y - my) for dx, y in zip(dxs, ys)) / math.fsum(dx * dx for dx in dxs)
 
 
 def _validate_ladder(spec, deltas) -> list:

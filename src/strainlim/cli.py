@@ -16,9 +16,9 @@ and exactly the keys the command reads, which the report echoes. The CSV
 columns of converge, certify and oned are the fields of the result types
 (`ConvergenceRecord`, `CertificateRow`, the `Delta0Study` row keys).
 
-Outputs are written atomically (tempfile + rename) and floats are
-serialized with repr(), so reruns with the same config and seed produce
-byte-identical files.
+Outputs are written atomically (tempfile + rename) as UTF-8, floats through
+repr() and reports as the bytes of `json.dumps(report, indent=2, sort_keys=True)`,
+so reruns with the same config and seed produce byte-identical files.
 """
 
 import argparse
@@ -151,14 +151,12 @@ def parse_config(raw: dict, command: str) -> SimpleNamespace:
 # output helpers
 
 
-def _atomic_write(path: str, text: str):
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
+def _atomic_write(directory: str, name: str, data: bytes):
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".strainlim-")
     try:
-        with os.fdopen(fd, "w", newline="") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
+        with open(fd, "wb") as handle:
+            handle.write(data)
+        os.replace(tmp, os.path.join(directory, name))
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
@@ -166,11 +164,9 @@ def _atomic_write(path: str, text: str):
 
 
 def _cell(value) -> str:
-    if isinstance(value, bool):
+    if type(value) is bool:
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def _table(records):
@@ -179,16 +175,32 @@ def _table(records):
     return tuple(dicts[0]), [tuple(d.values()) for d in dicts]
 
 
-def _jsonable(obj):
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return repr(obj)
-    return obj
+_quote = json.encoder.encode_basestring_ascii
+# how json.dumps writes each scalar type; a non-finite float is its quoted repr
+_SCALARS = {str: _quote, int: int.__repr__, bool: ["false", "true"].__getitem__,
+            float: lambda v: float.__repr__(v) if math.isfinite(v) else _quote(repr(v)),
+            type(None): lambda _: "null"}
+
+
+def _json(obj, pad="\n") -> str:
+    """`obj` as `json.dumps(obj, indent=2, sort_keys=True)` writes it, with each
+    dataclass a dict of its fields and each tuple a list; dict keys are strings
+    and `pad` is the newline and indent of the line `obj` starts on."""
+    kind = type(obj)
+    if kind in _SCALARS:
+        return _SCALARS[kind](obj)
+    inner = pad + "  "
+    if dataclasses.is_dataclass(kind):
+        items = sorted((f.name, getattr(obj, f.name)) for f in dataclasses.fields(kind))
+    elif isinstance(obj, dict):
+        items = sorted(obj.items())
+    elif isinstance(obj, (list, tuple)):
+        body = ("," + inner).join([_json(v, inner) for v in obj])
+        return "[" + inner + body + pad + "]" if obj else "[]"
+    else:  # a scalar subclass (np.float64) as its base; `_quote` raises TypeError for others
+        return _SCALARS[next((b for b in kind.__mro__ if b in _SCALARS), str)](obj)
+    body = ("," + inner).join([_quote(key) + ": " + _json(value, inner) for key, value in items])
+    return "{" + inner + body + pad + "}" if items else "{}"
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +234,7 @@ def _run_converge(cfg):
     bad = [r for r in report.records if r.stress_gap > row_factor * r.delta * sn]
     checks.append(("stress_rows", not bad,
                    "first violation at delta=%r" % (bad[0].delta if bad else None)))
-    return checks, header, rows, {"report": _jsonable(report)}
+    return checks, header, rows, {"report": report}
 
 
 def _run_certify(cfg):
@@ -238,7 +250,7 @@ def _run_certify(cfg):
             checks.append((key + "_finite", True, "value=%r" % value))
         else:
             checks.append((key, value <= cap, "value=%r cap=%r" % (value, cap)))
-    return checks, header, rows, {"report": _jsonable(report)}
+    return checks, header, rows, {"report": report}
 
 
 def _run_oned(cfg):
@@ -263,7 +275,7 @@ def _run_solve(cfg):
     tol = _thresholds(cfg)["residual"]
     checks = [("residual", report.residual <= tol,
                "residual=%r cap=%r" % (report.residual, tol))]
-    return checks, header, rows, {"report": _jsonable(report)}
+    return checks, header, rows, {"report": report}
 
 
 def _run_energy(cfg):
@@ -293,13 +305,13 @@ def _run_energy(cfg):
             rt_err = frobenius(family_leading(spec, zero, sig) * cfg.delta - eps)
         rows.append((i, grad_err, fy_err, rt_err))
 
-    # a running max from 0.0, which skips the NaN columns of scaled_base
-    worst = {name: max([0.0, *col])
-             for name, col in zip(("grad", "fenchel", "roundtrip"), list(zip(*rows))[1:])}
+    names = ("grad", "fenchel", "roundtrip")
+    checked = names if power else names[:1]  # scaled_base's other columns: NaN, reported 0.0
+    worst = {name: math.nan if name in checked and any(map(math.isnan, col))
+             else max([0.0, *col]) for name, col in zip(names, list(zip(*rows))[1:])}
     limits = _thresholds(cfg)
     checks = [(name, worst[name] <= limits[name + "_tol"],
-               "max=%r cap=%r" % (worst[name], limits[name + "_tol"]))
-              for name in (("grad", "fenchel", "roundtrip") if power else ("grad",))]
+               "max=%r cap=%r" % (worst[name], limits[name + "_tol"])) for name in checked]
     header = ("index", "grad_error", "fenchel_error", "roundtrip_error")
     return checks, header, rows, {"worst": worst, "probes": len(rows)}
 
@@ -350,7 +362,7 @@ _COMMANDS = {
 def run_experiment(cfg: SimpleNamespace, output_dir: str) -> dict:
     """Run one configured study and write its CSV and JSON outputs into `output_dir`.
 
-    Returns the JSON report payload on success. Raises StudyFailed if the
+    Returns the report payload on success. Raises StudyFailed if the
     study dies partway or misses a threshold; outputs that could be written
     are written either way.
     """
@@ -365,8 +377,10 @@ def run_experiment(cfg: SimpleNamespace, output_dir: str) -> dict:
         raise StudyFailed("%s: %s" % (type(exc).__name__, exc))
 
     stem = cfg.command.replace("-", "_")
-    _atomic_write(os.path.join(output_dir, stem + ".csv"),
-                  "".join(",".join(map(_cell, row)) + "\n" for row in (header, *rows)))
+    directory = os.path.abspath(output_dir)
+    os.makedirs(directory, exist_ok=True)
+    _atomic_write(directory, stem + ".csv", "".join(
+        ",".join(map(_cell, row)) + "\n" for row in (header, *rows)).encode())
 
     ok = all(passed for _, passed, _ in checks)
     payload = {
@@ -376,9 +390,8 @@ def run_experiment(cfg: SimpleNamespace, output_dir: str) -> dict:
         "checks": [{"name": n, "ok": p, "detail": d} for n, p, d in checks],
         "csv": stem + ".csv",  # a name, not a path: the report sits next to it
     }
-    payload.update(_jsonable(extra))
-    _atomic_write(os.path.join(output_dir, stem + "_report.json"),
-                  json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    payload.update(extra)
+    _atomic_write(directory, stem + "_report.json", (_json(payload) + "\n").encode())
 
     if not ok:
         name, detail = next((n, d) for n, p, d in checks if not p)

@@ -91,6 +91,30 @@ def test_fit_order_validation():
         fit_order(ds, [0.1, 0.0, 0.0, 0.01])
 
 
+@settings(max_examples=300, deadline=None)
+@given(first=st.floats(1e-6, 0.5), ratio=st.floats(0.25, 0.75), order=st.floats(0.5, 4.0),
+       scale=st.floats(0.01, 100.0),
+       wobble=st.lists(st.floats(-0.1, 0.1), min_size=4, max_size=12))
+def test_closed_form_fit_agrees_with_polyfit(first, ratio, order, scale, wobble):
+    # np.polyfit, the least squares the closed form replaced, is the oracle
+    ds = [first * ratio ** k for k in range(len(wobble))]
+    rs = [scale * d ** order * (1.0 + w) for d, w in zip(ds, wobble)]
+    want = float(np.polyfit(np.log(ds), np.log(rs), 1)[0])
+    assert fit_order(ds, rs) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("ds, rs", [
+    ([0.1] * 4, [1.0, 2.0, 3.0, 4.0]),
+    ([1e300] * 5, [1.0, 2.0, 3.0, 4.0, 5.0]),
+    # the one other delta sits on a zero residual, whose row the fit drops
+    ([0.1, 0.1, 0.05, 0.1, 0.1], [1.0, 2.0, 0.0, 4.0, 8.0]),
+])
+def test_fit_order_needs_two_distinct_deltas(ds, rs):
+    # every usable row on one vertical line: there is no slope
+    with pytest.raises(FitUnderdetermined):
+        fit_order(ds, rs)
+
+
 @pytest.mark.parametrize("bad", [math.inf, math.nan, -0.025, 0.0])
 def test_order_fits_reject_a_delta_that_is_not_finite_and_positive(bad):
     ds = [0.1, 0.05, bad, 0.0125, 0.00625]

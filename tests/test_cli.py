@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import dataclasses
 import io
 import json
@@ -10,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -17,7 +19,7 @@ from hypothesis import strategies as st
 import strainlim
 import strainlim.cli as cli
 from strainlim.analysis import certify_constants, run_convergence_hencky
-from strainlim.cli import _COMMANDS, _build_parser, _jsonable, main, parse_config
+from strainlim.cli import _COMMANDS, _build_parser, _json, main, parse_config
 from strainlim.errors import ConfigInvalid
 from strainlim.families import FamilySpec
 from strainlim.kinematics import RotationSpec
@@ -202,6 +204,16 @@ def test_oned_default_thresholds_fail_honestly(tmp_path, capsys):
     assert 2.8 <= report["slope"] <= 3.2
 
 
+def test_oned_stresses_of_one_value_have_no_slope(tmp_path, capsys):
+    # every row has the same delta0, so no line can be fitted through the rows
+    payload = dict(VALID["oned"], stresses=[0.3] * 5)
+    code = main(["oned", "--config", _write(tmp_path, "o.json", payload), "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (2, "")
+    lines = captured.out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("FAIL oned kind=power_law FitUnderdetermined: ")
+
+
 def test_oned_passes_with_explicit_window(tmp_path):
     payload = {
         "family": {"kind": "power_law", "a": 1.0, "p": 2.0},
@@ -239,6 +251,40 @@ def test_energy_command(tmp_path):
     code = main(["energy", "--config", _write(tmp_path, "e.json", payload),
                  "--out", str(tmp_path)])
     assert code == 0
+
+
+@pytest.mark.parametrize("target, call, column", [
+    ("complementary_gradient", 1, "grad"),
+    ("legendre_transform", 1, "fenchel"),
+    ("family_leading", 3, "roundtrip"),  # each probe calls it for grad, then for the round trip
+])
+def test_a_nan_probe_fails_its_energy_check(tmp_path, capsys, monkeypatch, target, call, column):
+    original, calls = getattr(cli, target), []
+
+    def nan_once(*args):
+        calls.append(args)
+        value = original(*args)
+        return value * math.nan if len(calls) - 1 == call else value
+
+    monkeypatch.setattr(cli, target, nan_once)
+    payload = dict(VALID["energy"], samples=4)
+    code = main(["energy", "--config", _write(tmp_path, "e.json", payload), "--out", str(tmp_path)])
+    cap = _COMMANDS["energy"].thresholds[column + "_tol"]
+    assert (code, capsys.readouterr().out) == (
+        2, "FAIL energy kind=power_law check %s: max=nan cap=%r\n" % (column, cap))
+    report = json.loads((tmp_path / "energy_report.json").read_text())
+    assert report["verdict"] == "FAIL" and report["worst"][column] == "nan"
+    assert [c["ok"] for c in report["checks"]] == [c["name"] != column for c in report["checks"]]
+    rows = list(csv.DictReader((tmp_path / "energy.csv").read_text().splitlines()))
+    assert [row[column + "_error"] == "nan" for row in rows] == [False, True, False, False]
+
+
+def test_scaled_base_energy_reports_its_unchecked_columns_as_zero(tmp_path):
+    main(["energy", "--config", _write(tmp_path, "e.json", dict(SCALED_ENERGY, samples=4)),
+          "--out", str(tmp_path)])
+    report = json.loads((tmp_path / "energy_report.json").read_text())
+    assert [c["name"] for c in report["checks"]] == ["grad"]
+    assert (report["worst"]["fenchel"], report["worst"]["roundtrip"]) == (0.0, 0.0)
 
 
 @pytest.mark.parametrize("c", [1e-4, 1e-5])
@@ -706,7 +752,8 @@ def test_only_integrating_energy_studies_load_scipy(tmp_path):
 
 
 def _asdict_route(obj):
-    """The former _jsonable: dataclasses.asdict first, then a second walk."""
+    """The reference route to a report: dataclasses.asdict, then tuples become lists
+    and non-finite floats their repr, for json.dumps to write."""
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return _asdict_route(dataclasses.asdict(obj))
     if isinstance(obj, dict):
@@ -729,5 +776,28 @@ def test_one_walk_serialization_matches_asdict_route():
                             residual_leading=math.inf, stress_gap=-math.inf),),
         failures=((0.5, "NoConvergence: stalled"),))
     for report in (converge, certify, odd, {"report": odd, "slope": math.nan}):
-        assert (json.dumps(_jsonable(report), sort_keys=True)
-                == json.dumps(_asdict_route(report), sort_keys=True))
+        assert _json(report) == json.dumps(_asdict_route(report), indent=2, sort_keys=True)
+
+
+_LEAVES = (st.floats() | st.floats().map(np.float64) | st.integers(-2 ** 200, 2 ** 200)
+           | st.booleans() | st.none() | st.text()
+           | st.sampled_from([-0.0, 5e-324, 1e-310, 1e308, math.nan, math.inf, -math.inf,
+                              np.float64(math.nan), np.float64(-math.inf), "\x00\x1f\"\\\u2028é😀"]))
+_TREES = st.recursive(_LEAVES, lambda kids: (
+    st.lists(kids, max_size=4) | st.lists(kids, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=6), kids, max_size=4)), max_leaves=40)
+
+
+@settings(max_examples=300, deadline=None)
+@example(tree={"": [], "b": {}, "a": ((), [{}]), "c": [0.5, -0.0, None, True, 2 ** 100]})
+@given(tree=_TREES)
+def test_the_report_walk_writes_what_json_dumps_writes(tree):
+    assert _json(tree) == json.dumps(_asdict_route(tree), indent=2, sort_keys=True)
+
+
+def test_the_report_walk_refuses_what_json_dumps_refuses():
+    for value in (object(), {1, 2}, np.float32(0.5), [b"bytes"]):
+        with pytest.raises(TypeError):
+            json.dumps(value)
+        with pytest.raises(TypeError):
+            _json(value)

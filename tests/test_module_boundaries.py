@@ -152,3 +152,20 @@ def test_energy_has_one_quadrature_path():
     # every integral of the package goes through `energy.quad`, scipy's adaptive quad
     path = next(p for p in MODULES if p.stem == "energy")
     assert set(_scipy_integrate_reads(ast.parse(path.read_text(), filename=str(path)))) == {"quad"}
+
+
+def _json_writes(tree):
+    """`json.dump`/`json.dumps` calls and `from json import dump(s)` imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in ("dump", "dumps") and (
+                ast.unparse(node.value) == "json"):
+            yield node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module == "json":
+            yield from (node.lineno for alias in node.names if alias.name in ("dump", "dumps"))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_the_report_walk_is_the_only_serializer(path):
+    # `cli._json` writes every report; json.dumps with indent runs the pure-Python encoder
+    found = list(_json_writes(ast.parse(path.read_text(), filename=str(path))))
+    assert not found, "%s calls json.dump or json.dumps at lines %s" % (path.name, found)
