@@ -788,7 +788,7 @@ _TREES = st.recursive(_LEAVES, lambda kids: (
     | st.dictionaries(st.text(max_size=6), kids, max_size=4)), max_leaves=40)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=150, deadline=None)
 @example(tree={"": [], "b": {}, "a": ((), [{}]), "c": [0.5, -0.0, None, True, 2 ** 100]})
 @given(tree=_TREES)
 def test_the_report_walk_writes_what_json_dumps_writes(tree):
