@@ -285,6 +285,7 @@ def certify_constants(
         e2 = e1 + ball_points(d_e, 1.0, 1.0) * (r_e * PROBE_SCALE)
         s2 = s1 + ball_points(d_s, 1.0, 1.0) * (r_s * PROBE_SCALE)
         del g_e, u_e, g_s, u_s, d_e, d_s  # spent; the evaluations reuse their memory, faster
+        e1, s1, e2, s2 = columns(e1, s1, e2, s2)  # read once; every call below takes columns
         f00 = family_eval(spec, delta, e1, s1)
         f10 = family_eval(spec, delta, e2, s1)
         f01 = family_eval(spec, delta, e1, s2)

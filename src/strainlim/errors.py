@@ -49,7 +49,7 @@ class NoConvergence(StrainLimError):
 
 
 class FitUnderdetermined(StrainLimError):
-    """Fewer than four usable rows; a log-log slope cannot be trusted."""
+    """Fewer than four usable rows, or usable rows of one delta: no trustworthy log-log slope."""
 
 
 class InvalidParameter(StrainLimError, ValueError):

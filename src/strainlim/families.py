@@ -8,7 +8,8 @@ Four kinds are implemented:
 - density_modulus_direct: same numerator with
   E_delta = delta^{-1} E0 [1 + a delta^{-1} ((det(I+2E))^{1/2} - 1)]^{-1}.
 - scaled_base: (delta/delta1) f(delta1 E / delta, S) for the built-in base
-  f = delta1 times the power-law profile, with |f| <= delta1; stress-only.
+  f = delta1 times the power-law profile: power_law's map and certify caps
+  for its a and p, on its own strain ball and delta ceiling; stress-only.
 
 Stresses stay in B(0, c) for every kind. Strains stay in one of two
 concentric balls B(0, k*delta), whose coefficients k `certified_domain` and
@@ -21,8 +22,8 @@ range of f_delta with 5% headroom while staying inside the
 modulus-positivity region.
 
 `family_eval`, `family_leading` and `leading_gap` also take batches, which
-`symtensor.columns` reads, and return (N, 6) arrays ((N,) norms for
-`leading_gap`), raising the scalar call's error for the first failing row;
+`symtensor.columns` reads, and return a SymTensor of (N,) columns ((N,) norms
+for `leading_gap`), raising the scalar call's error for the first failing row;
 `family_eval` and `leading_gap` also take an (N,) column of deltas. A batch
 runs the same formulas as a SymTensor whose components are numpy columns;
 a density-kind row may differ from the scalar call in the last ulp (numpy
@@ -137,12 +138,11 @@ def _density_guaranteed_coeff(spec: FamilySpec) -> float:
 
 
 def certify_caps(spec: FamilySpec) -> dict:
-    """Caps on the certified constants from each kind's closed forms; absent ones are uncapped."""
-    if spec.kind == "power_law":
-        return {"C0": 1.0 + 1e-9, "C1": 1e-12, "D0": 2.0 * spec.a + 1e-6}
-    if spec.kind == "scaled_base":
-        return {"C0": 1.0 + 1e-9}
-    return {"C0": _density_guaranteed_coeff(spec)}
+    """Caps on the certified constants from each kind's closed forms; absent ones
+    are uncapped. The stress-only kinds share power_law's C0, C1 and D0 caps."""
+    if spec.kind in DENSITY_KINDS:
+        return {"C0": _density_guaranteed_coeff(spec)}
+    return {"C0": 1.0 + 1e-9, "C1": 1e-12, "D0": 2.0 * spec.a + 1e-6}
 
 
 def working_domain(spec: FamilySpec) -> float:
@@ -222,10 +222,6 @@ def _batch(delta, *batches) -> list:
     return cols
 
 
-def _rows(A: SymTensor) -> np.ndarray:
-    return np.column_stack(A.components())
-
-
 def _power_leading(a: float, p: float, Sbar: SymTensor) -> SymTensor:
     ns = frobenius(Sbar)
     return Sbar * (a * (1.0 + (a * ns) ** p) ** (-1.0 / p))
@@ -303,58 +299,39 @@ def density_line(spec: FamilySpec, delta: float, Sbar: SymTensor):
     return m, phi
 
 
-def _scaled_leading(spec: FamilySpec, Sbar: SymTensor) -> SymTensor:
-    # the base delta1 f_1 and its rescaling by 1/delta1; x * d1 * (1/d1) is not
-    # always x in floats, and the outputs keep those roundings
-    d1 = spec.delta1
-    return _power_leading(spec.a, spec.p, Sbar) * d1 * (1.0 / d1)
-
-
-def family_eval(spec: FamilySpec, delta: float, E, Sbar):
+def family_eval(spec: FamilySpec, delta: float, E, Sbar) -> SymTensor:
     """Evaluate f_delta(E, Sbar) on the working domain.
 
     Raises InadmissibleDelta unless `check_delta` admits delta, and
     OutOfDomain outside B(0, k*delta) x B(0, c). With (N, 6) arrays or an
     (N,) column of deltas, one per row, the call is a batch (`columns`) and
-    gives an (N, 6) array; any other delta array raises InvalidParameter.
+    gives a SymTensor of (N,) columns; another delta array raises InvalidParameter.
     """
     check_delta(spec, delta)
-    if (isinstance(E, SymTensor) and isinstance(Sbar, SymTensor)
+    if not (isinstance(E, SymTensor) and isinstance(Sbar, SymTensor)
             and not isinstance(delta, np.ndarray)):  # the scalar path tests no shape
-        return _eval(spec, delta, E, Sbar)
-    return _rows(_eval(spec, delta, *_batch(delta, E, Sbar)))
-
-
-def _eval(spec, delta: float, E: SymTensor, Sbar: SymTensor) -> SymTensor:
+        E, Sbar = _batch(delta, E, Sbar)
     check_ball("E", E, spec._working[0] * delta)
     check_ball("Sbar", Sbar, spec.c)
-    if spec.kind == "power_law":
+    if spec.kind not in DENSITY_KINDS:
         # identical float path as delta * family_leading(...): the leading
-        # residual of this kind is bit-equal to the full residual
+        # residual of a stress-only kind is bit-equal to the full residual
         return _power_leading(spec.a, spec.p, Sbar) * delta
-    if spec.kind == "scaled_base":
-        return _scaled_leading(spec, Sbar) * delta
     factor = _modulus_factor(spec, delta, *_invariants(E))
     return _iso_numerator(spec.nu, Sbar) * factor
 
 
-def family_leading(spec: FamilySpec, Etilde, Sbar):
+def family_leading(spec: FamilySpec, Etilde, Sbar) -> SymTensor:
     """Leading-order profile f_1(Etilde, Sbar) on the rescaled domain.
 
-    (N, 6) arrays give an (N, 6) array.
+    (N, 6) arrays are a batch (`columns`) and give a SymTensor of (N,) columns.
     """
-    if isinstance(Etilde, SymTensor) and isinstance(Sbar, SymTensor):
-        return _leading(spec, Etilde, Sbar)
-    return _rows(_leading(spec, *columns(Etilde, Sbar)))
-
-
-def _leading(spec: FamilySpec, Etilde: SymTensor, Sbar: SymTensor) -> SymTensor:
+    if not (isinstance(Etilde, SymTensor) and isinstance(Sbar, SymTensor)):
+        Etilde, Sbar = columns(Etilde, Sbar)
     check_ball("Etilde", Etilde, spec._working[0])
     check_ball("Sbar", Sbar, spec.c)
-    if spec.kind == "power_law":
+    if spec.kind not in DENSITY_KINDS:
         return _power_leading(spec.a, spec.p, Sbar)
-    if spec.kind == "scaled_base":
-        return _scaled_leading(spec, Sbar)
     m = _iso_numerator(spec.nu, Sbar)
     if spec.kind == "density_modulus_reciprocal":
         den = 1.0 - spec.a * trace(Etilde)
@@ -366,8 +343,8 @@ def _leading(spec: FamilySpec, Etilde: SymTensor, Sbar: SymTensor) -> SymTensor:
 def leading_gap(spec: FamilySpec, delta: float, E, Sbar, f_delta=None):
     """|f_delta(E, S) - delta f_1(E/delta, S)|.
 
-    Exactly zero for power_law and scaled_base (definitional identity,
-    same float path); O(delta^2) for the density kinds. A batch gives the
+    Exactly zero for the stress-only kinds (definitional identity, same
+    float path); O(delta^2) for the density kinds. A batch gives the
     (N,) row norms; `delta` may then be an (N,) column. `f_delta`
     is `family_eval(spec, delta, E, Sbar)` when the caller already has it.
     """

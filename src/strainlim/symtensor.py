@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameter, NoConvergence, NotPositiveDefinite, OutOfDomain, Singular
+from .errors import (InvalidParameter, NoConvergence, NotPositiveDefinite, OutOfDomain, Singular,
+                     real)
 
 # eigenvalues at or below this are treated as nonpositive
 EIG_POSITIVITY_TOL = 1e-14
@@ -157,14 +158,21 @@ def rows(A: SymTensor) -> list:
 
 
 def frobenius(A):
-    """Frobenius norm sqrt(tr(A A^T)); (N,) row norms for columns or a `columns` batch."""
+    """Frobenius norm sqrt(tr(A A^T)); (N,) row norms for columns or a `columns` batch.
+    InvalidParameter unless the squares sum to a number (`errors.real`) or a real array."""
     if isinstance(A, SymTensor):
         try:
             s = (A.xx * A.xx + A.yy * A.yy + A.zz * A.zz
                  + 2.0 * (A.xy * A.xy + A.xz * A.xz + A.yz * A.yz))
         except OverflowError:  # an int squared past the float range: inf, as for a float
             return math.inf
-        return math.sqrt(s) if isinstance(s, float) else np.sqrt(s)
+        except TypeError:  # a list, string or None component
+            s = None
+        if isinstance(s, float):
+            return math.sqrt(s)
+        if isinstance(s, np.ndarray) and s.dtype.kind in "fiu":
+            return np.sqrt(s)
+        return math.sqrt(real(s, f"the squared norm of {A!r}"))
     return frobenius(*columns(A))
 
 

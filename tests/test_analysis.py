@@ -476,7 +476,7 @@ def test_certify_call_count_follows_the_row_budget(monkeypatch, samples, calls):
     seen = []
 
     def counted(*args):
-        seen.append(len(args[2]))
+        seen.append(len(args[2].xx))  # a SymTensor of (N,) columns
         return leading_gap(*args)
 
     monkeypatch.setattr(analysis, "leading_gap", counted)

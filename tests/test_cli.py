@@ -21,7 +21,7 @@ import strainlim.cli as cli
 from strainlim.analysis import certify_constants, run_convergence_hencky
 from strainlim.cli import _COMMANDS, _build_parser, _json, main, parse_config
 from strainlim.errors import ConfigInvalid
-from strainlim.families import FamilySpec
+from strainlim.families import FamilySpec, certify_caps
 from strainlim.kinematics import RotationSpec
 from strainlim.symtensor import SymTensor
 
@@ -182,6 +182,23 @@ def test_certify_is_byte_deterministic(tmp_path):
     reseeded = _write(tmp_path, "cert12.json", dict(CERTIFY, seed=12))
     assert main(["certify", "--config", reseeded, "--out", str(out3)]) == 0
     assert b1 != (out3 / "certify.csv").read_bytes()
+
+
+def test_scaled_base_certifies_against_power_law_caps(tmp_path, capsys):
+    # scaled_base is the power_law map, so certify checks C0, C1 and D0 as for power_law
+    family = {"kind": "scaled_base", "base": "power_law", "a": 1.5, "p": 3.0}
+    cfg = _write(tmp_path, "c.json", dict(CERTIFY, family=family))
+    assert main(["certify", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.startswith("PASS certify kind=scaled_base")
+    report = json.loads((tmp_path / "certify_report.json").read_text())
+    caps = certify_caps(FamilySpec(kind="power_law", a=1.5, p=3.0))
+    checks = {c["name"]: c for c in report["checks"]}
+    assert list(checks) == ["C0", "C1", "D0", "C3_finite"]
+    for name in ("C0", "C1", "D0"):
+        value = report["report"][name + "_hat"]
+        assert checks[name] == {"name": name, "ok": True,
+                                "detail": "value=%r cap=%r" % (value, caps[name])}
+    assert report["report"]["C1_hat"] == 0.0  # the map does not read E
 
 
 def test_oned_default_thresholds_fail_honestly(tmp_path, capsys):

@@ -375,15 +375,26 @@ def test_leading_singularity_raises():
 # --- scaled base ------------------------------------------------------------
 
 
-def test_scaled_base_wraps_power_law():
-    scaled = FamilySpec(kind="scaled_base", a=1.0, p=2.0, base="power_law", delta1=0.05)
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, 6.0])
+def test_scaled_base_is_power_law_bit_for_bit(p):
+    # scaled_base evaluates as the power_law map of its a and p, float for float
+    scaled = FamilySpec(kind="scaled_base", a=1.3, p=p, base="power_law", delta1=0.05)
+    power = FamilySpec(kind="power_law", a=1.3, p=p)
+    delta = 0.01
     rng = np.random.default_rng(51)
-    for _ in range(500):
-        S = ball(rng, 1.0)
-        E = ball(rng, 0.004)
-        got = family_eval(scaled, 0.01, E, S)
-        want = family_eval(POWER, 0.01, E, S)
-        assert frobenius(got - want) <= 1e-15 * max(1.0, frobenius(want))
+    E = ball_points(rng.standard_normal((200, 6)), rng.random(200), 1.05 * delta)
+    S = ball_points(rng.standard_normal((200, 6)), rng.random(200), 1.0)
+    Et = E * (1.0 / delta)
+
+    def maps(spec, e, s, et):
+        return (*family_eval(spec, delta, e, s).components(),
+                *family_leading(spec, et, s).components(), leading_gap(spec, delta, e, s))
+
+    for got, want in zip(maps(scaled, E, S, Et), maps(power, E, S, Et)):
+        assert np.array_equal(got, want)
+    for e, s, et in zip(*(A[:50].tolist() for A in (E, S, Et))):
+        e, s, et = SymTensor(*e), SymTensor(*s), SymTensor(*et)
+        assert maps(scaled, e, s, et) == maps(power, e, s, et)
 
 
 def test_scaled_base_leading_gap_is_exactly_zero():
@@ -449,6 +460,11 @@ BATCH_SPECS = {
 }
 
 
+def _array(T):
+    """The (N, 6) component array of a SymTensor of (N,) columns."""
+    return np.column_stack(T.components())
+
+
 def _scalar_rows(fn, *arrays):
     return [fn(*[SymTensor(*row) for row in rows]) for rows in zip(*(a.tolist() for a in arrays))]
 
@@ -473,13 +489,13 @@ def test_batch_matches_scalar_rows(name, seed, n, frac):
     S = _in_ball(rng, n, spec.c)
     Et = E * (1.0 / delta)
 
-    full = family_eval(spec, delta, E, S)
+    full = _array(family_eval(spec, delta, E, S))
     want = np.array([t.components() for t in _scalar_rows(
         lambda e, s: family_eval(spec, delta, e, s), E, S)])
     assert full.shape == (n, 6)
     assert np.all(np.abs(full - want) <= 1e-14 * np.abs(want))
 
-    lead = family_leading(spec, Et, S)
+    lead = _array(family_leading(spec, Et, S))
     want_lead = np.array([t.components() for t in _scalar_rows(
         lambda e, s: family_leading(spec, e, s), Et, S)])
     assert np.all(np.abs(lead - want_lead) <= 1e-14 * np.abs(want_lead))
@@ -497,8 +513,8 @@ def test_batch_matches_scalar_rows(name, seed, n, frac):
     col = rng.uniform(0.01, 0.99, n) * delta_ceiling(spec)
     Ec = ball_points(rng.standard_normal((n, 6)), rng.random(n), (dom * col)[:, None])
     one_row = [(d, Ec[i:i + 1], S[i:i + 1]) for i, d in enumerate(col.tolist())]
-    stacked = np.vstack([family_eval(spec, *args) for args in one_row])
-    assert np.array_equal(family_eval(spec, col, Ec, S), stacked)
+    stacked = np.vstack([_array(family_eval(spec, *args)) for args in one_row])
+    assert np.array_equal(_array(family_eval(spec, col, Ec, S)), stacked)
     stacked_gap = np.concatenate([leading_gap(spec, *args) for args in one_row])
     assert np.array_equal(leading_gap(spec, col, Ec, S), stacked_gap)
 
@@ -575,10 +591,10 @@ def test_delta_column_errors_name_the_failing_row():
 
 def test_batch_shapes_and_broadcast():
     S = np.array([[0.1, 0.0, 0.0, 0.0, 0.0, 0.0], [0.0, 0.2, 0.0, 0.05, 0.0, 0.0]])
-    out = family_eval(RECIP, 0.01, ZERO, S)
+    out = _array(family_eval(RECIP, 0.01, ZERO, S))
     assert out.shape == (2, 6)
     assert out[1].tolist() == list(family_eval(RECIP, 0.01, ZERO, SymTensor(*S[1])).components())
-    assert family_eval(RECIP, 0.01, np.zeros((0, 6)), np.zeros((0, 6))).shape == (0, 6)
+    assert _array(family_eval(RECIP, 0.01, np.zeros((0, 6)), np.zeros((0, 6)))).shape == (0, 6)
     # shapes that do not broadcast, and a 1-D pair, are named errors
     for E_rows, S_rows in ((np.zeros((3, 5)), S[:1]), (np.zeros(6), np.zeros(6))):
         with pytest.raises(InvalidParameter, match=r"\(N, 6\)"):
@@ -630,6 +646,23 @@ def test_leading_gap_reads_symtensor_columns_as_rows():
                           frobenius(family_eval(RECIP, delta, E, S)))
 
 
+def test_every_batch_result_is_a_symtensor_of_columns():
+    # (N, 6) arrays, SymTensors of columns, and either with a delta column: one result type
+    rng = np.random.default_rng(9)
+    n, delta = 5, 0.5 * delta_ceiling(RECIP)
+    E = _in_ball(rng, n, certified_domain(RECIP) * delta)
+    S = _in_ball(rng, n, RECIP.c)
+    cols = [SymTensor(*A.T) for A in (E, S)]
+    for spec in (POWER, RECIP, DIRECT):
+        for d in (delta, np.full(n, delta)):
+            for e, s in ((E, S), cols):
+                for out in (family_eval(spec, d, e, s), family_leading(spec, e * (1.0 / delta), s)):
+                    assert isinstance(out, SymTensor)
+                    assert all(isinstance(c, np.ndarray) and c.shape == (n,)
+                               for c in out.components())
+                assert leading_gap(spec, d, e, s).shape == (n,)
+
+
 # --- frame indifference -----------------------------------------------------------
 
 
@@ -642,10 +675,8 @@ def _turn(Q, rows):
 def _call(fn, scalar, *arrays):
     """`fn` on (N, 6) arrays or, when `scalar`, on their first rows as SymTensors; the
     result as (N, 6) or (N,) rows."""
-    if not scalar:
-        return fn(*arrays)
-    out = fn(*[SymTensor(*a[0].tolist()) for a in arrays])
-    return np.array([out.components() if isinstance(out, SymTensor) else out])
+    out = fn(*([SymTensor(*a[0].tolist()) for a in arrays] if scalar else arrays))
+    return _array(out) if isinstance(out, SymTensor) else np.atleast_1d(out)
 
 
 @pytest.mark.parametrize("name", sorted(BATCH_SPECS))
@@ -684,7 +715,9 @@ def test_families_are_frame_indifferent(name, q, seed, n, frac, scalar):
 def test_certify_caps_follow_the_closed_forms():
     assert certify_caps(FamilySpec(kind="power_law", a=1.5)) == {
         "C0": 1.0 + 1e-9, "C1": 1e-12, "D0": 2.0 * 1.5 + 1e-6}
-    assert certify_caps(FamilySpec(kind="scaled_base", base="power_law")) == {"C0": 1.0 + 1e-9}
+    # scaled_base is the power_law map, so it takes power_law's caps
+    assert certify_caps(FamilySpec(kind="scaled_base", base="power_law", a=1.5)) == certify_caps(
+        FamilySpec(kind="power_law", a=1.5))
     for kind in DENSITY_KINDS:
         spec = FamilySpec(kind=kind, E0=2.0, nu=0.25, a=0.4, b=0.5, c=1.5)
         caps = certify_caps(spec)

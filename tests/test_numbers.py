@@ -199,6 +199,24 @@ def test_an_overflowing_tensor_component_raises_what_inf_raises(case):
     assert type(huge.value) is type(inf.value)
 
 
+# a component that is no real number: `frobenius`, which every ball check crosses,
+# raises InvalidParameter for it
+NOT_REAL = {"0.5j": 0.5j, "0.3+0.1j": 0.3 + 0.1j, "[0.1]": [0.1], "'0.1'": "0.1", "None": None}
+NOT_REAL_CASES = {
+    **{case: call for case, call in TENSOR_CASES.items() if case[0] in (
+        "check_ball", "family_eval", "family_leading", "solve_implicit", "complementary_energy")},
+    ("family_eval", "Sbar power_law"): lambda T: family_eval(POWER, D, ZERO, T),
+    ("solve_implicit", "Sbar power_law"): lambda T: solve_implicit(POWER, D, T),
+}
+
+
+@pytest.mark.parametrize("value", NOT_REAL)
+@pytest.mark.parametrize("case", NOT_REAL_CASES, ids="-".join)
+def test_a_component_that_is_no_real_number_is_an_invalid_parameter(case, value):
+    with pytest.raises(InvalidParameter):
+        NOT_REAL_CASES[case](SymTensor(NOT_REAL[value]))
+
+
 def test_an_overflowing_tensor_component_has_an_infinite_norm():
     assert frobenius(HUGE) == frobenius(SymTensor(0.0, 0.0, 0.0, -10 ** 200)) == math.inf
 

@@ -29,13 +29,18 @@ def test_snapshots_agree_and_compare_names_a_one_ulp_change(tmp_path, capsys):
     header, row, *rest = csv.read_text().splitlines()
     cells = row.split(",")
     column = header.split(",").index("residual_full")
-    cells[column] = repr(math.nextafter(float(cells[column]), math.inf))
+    old = float(cells[column])
+    new = math.nextafter(old, math.inf)
+    cells[column] = repr(new)
     csv.write_text("\n".join([header, ",".join(cells), *rest]) + "\n")
 
     lines, summary = outputs.compare(a, b)
     assert len(lines) == 1
     assert lines[0].startswith(study + " out/converge.csv: residual_full abs=")
-    assert summary[0] == "1 of 20 studies differ"
+    # the summary quotes how far the column moved: one ulp
+    assert summary == ["1 of 20 studies differ",
+                       "      1 x out/converge.csv: residual_full (max abs=%.3g rel=%.3g)"
+                       % (new - old, (new - old) / max(abs(old), abs(new)))]
     assert outputs.main(["compare", str(a), str(b)]) == 1
 
 

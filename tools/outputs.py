@@ -21,7 +21,9 @@ one copy of this tool and of the workloads serves both sides of a change.
 column the largest absolute and relative difference, per JSON report the
 paths that changed (`-` only in A, `+` only in B, `~` different), and for
 any other file both first lines. A summary groups the differences by file
-and what changed. Exit 0 when the snapshots are equal, 1 otherwise.
+and what changed, with each CSV column's largest absolute and relative
+difference over the group's studies. Exit 0 when the snapshots are equal,
+1 otherwise.
 """
 
 import argparse
@@ -121,10 +123,12 @@ def _float(cell):
 
 
 def _csv_diff(a, b):
+    """{column: (largest abs, largest rel) difference, or None for a text cell}, or
+    {"layout": what differs} when the headers or the row counts differ."""
     rows_a, rows_b = (list(csv.reader(io.StringIO(p.read_text()))) for p in (a, b))
     if rows_a[:1] != rows_b[:1] or len(rows_a) != len(rows_b):
-        return ["layout: %d vs %d rows, header %s vs %s"
-                % (len(rows_a), len(rows_b), rows_a[:1], rows_b[:1])]
+        return {"layout": "%d vs %d rows, header %s vs %s"
+                % (len(rows_a), len(rows_b), rows_a[:1], rows_b[:1])}
     worst = {}
     for row_a, row_b in zip(rows_a[1:], rows_b[1:]):
         for column, x, y in zip(rows_a[0], row_a, row_b):
@@ -142,8 +146,12 @@ def _csv_diff(a, b):
             old = worst.get(column, (0.0, 0.0))
             if old is not None:
                 worst[column] = (max(old[0], d), max(old[1], rel))
-    return ["%s text" % column if w is None else "%s abs=%.3g rel=%.3g" % (column, *w)
-            for column, w in worst.items()]
+    return worst
+
+
+def _csv_items(worst):
+    return ["%s: %s" % (column, w) if isinstance(w, str) else "%s text" % column if w is None
+            else "%s abs=%.3g rel=%.3g" % (column, *w) for column, w in worst.items()]
 
 
 def _json_paths(x, y, path=""):
@@ -172,7 +180,7 @@ def describe(a, b):
     if not (a.exists() and b.exists()):
         return ["only in " + ("A" if a.exists() else "B")]
     if a.suffix == ".csv":
-        return _csv_diff(a, b)
+        return _csv_items(_csv_diff(a, b))
     if a.suffix == ".json":
         return list(_json_paths(json.loads(a.read_text()), json.loads(b.read_text())))
     return ["A %s B %s" % (_first_line(a), _first_line(b))]
@@ -182,28 +190,35 @@ def compare(a, b):
     """(lines listing each differing file, summary lines); both empty when A equals B."""
     a, b = Path(a), Path(b)
     ma, mb = manifest(a), manifest(b)
-    lines, groups = [], collections.Counter()
+    # (file name, what changed) -> studies; a CSV column also keeps its largest move
+    lines, groups, moved = [], collections.Counter(), collections.defaultdict(dict)
     for study in sorted(set(ma) | set(mb)):
         if study not in ma or study not in mb:
             lines.append("%s: study only in %s" % (study, "A" if study in ma else "B"))
-            groups["study only in " + ("A" if study in ma else "B")] += 1
+            groups["study only in " + ("A" if study in ma else "B"), ()] += 1
             continue
         for name in sorted(set(ma[study]) | set(mb[study])):
             if ma[study].get(name) == mb[study].get(name):
                 continue
-            items = describe(a / study / name, b / study / name)
+            fa, fb = a / study / name, b / study / name
+            both = fa.exists() and fb.exists()
+            worst = _csv_diff(fa, fb) if both and fa.suffix == ".csv" else {}
+            items = _csv_items(worst) if worst else describe(fa, fb)
             lines.append("%s %s: %s" % (study, name, "; ".join(items)))
-            # the summary keeps what changed (CSV columns, JSON paths), not by how much
-            if name.endswith(".csv"):
-                kinds = sorted({item.split(" ")[0] for item in items})
-            elif name.endswith(".json"):
-                kinds = sorted(set(items))
-            else:
-                kinds = ["differs"]
-            groups["%s: %s" % (name, ", ".join(kinds))] += 1
+            # CSV columns, JSON paths or a missing file; any other file just differs
+            key = name, tuple(sorted(worst) if worst else sorted(set(items))
+                              if fa.suffix == ".json" or not both else ["differs"])
+            for column, w in worst.items():
+                if isinstance(w, tuple):
+                    old = moved[key].get(column, w)
+                    moved[key][column] = (max(old[0], w[0]), max(old[1], w[1]))
+            groups[key] += 1
     differing = len({line.split(" ")[0].rstrip(":") for line in lines})
     summary = ["%d of %d studies differ" % (differing, len(set(ma) | set(mb)))]
-    summary += ["  %5d x %s" % (n, key) for key, n in sorted(groups.items())]
+    for (name, kinds), n in sorted(groups.items()):
+        shown = [k if k not in moved[name, kinds] else "%s (max abs=%.3g rel=%.3g)"
+                 % (k, *moved[name, kinds][k]) for k in kinds]
+        summary.append("  %5d x %s" % (n, ": ".join([name, ", ".join(shown)] if kinds else [name])))
     return lines, summary if lines else []
 
 
