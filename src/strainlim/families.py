@@ -7,23 +7,25 @@ Four kinds are implemented:
   E_delta = delta^{-1} E0 [1 + a delta^{-1} ((det(I+2E))^{-1/2} - 1)].
 - density_modulus_direct: same numerator with
   E_delta = delta^{-1} E0 [1 + a delta^{-1} ((det(I+2E))^{1/2} - 1)]^{-1}.
-- scaled_base: (delta/delta1) f(delta1 E / delta, S) for the built-in base
-  f = delta1 times the power-law profile: power_law's map and certify caps
-  for its a and p, on its own strain ball and delta ceiling; stress-only.
+- scaled_base: a rescaling of the built-in power-law profile, which is
+  power_law's map for its a and p; stress-only, with power_law's caps,
+  balls and delta ceiling.
 
-Stresses stay in B(0, c) for every kind. Strains stay in one of two
-concentric balls B(0, k*delta), whose coefficients k `certified_domain` and
-`working_domain` return. The certified ball B(0, b*delta) is where the
-closed-form constants are guaranteed (constant certification). The
-working ball used for evaluation and solving is wider for the density
-kinds: the fixed points of E = f_delta(E, S) land outside B(0, b*delta)
+Stresses stay in B(0, c) for every kind, and strains in balls B(0, k*delta)
+whose coefficients k `certified_domain` and `working_domain` return. Every
+value of a stress-only kind lies in B(0, delta), so its one ball has
+k = 1.05 and its delta ceiling is 0.1. A density kind has two: the certified
+ball B(0, b*delta), where the closed-form constants are guaranteed
+(constant certification), and a wider working ball for evaluation and
+solving: the fixed points of E = f_delta(E, S) land outside B(0, b*delta)
 for moderate stresses, so the working radius covers the full guaranteed
 range of f_delta with 5% headroom while staying inside the
 modulus-positivity region.
 
 `family_eval`, `family_leading` and `leading_gap` also take batches, which
 `symtensor.columns` reads, and return a SymTensor of (N,) columns ((N,) norms
-for `leading_gap`), raising the scalar call's error for the first failing row;
+for `leading_gap`) for every kind, one row per row of any batch argument,
+raising the scalar call's error for the first failing row;
 `family_eval` and `leading_gap` also take an (N,) column of deltas. A batch
 runs the same formulas as a SymTensor whose components are numpy columns;
 a density-kind row may differ from the scalar call in the last ulp (numpy
@@ -55,7 +57,7 @@ from .symtensor import SymTensor, check_rows, columns, det, frobenius, trace
 
 # each kind -> the FamilySpec fields it reads; every other field keeps its default
 KINDS = {
-    "scaled_base": ("b", "c", "delta1", "base", "a", "p"),
+    "scaled_base": ("a", "p", "c", "base"),
     "power_law": ("a", "p", "c"),
     "density_modulus_reciprocal": ("a", "E0", "nu", "b", "c"),
     "density_modulus_direct": ("a", "E0", "nu", "b", "c"),
@@ -72,13 +74,13 @@ class FamilySpec:
     """Parameters of one strain-limiting family.
 
     `a` is dimensionless for the density kinds and an inverse-stress scale
-    for power_law; `b` and `c` are the certified strain/stress ball
-    coefficients. scaled_base needs `base="power_law"`, the built-in
-    profile. The admissible deltas follow from these constants alone (see
-    `delta_ceiling`). Building a spec stores each number as a float
-    (`errors.real`) and raises InvalidParameter for any bad value, and then
-    for any field outside its kind's `KINDS` entry that differs from its
-    default.
+    for the stress-only ones; `b` (density kinds alone) and `c` are the
+    certified strain/stress ball coefficients. scaled_base needs
+    `base="power_law"`, the built-in profile. The admissible deltas follow
+    from these constants alone (see `delta_ceiling`). Building a spec stores
+    each number as a float (`errors.real`) and raises InvalidParameter for
+    any bad value, and then for any field outside its kind's `KINDS` entry
+    that differs from its default.
     """
 
     kind: str
@@ -88,13 +90,12 @@ class FamilySpec:
     nu: float = 0.3
     b: float = 0.5
     c: float = 1.0
-    delta1: float = 0.05
     base: str | None = None
 
     def __post_init__(self):
         if not (isinstance(self.kind, str) and self.kind in KINDS):
             raise InvalidParameter(f"unknown family kind {self.kind!r}")
-        for name in ("a", "p", "E0", "nu", "b", "c", "delta1"):
+        for name in ("a", "p", "E0", "nu", "b", "c"):
             object.__setattr__(self, name, real(getattr(self, name), name))
         # chained comparisons with math.inf: NaN and inf fail them too
         if not 0.0 < self.a < math.inf:
@@ -107,15 +108,11 @@ class FamilySpec:
             raise InvalidParameter("nu must lie in [0, 1/2)")
         if not (0.0 < self.b < math.inf and 0.0 < self.c < math.inf):
             raise InvalidParameter("b and c must be positive and finite")
-        if not 0.0 < self.delta1 < math.inf:
-            raise InvalidParameter("delta1 must be positive and finite")
         if self.kind in DENSITY_KINDS and self.a * self.b >= 0.5:
             raise InvalidParameter("density kinds require a*b < 1/2")
-        if self.base not in (None, "power_law"):
-            raise InvalidParameter(f"base must be None or 'power_law', got {self.base!r}")
-        if self.kind == "scaled_base" and self.base is None:
-            raise InvalidParameter("scaled_base requires a base profile")
-        if self.kind == "power_law" or self.base == "power_law":
+        if self.kind == "scaled_base" and self.base != "power_law":
+            raise InvalidParameter(f"scaled_base needs base 'power_law', got {self.base!r}")
+        if self.kind not in DENSITY_KINDS:
             # every stress has |S| <= c, so (a |S|)^p stays finite when (a c)^p does
             try:
                 finite = (self.a * self.c) ** self.p < math.inf
@@ -148,10 +145,8 @@ def certify_caps(spec: FamilySpec) -> dict:
 def working_domain(spec: FamilySpec) -> float:
     """Coefficient k of the strain ball B(0, k*delta) used by evaluation, the
     solver and convergence studies; the stress ball is B(0, c) for every kind."""
-    if spec.kind == "power_law":
+    if spec.kind not in DENSITY_KINDS:
         return _WORKING_MARGIN
-    if spec.kind == "scaled_base":
-        return spec.b / spec.delta1
     return max(spec.b, _WORKING_MARGIN * _density_guaranteed_coeff(spec))
 
 
@@ -165,11 +160,8 @@ def certified_domain(spec: FamilySpec) -> float:
 
 def delta_ceiling(spec: FamilySpec) -> float:
     """Admissibility ceiling: `check_delta` admits normal floats 0 < delta < ceiling."""
-    if spec.kind == "power_law":
+    if spec.kind not in DENSITY_KINDS:
         return 0.1
-    if spec.kind == "scaled_base":
-        # keep the rescaled strain radius (b/delta1)*delta at or below 1/2
-        return min(0.1, spec.delta1 / (2.0 * spec.b))
     ceiling = min(0.1, 1.0 / (50.0 * max(1.0, spec.a)))
     # keep the working ball inside B(0, 1/2) even for large stress radii
     return min(ceiling, 1.0 / (2.0 * working_domain(spec)))
@@ -303,16 +295,18 @@ def family_eval(spec: FamilySpec, delta: float, E, Sbar) -> SymTensor:
     """Evaluate f_delta(E, Sbar) on the working domain.
 
     Raises InadmissibleDelta unless `check_delta` admits delta, and
-    OutOfDomain outside B(0, k*delta) x B(0, c). With (N, 6) arrays or an
-    (N,) column of deltas, one per row, the call is a batch (`columns`) and
-    gives a SymTensor of (N,) columns; another delta array raises InvalidParameter.
+    OutOfDomain outside B(0, k*delta) x B(0, c). With (N, 6) arrays, SymTensors
+    of (N,) columns or an (N,) column of deltas, one per row, the call is a
+    batch (`columns`) and gives a SymTensor of (N,) columns for every kind;
+    another delta array raises InvalidParameter.
     """
     check_delta(spec, delta)
     if not (isinstance(E, SymTensor) and isinstance(Sbar, SymTensor)
             and not isinstance(delta, np.ndarray)):  # the scalar path tests no shape
         E, Sbar = _batch(delta, E, Sbar)
-    check_ball("E", E, spec._working[0] * delta)
-    check_ball("Sbar", Sbar, spec.c)
+    nE, nS = check_ball("E", E, spec._working[0] * delta), check_ball("Sbar", Sbar, spec.c)
+    if type(nE) is not float and np.shape(nE) != np.shape(nS):
+        E, Sbar = columns(E, Sbar)  # one row per strain, also where f_delta reads Sbar alone
     if spec.kind not in DENSITY_KINDS:
         # identical float path as delta * family_leading(...): the leading
         # residual of a stress-only kind is bit-equal to the full residual
@@ -324,12 +318,14 @@ def family_eval(spec: FamilySpec, delta: float, E, Sbar) -> SymTensor:
 def family_leading(spec: FamilySpec, Etilde, Sbar) -> SymTensor:
     """Leading-order profile f_1(Etilde, Sbar) on the rescaled domain.
 
-    (N, 6) arrays are a batch (`columns`) and give a SymTensor of (N,) columns.
+    (N, 6) arrays and SymTensors of (N,) columns are a batch (`columns`) and
+    give a SymTensor of (N,) columns for every kind.
     """
     if not (isinstance(Etilde, SymTensor) and isinstance(Sbar, SymTensor)):
         Etilde, Sbar = columns(Etilde, Sbar)
-    check_ball("Etilde", Etilde, spec._working[0])
-    check_ball("Sbar", Sbar, spec.c)
+    nE, nS = check_ball("Etilde", Etilde, spec._working[0]), check_ball("Sbar", Sbar, spec.c)
+    if type(nE) is not float and np.shape(nE) != np.shape(nS):
+        Etilde, Sbar = columns(Etilde, Sbar)  # one row per strain, as in family_eval
     if spec.kind not in DENSITY_KINDS:
         return _power_leading(spec.a, spec.p, Sbar)
     m = _iso_numerator(spec.nu, Sbar)

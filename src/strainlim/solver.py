@@ -5,7 +5,7 @@ Every kind is either stress-only or on a line. power_law and scaled_base
 E = f_delta(0, Sbar) in closed form: zero at 0 iterations when
 |E| <= 1e-13, otherwise E at 1 iteration, whose residual
 |E - f_delta(E, Sbar)| is exactly 0.0 (the second evaluation repeats the
-same floats and checks that E lies in the working ball). For the density
+same floats; E lies in B(0, delta), inside the working ball). For the density
 kinds f_delta(s m, Sbar) = phi(s) m (`families.density_line`), so each fixed
 point is E = s m with s = phi(s), and one loop solves that scalar relation:
 Picard iteration from zero; if the residual ratio between successive

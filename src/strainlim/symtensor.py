@@ -113,9 +113,11 @@ class Spectrum:
 
 
 def _stacked(A: SymTensor) -> np.ndarray:
-    """The components as one float array, (6,) or (6, N)."""
-    c = A.components()
-    try:  # dtype=float reads an int past numpy's integers as a float, not an object
+    """The components as one float array, (6,) or (6, N); InvalidParameter for a
+    component that is neither a number (`errors.real`) nor a real float or int column."""
+    c = [x if isinstance(x, np.ndarray) and x.dtype.kind in "fiu" else real(x, "each component")
+         for x in A.components()]
+    try:
         return np.array(c, dtype=float)
     except ValueError:  # floats among numpy columns
         return np.array(np.broadcast_arrays(*c), dtype=float)

@@ -524,7 +524,7 @@ def test_a_command_refuses_a_kind_it_does_not_run(tmp_path, capsys, command, kin
 
 
 @pytest.mark.parametrize("family, field", [
-    ({"kind": "power_law", "E0": 7, "nu": 0.1, "b": 9, "delta1": 3, "base": "power_law"}, "E0"),
+    ({"kind": "power_law", "E0": 7, "nu": 0.1, "b": 9, "base": "power_law"}, "E0"),
     ({"kind": "density_modulus_direct", "p": 3.0}, "p"),
     ({"kind": "scaled_base", "base": "power_law", "E0": 2.0}, "E0"),
 ])

@@ -24,7 +24,7 @@ from draws import ball, rotation
 # energy tests widen the stress ball
 POWER = FamilySpec(kind="power_law", a=1.0, p=2.0, c=3.0)
 QUARTIC = FamilySpec(kind="power_law", a=0.7, p=4.0, c=3.0)
-SCALED = FamilySpec(kind="scaled_base", a=1.0, p=2.0, base="power_law", delta1=0.05, c=3.0)
+SCALED = FamilySpec(kind="scaled_base", a=1.0, p=2.0, base="power_law", c=3.0)
 ZERO = SymTensor()
 
 
@@ -239,7 +239,7 @@ def test_scaled_base_energy_is_the_power_law_energy(p):
     # a scaled_base leading profile is the power-law profile of its a and p, so
     # both kinds run one radial integral: equal bits, not merely close values
     power = FamilySpec(kind="power_law", a=0.7, p=p, c=3.0)
-    scaled = FamilySpec(kind="scaled_base", a=0.7, p=p, base="power_law", delta1=0.05, c=3.0)
+    scaled = FamilySpec(kind="scaled_base", a=0.7, p=p, base="power_law", c=3.0)
     rng = np.random.default_rng(97)
     for S in [ball(rng, 2.5) for _ in range(25)] + [ZERO]:
         assert complementary_energy(scaled, S) == complementary_energy(power, S)
@@ -268,7 +268,7 @@ def test_scaled_base_energy_matches_scalar_line_integral(family):
 
 
 # the CLI's stress ball (c = 1)
-UNIT_SCALED = FamilySpec(kind="scaled_base", a=1.0, p=2.0, base="power_law", delta1=0.05)
+UNIT_SCALED = FamilySpec(kind="scaled_base", a=1.0, p=2.0, base="power_law")
 CUBIC = FamilySpec(kind="power_law", a=1.0, p=3.0, c=3.0)
 
 

@@ -30,6 +30,7 @@ from strainlim.families import (
     leading_gap,
     working_domain,
 )
+from strainlim.solver import solve_implicit
 from strainlim.symtensor import SymTensor, frobenius, trace
 
 from draws import ball, rotation
@@ -59,7 +60,7 @@ def test_spec_validation():
         FamilySpec(kind="scaled_base")
     with pytest.raises(ValueError):
         FamilySpec(kind="scaled_base", base="mystery")
-    for field in ("a", "p", "E0", "nu", "b", "c", "delta1"):
+    for field in ("a", "p", "E0", "nu", "b", "c"):
         for bad in (NAN, INF, -INF):
             with pytest.raises(ValueError):
                 FamilySpec(kind="power_law", **{field: bad})
@@ -77,8 +78,10 @@ def test_spec_validation():
 @pytest.mark.parametrize("a", [0.3, 1e200])
 def test_base_is_none_or_power_law(kind, base, a):
     # a base of another type once ran the built-in profile without its (a*c)^p guard,
-    # and a = 1e200 then overflowed in family_eval
-    with pytest.raises(ValueError, match="base must be None or 'power_law'"):
+    # and a = 1e200 then overflowed in family_eval; power_law reads no base at all
+    want = {"scaled_base": "scaled_base needs base 'power_law'",
+            "power_law": r"\(a\*c\)\^p overflows" if a > 1.0 else "power_law does not read base"}
+    with pytest.raises(InvalidParameter, match=want[kind]):
         FamilySpec(kind=kind, base=base, a=a)
 
 
@@ -89,11 +92,10 @@ READS = {
                                    {"a", "E0", "nu", "b", "c"}),
     "density_modulus_direct": ({"kind": "density_modulus_direct"}, {"a", "E0", "nu", "b", "c"}),
     "scaled_builtin": ({"kind": "scaled_base", "base": "power_law"},
-                       {"a", "p", "b", "c", "delta1", "base"}),
+                       {"a", "p", "c", "base"}),
 }
 # a valid value other than the default for each field
-OTHER = {"a": 0.2, "p": 3.0, "E0": 2.0, "nu": 0.25, "b": 0.4, "c": 0.9, "delta1": 0.04,
-         "base": "power_law"}
+OTHER = {"a": 0.2, "p": 3.0, "E0": 2.0, "nu": 0.25, "b": 0.4, "c": 0.9, "base": "power_law"}
 
 
 @pytest.mark.parametrize("name", sorted(READS))
@@ -116,8 +118,8 @@ def test_delta_ceilings():
     assert delta_ceiling(POWER) == 0.1
     assert delta_ceiling(RECIP) == pytest.approx(0.02)
     assert delta_ceiling(DIRECT) == pytest.approx(0.02)
-    scaled = FamilySpec(kind="scaled_base", a=1.0, p=2.0, base="power_law", delta1=0.05)
-    assert delta_ceiling(scaled) == pytest.approx(0.05)
+    scaled = FamilySpec(kind="scaled_base", a=1.0, p=2.0, base="power_law")
+    assert delta_ceiling(scaled) == 0.1
 
 
 def test_check_delta_boundary():
@@ -378,7 +380,7 @@ def test_leading_singularity_raises():
 @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, 6.0])
 def test_scaled_base_is_power_law_bit_for_bit(p):
     # scaled_base evaluates as the power_law map of its a and p, float for float
-    scaled = FamilySpec(kind="scaled_base", a=1.3, p=p, base="power_law", delta1=0.05)
+    scaled = FamilySpec(kind="scaled_base", a=1.3, p=p, base="power_law")
     power = FamilySpec(kind="power_law", a=1.3, p=p)
     delta = 0.01
     rng = np.random.default_rng(51)
@@ -398,7 +400,7 @@ def test_scaled_base_is_power_law_bit_for_bit(p):
 
 
 def test_scaled_base_leading_gap_is_exactly_zero():
-    scaled = FamilySpec(kind="scaled_base", a=1.0, p=2.0, base="power_law", delta1=0.05)
+    scaled = FamilySpec(kind="scaled_base", a=1.0, p=2.0, base="power_law")
     rng = np.random.default_rng(53)
     for _ in range(200):
         S = ball(rng, 1.0)
@@ -406,11 +408,17 @@ def test_scaled_base_leading_gap_is_exactly_zero():
         assert leading_gap(scaled, 0.01, E, S) == 0.0
 
 
-def test_scaled_base_ceiling_tracks_delta1():
-    spec = FamilySpec(kind="scaled_base", base="power_law", delta1=0.01, b=0.5)
-    assert delta_ceiling(spec) == pytest.approx(0.01)
-    spec = FamilySpec(kind="scaled_base", base="power_law", delta1=0.4, b=0.5)
-    assert delta_ceiling(spec) == pytest.approx(0.1)
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, 6.0])
+def test_scaled_base_has_power_law_domains_and_solutions(p):
+    # one stress-only class: the same balls, ceiling and closed-form solve
+    scaled = FamilySpec(kind="scaled_base", a=1.3, p=p, c=2.0, base="power_law")
+    power = FamilySpec(kind="power_law", a=1.3, p=p, c=2.0)
+    for domain in (working_domain, certified_domain, delta_ceiling):
+        assert domain(scaled) == domain(power)
+    rng = np.random.default_rng(55)
+    for delta in (1e-3, 0.07):
+        for S in [ball(rng, 2.0) for _ in range(20)] + [ZERO]:
+            assert solve_implicit(scaled, delta, S) == solve_implicit(power, delta, S)
 
 
 # --- finiteness guards --------------------------------------------------------
@@ -661,6 +669,25 @@ def test_every_batch_result_is_a_symtensor_of_columns():
                     assert all(isinstance(c, np.ndarray) and c.shape == (n,)
                                for c in out.components())
                 assert leading_gap(spec, d, e, s).shape == (n,)
+
+
+@pytest.mark.parametrize("spec", [POWER, BATCH_SPECS["scaled_cubic"], RECIP, DIRECT],
+                         ids=["power_law", "scaled_base", "reciprocal", "direct"])
+def test_every_batch_form_gives_the_same_rows(spec):
+    # (N, 6) arrays, SymTensors of (N,) columns, and (N,) strain columns against one
+    # stress: N rows each, equal bit for bit, whether or not the kind reads the strain
+    rng = np.random.default_rng(11)
+    n, delta = 3, 0.5 * delta_ceiling(spec)
+    E = _in_ball(rng, n, certified_domain(spec) * delta)
+    S = np.repeat(_in_ball(rng, 1, spec.c), n, axis=0)
+    forms = [(E, S), (SymTensor(*E.T), SymTensor(*S.T)), (SymTensor(*E.T), SymTensor(*S[0]))]
+    for fn in (lambda e, s: _array(family_eval(spec, delta, e, s)),
+               lambda e, s: _array(family_leading(spec, e * (1.0 / delta), s)),
+               lambda e, s: leading_gap(spec, delta, e, s)):
+        want = fn(*forms[0])
+        for e, s in forms[1:]:
+            got = fn(e, s)
+            assert np.shape(got) == want.shape and np.array_equal(got, want)
 
 
 # --- frame indifference -----------------------------------------------------------

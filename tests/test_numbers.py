@@ -77,8 +77,8 @@ def _with(values, i, v):
 CASES = {
     # each field on a kind that reads it
     **{("FamilySpec", f): lambda v, f=f, given=given: FamilySpec(**given, **{f: v})
-       for given, names in (({"kind": "scaled_base", "base": "power_law"}, "a p b c delta1"),
-                            ({"kind": "density_modulus_reciprocal"}, "E0 nu"))
+       for given, names in (({"kind": "scaled_base", "base": "power_law"}, "a p c"),
+                            ({"kind": "density_modulus_reciprocal"}, "b E0 nu"))
        for f in names.split()},
     **{("RotationSpec", "axis[%d]" % i): lambda v, i=i: RotationSpec(
         tuple(_with([0.0, 0.0, 1.0], i, v)), 1.0) for i in range(3)},
@@ -200,11 +200,12 @@ def test_an_overflowing_tensor_component_raises_what_inf_raises(case):
 
 
 # a component that is no real number: `frobenius`, which every ball check crosses,
-# raises InvalidParameter for it
+# raises InvalidParameter for it, and so does `symtensor._stacked`, which the
+# spectral maps cross, so every map that takes a tensor refuses it
 NOT_REAL = {"0.5j": 0.5j, "0.3+0.1j": 0.3 + 0.1j, "[0.1]": [0.1], "'0.1'": "0.1", "None": None}
+SPECTRAL = ("eig_sym", "spd_sqrt", "sym_log", "sym_exp")
 NOT_REAL_CASES = {
-    **{case: call for case, call in TENSOR_CASES.items() if case[0] in (
-        "check_ball", "family_eval", "family_leading", "solve_implicit", "complementary_energy")},
+    **TENSOR_CASES,
     ("family_eval", "Sbar power_law"): lambda T: family_eval(POWER, D, ZERO, T),
     ("solve_implicit", "Sbar power_law"): lambda T: solve_implicit(POWER, D, T),
 }
@@ -215,6 +216,22 @@ NOT_REAL_CASES = {
 def test_a_component_that_is_no_real_number_is_an_invalid_parameter(case, value):
     with pytest.raises(InvalidParameter):
         NOT_REAL_CASES[case](SymTensor(NOT_REAL[value]))
+
+
+# what `_stacked` alone refuses: a bool (`frobenius` reads it as an int, and
+# `deformation_from_green` doubles it into a float before its spectral map), and
+# a column of another dtype than a real float or int
+NOT_REAL_FOR_SPECTRAL = {"True": True, "False": False, "complex column": np.array([0.5j, 0.1]),
+                         "bool column": np.array([True, False]),
+                         "str column": np.array(["0.1", "0.2"]),
+                         "object column": np.array([0.1, None])}
+
+
+@pytest.mark.parametrize("value", NOT_REAL_FOR_SPECTRAL)
+@pytest.mark.parametrize("name", SPECTRAL)
+def test_the_spectral_maps_refuse_a_bool_and_a_column_that_is_not_real(name, value):
+    with pytest.raises(InvalidParameter):
+        TENSOR_CASES[(name, "A")](SymTensor(1.0, NOT_REAL_FOR_SPECTRAL[value], 1.0))
 
 
 def test_an_overflowing_tensor_component_has_an_infinite_norm():
