@@ -50,6 +50,7 @@ from .families import (
     density_line,
     family_eval,
     family_leading,
+    fixed_points,
     leading_gap,
     working_domain,
 )

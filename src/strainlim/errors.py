@@ -41,7 +41,7 @@ class Saturation(StrainLimError):
 
 
 class NoConvergence(StrainLimError):
-    """Iteration budget exhausted before the residual tolerance was met."""
+    """No iterate met the residual tolerance, or the working ball holds no fixed point."""
 
     def __init__(self, message, best_residual=None):
         super().__init__(message)

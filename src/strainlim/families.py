@@ -31,7 +31,8 @@ runs the same formulas as a SymTensor whose components are numpy columns;
 a density-kind row may differ from the scalar call in the last ulp (numpy
 against libm `expm1`/`log1p`).
 `density_line` reduces a density kind at one stress to its line E = s m:
-f_delta(s m, Sbar) = phi(s) m, the one home of that scalar reduction.
+f_delta(s m, Sbar) = phi(s) m, the one home of that scalar reduction, and
+`fixed_points` lists the roots of s = phi(s) through a cubic or a quintic.
 This module alone decides domain membership: `check_ball` for a strain or
 stress ball and `check_delta` for the admissible deltas, which other modules
 call. Checks read `not (norm <= radius)`: NaN and inf raise.
@@ -289,6 +290,36 @@ def density_line(spec: FamilySpec, delta: float, Sbar: SymTensor):
         return _modulus_factor(spec, delta, s * i1, ss * i2, ss * s * i3)
 
     return m, phi
+
+
+def fixed_points(spec: FamilySpec, delta: float, Sbar: SymTensor):
+    """(inside, beyond): the admissible roots s of s = phi(s) (`density_line`)
+    in the working ball, ascending, and the nearest one beyond it, or None.
+
+    With D(s) = det(I + 2 s m), s = phi(s) squares to side^2 X = Y: direct
+    side = E0 s - delta + a, X = 1, Y = a^2 D (a cubic); reciprocal
+    side = delta - B s, X = D, Y = A^2 s^2 (a quintic), A = E0 a / delta and
+    B = E0 (1 - a / delta). Real roots with s > 0, D(s) > 0 and side >= 0 are
+    admissible. A float locate (`np.roots`), not a proof. Raises what
+    `density_line` raises, and InvalidParameter unless delta is one number and
+    Sbar one SymTensor of numbers (`errors.real`).
+    """
+    if not (isinstance(Sbar, SymTensor) and np.ndim(delta) == 0):
+        raise InvalidParameter("fixed_points takes one delta and one stress tensor")
+    Sbar = SymTensor(*(real(x, "each component of Sbar") for x in Sbar.components()))
+    m, _ = density_line(spec, delta, Sbar)
+    i1, i2, i3 = _invariants(m)
+    D = [8.0 * i3, 4.0 * i2, 2.0 * i1, 1.0]
+    if spec.kind == "density_modulus_direct":
+        side, X, Y = [spec.E0, spec.a - delta], [1.0], np.multiply(spec.a * spec.a, D)
+    else:
+        A = spec.E0 * spec.a / delta
+        side, X, Y = [spec.E0 * (spec.a / delta - 1.0), delta], D, [A * A, 0.0, 0.0]
+    P = np.polysub(np.convolve(np.convolve(side, side), X), Y)
+    s = np.sort([r.real for r in np.roots(P) if r.imag == 0.0])
+    s = s[(s > 0.0) & (np.polyval(D, s) > 0.0) & (np.polyval(side, s) >= 0.0)]
+    inside = s * frobenius(m) <= spec._working[0] * delta
+    return s[inside].tolist(), (float(s[~inside][0]) if not inside.all() else None)
 
 
 def family_eval(spec: FamilySpec, delta: float, E, Sbar) -> SymTensor:

@@ -1,4 +1,5 @@
-"""Test helpers shared by several test modules: a ball sample and a rotation."""
+"""Test helpers shared by several test modules: a ball sample, a rotation and
+the hydrostatic density solution."""
 
 import math
 
@@ -21,3 +22,26 @@ def rotation(q):
     return np.array([[1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
                      [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
                      [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)]])
+
+
+def hydrostatic_root(spec, delta, s):
+    """The strain e of the density solution e I at the stress s I."""
+    # scalar fixed point e = (1-2nu) s / E_delta(e I), bisected on the
+    # monotone residual g(e) = e - rhs(e); the modulus is the closed form
+    # from det(I + 2e I) = (1 + 2e)^3
+    half = -0.5 if spec.kind == "density_modulus_reciprocal" else 0.5
+
+    def g(e):
+        bracket = 1.0 + spec.a / delta * math.expm1(3.0 * half * math.log1p(2.0 * e))
+        mod = spec.E0 * bracket / delta if half < 0.0 else spec.E0 / (delta * bracket)
+        return e - (1.0 - 2.0 * spec.nu) * s / mod
+
+    lo, hi = 0.0, spec.b * delta * 0.99 / math.sqrt(3.0)
+    assert g(lo) < 0.0 < g(hi)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if g(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)

@@ -734,35 +734,45 @@ _SCIPY_FREE_SCRIPT = """
 import json, sys
 import strainlim.cli as cli
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+def unwanted_modules():
+    return sorted(m for m in sys.modules
+                  if m.split(".")[0] == "scipy" or m.startswith("numpy.polynomial"))
 
-assert not scipy_modules(), scipy_modules()
+assert not unwanted_modules(), unwanted_modules()
 *numpy_only, integrating = json.loads(sys.argv[1])
 for argv in numpy_only:
     assert cli.main(argv) == 0, argv
-    assert not scipy_modules(), (argv, scipy_modules())
+    assert not unwanted_modules(), (argv, unwanted_modules())
 assert cli.main(integrating) == 0, integrating
 assert "scipy.integrate" in sys.modules
 """
 
 
 def test_only_integrating_energy_studies_load_scipy(tmp_path):
-    """A fresh interpreter runs solve, converge, converge-hencky, certify and a p = 2
-    scaled_base energy study on numpy alone; a p = 3 energy study then loads
-    scipy.integrate on first use."""
+    """A fresh interpreter runs solve, a stiff solve that reaches the fixed-point
+    census, converge, converge-hencky, certify and a p = 2 scaled_base energy
+    study on numpy alone, without numpy.polynomial; a p = 3 energy study then
+    loads scipy.integrate on first use."""
     solve = {"family": {"kind": "power_law", "a": 1.0, "p": 2.0},
              "stress": CONVERGE["stress"], "delta": 0.015625}
+    # Picard stalls on this rung and Newton starts from the census root
+    stiff = {"family": {"kind": "density_modulus_reciprocal", "E0": 1.0, "nu": 0.45,
+                        "a": 0.9, "b": 0.5, "c": 3.0}, "delta": 2.0 ** -11,
+             "stress": [1.053568237520654, 1.548577327771007, -0.10633993342362029,
+                        0.9575539215983894, 0.7588024235430555, 0.4856308433477228]}
     energy = {"family": {"kind": "power_law", "a": 1.0, "p": 3.0, "c": 3.0},
               "delta": 0.01, "samples": 20, "seed": 5}
-    studies = (("solve", solve), ("converge", CONVERGE), ("converge-hencky", CONVERGE),
-               ("certify", CERTIFY), ("energy", dict(SCALED_ENERGY, samples=4)), ("energy", energy))
+    studies = (("solve", solve), ("solve", stiff), ("converge", CONVERGE),
+               ("converge-hencky", CONVERGE), ("certify", CERTIFY),
+               ("energy", dict(SCALED_ENERGY, samples=4)), ("energy", energy))
     runs = [[command, "--config", _write(tmp_path, "%d.json" % i, payload), "--out", str(tmp_path)]
             for i, (command, payload) in enumerate(studies)]
     proc = subprocess.run([sys.executable, "-c", _SCIPY_FREE_SCRIPT, json.dumps(runs)],
                           env=_fresh_env(), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.count("PASS") == 6
+    assert proc.stdout.count("PASS") == 7
+    # the stiff solve wrote the last solve.csv
+    assert ",newton," in (tmp_path / "solve.csv").read_text()
 
 
 # --- report serialization -------------------------------------------------------

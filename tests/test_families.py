@@ -11,6 +11,7 @@ from strainlim.analysis import ball_points
 from strainlim.errors import (
     InadmissibleDelta,
     InvalidParameter,
+    NoConvergence,
     NonpositiveModulus,
     OutOfDomain,
     SingularLeading,
@@ -27,13 +28,14 @@ from strainlim.families import (
     density_line,
     family_eval,
     family_leading,
+    fixed_points,
     leading_gap,
     working_domain,
 )
 from strainlim.solver import solve_implicit
 from strainlim.symtensor import SymTensor, frobenius, trace
 
-from draws import ball, rotation
+from draws import ball, hydrostatic_root, rotation
 
 POWER = FamilySpec(kind="power_law", a=1.0, p=2.0)
 RECIP = FamilySpec(kind="density_modulus_reciprocal", E0=1.0, nu=0.3, a=0.3, b=0.5, c=1.0)
@@ -310,6 +312,67 @@ def test_density_line_errors():
     m, phi = density_line(RECIP, d, SymTensor(0.1, 0.1, 0.1))
     with pytest.raises(NonpositiveModulus):
         phi(1.9 * d / m.xx)
+
+
+@pytest.mark.parametrize("kind", DENSITY_KINDS)
+@pytest.mark.parametrize("a", [0.3, 0.002])
+def test_the_census_of_a_zero_stress_is_delta_over_E0(kind, a):
+    # D = 1 on the line, so P has two roots: delta / E0 and a squared one, negative
+    # with its unsquared side >= 0 (reciprocal, a = 0.3) or positive with that
+    # side < 0 (a = 0.002 < delta / 2): s > 0 and the side test each drop one
+    spec, delta = FamilySpec(kind=kind, a=a, E0=2.5), 0.01
+    roots, beyond = fixed_points(spec, delta, SymTensor())
+    assert roots == [pytest.approx(delta / spec.E0, rel=1e-14)]
+    assert beyond is None
+
+
+@pytest.mark.parametrize("spec", [RECIP, DIRECT], ids=["reciprocal", "direct"])
+def test_the_census_of_a_hydrostatic_stress_is_the_bisected_root(spec):
+    # m = (1 - 2nu) s I, so the solution e I of the stress s I is at e / ((1 - 2nu) s)
+    delta, s = 2.0 ** -6, 0.5
+    roots, _ = fixed_points(spec, delta, SymTensor(s, s, s))
+    assert roots[0] * (1.0 - 2.0 * spec.nu) * s == pytest.approx(
+        hydrostatic_root(spec, delta, s), rel=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    kind=st.sampled_from(DENSITY_KINDS),
+    log_a=st.floats(-3.0, 0.0),
+    E0=st.floats(0.5, 2.0),
+    nu=st.floats(0.0, 0.49),
+    b=st.floats(0.05, 0.99),
+    c=st.floats(0.2, 3.0),
+    depth=st.floats(0.0, 8.0),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_census_roots_are_fixed_points_and_a_solve_returns_the_smallest(
+        kind, log_a, E0, nu, b, c, depth, seed):
+    a = 0.95 * 10.0 ** log_a  # from 0.00095 (a < delta) to 0.95 (a much larger)
+    spec = FamilySpec(kind=kind, a=a, E0=E0, nu=nu, b=b * min(1.0, 0.5 / a), c=c)
+    delta = 0.99 * delta_ceiling(spec) * 2.0 ** -depth
+    rng = np.random.default_rng(seed)
+    S = SymTensor(*ball_points(rng.standard_normal(6), rng.random(), spec.c).tolist())
+    roots, beyond = fixed_points(spec, delta, S)
+    m, phi = density_line(spec, delta, S)
+    size, radius = frobenius(m), working_domain(spec) * delta
+    assert roots == sorted(roots) and all(0.0 < r and r * size <= radius for r in roots)
+    assert beyond is None or beyond * size > radius
+    for r in roots:  # phi(s) - s changes sign across each root
+        lo, hi = r * (1.0 - 1e-6), r * (1.0 + 1e-6)
+        if hi * size <= radius:  # a root on the rim has its upper probe outside
+            assert (phi(lo) - lo) * (phi(hi) - hi) < 0.0
+    try:
+        E = solve_implicit(spec, delta, S).solution
+    except NoConvergence as exc:
+        assert not roots and "no fixed point in the working ball" in str(exc)
+        return
+    # the residual tolerance 1e-13 is absolute: it leaves s within 1e-13 / (|m| g'(s))
+    # of the root of g(s) = s - phi(s), more than 1e-9 relative where s |m| is small
+    lo = roots[0] * (1.0 - 1e-6)
+    slope = abs(1.0 - (phi(roots[0]) - phi(lo)) / (roots[0] - lo))
+    reach = 1e-9 * roots[0] * size + 2e-13 / slope
+    assert frobenius(E - m * roots[0]) <= reach
 
 
 def test_density_profile_bound():

@@ -19,6 +19,7 @@ import strainlim
 from strainlim import (
     FamilySpec,
     InvalidParameter,
+    OutOfDomain,
     RotationSpec,
     StrainLimError,
     SymTensor,
@@ -35,6 +36,7 @@ from strainlim import (
     family_eval,
     family_leading,
     fit_order,
+    fixed_points,
     frobenius,
     green_stress,
     leading_gap,
@@ -89,6 +91,7 @@ CASES = {
     ("density_line", "delta"): lambda v: density_line(RECIP, v, S)[1](0.0),
     ("density_line", "s"): lambda v: density_line(RECIP, D, S)[1](v),
     ("family_eval", "delta"): lambda v: family_eval(RECIP, v, ZERO, S),
+    ("fixed_points", "delta"): lambda v: fixed_points(RECIP, v, S),
     ("leading_gap", "delta"): lambda v: leading_gap(RECIP, v, ZERO, S),
     ("solve_implicit", "delta"): lambda v: solve_implicit(RECIP, v, S),
     ("solve_implicit_hencky", "delta"): lambda v: solve_implicit_hencky(RECIP, v, S),
@@ -124,6 +127,7 @@ TENSOR_CASES = {
     ("leading_gap", "E"): lambda T: leading_gap(RECIP, D, T, S),
     ("density_line", "Sbar"): lambda T: density_line(RECIP, D, T),
     ("solve_implicit", "Sbar"): lambda T: solve_implicit(RECIP, D, T),
+    ("fixed_points", "Sbar"): lambda T: fixed_points(RECIP, D, T),
     ("complementary_energy", "Sbar"): lambda T: complementary_energy(POWER, T),
     ("complementary_gradient", "Sbar"): lambda T: complementary_gradient(POWER, T),
     ("conjugate_stress", "Etilde"): lambda T: conjugate_stress(POWER, T),
@@ -232,6 +236,14 @@ NOT_REAL_FOR_SPECTRAL = {"True": True, "False": False, "complex column": np.arra
 def test_the_spectral_maps_refuse_a_bool_and_a_column_that_is_not_real(name, value):
     with pytest.raises(InvalidParameter):
         TENSOR_CASES[(name, "A")](SymTensor(1.0, NOT_REAL_FOR_SPECTRAL[value], 1.0))
+
+
+@pytest.mark.parametrize("value, error", [(True, InvalidParameter), (math.nan, OutOfDomain)],
+                         ids=["True", "nan"])
+def test_the_census_refuses_a_bool_and_a_nan_component(value, error):
+    # off the hot path, the census reads each stress component by the number rule
+    with pytest.raises(error):
+        fixed_points(RECIP, D, SymTensor(0.5, value))
 
 
 def test_an_overflowing_tensor_component_has_an_infinite_norm():

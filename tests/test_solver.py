@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import strainlim.solver
 from strainlim.analysis import ball_points
-from strainlim.errors import NoConvergence, OutOfDomain
+from strainlim.errors import NonpositiveModulus, NoConvergence, OutOfDomain
 from strainlim.families import (
     FamilySpec,
     delta_ceiling,
@@ -18,7 +18,7 @@ from strainlim.families import (
 from strainlim.solver import solve_implicit, solve_implicit_hencky
 from strainlim.symtensor import SymTensor, frobenius
 
-from draws import rotation
+from draws import hydrostatic_root, rotation
 
 POWER = FamilySpec(kind="power_law", a=1.0, p=2.0)
 RECIP = FamilySpec(kind="density_modulus_reciprocal", E0=1.0, nu=0.3, a=0.3, b=0.5, c=1.0)
@@ -58,32 +58,10 @@ def test_zero_stress_is_free():
     assert rep.interior_ball_ok
 
 
-def _hydrostatic_root(spec, delta, s):
-    # scalar fixed point e = (1-2nu) s / E_delta(e I), bisected on the
-    # monotone residual g(e) = e - rhs(e); the modulus is the closed form
-    # from det(I + 2e I) = (1 + 2e)^3
-    half = -0.5 if spec.kind == "density_modulus_reciprocal" else 0.5
-
-    def g(e):
-        bracket = 1.0 + spec.a / delta * math.expm1(3.0 * half * math.log1p(2.0 * e))
-        mod = spec.E0 * bracket / delta if half < 0.0 else spec.E0 / (delta * bracket)
-        return e - (1.0 - 2.0 * spec.nu) * s / mod
-
-    lo, hi = 0.0, spec.b * delta * 0.99 / math.sqrt(3.0)
-    assert g(lo) < 0.0 < g(hi)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if g(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 @pytest.mark.parametrize("spec", [RECIP, DIRECT], ids=["reciprocal", "direct"])
 def test_hydrostatic_solution_matches_bisection(spec):
     s = 0.5
-    root = _hydrostatic_root(spec, DELTA, s)
+    root = hydrostatic_root(spec, DELTA, s)
     rep = solve_implicit(spec, DELTA, SymTensor(s, s, s))
     sol = rep.solution
     assert sol.xx == pytest.approx(root, abs=1e-12)
@@ -121,8 +99,17 @@ def test_newton_agrees_with_picard():
 
 
 def test_stalled_solve_carries_its_best_residual(monkeypatch):
+    # no fixed point of this stiff rung lies in the working ball: the error names
+    # the nearest one beyond it and carries Picard's best residual
     S = SymTensor(0.45057716151826754, 1.7732717025175075, 1.418711129001391,
                   -0.4224179813496206, -0.6189389823198892, -0.17788963219188111)
+    delta = 2.0 ** -14
+    m, phi = density_line(STIFF, delta, S)
+    s, picard = 0.0, []
+    with pytest.raises(NonpositiveModulus):  # Picard leaves the domain within its budget
+        for _ in range(strainlim.solver.PICARD_BUDGET + 1):
+            s, fs = phi(s), s
+            picard.append(frobenius(m) * abs(s - fs))
     calls = []
 
     def counted(*args):
@@ -130,12 +117,13 @@ def test_stalled_solve_carries_its_best_residual(monkeypatch):
         return family_eval(*args)
 
     monkeypatch.setattr(strainlim.solver, "family_eval", counted)
-    with pytest.raises(NoConvergence) as info:
-        solve_implicit(STIFF, 2.0 ** -14, S)
-    assert info.value.best_residual == pytest.approx(5.72e-5, rel=1e-3)
+    with pytest.raises(NoConvergence, match=r"no fixed point in the working ball \(nearest at "
+                       r"\|E\|/delta = 2616\.8") as info:
+        solve_implicit(STIFF, delta, S)
+    assert info.value.best_residual == min(picard)
     # the density kinds iterate on the line s m through phi; family_eval only
     # checks an accepted solution
-    assert len(calls) <= 2
+    assert calls == []
 
 
 def test_a_line_solution_meets_the_tolerance_in_six_components(monkeypatch):
@@ -158,24 +146,13 @@ def test_singular_slope_is_no_convergence(monkeypatch):
     assert info.value.best_residual == 1e-7
 
 
-def test_backtracking_that_leaves_the_domain_is_out_of_domain(monkeypatch):
-    # a stand-in line defined only for |s| <= 2e-7: with |m| = 1 the Newton
-    # probes at s = +-1e-7 are inside, but every trial of the step 1000, down to
-    # 1000 / 2^30, is not
-    def phi(s):
-        if abs(s) > 2e-7:
-            raise OutOfDomain("outside the stand-in line")
-        return 1000.0
-
-    monkeypatch.setattr(strainlim.solver, "density_line",
-                        lambda spec, delta, S: (SymTensor(1.0), phi))
-    with pytest.raises(OutOfDomain, match="backtracking"):
-        solve_implicit(RECIP, DELTA, SBAR)
-
-
 def test_iteration_budget_is_no_convergence(monkeypatch):
-    # NEWTON_S stalls Picard through its 20-step budget and Newton's first step
-    # meets the tolerance; no family needs 200 steps, so the budget is lowered
+    # NEWTON_S stalls Picard through its 20-step budget, and Newton seeded one
+    # part in 1e6 above the census root needs one step; no family needs 200
+    # steps, so the budget is lowered
+    census = strainlim.solver.fixed_points
+    monkeypatch.setattr(strainlim.solver, "fixed_points",
+                        lambda *args: ([census(*args)[0][0] * (1.0 + 1e-6)], None))
     monkeypatch.setattr(strainlim.solver, "MAX_ITER", strainlim.solver.PICARD_BUDGET)
     with pytest.raises(NoConvergence, match="20 iterations") as info:
         solve_implicit(STIFF, 2.0 ** -11, NEWTON_S)
@@ -184,6 +161,17 @@ def test_iteration_budget_is_no_convergence(monkeypatch):
     monkeypatch.setattr(strainlim.solver, "MAX_ITER", strainlim.solver.PICARD_BUDGET + 1)
     rep = solve_implicit(STIFF, 2.0 ** -11, NEWTON_S)
     assert (rep.method, rep.iterations) == ("newton", 21)
+
+
+def test_a_stiff_rung_with_a_root_in_the_ball_solves():
+    # seed-401 converge study 117 at delta = 2^-9: Picard stalls, and the census
+    # root at |E|/delta = 45.72, inside the working radius of 88.2, seeds Newton
+    S = SymTensor(0.5470311688506825, 1.2603398160682382, 1.356760637728338,
+                  -0.0019578570272070794, -0.7652480848042948, -1.0883903859319886)
+    rep = solve_implicit(STIFF, 2.0 ** -9, S)
+    assert rep.method == "newton"
+    assert rep.residual <= 1e-13
+    assert frobenius(rep.solution) / 2.0 ** -9 == pytest.approx(45.72, abs=0.01)
 
 
 @pytest.mark.parametrize("solve", [solve_implicit, solve_implicit_hencky])
