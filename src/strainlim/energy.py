@@ -2,19 +2,19 @@
 
 The leading profile of the power-law family is the gradient of a radial
 complementary energy W*(S) = G(|S|) with G the antiderivative of
-a t (1 + a^p t^p)^{-1/p} (a `quad` integral for p != 2); W*(0) = 0 fixes the
-free additive constant. A scaled_base leading profile is the power-law
-profile of its `a` and `p`, so its W* is the same G(|S|). W is the convex
-conjugate of W*, evaluated at the closed-form maximizer (the tensor analogue
-of the one-dimensional inversion). The stress map of the associated Green
-elastic solid is a finite-difference gradient of W.
+a t (1 + a^p t^p)^{-1/p} (a Gauss hypergeometric closed form for p != 2,
+`quad`); W*(0) = 0 fixes the free additive constant. A scaled_base leading
+profile is the power-law profile of its `a` and `p`, so its W* is the same
+G(|S|). W is the convex conjugate of W*, evaluated at the closed-form
+maximizer (the tensor analogue of the one-dimensional inversion). The stress
+map of the associated Green elastic solid is a finite-difference gradient of W.
 Every map takes the family's `FamilySpec` and one SymTensor (anything else
 raises InvalidParameter): the stress-side maps accept the `ENERGY_KINDS`,
 the strain-side ones power_law alone, and any other kind raises
 InvalidParameter. Stresses must lie in the family's ball B(0, c)
 (`check_ball`) and `green_stress`'s delta must pass `check_delta`. `quad`
-imports `scipy.integrate` on its first call, so only studies that integrate
-(p != 2) load scipy.
+imports `scipy.special` on its first call, so only studies with p != 2 load
+scipy.
 """
 
 from __future__ import annotations
@@ -31,28 +31,23 @@ from .symtensor import SymTensor, central_differences, frobenius, inner, is_fini
 # kinds whose leading profile is a gradient field: power_law, and scaled_base,
 # whose built-in base is the power-law profile
 ENERGY_KINDS = ("power_law", "scaled_base")
-_QUAD_TOL = 1e-12
 _GRAD_STEP = 1e-5
 # wider than the FD step so gradient probes stay strictly inside the limit
 _SATURATION_GUARD = 1e-4
 
 
-def quad(*args, **kwargs):
-    import scipy.integrate
-    return scipy.integrate.quad(*args, **kwargs)
+def quad(a: float, p: float, s: float) -> float:
+    """G(s) = int_0^s a t (1 + (a t)^p)^{-1/p} dt = (a s^2/2) 2F1(1/p, 2/p; 1 + 2/p; -(a s)^p)."""
+    from scipy.special import hyp2f1
+    # a float, not numpy's float64, so reports and CSV cells hold plain numbers
+    return float(0.5 * a * s * s * hyp2f1(1.0 / p, 2.0 / p, 1.0 + 2.0 / p, -(a * s) ** p))
 
 
 def _radial(a: float, p: float, s: float) -> float:
-    # G(s) = int_0^s a t (1 + (a t)^p)^{-1/p} dt
     if p == 2.0:
         # ((1 + a^2 s^2)^{1/2} - 1)/a, written to avoid the cancellation at small s
         return a * s * s / (1.0 + math.sqrt(1.0 + (a * s) ** 2))
-    if s == 0.0:
-        return 0.0
-    expo = -1.0 / p
-    integrand = lambda t: a * t * (1.0 + (a * t) ** p) ** expo
-    value, _ = quad(integrand, 0.0, s, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, limit=200)
-    return value
+    return 0.0 if s == 0.0 else quad(a, p, s)
 
 
 def _check(spec: FamilySpec, kinds: tuple, name: str, A) -> None:

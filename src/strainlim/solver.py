@@ -20,7 +20,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NonpositiveModulus, NoConvergence, OutOfDomain
+import numpy as np
+
+from .errors import InvalidParameter, NonpositiveModulus, NoConvergence, OutOfDomain
 from .families import (DENSITY_KINDS, FamilySpec, density_line, family_eval, fixed_points,
                         working_domain)
 from .symtensor import SymTensor, frobenius
@@ -48,9 +50,9 @@ class SolveReport:
 def solve_implicit(spec: FamilySpec, delta: float, Sbar: SymTensor) -> SolveReport:
     """Solve E = f_delta(E, Sbar) to residual <= 1e-13, as the module docstring says.
 
-    Raises NoConvergence, with the best residual attached, when the working
-    ball holds no fixed point or Newton fails, and OutOfDomain when a Newton
-    iterate leaves that ball.
+    Raises InvalidParameter for a batch (as `fixed_points` does), NoConvergence,
+    with the best residual attached, when the working ball holds no fixed point
+    or Newton fails, and OutOfDomain when a Newton iterate leaves that ball.
     """
     return _solve(spec, delta, Sbar)
 
@@ -61,6 +63,9 @@ def solve_implicit_hencky(spec: FamilySpec, delta: float, T: SymTensor) -> Solve
 
 
 def _solve(spec, delta, stress) -> SolveReport:
+    if not (isinstance(stress, SymTensor) and (type(delta) is float or np.isscalar(delta))) or any(
+            map(isinstance, stress.components(), (np.ndarray,) * 6)):  # numpy columns: a batch
+        raise InvalidParameter("the solvers take one delta and one stress tensor, not a batch")
     # solutions are O(delta) with delta < 1 (density_line or the first
     # family_eval checks it): an absolute tolerance avoids demanding relative
     # accuracy below machine precision

@@ -739,12 +739,13 @@ def unwanted_modules():
                   if m.split(".")[0] == "scipy" or m.startswith("numpy.polynomial"))
 
 assert not unwanted_modules(), unwanted_modules()
-*numpy_only, integrating = json.loads(sys.argv[1])
+*numpy_only, hypergeometric = json.loads(sys.argv[1])
 for argv in numpy_only:
     assert cli.main(argv) == 0, argv
     assert not unwanted_modules(), (argv, unwanted_modules())
-assert cli.main(integrating) == 0, integrating
-assert "scipy.integrate" in sys.modules
+assert cli.main(hypergeometric) == 0, hypergeometric
+assert "scipy.special" in sys.modules, unwanted_modules()
+assert "scipy.integrate" not in sys.modules, unwanted_modules()
 """
 
 
@@ -752,7 +753,7 @@ def test_only_integrating_energy_studies_load_scipy(tmp_path):
     """A fresh interpreter runs solve, a stiff solve that reaches the fixed-point
     census, converge, converge-hencky, certify and a p = 2 scaled_base energy
     study on numpy alone, without numpy.polynomial; a p = 3 energy study then
-    loads scipy.integrate on first use."""
+    loads scipy.special for its closed-form energy, and never scipy.integrate."""
     solve = {"family": {"kind": "power_law", "a": 1.0, "p": 2.0},
              "stress": CONVERGE["stress"], "delta": 0.015625}
     # Picard stalls on this rung and Newton starts from the census root

@@ -114,6 +114,29 @@ def test_quadrature_matches_closed_form():
         )
 
 
+# a|S| up to the conjugate-stress norm at green_stress's limit |eps/delta| = 1 - 1e-4,
+# (1 - (1 - 1e-4)^p)^{-1/p}: 1e4 at p = 1, 2.4 at p = 8
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.5, 3.0, 4.0, 8.0])
+def test_hypergeometric_closed_form_matches_quadrature(p):
+    family = FamilySpec(kind="power_law", a=0.7, p=p, c=3.0)
+    top = (1.0 - (1.0 - 1e-4) ** p) ** (-1.0 / p)
+    assert energy.quad(family.a, p, 0.0) == 0.0
+    grid = np.concatenate([np.logspace(-6.0, math.log10(top), 25), np.linspace(0.0, top, 26)[1:]])
+    for x in grid:
+        s = float(x) / family.a
+        value = energy.quad(family.a, p, s)
+        assert type(value) is float  # numpy's float64 would print as np.float64(...) in a CSV
+        assert value == pytest.approx(_radial_quad(family, SymTensor(s)), rel=1e-12, abs=0.0)
+
+
+def test_hypergeometric_closed_form_at_p_2_is_the_elementary_branch():
+    ulp = np.finfo(float).eps
+    for a in (0.3, 1.0, 2.5):
+        for x in np.logspace(-8.0, 8.0, 161):
+            s = float(x) / a
+            assert energy.quad(a, 2.0, s) == pytest.approx(energy._radial(a, 2.0, s), rel=8 * ulp)
+
+
 def test_energy_is_isotropic():
     s = 0.8
     on_axis = complementary_energy(POWER, SymTensor(s, 0.0, 0.0))

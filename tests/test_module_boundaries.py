@@ -137,21 +137,26 @@ def test_only_symtensor_reads_the_batch_format(path):
     assert bool(found) == (path.stem == "symtensor"), (path.name, found)
 
 
-def _scipy_integrate_reads(tree):
-    """Names read from scipy.integrate: `scipy.integrate.x` attributes and
-    `from scipy.integrate import x` imports; `from scipy import integrate` yields
-    "integrate", which no guard allows."""
+def _scipy_reads(tree):
+    """(module, name) for each name read from scipy: the attribute `name` of a
+    `scipy...` expression, `from scipy... import name` and `import scipy...`
+    (name None)."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and ast.unparse(node.value) == "scipy.integrate":
-            yield node.attr
-        elif isinstance(node, ast.ImportFrom) and node.module in ("scipy", "scipy.integrate"):
-            yield from (alias.name for alias in node.names)
+        if isinstance(node, ast.Attribute) and ast.unparse(node.value).split(".")[0] == "scipy":
+            yield ast.unparse(node.value), node.attr
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy":
+            yield from ((node.module, alias.name) for alias in node.names)
+        elif isinstance(node, ast.Import):
+            yield from ((alias.name, None) for alias in node.names
+                        if alias.name.split(".")[0] == "scipy")
 
 
 def test_energy_has_one_quadrature_path():
-    # every integral of the package goes through `energy.quad`, scipy's adaptive quad
-    path = next(p for p in MODULES if p.stem == "energy")
-    assert set(_scipy_integrate_reads(ast.parse(path.read_text(), filename=str(path)))) == {"quad"}
+    # the package's one integral is `energy.quad`, a closed form through
+    # scipy.special.hyp2f1: no module reads scipy.integrate or any other scipy name
+    reads = {p.stem: set(_scipy_reads(ast.parse(p.read_text(), filename=str(p)))) for p in MODULES}
+    assert reads.pop("energy") == {("scipy.special", "hyp2f1")}
+    assert not any(reads.values()), reads
 
 
 def _json_writes(tree):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import strainlim.solver
 from strainlim.analysis import ball_points
-from strainlim.errors import NonpositiveModulus, NoConvergence, OutOfDomain
+from strainlim.errors import InvalidParameter, NonpositiveModulus, NoConvergence, OutOfDomain
 from strainlim.families import (
     FamilySpec,
     delta_ceiling,
@@ -190,6 +190,24 @@ def test_density_solutions_are_exactly_s_times_m(solve, spec, delta, S):
             t = math.nextafter(t, direction)
             near.append(t)
     assert any(m * t == E for t in near)
+
+
+# a batch: an (N, 6) stress array, a SymTensor of (N,) columns, an (N,) delta column;
+# family_eval reads a 0-d delta array as a batch of one
+_BATCHES = {"(N, 6)": (DELTA, np.tile(SBAR.components(), (3, 1))),
+            "columns": (DELTA, SymTensor(*np.tile(SBAR.components(), (3, 1)).T)),
+            "one column": (DELTA, SymTensor(np.full(3, 0.5), 0.25, -0.125)),
+            "delta column": (np.full(3, DELTA), SBAR),
+            "0-d delta": (np.array(DELTA), SBAR)}
+
+
+@pytest.mark.parametrize("solve", [solve_implicit, solve_implicit_hencky])
+@pytest.mark.parametrize("spec", [POWER, RECIP, DIRECT], ids=["power_law", "reciprocal", "direct"])
+@pytest.mark.parametrize("batch", _BATCHES)
+def test_a_batch_is_an_invalid_parameter(solve, spec, batch):
+    # the solvers take one delta and one tensor, as the census does
+    with pytest.raises(InvalidParameter, match="not a batch"):
+        solve(spec, *_BATCHES[batch])
 
 
 def test_stress_outside_ball_raises():
