@@ -67,24 +67,24 @@ def _echo(value):
     return value
 
 
-def _require(cond, msg):
+def _require(cond, msg, *args):  # formats `msg % args` only for a failed check
     if not cond:
-        raise ConfigInvalid(msg)
+        raise ConfigInvalid(msg % args)
 
 
 def _as_float(value, name) -> float:
     v = real(value, name)
-    _require(math.isfinite(v), "%s must be finite" % name)
+    _require(math.isfinite(v), "%s must be finite", name)
     return v
 
 
 def _object(raw, name, allowed, required=()) -> dict:
     """`raw` if it is a JSON object with every `required` key and no key outside `allowed`."""
-    _require(isinstance(raw, dict), "%s must be an object" % name)
-    unknown = set(raw) - set(allowed)
-    _require(not unknown, "unknown %s keys: %s" % (name, sorted(unknown)))
+    _require(isinstance(raw, dict), "%s must be an object", name)
+    unknown = raw.keys() - allowed
+    _require(not unknown, "unknown %s keys: %s", name, sorted(unknown))
     missing = [key for key in required if key not in raw]
-    _require(not missing, "%s needs %s" % (name, " and ".join(missing)))
+    _require(not missing, "%s needs %s", name, " and ".join(missing))
     return raw
 
 
@@ -98,7 +98,7 @@ def _parse_family(raw) -> FamilySpec:
 
 def _numbers(raw, name, length=None) -> tuple:
     _require(isinstance(raw, (list, tuple)) and len(raw) > 0 and length in (None, len(raw)),
-             "%s must be a list of %s numbers" % (name, length or "one or more"))
+             "%s must be a list of %s numbers", name, length or "one or more")
     return tuple(_as_float(v, "%s[%d]" % (name, i)) for i, v in enumerate(raw))
 
 
@@ -113,23 +113,23 @@ def _parse_rotation(raw, name) -> RotationSpec:
 def _parse_deltas(raw, name) -> tuple:
     vals = _numbers(raw, name)
     _require(all(lo < hi for lo, hi in zip(vals[1:], vals)),
-             "%s must be strictly decreasing" % name)
+             "%s must be strictly decreasing", name)
     return vals
 
 
 def parse_config(raw: dict, command: str) -> SimpleNamespace:
     """Validate a raw config dict against `command`'s entry in `_COMMANDS`."""
-    _require(command in _COMMANDS, "unknown command %r" % command)
+    _require(command in _COMMANDS, "unknown command %r", command)
     spec = _COMMANDS[command]
     _object(raw, "config", (*_COMMON_KEYS, *spec.keys))
     if "command" in raw:
         _require(raw["command"] == command,
-                 "config is for %r, not %r" % (raw["command"], command))
+                 "config is for %r, not %r", raw["command"], command)
 
     cfg = SimpleNamespace(command=command,
                           family=_parse_family(raw.get("family", {"kind": "power_law"})))
     _require(cfg.family.kind in spec.kinds,
-             "%s needs a family.kind in %s" % (command, list(spec.kinds)))
+             "%s needs a family.kind in %s", command, list(spec.kinds))
 
     thresholds = _object(raw.get("thresholds", {}), "thresholds", spec.thresholds)
     try:  # a value the library's number rule refuses is a config error
@@ -137,9 +137,9 @@ def parse_config(raw: dict, command: str) -> SimpleNamespace:
                           else _as_float(v, key) for key, v in thresholds.items()}
         for key, value in cfg.thresholds.items():
             _require(not isinstance(value, tuple) or value[0] <= value[1],
-                     "%s must be a window [lo, hi] with lo <= hi" % key)
+                     "%s must be a window [lo, hi] with lo <= hi", key)
         missing = sorted(set(spec.keys) - set(raw) - set(spec.defaults))
-        _require(not missing, "%s needs %s" % (command, " and ".join(missing)))
+        _require(not missing, "%s needs %s", command, " and ".join(missing))
         for key, parse in spec.keys.items():
             setattr(cfg, key, parse(raw[key], key) if key in raw else spec.defaults[key])
     except InvalidParameter as exc:
@@ -152,10 +152,14 @@ def parse_config(raw: dict, command: str) -> SimpleNamespace:
 
 
 def _atomic_write(directory: str, name: str, data: bytes):
+    # mkstemp opens with O_EXCL and mode 0600; the bytes go straight to its descriptor
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".strainlim-")
     try:
-        with open(fd, "wb") as handle:
-            handle.write(data)
+        try:
+            while data:  # a short write leaves the rest for the next one
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
         os.replace(tmp, os.path.join(directory, name))
     except BaseException:
         if os.path.exists(tmp):
@@ -180,6 +184,8 @@ _quote = json.encoder.encode_basestring_ascii
 _SCALARS = {str: _quote, int: int.__repr__, bool: ["false", "true"].__getitem__,
             float: lambda v: float.__repr__(v) if math.isfinite(v) else _quote(repr(v)),
             type(None): lambda _: "null"}
+# each dataclass type `_json` has met -> its field names, sorted
+_FIELDS = {}
 
 
 def _json(obj, pad="\n") -> str:
@@ -190,8 +196,11 @@ def _json(obj, pad="\n") -> str:
     if kind in _SCALARS:
         return _SCALARS[kind](obj)
     inner = pad + "  "
-    if dataclasses.is_dataclass(kind):
-        items = sorted((f.name, getattr(obj, f.name)) for f in dataclasses.fields(kind))
+    names = _FIELDS.get(kind)
+    if names is None and dataclasses.is_dataclass(kind):
+        names = _FIELDS[kind] = sorted(f.name for f in dataclasses.fields(kind))
+    if names is not None:
+        items = [(name, getattr(obj, name)) for name in names]
     elif isinstance(obj, dict):
         items = sorted(obj.items())
     elif isinstance(obj, (list, tuple)):
@@ -288,16 +297,18 @@ def _run_energy(cfg):
     # stresses of strains drawn inside this radius stay within the ball.
     x = spec.a * 0.99 * spec.c
     strain_r = min(0.9, x * (1.0 + x ** spec.p) ** (-1.0 / spec.p))
-
+    # radii of a probe's S, Et and eps: ball_points' rows are independent, so one call
+    # on their stack gives each point as a call of its own would, bit for bit
+    radii = np.array([[0.9 * spec.c], [strain_r], [strain_r * cfg.delta]][:3 if power else 1])
     rows = []
     for i in range(cfg.samples):  # one probe per sample, drawing g, u, then Et and eps
         g, u = rng.standard_normal(6), rng.random(3)
-        S = SymTensor(*ball_points(g, u[0], 0.9 * spec.c).tolist())
+        gauss = [g, rng.standard_normal(6), rng.standard_normal(6)] if power else [g]
+        S, *strains = [SymTensor(*p) for p in ball_points(gauss, u[:len(gauss)], radii).tolist()]
         grad_err = frobenius(complementary_gradient(spec, S) - family_leading(spec, zero, S))
         fy_err = rt_err = float("nan")
         if power:
-            Et, eps = [SymTensor(*ball_points(rng.standard_normal(6), u[k], r).tolist())
-                       for k, r in ((1, strain_r), (2, strain_r * cfg.delta))]
+            Et, eps = strains
             star = conjugate_stress(spec, Et)
             fy_err = abs(legendre_transform(spec, Et)
                          + complementary_energy(spec, star) - inner(Et, star))
@@ -378,7 +389,8 @@ def run_experiment(cfg: SimpleNamespace, output_dir: str) -> dict:
 
     stem = cfg.command.replace("-", "_")
     directory = os.path.abspath(output_dir)
-    os.makedirs(directory, exist_ok=True)
+    if not os.path.isdir(directory):  # one stat where makedirs would try a mkdir
+        os.makedirs(directory, exist_ok=True)
     _atomic_write(directory, stem + ".csv", "".join(
         ",".join(map(_cell, row)) + "\n" for row in (header, *rows)).encode())
 
@@ -430,8 +442,10 @@ def main(argv=None) -> int:
 
     try:
         try:
-            with open(args.config, "r", encoding="utf-8") as handle:
-                raw = json.load(handle)
+            with open(args.config, "rb") as handle:
+                text = handle.read().decode("utf-8")
+            # the newlines a text-mode read would give, so JSON errors name the same offsets
+            raw = json.loads(text.replace("\r\n", "\n").replace("\r", "\n"))
         except OSError as exc:
             raise ConfigInvalid("cannot read config: %s" % exc)
         except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8, deep nesting

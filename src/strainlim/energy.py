@@ -13,8 +13,8 @@ raises InvalidParameter): the stress-side maps accept the `ENERGY_KINDS`,
 the strain-side ones power_law alone, and any other kind raises
 InvalidParameter. Stresses must lie in the family's ball B(0, c)
 (`check_ball`) and `green_stress`'s delta must pass `check_delta`. `quad`
-imports `scipy.special` on its first call, so only studies with p != 2 load
-scipy.
+imports `scipy.special.hyp2f1` on its first call and keeps it, so only
+studies with p != 2 load scipy, and later calls skip the import.
 """
 
 from __future__ import annotations
@@ -34,13 +34,17 @@ ENERGY_KINDS = ("power_law", "scaled_base")
 _GRAD_STEP = 1e-5
 # wider than the FD step so gradient probes stay strictly inside the limit
 _SATURATION_GUARD = 1e-4
+# scipy.special.hyp2f1, imported by the first `quad` call
+_hyp2f1 = None
 
 
 def quad(a: float, p: float, s: float) -> float:
     """G(s) = int_0^s a t (1 + (a t)^p)^{-1/p} dt = (a s^2/2) 2F1(1/p, 2/p; 1 + 2/p; -(a s)^p)."""
-    from scipy.special import hyp2f1
+    global _hyp2f1
+    if _hyp2f1 is None:
+        from scipy.special import hyp2f1 as _hyp2f1
     # a float, not numpy's float64, so reports and CSV cells hold plain numbers
-    return float(0.5 * a * s * s * hyp2f1(1.0 / p, 2.0 / p, 1.0 + 2.0 / p, -(a * s) ** p))
+    return float(0.5 * a * s * s * _hyp2f1(1.0 / p, 2.0 / p, 1.0 + 2.0 / p, -(a * s) ** p))
 
 
 def _radial(a: float, p: float, s: float) -> float:
@@ -55,7 +59,7 @@ def _check(spec: FamilySpec, kinds: tuple, name: str, A) -> None:
     if spec.kind not in kinds:
         raise InvalidParameter(f"this map takes the kinds {list(kinds)}, got {spec.kind}")
     # SymTensors of numpy columns are batches, which no energy map takes
-    if not isinstance(A, SymTensor) or any(isinstance(c, np.ndarray) for c in A.components()):
+    if not isinstance(A, SymTensor) or any(map(isinstance, A.components(), (np.ndarray,) * 6)):
         raise InvalidParameter(f"{name} must be one SymTensor, got {type(A).__name__}")
 
 
@@ -79,11 +83,15 @@ def conjugate_stress(spec: FamilySpec, Etilde: SymTensor) -> SymTensor:
     return _conjugate(spec, Etilde)
 
 
-def _conjugate(spec: FamilySpec, Etilde: SymTensor) -> SymTensor:
+def _below_one(Etilde: SymTensor) -> float:
     e = frobenius(Etilde)
     if not e < 1.0:  # a NaN or inf strain is out of the domain, not saturated
         raise (Saturation if math.isfinite(e) else OutOfDomain)(f"|Etilde| = {e!r} is not below 1")
-    q = one_minus_abs_pow(e, spec.p)
+    return e
+
+
+def _conjugate(spec: FamilySpec, Etilde: SymTensor) -> SymTensor:
+    q = one_minus_abs_pow(_below_one(Etilde), spec.p)
     return Etilde * (q ** (-1.0 / spec.p) / spec.a)
 
 
@@ -94,13 +102,13 @@ def legendre_transform(spec: FamilySpec, Etilde: SymTensor) -> float:
 
 
 def _legendre(spec: FamilySpec, Etilde: SymTensor) -> float:
-    star = _conjugate(spec, Etilde)
     if spec.p == 2.0:
         # closed form a^{-1}(1 - sqrt(1 - e^2)); keeps W exactly conjugate
-        e = frobenius(Etilde)
+        e = _below_one(Etilde)
         return e * e / (spec.a * (1.0 + math.sqrt(one_minus_abs_pow(e, 2.0))))
     # the conjugate stress may leave the configured stress ball; the radial
     # integral itself is defined for all stresses
+    star = _conjugate(spec, Etilde)
     return inner(Etilde, star) - _radial(spec.a, spec.p, frobenius(star))
 
 

@@ -30,9 +30,9 @@ raising the scalar call's error for the first failing row;
 runs the same formulas as a SymTensor whose components are numpy columns;
 a density-kind row may differ from the scalar call in the last ulp (numpy
 against libm `expm1`/`log1p`).
-`density_line` reduces a density kind at one stress to its line E = s m:
-f_delta(s m, Sbar) = phi(s) m, the one home of that scalar reduction, and
-`fixed_points` lists the roots of s = phi(s) through a cubic or a quintic.
+`density_line` reduces a density kind at one stress and delta (no batch) to its
+line E = s m: f_delta(s m, Sbar) = phi(s) m, the one home of that scalar
+reduction, and `fixed_points` lists the roots of s = phi(s) by a polynomial.
 This module alone decides domain membership: `check_ball` for a strain or
 stress ball and `check_delta` for the admissible deltas, which other modules
 call. Checks read `not (norm <= radius)`: NaN and inf raise.
@@ -210,9 +210,16 @@ def check_delta(spec: FamilySpec, delta) -> None:
 def _batch(delta, *batches) -> list:
     """`columns(*batches)`; InvalidParameter unless delta is a number or an (N,) column."""
     cols = columns(*batches)
-    if np.ndim(delta) and np.shape(delta) != cols[0].xx.shape:
-        raise InvalidParameter(f"delta of shape {np.shape(delta)} for {len(cols[0].xx)} rows")
+    if isinstance(delta, np.ndarray) and delta.shape != cols[0].xx.shape:  # a 0-d array too
+        raise InvalidParameter(f"delta of shape {delta.shape} for {len(cols[0].xx)} rows")
     return cols
+
+
+def _refuse_batch(name, delta, Sbar) -> None:
+    """InvalidParameter unless delta is one number and Sbar one SymTensor of no numpy column."""
+    if not (isinstance(Sbar, SymTensor) and (type(delta) is float or np.isscalar(delta))) or any(
+            map(isinstance, Sbar.components(), (np.ndarray,) * 6)):
+        raise InvalidParameter(f"{name} takes one delta and one stress tensor, not a batch")
 
 
 def _power_leading(a: float, p: float, Sbar: SymTensor) -> SymTensor:
@@ -271,11 +278,13 @@ def density_line(spec: FamilySpec, delta: float, Sbar: SymTensor):
     For a density kind f_delta(E, Sbar) is a multiple of m for every E, so
     each fixed point is s m with s = phi(s). phi(s) raises what `family_eval`
     raises at s m and may differ from it in the last ulps. Raises
-    InvalidParameter for another kind, and what `family_eval` raises for
-    delta and Sbar.
+    InvalidParameter for another kind and for a batch (an (N, 6) array, a
+    SymTensor of numpy columns or a delta array), and what `family_eval`
+    raises for delta and Sbar.
     """
     if spec.kind not in DENSITY_KINDS:
         raise InvalidParameter(f"density_line needs a density kind, got {spec.kind}")
+    _refuse_batch("density_line", delta, Sbar)
     check_delta(spec, delta)
     check_ball("Sbar", Sbar, spec.c)
     m = _iso_numerator(spec.nu, Sbar)
@@ -304,8 +313,7 @@ def fixed_points(spec: FamilySpec, delta: float, Sbar: SymTensor):
     `density_line` raises, and InvalidParameter unless delta is one number and
     Sbar one SymTensor of numbers (`errors.real`).
     """
-    if not (isinstance(Sbar, SymTensor) and np.ndim(delta) == 0):
-        raise InvalidParameter("fixed_points takes one delta and one stress tensor")
+    _refuse_batch("fixed_points", delta, Sbar)
     Sbar = SymTensor(*(real(x, "each component of Sbar") for x in Sbar.components()))
     m, _ = density_line(spec, delta, Sbar)
     i1, i2, i3 = _invariants(m)

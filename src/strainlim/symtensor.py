@@ -14,7 +14,8 @@ batch runs a single call's checks in the same order, each over every row,
 and raises the first failing check's error for its first failing row. The
 eigensolver is `np.linalg.eigh` (LAPACK's symmetric solver `syevd`), which,
 unlike the closed-form cubic, does not lose accuracy near repeated
-eigenvalues. The module needs numpy only.
+eigenvalues. The module needs numpy only. `SymTensor` is a frozen, slotted
+dataclass: a hashable, picklable value with no instance `__dict__`.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ EIG_POSITIVITY_TOL = 1e-14
 ROTATION_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SymTensor:
     """Symmetric 3x3 tensor; components (xx, yy, zz, xy, xz, yz)."""
 
@@ -43,6 +44,15 @@ class SymTensor:
     xy: float = 0.0
     xz: float = 0.0
     yz: float = 0.0
+
+    def __init__(self, xx=0.0, yy=0.0, zz=0.0, xy=0.0, xz=0.0, yz=0.0):
+        # the slots' own setters: half the cost of a frozen dataclass's object.__setattr__
+        _set_xx(self, xx)
+        _set_yy(self, yy)
+        _set_zz(self, zz)
+        _set_xy(self, xy)
+        _set_xz(self, xz)
+        _set_yz(self, yz)
 
     @staticmethod
     def identity() -> "SymTensor":
@@ -100,6 +110,10 @@ class SymTensor:
 
     def __neg__(self) -> "SymTensor":
         return self * -1.0
+
+
+_set_xx, _set_yy, _set_zz, _set_xy, _set_xz, _set_yz = (
+    getattr(SymTensor, name).__set__ for name in ("xx", "yy", "zz", "xy", "xz", "yz"))
 
 
 @dataclass(frozen=True)

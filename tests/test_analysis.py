@@ -344,6 +344,24 @@ def test_zero_draw_points_along_xx():
                                                             [0.0, 0.7, 0.0, 0.0, 0.0, 0.0]]
 
 
+def test_ball_point_rows_equal_one_row_calls_bit_for_bit():
+    # a (k, 6) stack with one u and one radius per row gives, row for row, the
+    # point of a call on that row alone: a zero draw, and tiny and huge radii too
+    rng = np.random.default_rng(38)
+    gauss = rng.standard_normal((8, 6))
+    gauss[2] = 0.0
+    u = rng.random(8)
+    u[5] = 1.0
+    radii = np.array([0.9, 1e-300, 0.35, 5e-324, 1e300, 1.0, 2.0 ** -14, 1.7e308])[:, None]
+    stacked = ball_points(gauss, u, radii)
+    for k in range(8):
+        for args in ((gauss[k], u[k], float(radii[k, 0])), (gauss[k], u[k], radii[k])):
+            one = ball_points(*args)
+            assert one.shape == (6,) and one.tobytes() == stacked[k].tobytes()
+    # a list of (6,) draws, as the energy probes pass them, reads as the same stack
+    assert ball_points(list(gauss[:3]), u[:3], radii[:3]).tobytes() == stacked[:3].tobytes()
+
+
 def test_certify_power_law_exact_columns():
     cert = certify_constants(POWER, LADDER[:4], 500, 3)
     assert cert.C1_hat == 0.0

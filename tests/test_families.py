@@ -681,7 +681,8 @@ _NOT_BATCHES = {"(N, 5)": np.zeros((3, 5)), "(N, 7)": np.zeros((3, 7)), "(N, 1)"
 _PAIRS = {**{"E " + k: (A, _ROWS) for k, A in _NOT_BATCHES.items()},
           **{"Sbar " + k: (_ROWS, A) for k, A in _NOT_BATCHES.items()},
           "no broadcast": (_ROWS, np.zeros((4, 6)))}
-_BAD_DELTAS = {"delta (1, 1)": np.full((1, 1), _D), "delta (N + 1,)": np.full(4, _D)}
+_BAD_DELTAS = {"delta (1, 1)": np.full((1, 1), _D), "delta (N + 1,)": np.full(4, _D),
+               "delta 0-d": np.array(_D)}
 _F_ROWS = family_eval(RECIP, _D, _ROWS, _ROWS)
 BAD_BATCH_CALLS = {
     "frobenius": {k: lambda A=A: frobenius(A) for k, A in _NOT_BATCHES.items()},
@@ -701,6 +702,36 @@ BAD_BATCH_CALLS = {
 def test_every_bad_batch_is_an_invalid_parameter(entry):
     raised = {k: _raised(call) for k, call in BAD_BATCH_CALLS[entry].items()}
     assert all(error is InvalidParameter for error in raised.values()), raised
+
+
+def test_a_0d_delta_is_not_a_batch_of_one():
+    # a 0-d delta array is not an (N,) column, against one tensor or against rows
+    for E, S in ((ZERO, SymTensor(0.5)), (_ROWS[:1], _ROWS[:1])):
+        for spec in (POWER, RECIP):
+            for call in (family_eval, leading_gap):
+                with pytest.raises(InvalidParameter, match=r"delta of shape \(\)"):
+                    call(spec, np.array(_D), E, S)
+    # a float delta keeps its path: plain floats
+    assert all(type(c) is float for c in family_eval(POWER, _D, ZERO, SymTensor(0.5)).components())
+    assert leading_gap(POWER, _D, ZERO, SymTensor(0.5)) == 0.0
+
+
+# every batch form: an (N, 6) stress array, a SymTensor of (N,) columns (or of one
+# column), an (N,) delta column and a 0-d delta array
+_LINE_BATCHES = {"(N, 6)": (_D, np.tile([0.1, 0.05, 0.0, 0.02, 0.0, 0.0], (3, 1))),
+                 "columns": (_D, SymTensor(*np.full((6, 3), 0.01))),
+                 "one column": (_D, SymTensor(np.full(3, 0.1), 0.05)),
+                 "delta column": (np.full(3, _D), SymTensor(0.1, 0.05)),
+                 "0-d delta": (np.array(_D), SymTensor(0.1, 0.05))}
+
+
+@pytest.mark.parametrize("spec", [RECIP, DIRECT], ids=["reciprocal", "direct"])
+@pytest.mark.parametrize("batch", _LINE_BATCHES)
+def test_density_line_refuses_every_batch_form(spec, batch):
+    # as fixed_points and the solvers do; the census runs through density_line
+    for call in (density_line, fixed_points):
+        with pytest.raises(InvalidParameter, match="not a batch"):
+            call(spec, *_LINE_BATCHES[batch])
 
 
 def test_leading_gap_reads_symtensor_columns_as_rows():

@@ -192,8 +192,8 @@ def test_density_solutions_are_exactly_s_times_m(solve, spec, delta, S):
     assert any(m * t == E for t in near)
 
 
-# a batch: an (N, 6) stress array, a SymTensor of (N,) columns, an (N,) delta column;
-# family_eval reads a 0-d delta array as a batch of one
+# a batch: an (N, 6) stress array, a SymTensor of (N,) columns, an (N,) delta column,
+# and a 0-d delta array, which family_eval refuses as no (N,) column
 _BATCHES = {"(N, 6)": (DELTA, np.tile(SBAR.components(), (3, 1))),
             "columns": (DELTA, SymTensor(*np.tile(SBAR.components(), (3, 1)).T)),
             "one column": (DELTA, SymTensor(np.full(3, 0.5), 0.25, -0.125)),

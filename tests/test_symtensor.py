@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -33,6 +36,26 @@ from strainlim.symtensor import (
 def _sym(rng, scale=1.0):
     v = rng.standard_normal(6) * scale
     return SymTensor(v[0], v[1], v[2], v[3], v[4], v[5])
+
+
+def test_symtensor_is_a_frozen_slotted_value():
+    A = SymTensor(1.0, -2.0, 0.5, 0.25, 0.0, -0.125)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        A.xx = 3.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del A.yz
+    assert not hasattr(A, "__dict__")  # slots: the constructor's speed rests on them
+    assert A == SymTensor(1.0, -2.0, 0.5, 0.25, 0.0, -0.125) and A != SymTensor(1.0)
+    assert hash(A) == hash(SymTensor(1.0, -2.0, 0.5, 0.25, 0.0, -0.125))
+    assert len({A, SymTensor(1.0, -2.0, 0.5, 0.25, 0.0, -0.125), SymTensor()}) == 2
+    assert repr(A) == "SymTensor(xx=1.0, yy=-2.0, zz=0.5, xy=0.25, xz=0.0, yz=-0.125)"
+    assert SymTensor(yz=2.0).components() == (0.0, 0.0, 0.0, 0.0, 0.0, 2.0)
+    for twin in (pickle.loads(pickle.dumps(A)), copy.copy(A), copy.deepcopy(A)):
+        assert twin == A and type(twin) is SymTensor and twin.components() == A.components()
+    assert dataclasses.is_dataclass(A)
+    assert [f.name for f in dataclasses.fields(A)] == ["xx", "yy", "zz", "xy", "xz", "yz"]
+    assert dataclasses.replace(A, xy=9.0) == SymTensor(1.0, -2.0, 0.5, 9.0, 0.0, -0.125)
+    assert dataclasses.asdict(SymTensor(1.0))["xx"] == 1.0
 
 
 def test_frobenius_diagonal():
