@@ -41,7 +41,7 @@ from .kinematics import (
     sigma_from_piola,
 )
 from .solver import solve_implicit, solve_implicit_hencky
-from .symtensor import SymTensor, columns, frobenius, rows
+from .symtensor import SymTensor, check_rows, columns, frobenius, rows
 
 # difference-quotient probes sit at this fraction of the domain radius;
 # base draws shrink by twice that so probe partners stay inside the ball
@@ -295,10 +295,8 @@ def certify_constants(
                 frobenius(f10 - f00) / frobenius(e2 - e1),
                 frobenius(f01 - f00) / (delta * frobenius(s2 - s1)),
                 leading_gap(spec, delta, e1, s1, f00) / (delta * delta))]
-        bad = np.flatnonzero(~np.isfinite(sups).all(axis=0))
-        if bad.size:
-            raise InvalidParameter(f"the sampled constants at delta {group[bad[0]]!r} "
-                                   "are not finite floats")
+        check_rows(np.isfinite(sups).all(axis=0), InvalidParameter, lambda k: (
+            f"the sampled constants at delta {group[k]!r} are not finite floats"))
         rows += [CertificateRow(d, *map(float, c)) for d, *c in zip(group, *sups)]
     return CertificateReport(
         C0_hat=max(r.C0_hat for r in rows),

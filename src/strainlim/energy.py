@@ -8,11 +8,11 @@ profile is the power-law profile of its `a` and `p`, so its W* is the same
 G(|S|). W is the convex conjugate of W*, evaluated at the closed-form
 maximizer (the tensor analogue of the one-dimensional inversion). The stress
 map of the associated Green elastic solid is a finite-difference gradient of W.
-Every map takes the family's `FamilySpec` and one SymTensor (anything else
-raises InvalidParameter): the stress-side maps accept the `ENERGY_KINDS`,
-the strain-side ones power_law alone, and any other kind raises
+Every map takes the family's `FamilySpec` and one SymTensor, as
+`check_single` says: the stress-side maps accept the `ENERGY_KINDS`, the
+strain-side ones power_law alone, and any other kind raises
 InvalidParameter. Stresses must lie in the family's ball B(0, c)
-(`check_ball`) and `green_stress`'s delta must pass `check_delta`. `quad`
+(`check_ball`) and `green_stress`'s one delta must pass `check_delta`. `quad`
 imports `scipy.special.hyp2f1` on its first call and keeps it, so only
 studies with p != 2 load scipy, and later calls skip the import.
 """
@@ -21,10 +21,8 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .errors import InvalidParameter, OutOfDomain, Saturation
-from .families import FamilySpec, check_ball, check_delta
+from .families import FamilySpec, check_ball, check_delta, check_single
 from .scalar1d import one_minus_abs_pow
 from .symtensor import SymTensor, central_differences, frobenius, inner, is_finite
 
@@ -54,13 +52,11 @@ def _radial(a: float, p: float, s: float) -> float:
     return 0.0 if s == 0.0 else quad(a, p, s)
 
 
-def _check(spec: FamilySpec, kinds: tuple, name: str, A) -> None:
+def _check(spec: FamilySpec, kinds: tuple, name: str, A, delta=0.0) -> None:
     # the public maps check once; their finite-difference probes skip it
     if spec.kind not in kinds:
         raise InvalidParameter(f"this map takes the kinds {list(kinds)}, got {spec.kind}")
-    # SymTensors of numpy columns are batches, which no energy map takes
-    if not isinstance(A, SymTensor) or any(map(isinstance, A.components(), (np.ndarray,) * 6)):
-        raise InvalidParameter(f"{name} must be one SymTensor, got {type(A).__name__}")
+    check_single(name, A, delta)
 
 
 def complementary_energy(spec: FamilySpec, Sbar: SymTensor) -> float:
@@ -83,10 +79,11 @@ def conjugate_stress(spec: FamilySpec, Etilde: SymTensor) -> SymTensor:
     return _conjugate(spec, Etilde)
 
 
-def _below_one(Etilde: SymTensor) -> float:
+def _below_one(Etilde: SymTensor, limit=1.0, name="Etilde") -> float:
     e = frobenius(Etilde)
-    if not e < 1.0:  # a NaN or inf strain is out of the domain, not saturated
-        raise (Saturation if math.isfinite(e) else OutOfDomain)(f"|Etilde| = {e!r} is not below 1")
+    if not e < limit:  # a NaN or inf strain is out of the domain, not saturated
+        raise (Saturation if math.isfinite(e) else OutOfDomain)(
+            f"|{name}| = {e!r} is not below {limit!r}")
     return e
 
 
@@ -139,17 +136,13 @@ def green_stress(spec: FamilySpec, delta: float, eps: SymTensor) -> SymTensor:
     strictly inside the limit) and OutOfDomain when it is NaN or inf (an int
     past the float range too).
     """
-    _check(spec, ("power_law",), "eps", eps)
+    _check(spec, ("power_law",), "eps", eps, delta)
     check_delta(spec, delta)
     if not is_finite(eps):  # before eps/delta meets an int past the float range
         raise OutOfDomain(f"eps needs finite components, got {eps.components()!r}")
     et = eps * (1.0 / delta)
-    e = frobenius(et)
-    if not e < 1.0 - _SATURATION_GUARD:  # as in conjugate_stress
-        raise (Saturation if math.isfinite(e) else OutOfDomain)(
-            f"|eps/delta| = {e!r} is not below the strain limit minus 1e-4")
-    h = _GRAD_STEP * max(1.0, e)
-    return _central_gradient(lambda P: [_legendre(spec, SymTensor(*E)) for E in P], et, h)
+    _below_one(et, 1.0 - _SATURATION_GUARD, "eps/delta")  # so 1e-5 max(1, |et|) = 1e-5
+    return _central_gradient(lambda P: [_legendre(spec, SymTensor(*E)) for E in P], et, _GRAD_STEP)
 
 
 def _central_gradient(fn, point: SymTensor, h: float) -> SymTensor:

@@ -30,12 +30,12 @@ raising the scalar call's error for the first failing row;
 runs the same formulas as a SymTensor whose components are numpy columns;
 a density-kind row may differ from the scalar call in the last ulp (numpy
 against libm `expm1`/`log1p`).
-`density_line` reduces a density kind at one stress and delta (no batch) to its
-line E = s m: f_delta(s m, Sbar) = phi(s) m, the one home of that scalar
+`density_line` reduces a density kind at one stress and delta to its line
+E = s m: f_delta(s m, Sbar) = phi(s) m, the one home of that scalar
 reduction, and `fixed_points` lists the roots of s = phi(s) by a polynomial.
-This module alone decides domain membership: `check_ball` for a strain or
-stress ball and `check_delta` for the admissible deltas, which other modules
-call. Checks read `not (norm <= radius)`: NaN and inf raise.
+This module alone decides the domains: `check_single` for each call that takes
+no batch (these two, the solvers, the energy maps, `scalar1d`), `check_ball` for
+a ball and `check_delta` for the deltas, and NaN and inf fail every check.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from .errors import (
     SingularLeading,
     real,
 )
-from .symtensor import SymTensor, check_rows, columns, det, frobenius, trace
+from .symtensor import SymTensor, check_rows, columns, det, frobenius, is_batch, trace
 
 # each kind -> the FamilySpec fields it reads; every other field keeps its default
 KINDS = {
@@ -215,11 +215,18 @@ def _batch(delta, *batches) -> list:
     return cols
 
 
-def _refuse_batch(name, delta, Sbar) -> None:
-    """InvalidParameter unless delta is one number and Sbar one SymTensor of no numpy column."""
-    if not (isinstance(Sbar, SymTensor) and (type(delta) is float or np.isscalar(delta))) or any(
-            map(isinstance, Sbar.components(), (np.ndarray,) * 6)):
-        raise InvalidParameter(f"{name} takes one delta and one stress tensor, not a batch")
+def check_single(name=None, A=None, delta=0.0) -> None:
+    """InvalidParameter unless delta is one number (a float or a numpy scalar, no array,
+    0-d included) and A, if given, one SymTensor of no numpy column whose components
+    `errors.real` reads (no bool): the rule of every call that takes one point."""
+    if not (type(delta) is float or np.isscalar(delta)):
+        raise InvalidParameter(f"delta must be one number, not a batch, got {type(delta).__name__}")
+    if A is not None:
+        if not isinstance(A, SymTensor) or is_batch(A):
+            raise InvalidParameter(f"{name} must be one SymTensor, not a batch")
+        for x in A.components():
+            if type(x) is not float:
+                real(x, f"each component of {name}")
 
 
 def _power_leading(a: float, p: float, Sbar: SymTensor) -> SymTensor:
@@ -278,13 +285,12 @@ def density_line(spec: FamilySpec, delta: float, Sbar: SymTensor):
     For a density kind f_delta(E, Sbar) is a multiple of m for every E, so
     each fixed point is s m with s = phi(s). phi(s) raises what `family_eval`
     raises at s m and may differ from it in the last ulps. Raises
-    InvalidParameter for another kind and for a batch (an (N, 6) array, a
-    SymTensor of numpy columns or a delta array), and what `family_eval`
-    raises for delta and Sbar.
+    InvalidParameter for another kind and for what `check_single` refuses,
+    and what `family_eval` raises for delta and Sbar.
     """
     if spec.kind not in DENSITY_KINDS:
         raise InvalidParameter(f"density_line needs a density kind, got {spec.kind}")
-    _refuse_batch("density_line", delta, Sbar)
+    check_single("Sbar", Sbar, delta)
     check_delta(spec, delta)
     check_ball("Sbar", Sbar, spec.c)
     m = _iso_numerator(spec.nu, Sbar)
@@ -310,11 +316,8 @@ def fixed_points(spec: FamilySpec, delta: float, Sbar: SymTensor):
     side = delta - B s, X = D, Y = A^2 s^2 (a quintic), A = E0 a / delta and
     B = E0 (1 - a / delta). Real roots with s > 0, D(s) > 0 and side >= 0 are
     admissible. A float locate (`np.roots`), not a proof. Raises what
-    `density_line` raises, and InvalidParameter unless delta is one number and
-    Sbar one SymTensor of numbers (`errors.real`).
+    `density_line` raises, a batch included (`check_single`).
     """
-    _refuse_batch("fixed_points", delta, Sbar)
-    Sbar = SymTensor(*(real(x, "each component of Sbar") for x in Sbar.components()))
     m, _ = density_line(spec, delta, Sbar)
     i1, i2, i3 = _invariants(m)
     D = [8.0 * i3, 4.0 * i2, 2.0 * i1, 1.0]

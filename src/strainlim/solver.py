@@ -13,6 +13,7 @@ with full steps and a slope from two phi probes, from the smallest root that
 `families.fixed_points` locates in the working ball (with none there,
 NoConvergence names the nearest root beyond it as |E|/delta). The residual
 |m| |s - phi(s)| and |E - f_delta(E, Sbar)| at E = s m both meet 1e-13.
+Both take one delta and one stress, no batch (`families.check_single`).
 """
 
 from __future__ import annotations
@@ -20,11 +21,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import InvalidParameter, NonpositiveModulus, NoConvergence, OutOfDomain
-from .families import (DENSITY_KINDS, FamilySpec, density_line, family_eval, fixed_points,
-                        working_domain)
+from .errors import NonpositiveModulus, NoConvergence, OutOfDomain
+from .families import (DENSITY_KINDS, FamilySpec, check_single, density_line, family_eval,
+                       fixed_points, working_domain)
 from .symtensor import SymTensor, frobenius
 
 PICARD_BUDGET = 20
@@ -50,7 +49,7 @@ class SolveReport:
 def solve_implicit(spec: FamilySpec, delta: float, Sbar: SymTensor) -> SolveReport:
     """Solve E = f_delta(E, Sbar) to residual <= 1e-13, as the module docstring says.
 
-    Raises InvalidParameter for a batch (as `fixed_points` does), NoConvergence,
+    Raises InvalidParameter for what `check_single` refuses, NoConvergence,
     with the best residual attached, when the working ball holds no fixed point
     or Newton fails, and OutOfDomain when a Newton iterate leaves that ball.
     """
@@ -63,9 +62,7 @@ def solve_implicit_hencky(spec: FamilySpec, delta: float, T: SymTensor) -> Solve
 
 
 def _solve(spec, delta, stress) -> SolveReport:
-    if not (isinstance(stress, SymTensor) and (type(delta) is float or np.isscalar(delta))) or any(
-            map(isinstance, stress.components(), (np.ndarray,) * 6)):  # numpy columns: a batch
-        raise InvalidParameter("the solvers take one delta and one stress tensor, not a batch")
+    check_single("stress", stress, delta)
     # solutions are O(delta) with delta < 1 (density_line or the first
     # family_eval checks it): an absolute tolerance avoids demanding relative
     # accuracy below machine precision

@@ -3,7 +3,7 @@
 Symmetric tensors are stored as six plain floats so the hot operations
 (norm, trace, determinant) stay allocation-free; full 3x3 values only
 appear on the spectral paths. Components may also be numpy columns, a
-batch: `columns` alone turns (N, 6) arrays of components into one, and
+batch (`is_batch`): `columns` alone turns (N, 6) component arrays into one, and
 `rows` turns one back into plain-float tensors. A general 3x3 tensor (a
 deformation gradient, a rotation, an eigenframe) is a float (3, 3) numpy
 array, and a batch of them an (N, 3, 3) stack. Every function here takes
@@ -166,9 +166,14 @@ def columns(*batches) -> list:
     return [SymTensor(*np.ascontiguousarray(a.T)) for a in arrays]
 
 
+def is_batch(A: SymTensor) -> bool:
+    """True when a component of A is a numpy column: the one test for a batch SymTensor."""
+    return any(map(isinstance, A.components(), (np.ndarray,) * 6))
+
+
 def rows(A: SymTensor) -> list:
     """The rows of a batch as SymTensors of plain floats; [A] for one tensor."""
-    if not any(isinstance(c, np.ndarray) for c in A.components()):
+    if not is_batch(A):
         return [A]
     return [SymTensor(*r) for r in _stacked(A).T.tolist()]
 

@@ -174,3 +174,38 @@ def test_the_report_walk_is_the_only_serializer(path):
     # `cli._json` writes every report; json.dumps with indent runs the pure-Python encoder
     found = list(_json_writes(ast.parse(path.read_text(), filename=str(path))))
     assert not found, "%s calls json.dump or json.dumps at lines %s" % (path.name, found)
+
+
+def _column_tests(tree):
+    """Lines whose expression reads a SymTensor's `components()` against `np.ndarray`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.expr):
+            inner = list(ast.walk(node))
+            if any(isinstance(n, ast.Attribute) and n.attr == "ndarray" for n in inner) and any(
+                    isinstance(n, ast.Call) and getattr(n.func, "attr", None) == "components"
+                    for n in inner):
+                yield node.lineno
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_only_symtensor_tests_a_tensor_for_numpy_columns(path):
+    # one predicate tells a batch SymTensor from one tensor: `symtensor.is_batch`
+    found = sorted(set(_column_tests(ast.parse(path.read_text(), filename=str(path)))))
+    assert bool(found) == (path.stem == "symtensor"), (path.name, found)
+
+
+def _isscalar_reads(tree):
+    """For each read or import of `isscalar`, the top-level definition around it (None
+    outside any)."""
+    for top in tree.body:
+        for node in ast.walk(top):
+            if "isscalar" in (getattr(node, "attr", None), getattr(node, "id", None)) or (
+                    isinstance(node, ast.alias) and node.name == "isscalar"):
+                yield getattr(top, "name", None)
+
+
+def test_the_single_point_gate_alone_calls_isscalar():
+    # one rule for what a call that takes one point accepts: `families.check_single`
+    found = [(path.stem, name) for path in MODULES
+             for name in _isscalar_reads(ast.parse(path.read_text(), filename=str(path)))]
+    assert found == [("families", "check_single")], found

@@ -238,12 +238,42 @@ def test_the_spectral_maps_refuse_a_bool_and_a_column_that_is_not_real(name, val
         TENSOR_CASES[(name, "A")](SymTensor(1.0, NOT_REAL_FOR_SPECTRAL[value], 1.0))
 
 
+# the calls that take one point, which `families.check_single` gates
+ONE_POINT = {
+    "fixed_points": lambda T: fixed_points(RECIP, D, T),
+    "density_line": lambda T: density_line(RECIP, D, T),
+    **{f"{solve.__name__} {name}": lambda T, solve=solve, spec=spec: solve(spec, D, T)
+       for solve in (solve_implicit, solve_implicit_hencky)
+       for name, spec in (("power_law", POWER), ("reciprocal", RECIP))},
+    "complementary_energy": lambda T: complementary_energy(POWER, T),
+    "complementary_gradient": lambda T: complementary_gradient(POWER, T),
+    "conjugate_stress": lambda T: conjugate_stress(POWER, T),
+    "legendre_transform": lambda T: legendre_transform(POWER, T),
+    "green_stress": lambda T: green_stress(POWER, D, T),
+}
+
+
 @pytest.mark.parametrize("value, error", [(True, InvalidParameter), (math.nan, OutOfDomain)],
                          ids=["True", "nan"])
-def test_the_census_refuses_a_bool_and_a_nan_component(value, error):
-    # off the hot path, the census reads each stress component by the number rule
+@pytest.mark.parametrize("call", ONE_POINT)
+def test_the_census_refuses_a_bool_and_a_nan_component(call, value, error):
+    # off the hot path, every one-point call reads each component by the number rule
     with pytest.raises(error):
-        fixed_points(RECIP, D, SymTensor(0.5, value))
+        ONE_POINT[call](SymTensor(0.5, value))
+
+
+# a delta array, (N,) or 0-d, is a batch, which no call that takes one delta reads
+ONE_DELTA = {"green_stress": lambda d: green_stress(POWER, d, SymTensor(0.1 * D)),
+             "oned_forward": lambda d: oned_forward(POWER, d, 0.5),
+             "oned_invert": lambda d: oned_invert(POWER, d, 0.001),
+             "oned_delta0_study": lambda d: oned_delta0_study(POWER, d, [0.25, 0.5, 1.0, 2.0])}
+
+
+@pytest.mark.parametrize("delta", [np.full(3, 0.01), np.array(0.01)], ids=["(N,)", "0-d"])
+@pytest.mark.parametrize("call", ONE_DELTA)
+def test_a_delta_array_is_an_invalid_parameter_at_every_one_delta_call(call, delta):
+    with pytest.raises(InvalidParameter, match="not a batch"):
+        ONE_DELTA[call](delta)
 
 
 def test_an_overflowing_tensor_component_has_an_infinite_norm():
