@@ -280,20 +280,21 @@ def _modulus_factor(spec: FamilySpec, delta: float, t, i2, d):
 
 
 def density_line(spec: FamilySpec, delta: float, Sbar: SymTensor):
-    """(m, phi) with f_delta(s m, Sbar) = phi(s) m, m = (1+nu) Sbar - nu tr(Sbar) I.
+    """(m, phi) with f_delta(s m, Sbar) = phi(s) m, for every kind.
 
-    For a density kind f_delta(E, Sbar) is a multiple of m for every E, so
-    each fixed point is s m with s = phi(s). phi(s) raises what `family_eval`
-    raises at s m and may differ from it in the last ulps. Raises
-    InvalidParameter for another kind and for what `check_single` refuses,
-    and what `family_eval` raises for delta and Sbar.
+    A density kind has m = (1+nu) Sbar - nu tr(Sbar) I: f_delta(E, Sbar) is a
+    multiple of m for every E, and phi(s) may differ from `family_eval` at
+    s m in the last ulps. A stress-only kind has m = f_delta(0, Sbar), the
+    floats of `family_eval`, and phi = 1, so the equality is exact. Each fixed
+    point is s m with s = phi(s). phi(s) raises what `family_eval` raises at
+    s m. Raises what `check_single` refuses, and what `family_eval` raises
+    for delta and Sbar.
     """
-    if spec.kind not in DENSITY_KINDS:
-        raise InvalidParameter(f"density_line needs a density kind, got {spec.kind}")
     check_single("Sbar", Sbar, delta)
     check_delta(spec, delta)
     check_ball("Sbar", Sbar, spec.c)
-    m = _iso_numerator(spec.nu, Sbar)
+    density = spec.kind in DENSITY_KINDS
+    m = _iso_numerator(spec.nu, Sbar) if density else _power_leading(spec.a, spec.p, Sbar) * delta
     i1, i2, i3 = _invariants(m)
     size, radius = frobenius(m), spec._working[0] * delta
 
@@ -301,6 +302,8 @@ def density_line(spec: FamilySpec, delta: float, Sbar: SymTensor):
         if type(s) is not float:
             s = real(s, "s")
         _within("E", abs(s) * size, radius)
+        if not density:
+            return 1.0
         ss = s * s  # the invariants of s m
         return _modulus_factor(spec, delta, s * i1, ss * i2, ss * s * i3)
 
@@ -315,9 +318,12 @@ def fixed_points(spec: FamilySpec, delta: float, Sbar: SymTensor):
     side = E0 s - delta + a, X = 1, Y = a^2 D (a cubic); reciprocal
     side = delta - B s, X = D, Y = A^2 s^2 (a quintic), A = E0 a / delta and
     B = E0 (1 - a / delta). Real roots with s > 0, D(s) > 0 and side >= 0 are
-    admissible. A float locate (`np.roots`), not a proof. Raises what
-    `density_line` raises, a batch included (`check_single`).
+    admissible. A float locate (`np.roots`), not a proof. Raises
+    InvalidParameter for a stress-only kind, and what `density_line` raises,
+    a batch included (`check_single`).
     """
+    if spec.kind not in DENSITY_KINDS:
+        raise InvalidParameter(f"fixed_points needs a density kind, got {spec.kind}")
     m, _ = density_line(spec, delta, Sbar)
     i1, i2, i3 = _invariants(m)
     D = [8.0 * i3, 4.0 * i2, 2.0 * i1, 1.0]

@@ -1,19 +1,16 @@
 """Fixed-point solver for the implicit relation E = f_delta(E, Sbar).
 
-Every kind is either stress-only or on a line. power_law and scaled_base
-(with its built-in base) read the stress alone, so the solution is
-E = f_delta(0, Sbar) in closed form: zero at 0 iterations when
-|E| <= 1e-13, otherwise E at 1 iteration, whose residual
-|E - f_delta(E, Sbar)| is exactly 0.0 (the second evaluation repeats the
-same floats; E lies in B(0, delta), inside the working ball). For the density
-kinds f_delta(s m, Sbar) = phi(s) m (`families.density_line`), so each fixed
-point is E = s m with s = phi(s): Picard iteration from zero, then, if its
-budget runs out or an iterate leaves the domain, Newton on g(s) = s - phi(s)
-with full steps and a slope from two phi probes, from the smallest root that
+Every kind is solved on its line (`families.density_line`):
+f_delta(s m, Sbar) = phi(s) m, so each fixed point is E = s m with s = phi(s).
+A stress-only kind has m = f_delta(0, Sbar) and phi = 1: zero at 0
+iterations when |m| <= 1e-13, otherwise m at 1 iteration, with residual
+exactly 0.0. Picard iteration runs from zero; if its budget runs out or an
+iterate leaves the domain, Newton on g(s) = s - phi(s) with full steps and a
+slope from two phi probes runs from the smallest root that
 `families.fixed_points` locates in the working ball (with none there,
 NoConvergence names the nearest root beyond it as |E|/delta). The residual
 |m| |s - phi(s)| and |E - f_delta(E, Sbar)| at E = s m both meet 1e-13.
-Both take one delta and one stress, no batch (`families.check_single`).
+Both take one delta and one stress, no batch: `density_line` is the gate.
 """
 
 from __future__ import annotations
@@ -22,8 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import NonpositiveModulus, NoConvergence, OutOfDomain
-from .families import (DENSITY_KINDS, FamilySpec, check_single, density_line, family_eval,
-                       fixed_points, working_domain)
+from .families import FamilySpec, density_line, family_eval, fixed_points, working_domain
 from .symtensor import SymTensor, frobenius
 
 PICARD_BUDGET = 20
@@ -49,7 +45,7 @@ class SolveReport:
 def solve_implicit(spec: FamilySpec, delta: float, Sbar: SymTensor) -> SolveReport:
     """Solve E = f_delta(E, Sbar) to residual <= 1e-13, as the module docstring says.
 
-    Raises InvalidParameter for what `check_single` refuses, NoConvergence,
+    Raises what `density_line` raises for delta and Sbar, NoConvergence,
     with the best residual attached, when the working ball holds no fixed point
     or Newton fails, and OutOfDomain when a Newton iterate leaves that ball.
     """
@@ -62,21 +58,11 @@ def solve_implicit_hencky(spec: FamilySpec, delta: float, T: SymTensor) -> Solve
 
 
 def _solve(spec, delta, stress) -> SolveReport:
-    check_single("stress", stress, delta)
-    # solutions are O(delta) with delta < 1 (density_line or the first
-    # family_eval checks it): an absolute tolerance avoids demanding relative
-    # accuracy below machine precision
-    tol = 1e-13
-    if spec.kind not in DENSITY_KINDS:  # stress-only: E = f_delta(0, stress)
-        E = family_eval(spec, delta, SymTensor(), stress)
-        res = frobenius(E)
-        if res <= tol:
-            return _report(spec, delta, SymTensor(), 0, res, "picard")
-        res = frobenius(E - family_eval(spec, delta, E, stress))
-        return _report(spec, delta, E, 1, res, "picard")
-
     m, phi = density_line(spec, delta, stress)
     unit = frobenius(m)
+    # solutions are O(delta) with delta < 1 (density_line checks it): an absolute
+    # tolerance avoids demanding relative accuracy below machine precision
+    tol = 1e-13
 
     def accept(s, method):
         """The report at E = s m, or None if it misses tol in six components."""

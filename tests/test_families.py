@@ -284,10 +284,13 @@ def test_modulus_guard_fires_for_large_compression():
         family_eval(RECIP, d, SymTensor(e, e, e), SymTensor(0.1, 0.0, 0.0))
 
 
-@pytest.mark.parametrize("spec", [RECIP, DIRECT], ids=["reciprocal", "direct"])
+@pytest.mark.parametrize("spec", [RECIP, DIRECT, POWER,
+                                  FamilySpec(kind="scaled_base", base="power_law")],
+                         ids=["reciprocal", "direct", "power_law", "scaled_base"])
 def test_density_line_is_family_eval_on_the_line(spec):
-    # f_delta(s m, S) = phi(s) m up to the last ulps, and phi raises what
-    # family_eval raises at s m, up to 5% past the working ball
+    # f_delta(s m, S) = phi(s) m up to the last ulps, exactly for a stress-only
+    # kind (m = f_delta(0, S), phi = 1), and phi raises what family_eval raises
+    # at s m, up to 5% past the working ball
     rng = np.random.default_rng(11)
     d = 0.5 * delta_ceiling(spec)
     raised = set()
@@ -300,13 +303,17 @@ def test_density_line_is_family_eval_on_the_line(spec):
         raised.add(error)
         if error is None:
             want = family_eval(spec, d, m * s, S)
-            assert frobenius(m * phi(s) - want) <= 1e-14 * frobenius(want)
+            if spec.kind in DENSITY_KINDS:
+                assert frobenius(m * phi(s) - want) <= 1e-14 * frobenius(want)
+            else:
+                assert phi(s) == 1.0 and m == want
     assert OutOfDomain in raised and None in raised
 
 
 def test_density_line_errors():
-    with pytest.raises(InvalidParameter):
-        density_line(POWER, 0.01, SymTensor(0.1))
+    # the census squares a density kind's relation; a stress-only kind has none
+    with pytest.raises(InvalidParameter, match="density kind"):
+        fixed_points(POWER, 0.01, SymTensor(0.1))
     # the point of test_modulus_guard_fires_for_large_compression, on the line
     d = 0.019
     m, phi = density_line(RECIP, d, SymTensor(0.1, 0.1, 0.1))

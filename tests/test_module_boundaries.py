@@ -209,3 +209,22 @@ def test_the_single_point_gate_alone_calls_isscalar():
     found = [(path.stem, name) for path in MODULES
              for name in _isscalar_reads(ast.parse(path.read_text(), filename=str(path)))]
     assert found == [("families", "check_single")], found
+
+
+def _names(tree):
+    """Every name, attribute and imported name a module mentions."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def test_only_families_reads_the_density_kinds():
+    # every kind is solved on its line (`families.density_line`), so the split of
+    # the kinds into density and stress-only stays in families; __init__ re-exports it
+    found = [path.stem for path in MODULES
+             if "DENSITY_KINDS" in _names(ast.parse(path.read_text(), filename=str(path)))]
+    assert found == ["__init__", "families"], found

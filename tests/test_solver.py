@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import strainlim.families
 import strainlim.solver
 from strainlim.analysis import ball_points
 from strainlim.errors import InvalidParameter, NonpositiveModulus, NoConvergence, OutOfDomain
@@ -23,6 +24,7 @@ from draws import hydrostatic_root, rotation
 POWER = FamilySpec(kind="power_law", a=1.0, p=2.0)
 RECIP = FamilySpec(kind="density_modulus_reciprocal", E0=1.0, nu=0.3, a=0.3, b=0.5, c=1.0)
 DIRECT = FamilySpec(kind="density_modulus_direct", E0=1.0, nu=0.3, a=0.3, b=0.5, c=1.0)
+SCALED = FamilySpec(kind="scaled_base", base="power_law")
 # Picard stalls on this family at small delta, so its solves reach Newton
 STIFF = FamilySpec(kind="density_modulus_reciprocal", E0=1.0, nu=0.45, a=0.9, b=0.5, c=3.0)
 SBAR = SymTensor(0.5, 0.25, -0.125)
@@ -32,22 +34,49 @@ NEWTON_S = SymTensor(1.053568237520654, 1.548577327771007, -0.10633993342362029,
                      0.9575539215983894, 0.7588024235430555, 0.4856308433477228)
 
 
-def test_power_law_closes_in_one_step():
-    rep = solve_implicit(POWER, DELTA, SBAR)
-    assert rep.method == "picard"
-    assert rep.iterations == 1
-    assert rep.residual == 0.0
-    assert frobenius(rep.solution - family_eval(POWER, DELTA, rep.solution, SBAR)) == 0.0
+@pytest.mark.parametrize("spec", [POWER, SCALED], ids=["power_law", "scaled_base"])
+def test_power_law_closes_in_one_step(spec):
+    # a stress-only line has phi = 1: Picard reaches m = f_delta(0, S) at its first step
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        delta = rng.uniform(1e-6, 1.0) * delta_ceiling(spec)
+        S = SymTensor(*ball_points(rng.standard_normal(6), rng.random(), spec.c).tolist())
+        rep = solve_implicit(spec, delta, S)
+        assert (rep.method, rep.iterations, rep.residual) == ("picard", 1, 0.0)
+        want = family_eval(spec, delta, SymTensor(), S)
+        assert [x.hex() for x in rep.solution.components()] == [
+            x.hex() for x in want.components()]
+        assert frobenius(rep.solution - family_eval(spec, delta, rep.solution, S)) == 0.0
 
 
-def test_a_stress_only_solution_within_the_tolerance_is_zero():
-    S = SymTensor(1e-12)
-    for spec in (POWER, FamilySpec(kind="scaled_base", base="power_law")):
+@pytest.mark.parametrize("S", [SymTensor(1e-12), SymTensor(-1e-12, 0.0, 0.0, 2e-14)],
+                         ids=["positive", "negative"])
+def test_a_stress_only_solution_within_the_tolerance_is_zero(S):
+    for spec in (POWER, SCALED):
         E = family_eval(spec, DELTA, SymTensor(), S)
         assert 0.0 < frobenius(E) <= 1e-13
         rep = solve_implicit(spec, DELTA, S)
         assert (rep.solution, rep.iterations, rep.method) == (SymTensor(), 0, "picard")
+        # the zero is m * 0.0, signed as m is
+        assert [math.copysign(1.0, x) for x in rep.solution.components()] == [
+            math.copysign(1.0, x) for x in E.components()]
         assert rep.residual == frobenius(E)
+
+
+@pytest.mark.parametrize("spec", [POWER, SCALED, RECIP, DIRECT],
+                         ids=["power_law", "scaled_base", "reciprocal", "direct"])
+def test_a_picard_solve_gates_once(monkeypatch, spec):
+    # density_line is the solve's one gate; the solver imports no gate of its own
+    gate, calls = strainlim.families.check_single, []
+
+    def counted(*args):
+        calls.append(args)
+        return gate(*args)
+
+    for module in (strainlim.families, strainlim.solver):
+        monkeypatch.setattr(module, "check_single", counted, raising=False)
+    assert solve_implicit(spec, DELTA, SBAR).method == "picard"
+    assert len(calls) == 1
 
 
 def test_zero_stress_is_free():
@@ -235,7 +264,7 @@ EQUIVARIANT_SPECS = {
     "power_law": POWER,
     "reciprocal": RECIP,
     "direct": DIRECT,
-    "scaled_base": FamilySpec(kind="scaled_base", base="power_law"),
+    "scaled_base": SCALED,
 }
 
 
