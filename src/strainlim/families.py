@@ -48,6 +48,7 @@ import numpy as np
 from .errors import (
     InadmissibleDelta,
     InvalidParameter,
+    NoConvergence,
     NonpositiveModulus,
     NotPositiveDefinite,
     OutOfDomain,
@@ -314,11 +315,15 @@ def fixed_points(spec: FamilySpec, delta: float, Sbar: SymTensor):
     """(inside, beyond): the admissible roots s of s = phi(s) (`density_line`)
     in the working ball, ascending, and the nearest one beyond it, or None.
 
-    With D(s) = det(I + 2 s m), s = phi(s) squares to side^2 X = Y: direct
-    side = E0 s - delta + a, X = 1, Y = a^2 D (a cubic); reciprocal
-    side = delta - B s, X = D, Y = A^2 s^2 (a quintic), A = E0 a / delta and
-    B = E0 (1 - a / delta). Real roots with s > 0, D(s) > 0 and side >= 0 are
-    admissible. A float locate (`np.roots`), not a proof. Raises
+    In t = s / delta, with D(s) = det(I + 2 s m) = 1 + delta Dm1(t) and
+    Dm1(t) = 2 I1 t + 4 I2 delta t^2 + 8 I3 delta^2 t^3 (I1, I2, I3 the
+    invariants of m), s = phi(s) squares to P(t) = 0, whose coefficients
+    hold no (a/delta)^2: direct delta (E0 t - 1)^2 + 2a (E0 t - 1) - a^2 Dm1
+    (a cubic) with side a + delta (E0 t - 1); reciprocal
+    (1 - E0 t)(delta + E0 (2a - delta) t) + side^2 Dm1 (a quintic) with side
+    delta + E0 (a - delta) t. Real roots with t > 0, D > 0 and side >= 0 are
+    admissible. A float locate (`np.roots`), not a proof: NoConvergence
+    where it fails, as it may for delta below about 1e-35. Raises
     InvalidParameter for a stress-only kind, and what `density_line` raises,
     a batch included (`check_single`).
     """
@@ -326,15 +331,24 @@ def fixed_points(spec: FamilySpec, delta: float, Sbar: SymTensor):
         raise InvalidParameter(f"fixed_points needs a density kind, got {spec.kind}")
     m, _ = density_line(spec, delta, Sbar)
     i1, i2, i3 = _invariants(m)
-    D = [8.0 * i3, 4.0 * i2, 2.0 * i1, 1.0]
+    E0, a = spec.E0, spec.a
+    Dm1 = [8.0 * i3 * delta * delta, 4.0 * i2 * delta, 2.0 * i1, 0.0]
     if spec.kind == "density_modulus_direct":
-        side, X, Y = [spec.E0, spec.a - delta], [1.0], np.multiply(spec.a * spec.a, D)
+        side = [delta * E0, a - delta]
+        P = np.polysub(np.convolve([E0, -1.0], [delta * E0, 2.0 * a - delta]),
+                       np.multiply(a * a, Dm1))
     else:
-        A = spec.E0 * spec.a / delta
-        side, X, Y = [spec.E0 * (spec.a / delta - 1.0), delta], D, [A * A, 0.0, 0.0]
-    P = np.polysub(np.convolve(np.convolve(side, side), X), Y)
-    s = np.sort([r.real for r in np.roots(P) if r.imag == 0.0])
-    s = s[(s > 0.0) & (np.polyval(D, s) > 0.0) & (np.polyval(side, s) >= 0.0)]
+        side = [E0 * (a - delta), delta]
+        P = np.polyadd(np.convolve([-E0, 1.0], [E0 * (2.0 * a - delta), delta]),
+                       np.convolve(np.convolve(side, side), Dm1))
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            t = np.sort([r.real for r in np.roots(P) if r.imag == 0.0])
+    except (FloatingPointError, np.linalg.LinAlgError) as exc:
+        raise NoConvergence(f"np.roots failed on the census polynomial at delta {delta!r}: "
+                            f"{exc}") from None
+    t = t[(t > 0.0) & (delta * np.polyval(Dm1, t) > -1.0) & (np.polyval(side, t) >= 0.0)]
+    s = t * delta
     inside = s * frobenius(m) <= spec._working[0] * delta
     return s[inside].tolist(), (float(s[~inside][0]) if not inside.all() else None)
 

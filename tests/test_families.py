@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -340,6 +341,36 @@ def test_the_census_of_a_hydrostatic_stress_is_the_bisected_root(spec):
     roots, _ = fixed_points(spec, delta, SymTensor(s, s, s))
     assert roots[0] * (1.0 - 2.0 * spec.nu) * s == pytest.approx(
         hydrostatic_root(spec, delta, s), rel=1e-12)
+
+
+@pytest.mark.parametrize("spec", [RECIP, DIRECT], ids=["reciprocal", "direct"])
+@pytest.mark.parametrize("delta", [None, 1e-6, 1e-12, 1e-20, 1e-30],
+                         ids=["ceiling/2", "1e-6", "1e-12", "1e-20", "1e-30"])
+def test_the_census_root_is_the_picard_fixed_point_at_small_deltas(spec, delta):
+    # in t = s / delta no coefficient of P spans (a/delta)^2, so np.roots keeps the
+    # root that Picard reaches, here at about 0.2 of the working radius
+    delta = 0.5 * delta_ceiling(spec) if delta is None else delta
+    S = SymTensor(0.5, 0.25, -0.125, 0.1, 0.0, 0.05)
+    _, phi = density_line(spec, delta, S)
+    s = 0.0
+    for _ in range(60):  # phi contracts by about 3 delta
+        s = phi(s)
+    roots, _ = fixed_points(spec, delta, S)
+    assert roots[0] == pytest.approx(s, rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize("spec", [RECIP, DIRECT], ids=["reciprocal", "direct"])
+@pytest.mark.parametrize("delta", [1e-154, float(np.finfo(float).tiny)])
+def test_the_census_at_the_smallest_deltas_warns_nothing(spec, delta):
+    # where np.roots overflows the census names its failure; numpy warns nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            roots, beyond = fixed_points(spec, delta, SymTensor(0.5, 0.25, -0.125, 0.1, 0.0, 0.05))
+        except NoConvergence as exc:
+            assert "np.roots failed" in str(exc)
+        else:
+            assert isinstance(roots, list) and (beyond is None or isinstance(beyond, float))
 
 
 @settings(max_examples=100, deadline=None)
