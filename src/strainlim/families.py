@@ -30,12 +30,12 @@ raising the scalar call's error for the first failing row;
 runs the same formulas as a SymTensor whose components are numpy columns;
 a density-kind row may differ from the scalar call in the last ulp (numpy
 against libm `expm1`/`log1p`).
-`density_line` reduces a density kind at one stress and delta to its line
-E = s m: f_delta(s m, Sbar) = phi(s) m, the one home of that scalar
-reduction, and `fixed_points` lists the roots of s = phi(s) by a polynomial.
+`density_line` reduces every kind at one stress and delta to its line E = s m,
+f_delta(s m, Sbar) = phi(s) m (phi = 1 for a stress-only kind), and
+`fixed_points` lists a density kind's roots of s = phi(s) by a polynomial.
 This module alone decides the domains: `check_single` for each call that takes
-no batch (these two, the solvers, the energy maps, `scalar1d`), `check_ball` for
-a ball and `check_delta` for the deltas, and NaN and inf fail every check.
+no batch (these two, so the solvers; the energy maps, `scalar1d`), `check_ball`
+for a ball and `check_delta` for the deltas, and NaN and inf fail every check.
 """
 
 from __future__ import annotations
@@ -315,17 +315,15 @@ def fixed_points(spec: FamilySpec, delta: float, Sbar: SymTensor):
     """(inside, beyond): the admissible roots s of s = phi(s) (`density_line`)
     in the working ball, ascending, and the nearest one beyond it, or None.
 
-    In t = s / delta, with D(s) = det(I + 2 s m) = 1 + delta Dm1(t) and
-    Dm1(t) = 2 I1 t + 4 I2 delta t^2 + 8 I3 delta^2 t^3 (I1, I2, I3 the
-    invariants of m), s = phi(s) squares to P(t) = 0, whose coefficients
-    hold no (a/delta)^2: direct delta (E0 t - 1)^2 + 2a (E0 t - 1) - a^2 Dm1
-    (a cubic) with side a + delta (E0 t - 1); reciprocal
-    (1 - E0 t)(delta + E0 (2a - delta) t) + side^2 Dm1 (a quintic) with side
-    delta + E0 (a - delta) t. Real roots with t > 0, D > 0 and side >= 0 are
-    admissible. A float locate (`np.roots`), not a proof: NoConvergence
-    where it fails, as it may for delta below about 1e-35. Raises
-    InvalidParameter for a stress-only kind, and what `density_line` raises,
-    a batch included (`check_single`).
+    In t = s / delta, D(s) = det(I + 2 s m) = 1 + delta Dm1(t) with
+    Dm1(t) = 2 I1 t + 4 I2 delta t^2 + 8 I3 delta^2 t^3 (I1, I2, I3 those of m),
+    and s = phi(s) squares to P(t) = 0, no coefficient spanning (a/delta)^2:
+    direct u (side + a) - a^2 Dm1, u = E0 t - 1, side = a + delta u (a cubic);
+    reciprocal (1 - E0 t)(side + E0 a t) + side^2 Dm1, side = delta + E0 (a - delta) t
+    (a quintic). Real roots with t > 0, D > 0 and side >= 0 are admissible.
+    A float locate (`np.roots`), not a proof: NoConvergence where np.roots fails,
+    from delta about 1e-154 down. Raises InvalidParameter for a stress-only kind,
+    and what `density_line` raises, a batch included.
     """
     if spec.kind not in DENSITY_KINDS:
         raise InvalidParameter(f"fixed_points needs a density kind, got {spec.kind}")
@@ -345,10 +343,8 @@ def fixed_points(spec: FamilySpec, delta: float, Sbar: SymTensor):
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             t = np.sort([r.real for r in np.roots(P) if r.imag == 0.0])
     except (FloatingPointError, np.linalg.LinAlgError) as exc:
-        raise NoConvergence(f"np.roots failed on the census polynomial at delta {delta!r}: "
-                            f"{exc}") from None
-    t = t[(t > 0.0) & (delta * np.polyval(Dm1, t) > -1.0) & (np.polyval(side, t) >= 0.0)]
-    s = t * delta
+        raise NoConvergence(f"np.roots failed on the census polynomial: {exc}") from None
+    s = delta * t[(t > 0.0) & (delta * np.polyval(Dm1, t) > -1.0) & (np.polyval(side, t) >= 0.0)]
     inside = s * frobenius(m) <= spec._working[0] * delta
     return s[inside].tolist(), (float(s[~inside][0]) if not inside.all() else None)
 

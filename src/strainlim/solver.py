@@ -1,16 +1,15 @@
 """Fixed-point solver for the implicit relation E = f_delta(E, Sbar).
 
-Every kind is solved on its line (`families.density_line`):
-f_delta(s m, Sbar) = phi(s) m, so each fixed point is E = s m with s = phi(s).
-A stress-only kind has m = f_delta(0, Sbar) and phi = 1: zero at 0
-iterations when |m| <= 1e-13, otherwise m at 1 iteration, with residual
-exactly 0.0. Picard iteration runs from zero; if its budget runs out or an
-iterate leaves the domain, Newton on g(s) = s - phi(s) with full steps and a
-slope from two phi probes runs from the smallest root that
-`families.fixed_points` locates in the working ball (with none there,
-NoConvergence names the nearest root beyond it as |E|/delta). The residual
-|m| |s - phi(s)| and |E - f_delta(E, Sbar)| at E = s m both meet 1e-13.
-Both take one delta and one stress, no batch: `density_line` is the gate.
+Every kind is solved on its line (`families.density_line`, the one gate, which
+takes one delta and one stress): f_delta(s m, Sbar) = phi(s) m, so each fixed
+point is E = s m with s = phi(s). Picard iteration runs from zero; a stress-only
+kind (phi = 1) stops at zero when |m| <= 1e-13, else at m after one step with
+residual exactly 0.0. If Picard's budget runs out or an iterate leaves the
+domain, Newton on g(s) = s - phi(s), with full steps and a slope from two phi
+probes, runs from the smallest root that `families.fixed_points` locates in the
+working ball (with none there, NoConvergence names the nearest root beyond it as
+|E|/delta). The residual |m| |s - phi(s)| and |E - f_delta(E, Sbar)| at E = s m
+both meet 1e-13.
 """
 
 from __future__ import annotations
@@ -60,9 +59,7 @@ def solve_implicit_hencky(spec: FamilySpec, delta: float, T: SymTensor) -> Solve
 def _solve(spec, delta, stress) -> SolveReport:
     m, phi = density_line(spec, delta, stress)
     unit = frobenius(m)
-    # solutions are O(delta) with delta < 1 (density_line checks it): an absolute
-    # tolerance avoids demanding relative accuracy below machine precision
-    tol = 1e-13
+    tol = 1e-13  # absolute: solutions are O(delta), delta < 1 (density_line checks it)
 
     def accept(s, method):
         """The report at E = s m, or None if it misses tol in six components."""
