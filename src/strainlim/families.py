@@ -34,8 +34,8 @@ against libm `expm1`/`log1p`).
 f_delta(s m, Sbar) = phi(s) m (phi = 1 for a stress-only kind), and
 `fixed_points` lists a density kind's roots of s = phi(s) by a polynomial.
 This module alone decides the domains: `check_single` for each call that takes
-no batch (these two, so the solvers; the energy maps, `scalar1d`), `check_ball`
-for a ball and `check_delta` for the deltas, and NaN and inf fail every check.
+no batch (these two and through them the solvers, the energy maps, `scalar1d`),
+`check_ball` for a ball and `check_delta` for the deltas; NaN and inf fail each.
 """
 
 from __future__ import annotations
@@ -321,8 +321,8 @@ def fixed_points(spec: FamilySpec, delta: float, Sbar: SymTensor):
     direct u (side + a) - a^2 Dm1, u = E0 t - 1, side = a + delta u (a cubic);
     reciprocal (1 - E0 t)(side + E0 a t) + side^2 Dm1, side = delta + E0 (a - delta) t
     (a quintic). Real roots with t > 0, D > 0 and side >= 0 are admissible.
-    A float locate (`np.roots`), not a proof: NoConvergence where np.roots fails,
-    from delta about 1e-154 down. Raises InvalidParameter for a stress-only kind,
+    A float locate (`np.roots`), not a proof: NoConvergence where np.roots
+    overflows (at deltas near 1e-155). Raises InvalidParameter for a stress-only kind,
     and what `density_line` raises, a batch included.
     """
     if spec.kind not in DENSITY_KINDS:
