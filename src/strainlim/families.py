@@ -31,8 +31,8 @@ runs the same formulas as a SymTensor whose components are numpy columns;
 a density-kind row may differ from the scalar call in the last ulp (numpy
 against libm `expm1`/`log1p`).
 `density_line` reduces every kind at one stress and delta to its line E = s m,
-f_delta(s m, Sbar) = phi(s) m (phi = 1 for a stress-only kind), and
-`fixed_points` lists a density kind's roots of s = phi(s) by a polynomial.
+f_delta(s m, Sbar) = phi(s) m (phi = 1 for a stress-only kind) with phi' in
+closed form; `fixed_points` lists a density kind's roots of s = phi(s) by a polynomial.
 This module alone decides the domains: `check_single` for each call that takes
 no batch (these two and through them the solvers, the energy maps, `scalar1d`),
 `check_ball` for a ball and `check_delta` for the deltas; NaN and inf fail each.
@@ -281,15 +281,15 @@ def _modulus_factor(spec: FamilySpec, delta: float, t, i2, d):
 
 
 def density_line(spec: FamilySpec, delta: float, Sbar: SymTensor):
-    """(m, phi) with f_delta(s m, Sbar) = phi(s) m, for every kind.
+    """(m, phi, slope) with f_delta(s m, Sbar) = phi(s) m and slope = phi', for every kind.
 
     A density kind has m = (1+nu) Sbar - nu tr(Sbar) I: f_delta(E, Sbar) is a
     multiple of m for every E, and phi(s) may differ from `family_eval` at
     s m in the last ulps. A stress-only kind has m = f_delta(0, Sbar), the
-    floats of `family_eval`, and phi = 1, so the equality is exact. Each fixed
-    point is s m with s = phi(s). phi(s) raises what `family_eval` raises at
-    s m. Raises what `check_single` refuses, and what `family_eval` raises
-    for delta and Sbar.
+    floats of `family_eval`, phi = 1 and phi' = 0, so the equality is exact.
+    Each fixed point is s m with s = phi(s). phi(s) raises what `family_eval`
+    raises at s m, and slope(s) what phi(s) raises. Raises what `check_single`
+    refuses, and what `family_eval` raises for delta and Sbar.
     """
     check_single("Sbar", Sbar, delta)
     check_delta(spec, delta)
@@ -300,15 +300,22 @@ def density_line(spec: FamilySpec, delta: float, Sbar: SymTensor):
     size, radius = frobenius(m), spec._working[0] * delta
 
     def phi(s):
-        if type(s) is not float:
-            s = real(s, "s")
+        s = s if type(s) is float else real(s, "s")
         _within("E", abs(s) * size, radius)
         if not density:
             return 1.0
         ss = s * s  # the invariants of s m
         return _modulus_factor(spec, delta, s * i1, ss * i2, ss * s * i3)
 
-    return m, phi
+    def slope(s):  # phi'(s) in closed form: D = det(I + 2 s m), k = a D' / (2 E0 sqrt(D))
+        f, s = phi(s), float(s)
+        if not density:
+            return 0.0
+        D = 1.0 + (2.0 * s * i1 + 4.0 * s * s * i2 + 8.0 * s * s * s * i3)  # 1 + phi's dm1: > 0
+        k = spec.a * (i1 + 4.0 * s * i2 + 12.0 * s * s * i3) / (spec.E0 * math.sqrt(D))
+        return k * (spec.E0 * f / delta) ** 2 / D if spec.kind == "density_modulus_reciprocal" else k
+
+    return m, phi, slope
 
 
 def fixed_points(spec: FamilySpec, delta: float, Sbar: SymTensor):
@@ -327,7 +334,7 @@ def fixed_points(spec: FamilySpec, delta: float, Sbar: SymTensor):
     """
     if spec.kind not in DENSITY_KINDS:
         raise InvalidParameter(f"fixed_points needs a density kind, got {spec.kind}")
-    m, _ = density_line(spec, delta, Sbar)
+    m = density_line(spec, delta, Sbar)[0]
     i1, i2, i3 = _invariants(m)
     E0, a = spec.E0, spec.a
     Dm1 = [8.0 * i3 * delta * delta, 4.0 * i2 * delta, 2.0 * i1, 0.0]

@@ -1,15 +1,14 @@
 """Fixed-point solver for the implicit relation E = f_delta(E, Sbar).
 
-Every kind is solved on its line (`families.density_line`, the one gate, which
-takes one delta and one stress): f_delta(s m, Sbar) = phi(s) m, so each fixed
-point is E = s m with s = phi(s). Picard iteration runs from zero; a stress-only
-kind (phi = 1) stops at zero when |m| <= 1e-13, else at m after one step with
-residual exactly 0.0. If Picard's budget runs out or an iterate leaves the
-domain, Newton on g(s) = s - phi(s), with full steps and a slope from two phi
-probes, runs from the smallest root that `families.fixed_points` locates in the
-working ball (with none there, NoConvergence names the nearest root beyond it as
-|E|/delta). The residual |m| |s - phi(s)| and |E - f_delta(E, Sbar)| at E = s m
-both meet 1e-13.
+Every kind is solved on its line (`families.density_line`, the solve's one gate):
+f_delta(s m, Sbar) = phi(s) m, so each fixed point is E = s m with s = phi(s).
+Picard iteration runs from zero; a stress-only kind (phi = 1) stops at zero when
+|m| <= 1e-13, else at m after one step with residual exactly 0.0. If Picard's
+budget runs out or an iterate leaves the domain, Newton on g(s) = s - phi(s),
+in full steps on the closed-form slope phi', runs from the smallest root that
+`families.fixed_points` locates in the working ball (with none there,
+NoConvergence names the nearest root beyond it as |E|/delta). The residual
+|m| |s - phi(s)| and |E - f_delta(E, Sbar)| at E = s m both meet 1e-13.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from .symtensor import SymTensor, frobenius
 
 PICARD_BUDGET = 20
 MAX_ITER = 200
-FD_STEP = 1e-7
 
 
 @dataclass(frozen=True)
@@ -57,7 +55,7 @@ def solve_implicit_hencky(spec: FamilySpec, delta: float, T: SymTensor) -> Solve
 
 
 def _solve(spec, delta, stress) -> SolveReport:
-    m, phi = density_line(spec, delta, stress)
+    m, phi, slope = density_line(spec, delta, stress)
     unit = frobenius(m)
     tol = 1e-13  # absolute: solutions are O(delta), delta < 1 (density_line checks it)
 
@@ -65,7 +63,8 @@ def _solve(spec, delta, stress) -> SolveReport:
         """The report at E = s m, or None if it misses tol in six components."""
         E = m * s
         res = frobenius(E - family_eval(spec, delta, E, stress))
-        return _report(spec, delta, E, iterations, res, method) if res <= tol else None
+        interior = frobenius(E) <= 0.5 * (working_domain(spec) * delta)
+        return SolveReport(E, iterations, res, method, interior) if res <= tol else None
 
     s, best = 0.0, math.inf
     for iterations in range(PICARD_BUDGET + 1):
@@ -94,14 +93,8 @@ def _solve(spec, delta, stress) -> SolveReport:
         if iterations >= MAX_ITER:  # the last step's residual is tested first
             raise NoConvergence(f"no convergence in {MAX_ITER} iterations; "
                                 f"best residual {best!r}", best_residual=best)
-        try:  # the slope step is FD_STEP max(1, |E|) in E
-            h = FD_STEP * max(1.0, abs(s) * unit) / unit
-            s -= g / (1.0 - (phi(s + h) - phi(s - h)) / (2.0 * h))
+        try:
+            s -= g / (1.0 - slope(s))
         except ZeroDivisionError:
             raise NoConvergence(f"singular jacobian at residual {res!r}", best_residual=best)
         iterations += 1
-
-
-def _report(spec, delta, E, iterations, res, method) -> SolveReport:
-    interior = frobenius(E) <= 0.5 * (working_domain(spec) * delta)
-    return SolveReport(E, iterations, res, method, interior)

@@ -14,6 +14,7 @@ from strainlim.errors import (
     InvalidParameter,
     NoConvergence,
     NonpositiveModulus,
+    NotPositiveDefinite,
     OutOfDomain,
     SingularLeading,
 )
@@ -290,17 +291,18 @@ def test_modulus_guard_fires_for_large_compression():
                          ids=["reciprocal", "direct", "power_law", "scaled_base"])
 def test_density_line_is_family_eval_on_the_line(spec):
     # f_delta(s m, S) = phi(s) m up to the last ulps, exactly for a stress-only
-    # kind (m = f_delta(0, S), phi = 1), and phi raises what family_eval raises
-    # at s m, up to 5% past the working ball
+    # kind (m = f_delta(0, S), phi = 1), and phi and its slope raise what
+    # family_eval raises at s m, up to 5% past the working ball
     rng = np.random.default_rng(11)
     d = 0.5 * delta_ceiling(spec)
     raised = set()
     for _ in range(400):
         S = ball(rng, spec.c)
-        m, phi = density_line(spec, d, S)
+        m, phi, slope = density_line(spec, d, S)
         s = rng.uniform(-1.05, 1.05) * working_domain(spec) * d / frobenius(m)
         error = _raised(lambda: family_eval(spec, d, m * s, S))
         assert _raised(lambda: phi(s)) is error
+        assert _raised(lambda: slope(s)) is error
         raised.add(error)
         if error is None:
             want = family_eval(spec, d, m * s, S)
@@ -317,7 +319,7 @@ def test_density_line_errors():
         fixed_points(POWER, 0.01, SymTensor(0.1))
     # the point of test_modulus_guard_fires_for_large_compression, on the line
     d = 0.019
-    m, phi = density_line(RECIP, d, SymTensor(0.1, 0.1, 0.1))
+    m, phi, _ = density_line(RECIP, d, SymTensor(0.1, 0.1, 0.1))
     with pytest.raises(NonpositiveModulus):
         phi(1.9 * d / m.xx)
 
@@ -351,7 +353,7 @@ def test_the_census_root_is_the_picard_fixed_point_at_small_deltas(spec, delta):
     # root that Picard reaches, here at about 0.2 of the working radius
     delta = 0.5 * delta_ceiling(spec) if delta is None else delta
     S = SymTensor(0.5, 0.25, -0.125, 0.1, 0.0, 0.05)
-    _, phi = density_line(spec, delta, S)
+    _, phi, _ = density_line(spec, delta, S)
     s = 0.0
     for _ in range(60):  # phi contracts by about 3 delta
         s = phi(s)
@@ -392,7 +394,7 @@ def test_census_roots_are_fixed_points_and_a_solve_returns_the_smallest(
     rng = np.random.default_rng(seed)
     S = SymTensor(*ball_points(rng.standard_normal(6), rng.random(), spec.c).tolist())
     roots, beyond = fixed_points(spec, delta, S)
-    m, phi = density_line(spec, delta, S)
+    m, phi, slope = density_line(spec, delta, S)
     size, radius = frobenius(m), working_domain(spec) * delta
     assert roots == sorted(roots) and all(0.0 < r and r * size <= radius for r in roots)
     assert beyond is None or beyond * size > radius
@@ -407,10 +409,43 @@ def test_census_roots_are_fixed_points_and_a_solve_returns_the_smallest(
         return
     # the residual tolerance 1e-13 is absolute: it leaves s within 1e-13 / (|m| g'(s))
     # of the root of g(s) = s - phi(s), more than 1e-9 relative where s |m| is small
-    lo = roots[0] * (1.0 - 1e-6)
-    slope = abs(1.0 - (phi(roots[0]) - phi(lo)) / (roots[0] - lo))
-    reach = 1e-9 * roots[0] * size + 2e-13 / slope
+    reach = 1e-9 * roots[0] * size + 2e-13 / abs(1.0 - slope(roots[0]))
     assert frobenius(E - m * roots[0]) <= reach
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(DENSITY_KINDS + ("power_law", "scaled_base")),
+    log_a=st.floats(-3.0, 0.0),
+    E0=st.floats(0.5, 2.0),
+    nu=st.floats(0.0, 0.49),
+    b=st.floats(0.05, 0.99),
+    c=st.floats(0.2, 3.0),
+    depth=st.floats(0.0, 8.0),
+    seed=st.integers(0, 2 ** 32 - 1),
+    u=st.floats(-0.999, 0.999),
+)
+def test_the_slope_is_the_derivative_of_phi(kind, log_a, E0, nu, b, c, depth, seed, u):
+    # the closed form against a central difference of phi, with h = 1e-6 of the
+    # working radius in s; phi is 1 for a stress-only kind, so its slope is 0.0
+    a = 0.95 * 10.0 ** log_a
+    if kind in DENSITY_KINDS:
+        spec = FamilySpec(kind=kind, a=a, E0=E0, nu=nu, b=b * min(1.0, 0.5 / a), c=c)
+    else:
+        spec = FamilySpec(kind=kind, a=a, c=c, base="power_law" if kind == "scaled_base" else None)
+    delta = 0.99 * delta_ceiling(spec) * 2.0 ** -depth
+    rng = np.random.default_rng(seed)
+    S = SymTensor(*ball_points(rng.standard_normal(6), rng.random(), spec.c).tolist())
+    m, phi, slope = density_line(spec, delta, S)
+    radius = working_domain(spec) * delta / frobenius(m)
+    s, h = u * radius, 1e-6 * radius
+    try:
+        central = (phi(s + h) - phi(s - h)) / (2.0 * h)
+    except (NotPositiveDefinite, NonpositiveModulus):  # a probe past the modulus domain
+        return
+    assert abs(slope(s) - central) <= 1e-6 * max(1.0, abs(slope(s)))
+    if kind not in DENSITY_KINDS:
+        assert slope(s) == 0.0
 
 
 def test_density_profile_bound():

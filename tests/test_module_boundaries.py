@@ -228,3 +228,12 @@ def test_only_families_reads_the_density_kinds():
     found = [path.stem for path in MODULES
              if "DENSITY_KINDS" in _names(ast.parse(path.read_text(), filename=str(path)))]
     assert found == ["__init__", "families"], found
+
+
+def test_the_solver_probes_the_line_only_at_its_iterate():
+    # Newton steps on `density_line`'s closed-form slope, so the solver calls phi
+    # and phi' at its iterate s alone: no finite-difference probe beside it
+    solver = pathlib.Path(strainlim.solver.__file__)
+    calls = [ast.unparse(node) for node in ast.walk(ast.parse(solver.read_text()))
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("phi", "slope")]
+    assert sorted(set(calls)) == ["phi(s)", "slope(s)"], calls

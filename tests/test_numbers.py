@@ -90,6 +90,7 @@ CASES = {
     ("check_ball", "radius"): lambda v: check_ball("E", SymTensor(0.1), v),
     ("density_line", "delta"): lambda v: density_line(RECIP, v, S)[1](0.0),
     ("density_line", "s"): lambda v: density_line(RECIP, D, S)[1](v),
+    ("density_line", "slope s"): lambda v: density_line(RECIP, D, S)[2](v),
     ("family_eval", "delta"): lambda v: family_eval(RECIP, v, ZERO, S),
     ("fixed_points", "delta"): lambda v: fixed_points(RECIP, v, S),
     ("leading_gap", "delta"): lambda v: leading_gap(RECIP, v, ZERO, S),

@@ -133,7 +133,7 @@ def test_stalled_solve_carries_its_best_residual(monkeypatch):
     S = SymTensor(0.45057716151826754, 1.7732717025175075, 1.418711129001391,
                   -0.4224179813496206, -0.6189389823198892, -0.17788963219188111)
     delta = 2.0 ** -14
-    m, phi = density_line(STIFF, delta, S)
+    m, phi, _ = density_line(STIFF, delta, S)
     s, picard = 0.0, []
     with pytest.raises(NonpositiveModulus):  # Picard leaves the domain within its budget
         for _ in range(strainlim.solver.PICARD_BUDGET + 1):
@@ -166,10 +166,9 @@ def test_a_line_solution_meets_the_tolerance_in_six_components(monkeypatch):
 
 def test_singular_slope_is_no_convergence(monkeypatch):
     # no family has phi' = 1 exactly, so a stand-in line gives it: phi(s) = s + 1
-    # has no fixed point, Picard's ratio is 1, and with |m| = 1e-7 the Newton
-    # probes sit at s = +-1, where the difference quotient is exactly 1
+    # has no fixed point, Picard's ratio is 1, and Newton's step divides by 1 - phi'
     monkeypatch.setattr(strainlim.solver, "density_line",
-                        lambda spec, delta, S: (SymTensor(1e-7), lambda s: s + 1.0))
+                        lambda spec, delta, S: (SymTensor(1e-7), lambda s: s + 1.0, lambda s: 1.0))
     with pytest.raises(NoConvergence, match="singular") as info:
         solve_implicit(RECIP, DELTA, SBAR)
     assert info.value.best_residual == 1e-7
@@ -208,7 +207,7 @@ def test_a_stiff_rung_with_a_root_in_the_ball_solves():
                                             (STIFF, 2.0 ** -11, NEWTON_S)],
                          ids=["reciprocal", "direct", "newton"])
 def test_density_solutions_are_exactly_s_times_m(solve, spec, delta, S):
-    m, _ = density_line(spec, delta, S)
+    m, _, _ = density_line(spec, delta, S)
     E = solve(spec, delta, S).solution
     k = max(range(6), key=lambda i: abs(m.components()[i]))
     s = E.components()[k] / m.components()[k]
