@@ -1,20 +1,20 @@
-"""Complementary energy, its Legendre transform, and the Green-elastic stress map.
+"""Complementary energy, strain energy, and the Green-elastic stress map.
 
 The leading profile of the power-law family is the gradient of a radial
 complementary energy W*(S) = G(|S|) with G the antiderivative of
 a t (1 + a^p t^p)^{-1/p} (a Gauss hypergeometric closed form for p != 2,
 `quad`); W*(0) = 0 fixes the free additive constant. A scaled_base leading
 profile is the power-law profile of its `a` and `p`, so its W* is the same
-G(|S|). W is the convex conjugate of W*, evaluated at the closed-form
-maximizer (the tensor analogue of the one-dimensional inversion). The stress
-map of the associated Green elastic solid is a finite-difference gradient of W.
-Every map takes the family's `FamilySpec` and one SymTensor, as
+G(|S|). Its conjugate W(E) = w(|E|), w the antiderivative of t (1 - t^p)^{-1/p}/a,
+has the mirror closed form, so a Fenchel-Young check compares two independent
+ones. The Green elastic solid's stress map is a finite-difference gradient
+of W. Every map takes the family's `FamilySpec` and one SymTensor, as
 `check_single` says: the stress-side maps accept the `ENERGY_KINDS`, the
 strain-side ones power_law alone, and any other kind raises
 InvalidParameter. Stresses must lie in the family's ball B(0, c)
-(`check_ball`) and `green_stress`'s one delta must pass `check_delta`. `quad`
-imports `scipy.special.hyp2f1` on its first call and keeps it, so only
-studies with p != 2 load scipy, and later calls skip the import.
+(`check_ball`) and `green_stress`'s one delta must pass `check_delta`.
+`_hyp`, the 2F1 of both forms, imports `scipy.special.hyp2f1` on its first
+call and keeps it, so only studies with p != 2 load scipy.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import math
 from .errors import InvalidParameter, OutOfDomain, Saturation
 from .families import FamilySpec, check_ball, check_delta, check_single
 from .scalar1d import one_minus_abs_pow
-from .symtensor import SymTensor, central_differences, frobenius, inner, is_finite
+from .symtensor import SymTensor, central_differences, frobenius, is_finite
 
 # kinds whose leading profile is a gradient field: power_law, and scaled_base,
 # whose built-in base is the power-law profile
@@ -32,17 +32,21 @@ ENERGY_KINDS = ("power_law", "scaled_base")
 _GRAD_STEP = 1e-5
 # wider than the FD step so gradient probes stay strictly inside the limit
 _SATURATION_GUARD = 1e-4
-# scipy.special.hyp2f1, imported by the first `quad` call
+# scipy.special.hyp2f1, imported by the first `_hyp` call
 _hyp2f1 = None
+
+
+def _hyp(p: float, z: float) -> float:
+    # 2F1(1/p, 2/p; 1 + 2/p; z) as a float, not float64, so CSV cells hold plain numbers
+    global _hyp2f1
+    if _hyp2f1 is None:
+        from scipy.special import hyp2f1 as _hyp2f1
+    return float(_hyp2f1(1.0 / p, 2.0 / p, 1.0 + 2.0 / p, z))
 
 
 def quad(a: float, p: float, s: float) -> float:
     """G(s) = int_0^s a t (1 + (a t)^p)^{-1/p} dt = (a s^2/2) 2F1(1/p, 2/p; 1 + 2/p; -(a s)^p)."""
-    global _hyp2f1
-    if _hyp2f1 is None:
-        from scipy.special import hyp2f1 as _hyp2f1
-    # a float, not numpy's float64, so reports and CSV cells hold plain numbers
-    return float(0.5 * a * s * s * _hyp2f1(1.0 / p, 2.0 / p, 1.0 + 2.0 / p, -(a * s) ** p))
+    return 0.5 * a * s * s * _hyp(p, -(a * s) ** p)
 
 
 def _radial(a: float, p: float, s: float) -> float:
@@ -76,7 +80,8 @@ def conjugate_stress(spec: FamilySpec, Etilde: SymTensor) -> SymTensor:
     |Etilde| is NaN or inf.
     """
     _check(spec, ("power_law",), "Etilde", Etilde)
-    return _conjugate(spec, Etilde)
+    q = one_minus_abs_pow(_below_one(Etilde), spec.p)
+    return Etilde * (q ** (-1.0 / spec.p) / spec.a)
 
 
 def _below_one(Etilde: SymTensor, limit=1.0, name="Etilde") -> float:
@@ -87,26 +92,18 @@ def _below_one(Etilde: SymTensor, limit=1.0, name="Etilde") -> float:
     return e
 
 
-def _conjugate(spec: FamilySpec, Etilde: SymTensor) -> SymTensor:
-    q = one_minus_abs_pow(_below_one(Etilde), spec.p)
-    return Etilde * (q ** (-1.0 / spec.p) / spec.a)
-
-
 def legendre_transform(spec: FamilySpec, Etilde: SymTensor) -> float:
-    """W(Etilde) = sup_S [<Etilde, S> - W*(S)], evaluated at the maximizer."""
+    """W(E) = sup_S [<E, S> - W*(S)] = w(|E|) = (|E|^2/2a) 2F1(1/p, 2/p; 1 + 2/p; |E|^p)."""
     _check(spec, ("power_law",), "Etilde", Etilde)
     return _legendre(spec, Etilde)
 
 
 def _legendre(spec: FamilySpec, Etilde: SymTensor) -> float:
+    e = _below_one(Etilde)
     if spec.p == 2.0:
-        # closed form a^{-1}(1 - sqrt(1 - e^2)); keeps W exactly conjugate
-        e = _below_one(Etilde)
+        # (1 - sqrt(1 - e^2))/a, written to avoid the cancellation at small e
         return e * e / (spec.a * (1.0 + math.sqrt(one_minus_abs_pow(e, 2.0))))
-    # the conjugate stress may leave the configured stress ball; the radial
-    # integral itself is defined for all stresses
-    star = _conjugate(spec, Etilde)
-    return inner(Etilde, star) - _radial(spec.a, spec.p, frobenius(star))
+    return 0.0 if e == 0.0 else 0.5 * e * e / spec.a * _hyp(spec.p, e ** spec.p)
 
 
 def complementary_gradient(spec: FamilySpec, Sbar: SymTensor) -> SymTensor:

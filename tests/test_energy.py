@@ -23,6 +23,7 @@ from draws import ball, rotation
 # conjugate stresses of strains near the limit run well past |S| = 1, so the
 # energy tests widen the stress ball
 POWER = FamilySpec(kind="power_law", a=1.0, p=2.0, c=3.0)
+CUBIC = FamilySpec(kind="power_law", a=1.0, p=3.0, c=3.0)
 QUARTIC = FamilySpec(kind="power_law", a=0.7, p=4.0, c=3.0)
 SCALED = FamilySpec(kind="scaled_base", a=1.0, p=2.0, base="power_law", c=3.0)
 ZERO = SymTensor()
@@ -97,6 +98,15 @@ def test_zero_stress_energy_needs_no_quadrature(monkeypatch):
     assert complementary_energy(FamilySpec(kind="power_law", p=3.0), ZERO) == 0.0
 
 
+def test_zero_strain_energy_needs_no_hypergeometric(monkeypatch):
+    # W(0) = 0 for every p, so p = 3 returns it before hyp2f1 loads scipy
+    def no_hyp(*args, **kwargs):
+        raise AssertionError("_hyp was called")
+
+    monkeypatch.setattr(energy, "_hyp", no_hyp)
+    assert legendre_transform(CUBIC, ZERO) == 0.0
+
+
 def _radial_quad(family, S):
     # int_0^|S| a t (1 + (a t)^p)^{-1/p} dt by scipy's adaptive quadrature
     a, p = family.a, family.p
@@ -135,6 +145,38 @@ def test_hypergeometric_closed_form_at_p_2_is_the_elementary_branch():
         for x in np.logspace(-8.0, 8.0, 161):
             s = float(x) / a
             assert energy.quad(a, 2.0, s) == pytest.approx(energy._radial(a, 2.0, s), rel=8 * ulp)
+
+
+def _strain_quad(family, e):
+    # int_0^e t (1 - t^p)^{-1/p} / a dt by scipy's adaptive quadrature
+    a, p = family.a, family.p
+    value, _ = quad(lambda t: t * (1.0 - t ** p) ** (-1.0 / p) / a, 0.0, e,
+                    epsabs=1e-12, epsrel=1e-12, limit=200)
+    return value
+
+
+# |E| up to 0.99, where the integrand t (1 - t^p)^{-1/p} / a reaches 99/a at p = 1
+@pytest.mark.parametrize("p", [1.0, 1.5, 3.0, 4.0, 8.0])
+def test_strain_energy_closed_form_matches_quadrature(p):
+    family = FamilySpec(kind="power_law", a=0.7, p=p, c=3.0)
+    assert legendre_transform(family, ZERO) == 0.0
+    grid = np.concatenate([np.logspace(-6.0, math.log10(0.99), 25), np.linspace(0.0, 0.99, 26)[1:]])
+    for x in grid:
+        e = float(x)
+        value = legendre_transform(family, SymTensor(e))
+        assert type(value) is float
+        assert value == pytest.approx(_strain_quad(family, e), rel=1e-12, abs=0.0)
+
+
+def test_strain_energy_closed_form_at_p_2_is_the_elementary_branch():
+    # w(e) = (e^2/2a) 2F1(1/2, 1; 2; e^2) = (1 - sqrt(1 - e^2))/a
+    ulp = np.finfo(float).eps
+    for a in (0.3, 1.0, 2.5):
+        family = FamilySpec(kind="power_law", a=a, p=2.0, c=3.0)
+        for x in np.logspace(-8.0, math.log10(0.99), 161):
+            e = float(x)
+            assert 0.5 * e * e / a * energy._hyp(2.0, e * e) == pytest.approx(
+                legendre_transform(family, SymTensor(e)), rel=8 * ulp)
 
 
 def test_energy_is_isotropic():
@@ -182,31 +224,47 @@ def test_non_finite_strain_is_out_of_domain(family, bad):
         green_stress(family, 0.01, E)
 
 
-def test_fenchel_young_equality_at_conjugate_pairs():
+@pytest.mark.parametrize("family", [POWER, CUBIC, QUARTIC], ids=["p2", "p3", "p4"])
+def test_fenchel_young_equality_at_conjugate_pairs(family):
     rng = np.random.default_rng(73)
     for _ in range(300):
         Et = ball(rng, 0.9)
-        star = conjugate_stress(POWER, Et)
-        gap = legendre_transform(POWER, Et) + complementary_energy(POWER, star) - inner(Et, star)
+        star = conjugate_stress(family, Et)
+        gap = legendre_transform(family, Et) + complementary_energy(family, star) - inner(Et, star)
         assert abs(gap) <= 1e-9
 
 
-def test_fenchel_young_strict_off_the_conjugate():
+@pytest.mark.parametrize("family", [POWER, CUBIC, QUARTIC], ids=["p2", "p3", "p4"])
+def test_fenchel_young_strict_off_the_conjugate(family):
     Et = SymTensor(0.3, -0.1, 0.05)
     rng = np.random.default_rng(79)
-    star = conjugate_stress(POWER, Et)
+    star = conjugate_stress(family, Et)
     for _ in range(100):
         S = ball(rng, 2.0)
         if frobenius(S - star) < 1e-3:
             continue
-        gap = legendre_transform(POWER, Et) + complementary_energy(POWER, S) - inner(Et, S)
+        gap = legendre_transform(family, Et) + complementary_energy(family, S) - inner(Et, S)
         assert gap > 0.0
 
 
+def test_fenchel_young_catches_a_wrong_complementary_energy(monkeypatch):
+    # W and W* are independent closed forms, so scaling G by 1 + 1e-6 opens a
+    # gap of 1e-6 W*(S*) at every conjugate pair; a W built from W* would hide it
+    good = energy.quad
+    monkeypatch.setattr(energy, "quad", lambda a, p, s: good(a, p, s) * (1.0 + 1e-6))
+    rng = np.random.default_rng(103)
+    for _ in range(50):
+        Et = ball(rng, 1.0)
+        Et = Et * ((0.3 + 0.6 * rng.random()) / frobenius(Et))
+        star = conjugate_stress(CUBIC, Et)
+        gap = legendre_transform(CUBIC, Et) + complementary_energy(CUBIC, star) - inner(Et, star)
+        assert gap > 1e-9
+
+
 def test_biconjugate_consistency_general_p():
-    # for p != 2 the transform is evaluated from the definition at the
-    # closed-form maximizer; a dense scan over scalings of that maximizer
-    # must neither beat it nor fall far short
+    # W is its own closed form w(|Et|); a dense scan of <Et, S> - W*(S) over
+    # scalings of the closed-form maximizer must neither beat it nor fall far
+    # short
     Et = SymTensor(0.5, -0.2, 0.1, 0.2, 0.0, 0.0)
     w = legendre_transform(QUARTIC, Et)
     star = conjugate_stress(QUARTIC, Et)
@@ -292,7 +350,6 @@ def test_scaled_base_energy_matches_scalar_line_integral(family):
 
 # the CLI's stress ball (c = 1)
 UNIT_SCALED = FamilySpec(kind="scaled_base", a=1.0, p=2.0, base="power_law")
-CUBIC = FamilySpec(kind="power_law", a=1.0, p=3.0, c=3.0)
 
 
 @pytest.mark.parametrize("family", [POWER, QUARTIC, SCALED])
@@ -319,10 +376,16 @@ def test_energy_maps_are_frame_indifferent(family, q, seed):
     # in floats moves |S| < 2.7 by a few ulps (about 1e-15) and |grad W*| < 1,
     # so W* moves by as little: 5e-14 leaves a margin. The central differences
     # are not equivariant: their truncation error h^2 |W*'''| / 6 at h = 1e-5
-    # and their rounding eps |W*| / h each stay near 1e-10, hence 1e-9.
+    # and their rounding eps |W*| / h each stay near 1e-10, hence 1e-9. For
+    # power_law, W(Q E Q^T) = W(E) too: |E| < 0.9 moves by about 1e-16 and
+    # |grad W| = |S*| < 2.1, so 5e-14 holds there as well.
     Q = rotation(q)
-    S = ball(np.random.default_rng(seed), 0.9 * family.c)
+    rng = np.random.default_rng(seed)
+    S = ball(rng, 0.9 * family.c)
     QS = _turn(Q, S)
     assert abs(complementary_energy(family, QS) - complementary_energy(family, S)) <= 5e-14
     moved = complementary_gradient(family, QS) - _turn(Q, complementary_gradient(family, S))
     assert frobenius(moved) <= 1e-9
+    if family.kind == "power_law":
+        E = ball(rng, 0.9)
+        assert abs(legendre_transform(family, _turn(Q, E)) - legendre_transform(family, E)) <= 5e-14

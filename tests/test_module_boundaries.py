@@ -152,8 +152,9 @@ def _scipy_reads(tree):
 
 
 def test_energy_has_one_quadrature_path():
-    # the package's one integral is `energy.quad`, a closed form through
-    # scipy.special.hyp2f1: no module reads scipy.integrate or any other scipy name
+    # the package's integrals, G (`energy.quad`) and the strain energy w, are
+    # closed forms through one read of scipy.special.hyp2f1 (`energy._hyp`):
+    # no module reads scipy.integrate or any other scipy name
     reads = {p.stem: set(_scipy_reads(ast.parse(p.read_text(), filename=str(p)))) for p in MODULES}
     assert reads.pop("energy") == {("scipy.special", "hyp2f1")}
     assert not any(reads.values()), reads
